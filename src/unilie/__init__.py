@@ -3,8 +3,9 @@ encode, with exact arithmetic throughout."""
 
 from .graphs import (BudgetExceededError, ColorPermAutomorphism, ColoredDigraph,
                      SimpleGraph, UniformityReport, automorphisms,
-                     colorings_equivalent, connected_components, disjoint_union,
-                     relabel, validate_uniform)
+                     canonical_coloring, canonical_graph, colorings_equivalent,
+                     connected_components, disjoint_union, relabel,
+                     validate_uniform)
 from .algebra import (GeneralLinearWitness, NVector, SignedPermWitness,
                       StructureTensor, WitnessCheck, ad_matrix, ad_rank,
                       bracket, center, centralizer, check_witness, commutator,

@@ -324,6 +324,8 @@ def _sign_vector(t: StructureTensor):
 def _cmd_classify(args) -> int:
     try:
         rows, certs = classify_detailed(args.qmax, budget=args.budget)
+    except ValueError as exc:
+        raise _Usage(str(exc))
     except UndeterminedPairError as exc:
         payload = {"undetermined": True,
                    "left": serialize.to_data(exc.left),
@@ -392,6 +394,16 @@ def _cmd_export(args) -> int:
 # ---------------------------------------------------------------------------
 # argument plumbing
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: '{text}'")
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="unilie",
@@ -404,7 +416,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--output", help="also write the report to this file")
         p.add_argument("--format", choices=("text", "dot", "data"),
                        default=fmt_default)
-        p.add_argument("--budget", type=int, default=DEFAULT_SEARCH_BUDGET,
+        p.add_argument("--budget", type=_positive_int, default=DEFAULT_SEARCH_BUDGET,
                        help="search node budget before aborting with exit 3")
         p.add_argument("--jobs", type=int, default=1,
                        help="worker count for enumeration phases; results "

@@ -19,7 +19,8 @@ from .algebra import (GeneralLinearWitness, IsoWitness, SignedPermWitness,
                       from_graph, is_heisenberg_type, j_map,
                       signed_perm_isomorphic, verify_uniform_basis)
 from .graphs import (BudgetExceededError, ColoredDigraph, DEFAULT_SEARCH_BUDGET,
-                     SimpleGraph, colorings_equivalent)
+                     SimpleGraph, canonical_coloring, canonical_graph,
+                     colorings_equivalent)
 from .families import heisenberg, ring_algebra
 
 DEFAULT_ENUM_BUDGET = 10 ** 7
@@ -32,44 +33,19 @@ def _divisors(n: int) -> list[int]:
 # ---------------------------------------------------------------------------
 # regular graphs up to isomorphism
 
-def _pair_index(q: int) -> dict[tuple[int, int], int]:
-    return {pr: n for n, pr in enumerate(itertools.combinations(range(q), 2))}
-
-
-def _canonical_key(q: int, edges, _cache={}) -> int:
-    """Minimal packed adjacency over all q! relabelings; 0-based edges."""
-    key = (q, frozenset(edges))
-    hit = _cache.get(key)
-    if hit is not None:
-        return hit
-    idx = _pair_index(q)
-    best = None
-    edges = list(key[1])
-    for perm in itertools.permutations(range(q)):
-        code = 0
-        for (a, b) in edges:
-            pa, pb = perm[a], perm[b]
-            code |= 1 << idx[(pa, pb) if pa < pb else (pb, pa)]
-        if best is None or code < best:
-            best = code
-    _cache[key] = best
-    return best
-
-
 def _regular_graphs_qs(q: int, s: int, budget: int) -> list[SimpleGraph]:
-    """All s-regular graphs on q labeled vertices, deduplicated; canonical
-    search fixes vertex 0's neighborhood to {1..s}."""
+    """All s-regular graphs on q labeled vertices, one per isomorphism class:
+    the first labeled graph met in each class, keyed by its canonical form.
+    The labeled search fixes vertex 0's neighborhood to {1..s}."""
     visited = 0
-    found: dict[int, SimpleGraph] = {}
+    found: dict[SimpleGraph, SimpleGraph] = {}
 
     def extend(i: int, edges: list[tuple[int, int]], residual: list[int]):
         nonlocal visited
         if i == q:
             if all(d == 0 for d in residual):
-                code = _canonical_key(q, edges)
-                if code not in found:
-                    found[code] = SimpleGraph.from_edges(
-                        q, [(a + 1, b + 1) for a, b in edges])
+                g = SimpleGraph.from_edges(q, [(a + 1, b + 1) for a, b in edges])
+                found.setdefault(canonical_graph(g, budget), g)
             return
         need = residual[i]
         candidates = [j for j in range(i + 1, q) if residual[j] > 0]
@@ -95,14 +71,20 @@ def _regular_graphs_qs(q: int, s: int, budget: int) -> list[SimpleGraph]:
         residual[j] -= 1
     residual[0] = 0
     extend(1, [(0, j) for j in range(1, s + 1)], residual)
-    return [found[c] for c in sorted(found)]
+    return [found[c] for c in sorted(found, key=lambda c: sorted(c.edges, reverse=True))]
 
 
 def regular_graphs(q_max: int, budget: int = DEFAULT_ENUM_BUDGET) -> list[SimpleGraph]:
     """All regular simple graphs with degree >= 1 on 2..q_max vertices, up to
-    isomorphism, ordered by (vertex count, degree, canonical form)."""
+    isomorphism, ordered by vertex count, then degree.
+
+    Within one (q, s) block the graphs are ordered by their canonical forms
+    (canonical_graph) read as packed adjacency words, i.e. canonical edge
+    lists compared from the largest edge down.  Each graph returned is the
+    first labeled member of its class the search meets, not its canonical
+    relabeling."""
     if q_max > 8:
-        raise ValueError("exhaustive canonical dedup is sized for q <= 8")
+        raise ValueError(f"the regular graph census is sized for q <= 8, got {q_max}")
     out = []
     for q in range(2, q_max + 1):
         for s in range(1, q):
@@ -168,26 +150,25 @@ def _labels_to_coloring(g: SimpleGraph, labels) -> ColoredDigraph:
 def uniform_colorings(g: SimpleGraph, budget: int = DEFAULT_ENUM_BUDGET,
                       strict: bool = False) -> list[ColoredDigraph]:
     """All uniform edge colorings of a regular graph up to coloring
-    equivalence, ordered by increasing p.  Non-regular input has none."""
+    equivalence, ordered by (p, sorted arcs).  Non-regular input has none.
+
+    Labeled colorings are deduplicated by canonical_coloring; each class
+    keeps the first labeled coloring the matching search meets."""
     degs = g.degrees()
     if not degs or len(set(degs)) != 1 or degs[0] == 0:
         return []
     s = degs[0]
     edges = [(i - 1, j - 1) for (i, j) in g.sorted_edges()]
     m = len(edges)
-    reps: list[ColoredDigraph] = []
+    reps: dict[ColoredDigraph, ColoredDigraph] = {}
     for p in _divisors(m):
         if p < s:
             continue  # properness forces s distinct colors at each vertex
         r = m // p
         for labels in _matching_partitions(edges, p, r, budget):
             cand = _labels_to_coloring(g, labels)
-            if not any(colorings_equivalent(cand, known, strict=strict,
-                                            budget=budget)
-                       for known in reps if known.p == p):
-                reps.append(cand)
-    reps.sort(key=lambda c: (c.p, c.sorted_arcs()))
-    return reps
+            reps.setdefault(canonical_coloring(cand, strict, budget), cand)
+    return sorted(reps.values(), key=lambda c: (c.p, c.sorted_arcs()))
 
 
 # ---------------------------------------------------------------------------

@@ -393,6 +393,165 @@ def colorings_equivalent(g1: ColoredDigraph, g2: ColoredDigraph, strict: bool = 
     return None
 
 
+# ---------------------------------------------------------------------------
+# canonical labeling by individualization and refinement
+#
+# After McKay & Piperno, "Practical graph isomorphism, II", J. Symbolic
+# Comput. 60 (2014).  An object is a set of points with an initial ordered
+# partition and an incidence list: point x lies in entries (code, a, b), where
+# code says which role x plays and a, b are the other points of the entry.
+# Refinement splits cells by the multiset of (code, cell of a, cell of b)
+# until nothing splits; the search individualizes each point of the first
+# non-singleton cell in turn.  Every leaf is a discrete partition, i.e. a
+# labeling, and the canonical form is the smallest relabeled object over all
+# leaves.  Two leaves with equal forms differ by an automorphism, which
+# prunes the tree: orbit pruning on the first path, and a backjump to the
+# node where the two leaves' paths part.
+
+def _refine(cells: list[list[int]], incid: list[list[tuple[int, int, int]]]
+            ) -> list[list[int]]:
+    """Split cells by incidence signatures until the partition is stable.
+
+    New cells replace the old one in the order of their signatures, so the
+    result commutes with relabeling the points."""
+    cell_of = [0] * len(incid)
+    while True:
+        for ci, cell in enumerate(cells):
+            for x in cell:
+                cell_of[x] = ci
+        out = []
+        for cell in cells:
+            if len(cell) == 1:
+                out.append(cell)
+                continue
+            groups: dict[tuple, list[int]] = {}
+            for x in cell:
+                sig = tuple(sorted([(c, cell_of[a], cell_of[b])
+                                    for c, a, b in incid[x]]))
+                groups.setdefault(sig, []).append(x)
+            out.extend(groups[sig] for sig in sorted(groups))
+        if len(out) == len(cells):
+            return out
+        cells = out
+
+
+def _in_orbit(v: int, seen: list[int], gens: list[list[int]]) -> bool:
+    """Whether v shares an orbit with a point of seen under the group that
+    gens generate."""
+    orbit, stack = {v}, [v]
+    while stack:
+        x = stack.pop()
+        for g in gens:
+            y = g[x]
+            if y not in orbit:
+                orbit.add(y)
+                stack.append(y)
+    return any(u in orbit for u in seen)
+
+
+def _canonical_form(cells: list[list[int]],
+                    incid: list[list[tuple[int, int, int]]], form_of, budget: int):
+    """Smallest form_of(labeling) over the leaves of the search tree, where a
+    labeling maps each point to its position.  Each node visited counts
+    against budget."""
+    n = len(incid)
+    autos: list[list[int]] = []
+    first = best = None             # (form, labeling, path) of two leaves
+    nodes = 0
+
+    def search(cells, path) -> int:
+        """Explore below a node; return the depth to resume at."""
+        nonlocal first, best, nodes
+        nodes += 1
+        if nodes > budget:
+            raise BudgetExceededError(budget, nodes)
+        cells = _refine(cells, incid)
+        t = next((i for i, c in enumerate(cells) if len(c) > 1), None)
+        if t is None:
+            lab = [0] * n
+            for pos, (x,) in enumerate(cells):
+                lab[x] = pos
+            form = form_of(lab)
+            if first is None:
+                first = best = (form, lab, path)
+                return len(path) - 1
+            for ref_form, ref_lab, ref_path in (first, best):
+                if form == ref_form:
+                    at = [0] * n
+                    for x, pos in enumerate(ref_lab):
+                        at[pos] = x
+                    autos.append([at[pos] for pos in lab])
+                    d = 0
+                    while path[d] == ref_path[d]:
+                        d += 1
+                    return d
+            if form < best[0]:
+                best = (form, lab, path)
+            return len(path) - 1
+        on_first_path = first is None
+        done: list[int] = []
+        for v in cells[t]:
+            if on_first_path and done and _in_orbit(
+                    v, done, [a for a in autos if all(a[x] == x for x in path)]):
+                continue
+            child = cells[:t] + [[v], [x for x in cells[t] if x != v]] + cells[t + 1:]
+            resume = search(child, path + (v,))
+            if resume < len(path):
+                return resume
+            done.append(v)
+        return len(path) - 1
+
+    search(cells, ())
+    return best[0]
+
+
+def canonical_graph(g: SimpleGraph, budget: int = DEFAULT_SEARCH_BUDGET) -> SimpleGraph:
+    """Canonical relabeling of g: isomorphic graphs, and only they, give the
+    same result.  Its edge list is the smallest over the search leaves."""
+    edges = [(i - 1, j - 1) for i, j in g.edges]
+    incid: list[list[tuple[int, int, int]]] = [[] for _ in range(g.q)]
+    for a, b in edges:
+        incid[a].append((0, b, b))
+        incid[b].append((0, a, a))
+
+    def form_of(lab):
+        return sorted((lab[a], lab[b]) if lab[a] < lab[b] else (lab[b], lab[a])
+                      for a, b in edges)
+
+    form = _canonical_form([list(range(g.q))], incid, form_of, budget)
+    return SimpleGraph(g.q, frozenset((a + 1, b + 1) for a, b in form))
+
+
+def canonical_coloring(g: ColoredDigraph, strict: bool = False,
+                       budget: int = DEFAULT_SEARCH_BUDGET) -> ColoredDigraph:
+    """Canonical relabeling of g under vertex and color permutations: two
+    colorings give the same result exactly when colorings_equivalent finds a
+    map between them.  By default arc directions are ignored and the result
+    has tail < head; strict=True keeps them."""
+    q = g.q
+    arcs = [(i - 1, j - 1, q + k - 1) for i, j, k in g.arcs]
+    incid: list[list[tuple[int, int, int]]] = [[] for _ in range(q + g.p)]
+    for a, b, c in arcs:
+        incid[a].append((0, b, c))
+        incid[b].append((1 if strict else 0, a, c))
+        incid[c].append((2, a, b))
+        if not strict:
+            incid[c].append((2, b, a))
+
+    def form_of(lab):
+        out = []
+        for a, b, c in arcs:
+            la, lb = lab[a], lab[b]
+            out.append((la, lb, lab[c]) if strict or la < lb else (lb, la, lab[c]))
+        out.sort()
+        return out
+
+    cells = [list(range(q)), list(range(q, q + g.p))]
+    form = _canonical_form(cells, incid, form_of, budget)
+    return ColoredDigraph(q, g.p, frozenset((a + 1, b + 1, c - q + 1)
+                                            for a, b, c in form))
+
+
 def relabel(g: ColoredDigraph, a: ColorPermAutomorphism) -> ColoredDigraph:
     """Push the graph through a vertex/color bijection (directions kept)."""
     arcs = [(a.vertex(i), a.vertex(j), a.color(k)) for i, j, k in g.arcs]

@@ -46,6 +46,13 @@ def _parse_header(line: str, expected: str) -> dict[str, str]:
     return fields
 
 
+def _ints(parts: list[str], line: str) -> tuple[int, ...]:
+    try:
+        return tuple(int(x) for x in parts)
+    except ValueError:
+        raise ParseError(f"non-integer field in '{line}'")
+
+
 def _header_int(fields: dict[str, str], key: str) -> int:
     if key not in fields:
         raise ParseError(f"header is missing {key}=")
@@ -75,7 +82,7 @@ def parse_graph(text: str) -> ColoredDigraph:
         parts = line.split()
         if len(parts) != 3:
             raise ParseError(f"arc line needs 3 fields: '{line}'")
-        arcs.append(tuple(int(x) for x in parts))
+        arcs.append(_ints(parts, line))
     try:
         return ColoredDigraph.from_arcs(q, p, arcs)
     except ValueError as e:
@@ -106,7 +113,7 @@ def parse_tensor(text: str) -> StructureTensor:
         parts = line.split()
         if len(parts) != 4:
             raise ParseError(f"entry line needs 4 fields: '{line}'")
-        i, j, k = (int(x) for x in parts[:3])
+        i, j, k = _ints(parts[:3], line)
         if parts[3] not in ("+1", "-1", "1"):
             raise ParseError(f"sign must be +1 or -1, got '{parts[3]}'")
         entries.append((i, j, k, 1 if parts[3] in ("+1", "1") else -1))
@@ -168,7 +175,7 @@ def _parse_cycles(text: str, n: int) -> tuple[int, ...]:
         else:
             if not depth:
                 raise ParseError(f"stray token '{tok}' in cycle notation")
-            cur.append(int(tok))
+            cur.extend(_ints([tok], text))
     if depth:
         raise ParseError("unbalanced cycle parenthesis")
     seen = set()
@@ -210,7 +217,8 @@ def parse_witness(text: str) -> tuple[IsoWitness, int, int]:
             data[key] = rest.split()
         def perm(key: str, n: int) -> tuple[int, ...]:
             if key + "-images" in data:
-                imgs = tuple(int(x) for x in data[key + "-images"])
+                words = data[key + "-images"]
+                imgs = _ints(words, " ".join([key + "-images"] + words))
             elif key + "-cycles" in data:
                 imgs = _parse_cycles(" ".join(data[key + "-cycles"]), n)
             else:
@@ -230,7 +238,10 @@ def parse_witness(text: str) -> tuple[IsoWitness, int, int]:
             key, _, rest = line.partition(" ")
             if key != "row":
                 raise ParseError(f"expected 'row' line, got '{line}'")
-            rows.append(tuple(Fraction(x) for x in rest.split()))
+            try:
+                rows.append(tuple(Fraction(x) for x in rest.split()))
+            except (ValueError, ZeroDivisionError):
+                raise ParseError(f"row entries must be rationals: '{line}'")
         n = q + p
         if len(rows) != n or any(len(r) != n for r in rows):
             raise ParseError(f"matrix must be {n}x{n}")

@@ -324,6 +324,12 @@ class TestClassify:
         code, _ = run(capsys, "classify", "--qmax", "5", "--budget", "50")
         assert code == 3
 
+    def test_qmax_beyond_census_is_usage_error(self, capsys):
+        assert main(["classify", "--qmax", "9"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "q <= 8" in captured.err
+
 
 class TestFactorize:
     def test_even_counts(self, capsys):
@@ -402,6 +408,32 @@ class TestUsage:
 
     def test_no_verb(self, capsys):
         code, _ = run(capsys)
+        assert code == 2
+
+    @pytest.mark.parametrize("budget", ["0", "-1"])
+    def test_budget_below_one_rejected(self, capsys, quat_file, budget):
+        code, out = run(capsys, "orbit", "--input", quat_file, "--budget", budget)
+        assert code == 2
+        assert out == ""
+
+    @pytest.mark.parametrize("body", [
+        "unilie-graph v1 q=2 p=1\n1 2 x\n",
+        "unilie-algebra v1 q=2 p=1\n1 2 x +1\n",
+    ])
+    def test_non_integer_field_is_usage_error(self, capsys, tmp_path, body):
+        path = tmp_path / "bad.txt"
+        path.write_text(body)
+        assert main(["verify", "--input", str(path)]) == 2
+        assert "non-integer" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("entry", ["1/0", "abc"])
+    def test_bad_witness_entry_is_usage_error(self, capsys, tmp_path, entry):
+        g, w = tmp_path / "h.graph", tmp_path / "w.txt"
+        g.write_text(write_graph(heisenberg(1)))
+        w.write_text("unilie-witness v1 kind=general-linear q=2 p=1\n"
+                     f"row {entry} 0 0\nrow 0 1 0\nrow 0 0 1\n")
+        code, _ = run(capsys, "iso", "--input", str(g), "--input", str(g),
+                      "--input", str(w))
         assert code == 2
 
     def test_bad_jobs_value(self, capsys, quat_file):

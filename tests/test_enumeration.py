@@ -1,7 +1,11 @@
 """Exhaustive enumeration, factorization counting, and the classification pipeline."""
 
+import itertools
+from collections import Counter
+
 import pytest
 
+from unilie import enumeration
 from unilie.algebra import (
     check_witness,
     from_graph,
@@ -12,6 +16,7 @@ from unilie.algebra import (
 from unilie.families import cyclic, heisenberg, quaternionic, ring_algebra
 from unilie.graphs import (
     BudgetExceededError,
+    SimpleGraph,
     colorings_equivalent,
     connected_components,
     validate_uniform,
@@ -31,7 +36,50 @@ from unilie.enumeration import (
 )
 
 
+def oracle_canonical_graph(g, budget=None):
+    """Brute-force canonical form: the relabeling with the smallest packed
+    adjacency word over all q! vertex permutations."""
+    bit = {pr: n for n, pr in enumerate(itertools.combinations(range(1, g.q + 1), 2))}
+    best = None
+    for perm in itertools.permutations(range(1, g.q + 1)):
+        edges = [tuple(sorted((perm[i - 1], perm[j - 1]))) for i, j in g.edges]
+        code = sum(1 << bit[e] for e in edges)
+        if best is None or code < best[0]:
+            best = (code, edges)
+    return SimpleGraph.from_edges(g.q, best[1])
+
+
+def oracle_uniform_colorings(g):
+    """Uniform colorings deduplicated by pairwise equivalence search, keeping
+    the first labeled coloring met in each class."""
+    edges = [(i - 1, j - 1) for (i, j) in g.sorted_edges()]
+    s, m = g.degrees()[0], len(edges)
+    reps = []
+    for p in range(s, m + 1):
+        if m % p:
+            continue
+        for labels in enumeration._matching_partitions(edges, p, m // p, 10**7):
+            cand = enumeration._labels_to_coloring(g, labels)
+            if not any(colorings_equivalent(cand, known) for known in reps
+                       if known.p == p):
+                reps.append(cand)
+    return sorted(reps, key=lambda c: (c.p, c.sorted_arcs()))
+
+
 class TestRegularGraphs:
+    def test_matches_brute_force_dedup(self, monkeypatch):
+        got = regular_graphs(6)
+        monkeypatch.setattr(enumeration, "canonical_graph", oracle_canonical_graph)
+        want = regular_graphs(6)
+        # the same labeled representatives, and through q = 6 in the same order
+        assert got == want
+
+    def test_eight_vertex_census(self):
+        eight = [g for g in regular_graphs(8) if g.q == 8]
+        assert len(eight) == 21
+        assert Counter(g.degrees()[0] for g in eight) == {
+            1: 1, 2: 3, 3: 6, 4: 6, 5: 3, 6: 1, 7: 1}
+
     def test_census_through_five_vertices(self):
         gs = regular_graphs(5)
         shapes = sorted((g.q, g.degrees()[0], len(g.edges)) for g in gs)
@@ -97,6 +145,14 @@ class TestUniformColorings:
         (triangle,) = [g for g in regular_graphs(3) if g.q == 3]
         cols = uniform_colorings(triangle)
         assert [validate_uniform(c).p for c in cols] == [3]
+
+    def test_matches_pairwise_dedup(self):
+        total = 0
+        for g in regular_graphs(6):
+            got = uniform_colorings(g)
+            assert got == oracle_uniform_colorings(g)
+            total += len(got)
+        assert total == 37
 
     def test_no_equivalent_duplicates(self):
         for g in regular_graphs(4):

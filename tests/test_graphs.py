@@ -17,6 +17,8 @@ from unilie.graphs import (
     NotSurjective,
     SimpleGraph,
     automorphisms,
+    canonical_coloring,
+    canonical_graph,
     color_classes,
     colorings_equivalent,
     connected_components,
@@ -223,6 +225,89 @@ class TestEquivalence:
         h = relabel(g, a)
         assert validate_uniform(h).is_uniform
         assert colorings_equivalent(g, h)
+
+
+@st.composite
+def simple_graphs(draw, max_q=7):
+    q = draw(st.integers(min_value=1, max_value=max_q))
+    pairs = [(i, j) for i in range(1, q + 1) for j in range(i + 1, q + 1)]
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    return SimpleGraph.from_edges(q, [e for e, k in zip(pairs, keep) if k])
+
+
+@st.composite
+def colorings(draw, max_q=6, max_p=4):
+    """A colored digraph with random arc directions, and a second coloring of
+    the same support."""
+    q = draw(st.integers(min_value=2, max_value=max_q))
+    p = draw(st.integers(min_value=1, max_value=max_p))
+    pairs = [(i, j) for i in range(1, q + 1) for j in range(i + 1, q + 1)]
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    support = [e for e, k in zip(pairs, keep) if k]
+    arc = st.tuples(st.booleans(), st.integers(min_value=1, max_value=p))
+
+    def color(choices):
+        return ColoredDigraph.from_arcs(
+            q, p, [(j, i, k) if flip else (i, j, k)
+                   for (i, j), (flip, k) in zip(support, choices)])
+
+    both = st.lists(arc, min_size=len(support), max_size=len(support))
+    return color(draw(both)), color(draw(both))
+
+
+class TestCanonicalForms:
+    @given(simple_graphs(), st.randoms(use_true_random=False))
+    @settings(max_examples=80)
+    def test_graph_form_ignores_vertex_labels(self, g, rnd):
+        perm = list(range(1, g.q + 1))
+        rnd.shuffle(perm)
+        moved = SimpleGraph.from_edges(g.q, [(perm[i - 1], perm[j - 1])
+                                             for i, j in g.edges])
+        canon = canonical_graph(g)
+        assert canonical_graph(moved) == canon
+        assert canonical_graph(canon) == canon
+        assert sorted(canon.degrees()) == sorted(g.degrees())
+
+    @pytest.mark.parametrize("strict", [False, True])
+    @given(pair=colorings(), rnd=st.randoms(use_true_random=False))
+    @settings(max_examples=60)
+    def test_coloring_form_ignores_vertex_and_color_labels(self, strict, pair, rnd):
+        g, _ = pair
+        vp, cp = list(range(1, g.q + 1)), list(range(1, g.p + 1))
+        rnd.shuffle(vp)
+        rnd.shuffle(cp)
+        moved = relabel(g, ColorPermAutomorphism(tuple(vp), tuple(cp)))
+        canon = canonical_coloring(g, strict)
+        assert canonical_coloring(moved, strict) == canon
+        assert colorings_equivalent(g, canon, strict=strict) is not None
+
+    @pytest.mark.parametrize("strict", [False, True])
+    @given(pair=colorings(max_q=5, max_p=3))
+    @settings(max_examples=60)
+    def test_equal_forms_exactly_when_equivalent(self, strict, pair):
+        a, b = pair
+        same = canonical_coloring(a, strict) == canonical_coloring(b, strict)
+        assert same == (colorings_equivalent(a, b, strict=strict) is not None)
+
+    def test_orientation_matters_only_in_strict_mode(self):
+        plain, primed = ring_algebra(2), ring_algebra(2, primed=True)
+        assert canonical_coloring(plain) == canonical_coloring(primed)
+        assert canonical_coloring(plain, strict=True) != canonical_coloring(
+            primed, strict=True)
+        assert all(i < j for i, j, _ in canonical_coloring(primed).arcs)
+
+    def test_forms_keep_shape(self):
+        canon = canonical_coloring(quaternionic())
+        assert (canon.q, canon.p, len(canon.arcs)) == (4, 3, 6)
+        assert validate_uniform(canon).is_uniform
+        assert canonical_graph(SimpleGraph(3, frozenset())).edges == frozenset()
+
+    def test_budget_enforced(self):
+        with pytest.raises(BudgetExceededError) as exc:
+            canonical_coloring(quaternionic(), budget=2)
+        assert exc.value.budget == 2
+        with pytest.raises(BudgetExceededError):
+            canonical_graph(quaternionic().support(), budget=1)
 
 
 class TestCompositeGraphs:

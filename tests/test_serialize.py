@@ -62,6 +62,10 @@ class TestGraphFormat:
         with pytest.raises(ParseError):
             parse_graph("unilie-graph v1 q=2 p=1\n1 3 1\n")
 
+    def test_rejects_non_integer_field(self):
+        with pytest.raises(ParseError, match="non-integer"):
+            parse_graph("unilie-graph v1 q=2 p=1\n1 2 x\n")
+
 
 class TestTensorFormat:
     @pytest.mark.parametrize("g", GRAPHS)
@@ -82,6 +86,10 @@ class TestTensorFormat:
     def test_rejects_zero_sign(self):
         with pytest.raises(ParseError):
             parse_tensor("unilie-algebra v1 q=2 p=1\n1 2 1 0\n")
+
+    def test_rejects_non_integer_field(self):
+        with pytest.raises(ParseError, match="non-integer"):
+            parse_tensor("unilie-algebra v1 q=2 p=1\n1 x 1 +1\n")
 
     def test_bracket_table_content(self):
         table = bracket_table(from_graph(heisenberg(2)))
@@ -146,6 +154,19 @@ class TestWitnessFormat:
     def test_rejects_unknown_kind(self):
         with pytest.raises(ParseError):
             parse_witness("unilie-witness v1 kind=mystery q=2 p=1\n")
+
+    @pytest.mark.parametrize("entry", ["1/0", "abc"])
+    def test_rejects_bad_matrix_entry(self, entry):
+        text = ("unilie-witness v1 kind=general-linear q=1 p=1\n"
+                f"row {entry} 0\nrow 0 1\n")
+        with pytest.raises(ParseError, match="rationals"):
+            parse_witness(text)
+
+    @pytest.mark.parametrize("line", ["vertex-images 1 y", "vertex-cycles (1 y)"])
+    def test_rejects_non_integer_image(self, line):
+        text = f"unilie-witness v1 kind=signed-perm q=2 p=1\n{line}\n"
+        with pytest.raises(ParseError, match="non-integer"):
+            parse_witness(text)
 
     def test_parsed_witness_still_checks(self):
         t = from_graph(quaternionic())
