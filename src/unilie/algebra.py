@@ -229,13 +229,6 @@ def bracket(t: StructureTensor, x: NVector, y: NVector) -> NVector:
     return NVector((0,) * t.q, tuple(z))
 
 
-def _bracket_coords(t: StructureTensor, xc, yc) -> tuple[Scalar, ...]:
-    """Bracket on raw coordinate tuples of length q + p."""
-    x = NVector.from_coords(t.q, t.p, xc)
-    y = NVector.from_coords(t.q, t.p, yc)
-    return bracket(t, x, y).coords()
-
-
 # ---------------------------------------------------------------------------
 # structural subspaces
 
@@ -439,7 +432,10 @@ def check_witness(t1: StructureTensor, t2: StructureTensor, w: IsoWitness) -> Wi
     """Verify that w intertwines brackets on every basis pair, exactly.
 
     Both tensors must share (q, p); the witness matrix must be invertible.
-    The failure list names each offending basis pair.
+    The failure list names each offending basis pair.  Each pair is checked
+    on sparse data: the left side w[e_a, e_b] is s times the image column of
+    z_k when [e_a, e_b] = s z_k in t1, the right side the bracket in t2 of the
+    generator parts of the two image columns.
     """
     if (t1.q, t1.p) != (t2.q, t2.p):
         raise ValueError("witness checking needs matching q and p")
@@ -447,21 +443,32 @@ def check_witness(t1: StructureTensor, t2: StructureTensor, w: IsoWitness) -> Wi
     n = t1.dim()
     if m.nrows != n or m.ncols != n:
         raise ValueError("witness matrix has the wrong shape")
-    if m.det() == 0:
+    # a signed permutation matrix is always invertible
+    if not isinstance(w, SignedPermWitness) and m.det() == 0:
         raise ValueError("witness matrix is singular")
-    cols = m.transpose().rows  # column b = image of basis b
+    q, p = t1.q, t1.p
+    cols = list(zip(*m.rows))  # column b = image of basis b
+    gens = [[(i, x) for i, x in enumerate(col[:q]) if x] for col in cols]
+    pm1, pm2 = t1.pair_map(), t2.pair_map()
     failures = []
     for a in range(n):
         for b in range(a + 1, n):
-            lhs = m.apply(_bracket_coords(t1, _unit(n, a), _unit(n, b)))
-            rhs = _bracket_coords(t2, cols[a], cols[b])
-            if any(x != y for x, y in zip(lhs, rhs)):
+            rhs = [0] * p  # [w e_a, w e_b] in t2, a central vector
+            for i, x in gens[a]:
+                for j, y in gens[b]:
+                    hit = pm2.get((min(i, j) + 1, max(i, j) + 1))
+                    if hit is not None:
+                        rhs[hit[0] - 1] += hit[1] * (x * y if i < j else -x * y)
+            entry = pm1.get((a + 1, b + 1)) if b < q else None
+            if entry is None:  # [e_a, e_b] = 0 in t1
+                ok = not any(rhs)
+            else:  # w [e_a, e_b] = s w z_k
+                k, s = entry
+                ok = (not gens[q + k - 1]
+                      and all(s * x == y for x, y in zip(cols[q + k - 1][q:], rhs)))
+            if not ok:
                 failures.append(f"[{_basis_name(t1, a)}, {_basis_name(t1, b)}]")
     return WitnessCheck(ok=not failures, failures=tuple(failures))
-
-
-def _unit(n: int, a: int) -> tuple[int, ...]:
-    return tuple(1 if i == a else 0 for i in range(n))
 
 
 def compose_witnesses(second: IsoWitness, first: IsoWitness) -> GeneralLinearWitness:
@@ -587,25 +594,43 @@ def diagonal_witness(t1: StructureTensor, t2: StructureTensor) -> SignedPermWitn
     Requires equal support and colors; returns None when the sign patterns lie
     in different diagonal orbits.
     """
-    if (t1.q, t1.p) != (t2.q, t2.p) or support_pairs(t1) != support_pairs(t2):
+    if (t1.q, t1.p) != (t2.q, t2.p):
         return None
+    return _signed_perm_witness(t1, t2, tuple(range(1, t1.q + 1)),
+                                tuple(range(1, t1.p + 1)))
+
+
+def _signed_perm_witness(t1: StructureTensor, t2: StructureTensor,
+                         vertex_images, color_images) -> SignedPermWitness | None:
+    """Signs completing a vertex/color map t1 -> t2 to a verified witness.
+
+    The map must carry the colored support of t1 onto that of t2, otherwise
+    the answer is None.  Negating v_i or z_k flips every bracket touching it,
+    so the signs solve a linear system over GF(2), one equation per bracket;
+    the least solution is returned after check_witness accepts it, and None
+    when the system has no solution.
+    """
     pm1, pm2 = t1.pair_map(), t2.pair_map()
-    if any(pm1[pr][0] != pm2[pr][0] for pr in pm1):
+    if len(pm1) != len(pm2):
         return None
     width = t1.q + t1.p
     equations = []
-    for (i, j) in support_pairs(t1):
-        rhs = 0 if pm1[(i, j)][1] == pm2[(i, j)][1] else 1
-        mask = exact.gf2_from_support([i - 1, j - 1, t1.q + pm1[(i, j)][0] - 1], width)
-        equations.append((mask, rhs))
+    for (i, j), (k, s1) in pm1.items():
+        a, b = vertex_images[i - 1], vertex_images[j - 1]
+        hit = pm2.get((min(a, b), max(a, b)))
+        if hit is None or hit[0] != color_images[k - 1]:
+            return None
+        s2 = hit[1] if a < b else -hit[1]
+        mask = exact.gf2_from_support([i - 1, j - 1, t1.q + k - 1], width)
+        equations.append((mask, 0 if s1 == s2 else 1))
     sol = exact.gf2_solve_min(equations, width)
     if sol is None:
         return None
     bits = exact.gf2_to_bits(sol, width)
-    w = SignedPermWitness(tuple(range(1, t1.q + 1)), tuple(range(1, t1.p + 1)),
+    w = SignedPermWitness(tuple(vertex_images), tuple(color_images),
                           _bits_to_signs(bits[:t1.q]), _bits_to_signs(bits[t1.q:]))
     if not check_witness(t1, t2, w).ok:
-        raise AssertionError("diagonal sign solve produced a bad witness")
+        raise AssertionError("sign solve produced a bad witness")
     return w
 
 
@@ -624,30 +649,10 @@ def signed_perm_isomorphic(t1: StructureTensor, t2: StructureTensor,
     """
     if (t1.q, t1.p) != (t2.q, t2.p):
         raise ValueError("signed-permutation search needs matching q and p")
-    g1, g2 = to_graph(t1), to_graph(t2)
-    pm1, pm2 = t1.pair_map(), t2.pair_map()
-    width = t1.q + t1.p
-    for vimg, cimg in _mapping_search(g1, g2, False, budget):
-        equations = []
-        for (i, j), (k, s1) in pm1.items():
-            a, b = vimg[i - 1], vimg[j - 1]
-            l = cimg[k - 1]
-            (a2, b2) = (min(a, b), max(a, b))
-            k2, s2 = pm2[(a2, b2)]
-            assert k2 == l
-            eps2 = s2 if (a, b) == (a2, b2) else -s2
-            rhs = 0 if s1 == eps2 else 1
-            mask = exact.gf2_from_support([i - 1, j - 1, t1.q + k - 1], width)
-            equations.append((mask, rhs))
-        sol = exact.gf2_solve_min(equations, width)
-        if sol is None:
-            continue
-        bits = exact.gf2_to_bits(sol, width)
-        w = SignedPermWitness(vimg, cimg,
-                              _bits_to_signs(bits[:t1.q]), _bits_to_signs(bits[t1.q:]))
-        if not check_witness(t1, t2, w).ok:
-            raise AssertionError("sign solve produced a bad witness")
-        return w
+    for vimg, cimg in _mapping_search(to_graph(t1), to_graph(t2), False, budget):
+        w = _signed_perm_witness(t1, t2, vimg, cimg)
+        if w is not None:
+            return w
     return None
 
 

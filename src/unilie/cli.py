@@ -418,9 +418,6 @@ def _build_parser() -> argparse.ArgumentParser:
                        default=fmt_default)
         p.add_argument("--budget", type=_positive_int, default=DEFAULT_SEARCH_BUDGET,
                        help="search node budget before aborting with exit 3")
-        p.add_argument("--jobs", type=int, default=1,
-                       help="worker count for enumeration phases; results "
-                            "are identical for any value")
         p.add_argument("--strict-equivalence", action="store_true",
                        help="make graph equivalence respect arc directions")
 
@@ -466,9 +463,6 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
-    if args.jobs is not None and args.jobs < 1:
-        sys.stderr.write("--jobs must be at least 1\n")
-        return EXIT_USAGE
     try:
         return _DISPATCH[args.verb](args)
     except _Usage as exc:

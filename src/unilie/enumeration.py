@@ -14,13 +14,15 @@ from dataclasses import dataclass
 
 from . import exact
 from .algebra import (GeneralLinearWitness, IsoWitness, SignedPermWitness,
-                      StructureTensor, check_witness, compose_witnesses,
+                      StructureTensor, _flip_space, _signed_perm_witness,
+                      _signs_to_bits, check_witness, compose_witnesses,
                       derivation_dim, diagonal_orbit_representatives,
-                      from_graph, is_heisenberg_type, j_map,
-                      signed_perm_isomorphic, verify_uniform_basis)
+                      from_graph, is_heisenberg_type, j_map, sign_vector,
+                      signed_perm_isomorphic, support_pairs, to_graph,
+                      verify_uniform_basis)
 from .graphs import (BudgetExceededError, ColoredDigraph, DEFAULT_SEARCH_BUDGET,
-                     SimpleGraph, canonical_coloring, canonical_graph,
-                     colorings_equivalent)
+                     SimpleGraph, automorphisms, canonical_coloring,
+                     canonical_graph, colorings_equivalent)
 from .families import heisenberg, ring_algebra
 
 DEFAULT_ENUM_BUDGET = 10 ** 7
@@ -279,40 +281,62 @@ class SignClassReport:
 
 def sign_class_report(g: ColoredDigraph | StructureTensor,
                       budget: int = DEFAULT_SEARCH_BUDGET) -> SignClassReport:
-    """Diagonal sign orbits of a uniform support, then signed-permutation
-    merging with verified witnesses."""
+    """Diagonal sign orbits of a uniform support, merged into sign classes.
+
+    Every orbit representative has the same colored support, so the maps a
+    signed-permutation search could try between two of them are exactly the
+    color-permuting automorphisms of that support.  They are enumerated once,
+    against budget, and the sign classes are the orbits of this group on the
+    diagonal orbits: an automorphism permutes a sign vector along the support
+    pairs and negates each pair whose order it reverses.  Each class holds
+    its orbit indices in increasing order and one witness (members[0], b, w)
+    per other member b, verified by check_witness, from the first
+    automorphism carrying members[0] onto b.
+    """
     t = from_graph(g) if isinstance(g, ColoredDigraph) else g
     rep = verify_uniform_basis(t)
     if not rep.is_uniform:
         raise ValueError("sign class analysis needs a uniform tensor")
     reps = diagonal_orbit_representatives(t)
-    parent = list(range(len(reps)))
+    # with a single orbit there is nothing to merge
+    auts = automorphisms(to_graph(t), budget=budget) if len(reps) > 1 else []
+    pairs = support_pairs(t)
+    position = {pr: n for n, pr in enumerate(pairs)}
+    flips = _flip_space(t)
 
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
+    def bits(signs) -> int:
+        return exact.gf2_from_bits(_signs_to_bits(signs), len(pairs))
 
-    witnesses = []
-    for a, b in itertools.combinations(range(len(reps)), 2):
-        if find(a) == find(b):
-            continue
-        w = signed_perm_isomorphic(reps[a], reps[b], budget=budget)
-        if w is not None:
-            witnesses.append((a, b, w))
-            parent[find(b)] = find(a)
-    groups: dict[int, list[int]] = {}
-    for i in range(len(reps)):
-        groups.setdefault(find(i), []).append(i)
+    # the representatives are exactly the reduced members of their cosets
+    index = {bits(sign_vector(r)): n for n, r in enumerate(reps)}
+
+    root = [-1] * len(reps)
     classes = []
-    for root in sorted(groups, key=lambda r: min(groups[r])):
-        members = tuple(sorted(groups[root]))
+    for a, ra in enumerate(reps):
+        if root[a] >= 0:
+            continue
+        root[a] = a
+        signs = sign_vector(ra)
+        found: dict[int, SignedPermWitness] = {}
+        for aut in auts:
+            moved = [0] * len(pairs)
+            for (i, j), s in zip(pairs, signs):
+                x, y = aut.vertex(i), aut.vertex(j)
+                moved[position[(min(x, y), max(x, y))]] = s if x < y else -s
+            b = index[exact.gf2_reduce(bits(moved), flips)]
+            if root[b] >= 0:
+                continue
+            w = _signed_perm_witness(ra, reps[b], aut.vertex_images, aut.color_images)
+            if w is None:
+                raise AssertionError("automorphism image has no sign witness")
+            root[b] = a
+            found[b] = w
+        members = (a,) + tuple(sorted(found))
         classes.append(SignClass(
             members=members,
-            representative=reps[members[0]],
-            heisenberg=is_heisenberg_type(reps[members[0]]),
-            witnesses=tuple(w for w in witnesses if w[0] in members)))
+            representative=ra,
+            heisenberg=is_heisenberg_type(ra),
+            witnesses=tuple((a, b, found[b]) for b in members[1:])))
     return SignClassReport(tensor=t, orbit_representatives=tuple(reps),
                            classes=tuple(classes))
 
@@ -519,17 +543,11 @@ def classify_detailed(q_max: int = 5, budget: int = DEFAULT_ENUM_BUDGET
             x = parent[x]
         return x
 
-    # merge by signed permutations
-    for a, b in itertools.combinations(range(len(cands)), 2):
-        if find(a) == find(b):
-            continue
-        ta, tb = cands[a].tensor, cands[b].tensor
-        if (ta.p, ta.q) != (tb.p, tb.q):
-            continue
-        if signed_perm_isomorphic(ta, tb, budget=budget) is not None:
-            parent[find(b)] = find(a)
-
-    # merge by stored general-linear identifications, re-verified end to end
+    # No two candidates are signed-permutation isomorphic: such a witness
+    # induces an equivalence of the underlying colorings, and candidates come
+    # from inequivalent colorings or from distinct sign classes of one
+    # coloring.  Only general-linear identifications can merge them.
+    # Merge by stored general-linear identifications, re-verified end to end.
     for src, dst, glw in _gl_anchors():
         if src.q > q_max or dst.q > q_max:
             continue

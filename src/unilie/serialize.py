@@ -215,17 +215,20 @@ def parse_witness(text: str) -> tuple[IsoWitness, int, int]:
         for line in lines[1:]:
             key, _, rest = line.partition(" ")
             data[key] = rest.split()
-        def perm(key: str, n: int) -> tuple[int, ...]:
+        def perm(key: str, size: str, n: int) -> tuple[int, ...]:
             if key + "-images" in data:
                 words = data[key + "-images"]
                 imgs = _ints(words, " ".join([key + "-images"] + words))
+                if len(imgs) != n:
+                    raise ParseError(f"header says {size}={n}, but {key}-images "
+                                     f"lists {len(imgs)} images")
             elif key + "-cycles" in data:
                 imgs = _parse_cycles(" ".join(data[key + "-cycles"]), n)
             else:
                 imgs = tuple(range(1, n + 1))
             return imgs
-        vi = perm("vertex", q)
-        ci = perm("color", p)
+        vi = perm("vertex", "q", q)
+        ci = perm("color", "p", p)
         vs = _parse_signs(data.get("vertex-signs", ["+1"] * q), q)
         cs = _parse_signs(data.get("color-signs", ["+1"] * p), p)
         try:
@@ -310,7 +313,7 @@ def from_data(data: dict):
             if wk == "general-linear":
                 rows = [tuple(Fraction(x) for x in row) for row in data["matrix"]]
                 return GeneralLinearWitness(IntMatrix.from_rows(rows))
-    except (KeyError, ValueError) as e:
+    except (KeyError, TypeError, ValueError, ZeroDivisionError) as e:
         raise ParseError(f"bad {kind} data: {e}") from e
     raise ParseError(f"unrecognized data object kind '{kind}'")
 

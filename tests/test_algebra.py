@@ -40,7 +40,9 @@ from unilie.algebra import (
     to_graph,
     totally_geodesic,
     verify_uniform_basis,
+    WitnessCheck,
 )
+from unilie.exact import IntMatrix
 from unilie.families import (
     cyclic,
     free_two_step,
@@ -356,6 +358,112 @@ class TestWitnesses:
         for row in m.rows:
             assert sum(1 for x in row if x != 0) == 1
             assert all(x in (-1, 0, 1) for x in row)
+
+
+def oracle_check_witness(t1, t2, w):
+    """Dense witness check: apply the witness matrix to the bracket of every
+    basis pair and compare with the bracket of the two image columns."""
+    if (t1.q, t1.p) != (t2.q, t2.p):
+        raise ValueError("witness checking needs matching q and p")
+    m = w.to_matrix()
+    n = t1.dim()
+    if m.nrows != n or m.ncols != n:
+        raise ValueError("witness matrix has the wrong shape")
+    if m.det() == 0:
+        raise ValueError("witness matrix is singular")
+    cols = m.transpose().rows
+
+    def vec(coords):
+        return NVector.from_coords(t1.q, t1.p, coords)
+
+    def name(a):
+        return f"v{a + 1}" if a < t1.q else f"z{a - t1.q + 1}"
+
+    failures = []
+    for a in range(n):
+        for b in range(a + 1, n):
+            ea = vec(1 if i == a else 0 for i in range(n))
+            eb = vec(1 if i == b else 0 for i in range(n))
+            lhs = m.apply(bracket(t1, ea, eb).coords())
+            rhs = bracket(t2, vec(cols[a]), vec(cols[b])).coords()
+            if any(x != y for x, y in zip(lhs, rhs)):
+                failures.append(f"[{name(a)}, {name(b)}]")
+    return WitnessCheck(ok=not failures, failures=tuple(failures))
+
+
+SMALL_TENSORS = [H3, from_graph(heisenberg(2)), QUAT, ASSOC, RING2, RING2P, H33,
+                 from_graph(free_two_step(3)), from_graph(free_two_step(4)),
+                 from_graph(cyclic(4)), from_graph(cyclic(5)),
+                 from_graph(cyclic(6))]
+
+
+@st.composite
+def signed_perm_cases(draw):
+    """(t1, t2, w) with w a random signed permutation and t2 its image of t1,
+    with one bracket sign of t2 flipped half of the time."""
+    t1 = draw(st.sampled_from(SMALL_TENSORS))
+    vp = tuple(draw(st.permutations(range(1, t1.q + 1))))
+    cp = tuple(draw(st.permutations(range(1, t1.p + 1))))
+    vs = tuple(draw(st.lists(st.sampled_from((1, -1)), min_size=t1.q, max_size=t1.q)))
+    cs = tuple(draw(st.lists(st.sampled_from((1, -1)), min_size=t1.p, max_size=t1.p)))
+    brackets = [(vp[i - 1], vp[j - 1], cp[k - 1], s * vs[i - 1] * vs[j - 1] * cs[k - 1])
+                for i, j, k, s in t1.sorted_entries()]
+    if draw(st.booleans()):
+        n = draw(st.integers(0, len(brackets) - 1))
+        i, j, k, s = brackets[n]
+        brackets[n] = (i, j, k, -s)
+    t2 = StructureTensor.from_brackets(t1.q, t1.p, brackets)
+    return t1, t2, SignedPermWitness(vp, cp, vs, cs)
+
+
+def _outcome(check, t1, t2, w):
+    try:
+        return check(t1, t2, w)
+    except ValueError as exc:
+        return str(exc)
+
+
+class TestSparseWitnessCheck:
+    @given(signed_perm_cases())
+    @settings(max_examples=150)
+    def test_signed_perm_matches_dense_oracle(self, case):
+        t1, t2, w = case
+        assert check_witness(t1, t2, w) == oracle_check_witness(t1, t2, w)
+
+    @given(signed_perm_cases(),
+           st.lists(st.tuples(st.integers(0, 11), st.integers(0, 11),
+                              st.sampled_from((1, -1, 2, Fraction(1, 2)))),
+                    min_size=1, max_size=3))
+    @settings(max_examples=150)
+    def test_perturbed_general_linear_matches_dense_oracle(self, case, deltas):
+        t1, t2, w = case
+        rows = [list(r) for r in w.to_matrix().rows]
+        n = len(rows)
+        for r, c, d in deltas:
+            rows[r % n][c % n] += d
+        glw = GeneralLinearWitness(IntMatrix.from_rows(rows))
+        assert _outcome(check_witness, t1, t2, glw) == _outcome(
+            oracle_check_witness, t1, t2, glw)
+
+    def test_ring_sum_witness_matches_dense_oracle(self):
+        from unilie.enumeration import ring_sum_witness
+
+        t1, t2, w = ring_sum_witness()
+        assert check_witness(t1, t2, w) == oracle_check_witness(t1, t2, w)
+        assert check_witness(t1, t2, w).ok
+        rows = [list(r) for r in w.to_matrix().rows]
+        rows[0][4] += 1  # z1 picks up a generator component
+        bad = GeneralLinearWitness(IntMatrix.from_rows(rows))
+        assert check_witness(t1, t2, bad) == oracle_check_witness(t1, t2, bad)
+        assert not check_witness(t1, t2, bad).ok
+
+    def test_errors_match_dense_oracle(self):
+        w = SignedPermWitness((1, 2), (1,), (1, 1), (1,))
+        singular = GeneralLinearWitness(IntMatrix.zero(3, 3))
+        wrong = GeneralLinearWitness(IntMatrix.identity(4))
+        for t1, t2, wit in [(H3, QUAT, w), (H3, H3, singular), (H3, H3, wrong)]:
+            assert _outcome(check_witness, t1, t2, wit) == _outcome(
+                oracle_check_witness, t1, t2, wit)
 
 
 class TestSignOrbits:

@@ -305,11 +305,6 @@ class TestClassify:
         _, out2 = run(capsys, "classify", "--qmax", "5")
         assert out1 == out2
 
-    def test_jobs_flag_does_not_change_output(self, capsys):
-        _, out1 = run(capsys, "classify", "--qmax", "4")
-        _, out2 = run(capsys, "classify", "--qmax", "4", "--jobs", "4")
-        assert out1 == out2
-
     @pytest.mark.slow
     def test_six_generators_undetermined(self, capsys):
         code, out = run(capsys, "classify", "--qmax", "6")
@@ -426,6 +421,22 @@ class TestUsage:
         assert main(["verify", "--input", str(path)]) == 2
         assert "non-integer" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("line,size,count", [
+        ("vertex-images 1 2 3", "q=2", 3),
+        ("color-images 1 2", "p=1", 2),
+    ])
+    def test_witness_image_count_names_header(self, capsys, tmp_path, line,
+                                              size, count):
+        g, w = tmp_path / "h.graph", tmp_path / "w.txt"
+        g.write_text(write_graph(heisenberg(1)))
+        w.write_text(f"unilie-witness v1 kind=signed-perm q=2 p=1\n{line}\n")
+        code = main(["iso", "--input", str(g), "--input", str(g),
+                     "--input", str(w)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert f"header says {size}" in err and f"lists {count} images" in err
+        assert "signs" not in err
+
     @pytest.mark.parametrize("entry", ["1/0", "abc"])
     def test_bad_witness_entry_is_usage_error(self, capsys, tmp_path, entry):
         g, w = tmp_path / "h.graph", tmp_path / "w.txt"
@@ -434,8 +445,4 @@ class TestUsage:
                      f"row {entry} 0 0\nrow 0 1 0\nrow 0 0 1\n")
         code, _ = run(capsys, "iso", "--input", str(g), "--input", str(g),
                       "--input", str(w))
-        assert code == 2
-
-    def test_bad_jobs_value(self, capsys, quat_file):
-        code, _ = run(capsys, "verify", "--input", quat_file, "--jobs", "0")
         assert code == 2

@@ -1,5 +1,6 @@
 """Exhaustive enumeration, factorization counting, and the classification pipeline."""
 
+import functools
 import itertools
 from collections import Counter
 
@@ -8,6 +9,7 @@ import pytest
 from unilie import enumeration
 from unilie.algebra import (
     check_witness,
+    diagonal_orbit_representatives,
     from_graph,
     is_heisenberg_type,
     signed_perm_isomorphic,
@@ -64,6 +66,42 @@ def oracle_uniform_colorings(g):
                        if known.p == p):
                 reps.append(cand)
     return sorted(reps, key=lambda c: (c.p, c.sorted_arcs()))
+
+
+def oracle_sign_class_report(g):
+    """Sign classes by pairwise signed-permutation search between the
+    diagonal orbits, merged with union-find."""
+    t = from_graph(g)
+    reps = diagonal_orbit_representatives(t)
+    parent = list(range(len(reps)))
+
+    def find(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    witnesses = []
+    for a, b in itertools.combinations(range(len(reps)), 2):
+        if find(a) == find(b):
+            continue
+        w = signed_perm_isomorphic(reps[a], reps[b])
+        if w is not None:
+            witnesses.append((a, b, w))
+            parent[find(b)] = find(a)
+    groups = {}
+    for i in range(len(reps)):
+        groups.setdefault(find(i), []).append(i)
+    classes = []
+    for members in sorted(groups.values()):
+        classes.append((tuple(members), reps[members[0]],
+                        is_heisenberg_type(reps[members[0]]),
+                        tuple(w for w in witnesses if w[0] == members[0])))
+    return reps, classes
+
+
+@functools.lru_cache(maxsize=None)
+def small_colorings(q_max):
+    return [c for g in regular_graphs(q_max) for c in uniform_colorings(g)]
 
 
 class TestRegularGraphs:
@@ -257,6 +295,30 @@ class TestSignClassReport:
         with pytest.raises(ValueError):
             sign_class_report(bad)
 
+    @pytest.mark.parametrize("n", range(37))
+    def test_matches_pairwise_oracle(self, n):
+        # all uniform colorings with q <= 6; the K6 one-factorization takes
+        # the oracle about 3 s
+        coloring = small_colorings(6)[n]
+        rep = sign_class_report(coloring)
+        reps, want = oracle_sign_class_report(coloring)
+        assert rep.orbit_representatives == tuple(reps)
+        got = [(c.members, c.representative, c.heisenberg) for c in rep.classes]
+        assert got == [w[:3] for w in want]
+        for sc, (_, _, _, oracle_witnesses) in zip(rep.classes, want):
+            first = sc.members[0]
+            assert [(a, b) for a, b, _ in sc.witnesses] == [
+                (first, b) for b in sc.members[1:]]
+            for a, b, w in sc.witnesses:
+                assert check_witness(reps[a], reps[b], w).ok
+            # the first automorphism reaching b is the first mapping the
+            # pairwise search would succeed with
+            assert sc.witnesses == oracle_witnesses
+
+    def test_budget_bounds_the_automorphism_search(self):
+        with pytest.raises(BudgetExceededError):
+            sign_class_report(quaternionic(), budget=3)
+
 
 class TestStoredWitnesses:
     def test_ring_sum_witness_verifies(self):
@@ -381,6 +443,17 @@ class TestClassification:
 
     def test_deterministic(self):
         assert classify(5) == classify(5)
+
+    def test_candidates_are_not_signed_perm_isomorphic(self):
+        # classify_detailed does not search signed permutations between
+        # candidates; this is the pairwise merge it would have run
+        cands = enumeration._candidates(5, enumeration.DEFAULT_ENUM_BUDGET)
+        tried = 0
+        for ca, cb in itertools.combinations(cands, 2):
+            if (ca.tensor.p, ca.tensor.q) == (cb.tensor.p, cb.tensor.q):
+                tried += 1
+                assert signed_perm_isomorphic(ca.tensor, cb.tensor) is None
+        assert tried > 0
 
     @pytest.mark.slow
     def test_six_generators_hits_open_pair(self):

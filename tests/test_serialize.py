@@ -168,6 +168,16 @@ class TestWitnessFormat:
         with pytest.raises(ParseError, match="non-integer"):
             parse_witness(text)
 
+    @pytest.mark.parametrize("line,size", [
+        ("vertex-images 1 2 3", "q=2"),
+        ("vertex-images 1", "q=2"),
+        ("color-images 1 2", "p=1"),
+    ])
+    def test_rejects_image_count_against_header(self, line, size):
+        text = f"unilie-witness v1 kind=signed-perm q=2 p=1\n{line}\n"
+        with pytest.raises(ParseError, match=f"header says {size}"):
+            parse_witness(text)
+
     def test_parsed_witness_still_checks(self):
         t = from_graph(quaternionic())
         for a in automorphisms(quaternionic(), strict=True):
@@ -216,6 +226,22 @@ class TestDataAndJson:
     def test_from_data_rejects_unknown_kind(self):
         with pytest.raises(ParseError):
             from_data({"kind": "mystery"})
+
+    def test_from_data_rejects_zero_denominator(self):
+        _, _, w = ring_sum_witness()
+        payload = to_data(w)
+        payload["matrix"][0][0] = "1/0"
+        with pytest.raises(ParseError):
+            from_data(payload)
+
+    @pytest.mark.parametrize("q", ["x", None])
+    @pytest.mark.parametrize("kind", ["graph", "algebra"])
+    def test_from_data_rejects_non_integer_q(self, kind, q):
+        obj = quaternionic() if kind == "graph" else from_graph(quaternionic())
+        payload = to_data(obj)
+        payload["q"] = q
+        with pytest.raises(ParseError):
+            from_data(payload)
 
 
 class TestParseAny:
