@@ -14,8 +14,7 @@ from .algebra import (GeneralLinearWitness, NVector, SignedPermWitness,
                       diagonal_witness, from_graph, invert_witness,
                       is_heisenberg_type, j_basis, j_gram, j_map,
                       lift_automorphism, sign_orbit_canonical, sign_vector,
-                      signed_perm_isomorphic, to_graph, totally_geodesic,
-                      verify_uniform_basis)
+                      signed_perm_isomorphic, to_graph, totally_geodesic)
 from .families import (FiniteGroup, cayley, cyclic, cyclic_group,
                        dihedral_bipartite, dihedral_group,
                        elementary_abelian_group, free_two_step,
@@ -24,7 +23,8 @@ from .families import (FiniteGroup, cayley, cyclic, cyclic_group,
 from .enumeration import (ClassificationRow, FactorizationReport,
                           KnownPresentation, SignClass, SignClassReport,
                           UndeterminedPairError, classify, classify_detailed,
-                          known_presentations, near_factorization_sign_witness,
+                          distinguish, known_presentations,
+                          near_factorization_sign_witness,
                           near_one_factorizations, one_factorizations,
                           regular_graphs, ring_sum_witness, sign_class_report,
                           uniform_colorings)

@@ -26,9 +26,8 @@ from fractions import Fraction
 from . import exact
 from .exact import IntMatrix, Scalar
 from .graphs import (BudgetExceededError, ColoredDigraph, ColorPermAutomorphism,
-                     DEFAULT_SEARCH_BUDGET, NonProper, ColorCountMismatch, NotRegular,
-                     NotSurjective, UniformityReport, _mapping_search, _mode,
-                     _sort_violations, disjoint_union, validate_uniform)
+                     DEFAULT_SEARCH_BUDGET, _mapping_search, disjoint_union,
+                     validate_uniform)
 
 
 @dataclass(frozen=True)
@@ -111,51 +110,6 @@ def to_graph(t: StructureTensor) -> ColoredDigraph:
     """Inverse of from_graph; positive entries orient i -> j, negative j -> i."""
     arcs = [(i, j, k) if s > 0 else (j, i, k) for i, j, k, s in t.entries]
     return ColoredDigraph.from_arcs(t.q, t.p, arcs)
-
-
-def verify_uniform_basis(t: StructureTensor) -> UniformityReport:
-    """Uniformity check stated directly on the bracket data.
-
-    Agrees with validate_uniform(to_graph(t)) in every case; both routes are
-    kept because they make independent mistakes.
-    """
-    violations = []
-    partner_colors: dict[int, list[int]] = {i: [] for i in range(1, t.q + 1)}
-    color_counts = {k: 0 for k in range(1, t.p + 1)}
-    for (i, j, k, _) in t.entries:
-        partner_colors[i].append(k)
-        partner_colors[j].append(k)
-        color_counts[k] += 1
-
-    degrees = {i: len(partner_colors[i]) for i in partner_colors}
-    s = _mode(list(degrees.values()))
-    for i in range(1, t.q + 1):
-        if degrees[i] != s:
-            violations.append(NotRegular(vertex=i, degree=degrees[i]))
-
-    used = {k: c for k, c in color_counts.items() if c > 0}
-    for k in range(1, t.p + 1):
-        if color_counts[k] == 0:
-            violations.append(NotSurjective(color=k))
-    r = _mode(list(used.values()))
-    for k, c in sorted(used.items()):
-        if c != r:
-            violations.append(ColorCountMismatch(color=k, count=c))
-
-    for i in range(1, t.q + 1):
-        seen: dict[int, int] = {}
-        for k in partner_colors[i]:
-            seen[k] = seen.get(k, 0) + 1
-        for k, c in sorted(seen.items()):
-            if c > 1:
-                violations.append(NonProper(vertex=i, color=k))
-
-    if not t.entries:
-        s = 0
-        r = 0
-    ordered = _sort_violations(violations)
-    return UniformityReport(is_uniform=not ordered and s >= 1,
-                            p=t.p, q=t.q, r=r, s=s, violations=ordered)
 
 
 # ---------------------------------------------------------------------------
@@ -313,8 +267,7 @@ def j_map(t: StructureTensor, coeffs) -> IntMatrix:
 
 def j_gram(t: StructureTensor) -> IntMatrix:
     """Gram matrix trace(J_{z_k} J_{z_l}^T); equals 2r * I for uniform tensors."""
-    rep = verify_uniform_basis(t)
-    if not rep.is_uniform:
+    if not validate_uniform(to_graph(t)).is_uniform:
         raise ValueError("j_gram needs a uniform tensor")
     js = [j_basis(t, k) for k in range(1, t.p + 1)]
     rows = [[(jk @ jl.transpose()).trace() for jl in js] for jk in js]
@@ -324,8 +277,7 @@ def j_gram(t: StructureTensor) -> IntMatrix:
 def is_heisenberg_type(t: StructureTensor) -> bool:
     """Whether J_z^2 = -|z|^2 id holds for the basis inner product, checked by
     polarization: J_k J_l + J_l J_k = -2 delta_kl id on all basis pairs."""
-    rep = verify_uniform_basis(t)
-    if not rep.is_uniform:
+    if not validate_uniform(to_graph(t)).is_uniform:
         raise ValueError("is_heisenberg_type needs a uniform tensor")
     js = [j_basis(t, k) for k in range(1, t.p + 1)]
     for k in range(t.p):

@@ -16,15 +16,14 @@ import sys
 from . import families, serialize
 from .algebra import (StructureTensor, ad_rank, center, centralizer,
                       check_witness, commutator, derivation_dim, from_graph,
-                      is_heisenberg_type, j_basis, j_gram,
-                      signed_perm_isomorphic, to_graph, totally_geodesic,
-                      verify_uniform_basis)
-from .enumeration import (UndeterminedPairError, _singular_central_direction,
-                          classify_detailed, near_one_factorizations,
+                      is_heisenberg_type, j_basis, j_gram, sign_vector,
+                      signed_perm_isomorphic, to_graph, totally_geodesic)
+from .enumeration import (UndeterminedPairError, classify_detailed,
+                          distinguish, near_one_factorizations,
                           one_factorizations, sign_class_report)
 from .graphs import (BudgetExceededError, ColoredDigraph,
-                     DEFAULT_SEARCH_BUDGET,ColorPermAutomorphism,
-                     colorings_equivalent, connected_components)
+                     DEFAULT_SEARCH_BUDGET, colorings_equivalent,
+                     connected_components, validate_uniform)
 
 EXIT_OK = 0
 EXIT_PROPERTY = 1
@@ -66,11 +65,15 @@ def _read_inputs(args, count=None):
 
 
 def _as_tensor(obj) -> StructureTensor:
-    return from_graph(obj) if isinstance(obj, ColoredDigraph) else obj
+    if isinstance(obj, ColoredDigraph):
+        return from_graph(obj)
+    if isinstance(obj, StructureTensor):
+        return obj
+    raise _Usage("expected a graph or algebra file, got a witness file")
 
 
 def _as_graph(obj) -> ColoredDigraph:
-    return to_graph(obj) if isinstance(obj, StructureTensor) else obj
+    return obj if isinstance(obj, ColoredDigraph) else to_graph(_as_tensor(obj))
 
 
 def _report_dict(rep) -> dict:
@@ -90,9 +93,8 @@ def _report_dict(rep) -> dict:
 
 def _cmd_verify(args) -> int:
     (obj,) = _read_inputs(args, 1)
-    t = _as_tensor(obj)
-    rep = verify_uniform_basis(t)
-    lines = [f"uniformity check on q={t.q}, p={t.p}"]
+    rep = validate_uniform(_as_graph(obj))
+    lines = [f"uniformity check on q={rep.q}, p={rep.p}"]
     if rep.is_uniform:
         lines.append(f"uniform of type ({rep.p},{rep.q},{rep.r}), degree s={rep.s}")
     else:
@@ -138,7 +140,7 @@ def _cmd_family(args) -> int:
         g = builder(*fargs, **kwargs)
     except ValueError as exc:
         raise _Usage(str(exc))
-    rep = verify_uniform_basis(from_graph(g))
+    rep = validate_uniform(g)
     payload = serialize.to_data(g)
     payload["family"] = name
     payload["type"] = [rep.p, rep.q, rep.r]
@@ -157,13 +159,13 @@ def _format_object(obj, fmt: str) -> str:
         return serialize.to_json(obj)
     if isinstance(obj, ColoredDigraph):
         return serialize.write_graph(obj)
-    return serialize.write_tensor(obj)
+    return serialize.write_tensor(_as_tensor(obj))
 
 
 def _cmd_analyze(args) -> int:
     (obj,) = _read_inputs(args, 1)
-    t = _as_tensor(obj)
-    rep = verify_uniform_basis(t)
+    t, g = _as_tensor(obj), _as_graph(obj)
+    rep = validate_uniform(g)
     lines = [f"analysis of q={t.q}, p={t.p} "
              f"({len(t.entries)} nonzero brackets)"]
     payload = {"uniform": _report_dict(rep)}
@@ -196,7 +198,6 @@ def _cmd_analyze(args) -> int:
                  f" (expect all {2 * rep.r})")
     lines.append(f"square-norm J identity: {'holds' if htype else 'fails'}")
     lines.append(f"derivation algebra dimension {payload['derivation_dim']}")
-    g = to_graph(t)
     tg_rows = []
     for comp in connected_components(g):
         colors = sorted({k for (i, j, k) in g.arcs if i in comp and j in comp})
@@ -253,41 +254,37 @@ def _cmd_iso(args) -> int:
                "reason": "exhausted"})
         return EXIT_PROPERTY
     t1, t2 = _as_tensor(a), _as_tensor(b)
-    if (t1.p, t1.q) != (t2.p, t2.q):
-        _emit(args, "distinct: (p, q) differ",
-              {"mode": "signed-perm", "isomorphic": False,
-               "certificate": {"kind": "dimension-split",
-                               "left": [t1.p, t1.q], "right": [t2.p, t2.q]}})
-        return EXIT_PROPERTY
-    w = signed_perm_isomorphic(t1, t2, budget=args.budget)
-    if w is not None:
-        payload = {"mode": "signed-perm", "isomorphic": True,
-                   "witness": serialize.to_data(w)}
-        _emit(args, "isomorphic via signed permutation\n\n"
-              + serialize.write_witness(w, t1.q, t1.p), payload)
-        return EXIT_OK
-    d1, d2 = derivation_dim(t1), derivation_dim(t2)
-    if d1 != d2:
-        _emit(args, f"distinct: derivation algebra dimensions {d1} vs {d2}",
-              {"mode": "signed-perm", "isomorphic": False,
-               "certificate": {"kind": "derivation-dimension",
-                               "left": d1, "right": d2}})
-        return EXIT_PROPERTY
-    h1, h2 = is_heisenberg_type(t1), is_heisenberg_type(t2)
-    if h1 != h2:
-        other = t2 if h1 else t1
-        d = _singular_central_direction(other)
-        if d is not None:
-            _emit(args, "distinct: one side satisfies the square-norm J "
-                  f"identity, the other has singular central direction {list(d)}",
-                  {"mode": "signed-perm", "isomorphic": False,
-                   "certificate": {"kind": "central-direction",
-                                   "direction": list(d)}})
-            return EXIT_PROPERTY
-    _emit(args, "undetermined: no signed-permutation witness and no "
-          "separating certificate",
-          {"mode": "signed-perm", "isomorphic": None})
-    return EXIT_UNDETERMINED
+    if (t1.p, t1.q) == (t2.p, t2.q):
+        w = signed_perm_isomorphic(t1, t2, budget=args.budget)
+        if w is not None:
+            payload = {"mode": "signed-perm", "isomorphic": True,
+                       "witness": serialize.to_data(w)}
+            _emit(args, "isomorphic via signed permutation\n\n"
+                  + serialize.write_witness(w, t1.q, t1.p), payload)
+            return EXIT_OK
+    cert = distinguish([t1], [t2])
+    if cert is None:
+        _emit(args, "undetermined: no signed-permutation witness and no "
+              "separating certificate",
+              {"mode": "signed-perm", "isomorphic": None})
+        return EXIT_UNDETERMINED
+    human, detail = _render_certificate(*cert)
+    _emit(args, "distinct: " + human,
+          {"mode": "signed-perm", "isomorphic": False, "certificate": detail})
+    return EXIT_PROPERTY
+
+
+def _render_certificate(kind: str, left, right) -> tuple[str, dict]:
+    """Human text and machine entry for a distinguish() certificate."""
+    if kind == "dimension-split":
+        return "(p, q) differ", {"kind": kind, "left": list(left),
+                                 "right": list(right)}
+    if kind == "derivation-dimension":
+        return (f"derivation algebra dimensions {left} vs {right}",
+                {"kind": kind, "left": left, "right": right})
+    d = list(right if isinstance(left, str) else left)
+    return ("one side satisfies the square-norm J identity, the other has "
+            f"singular central direction {d}", {"kind": kind, "direction": d})
 
 
 def _cmd_orbit(args) -> int:
@@ -306,7 +303,7 @@ def _cmd_orbit(args) -> int:
                      f"identity {'holds' if sc.heisenberg else 'fails'}")
         lines.append("  representative signs "
                      + " ".join("+1" if s > 0 else "-1"
-                                for s in _sign_vector(sc.representative)))
+                                for s in sign_vector(sc.representative)))
         cls_payload.append({"members": list(sc.members),
                             "heisenberg": sc.heisenberg,
                             "representative": serialize.to_data(sc.representative)})
@@ -314,11 +311,6 @@ def _cmd_orbit(args) -> int:
                "classes": cls_payload}
     _emit(args, "\n".join(lines), payload)
     return EXIT_OK
-
-
-def _sign_vector(t: StructureTensor):
-    from .algebra import sign_vector
-    return sign_vector(t)
 
 
 def _cmd_classify(args) -> int:
@@ -410,38 +402,37 @@ def _build_parser() -> argparse.ArgumentParser:
         description="uniformly colored digraphs and their nilpotent Lie algebras")
     sub = parser.add_subparsers(dest="verb", required=True)
 
-    def common(p, fmt_default="text"):
-        p.add_argument("--input", action="append",
-                       help="input file (repeatable where a verb takes several)")
-        p.add_argument("--output", help="also write the report to this file")
-        p.add_argument("--format", choices=("text", "dot", "data"),
-                       default=fmt_default)
-        p.add_argument("--budget", type=_positive_int, default=DEFAULT_SEARCH_BUDGET,
-                       help="search node budget before aborting with exit 3")
-        p.add_argument("--strict-equivalence", action="store_true",
-                       help="make graph equivalence respect arc directions")
-
-    sub_verify = sub.add_parser("verify", help="uniformity report")
-    common(sub_verify)
-    sub_family = sub.add_parser("family", help="emit a construction")
-    sub_family.add_argument("name")
-    sub_family.add_argument("params", nargs="*")
-    sub_family.add_argument("--variant", choices=("primed", "associate"))
-    common(sub_family)
-    sub_analyze = sub.add_parser("analyze", help="full structure dossier")
-    common(sub_analyze)
-    sub_iso = sub.add_parser("iso", help="equivalence/isomorphism/witness check")
-    common(sub_iso)
-    sub_orbit = sub.add_parser("orbit", help="diagonal sign classes")
-    common(sub_orbit)
-    sub_classify = sub.add_parser("classify", help="small-q classification")
-    sub_classify.add_argument("--qmax", type=int, default=5)
-    common(sub_classify)
-    sub_fact = sub.add_parser("factorize", help="matching factorizations of K_n")
-    sub_fact.add_argument("n", type=int)
-    common(sub_fact)
-    sub_export = sub.add_parser("export", help="rewrite an object in a format")
-    common(sub_export, fmt_default="dot")
+    verbs = {}
+    for name, text in (("verify", "uniformity report"),
+                       ("family", "emit a construction"),
+                       ("analyze", "full structure dossier"),
+                       ("iso", "equivalence/isomorphism/witness check"),
+                       ("orbit", "diagonal sign classes"),
+                       ("classify", "small-q classification"),
+                       ("factorize", "matching factorizations of K_n"),
+                       ("export", "rewrite an object in a format")):
+        verbs[name] = sub.add_parser(name, help=text)
+        verbs[name].add_argument("--output",
+                                 help="also write the report to this file")
+    for name in ("verify", "analyze", "iso", "orbit", "export"):
+        verbs[name].add_argument(
+            "--input", action="append",
+            help="input file (repeatable where a verb takes several)")
+    for name, default in (("family", "text"), ("export", "dot")):
+        verbs[name].add_argument("--format", choices=("text", "dot", "data"),
+                                 default=default)
+    for name in ("iso", "orbit", "classify", "factorize"):
+        verbs[name].add_argument(
+            "--budget", type=_positive_int, default=DEFAULT_SEARCH_BUDGET,
+            help="search node budget before aborting with exit 3")
+    verbs["iso"].add_argument(
+        "--strict-equivalence", action="store_true",
+        help="make graph equivalence respect arc directions")
+    verbs["family"].add_argument("name")
+    verbs["family"].add_argument("params", nargs="*")
+    verbs["family"].add_argument("--variant", choices=("primed", "associate"))
+    verbs["classify"].add_argument("--qmax", type=int, default=5)
+    verbs["factorize"].add_argument("n", type=int)
     return parser
 
 

@@ -10,20 +10,21 @@ raise BudgetExceededError instead of degrading.
 from __future__ import annotations
 
 import itertools
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 from . import exact
-from .algebra import (GeneralLinearWitness, IsoWitness, SignedPermWitness,
-                      StructureTensor, _flip_space, _signed_perm_witness,
-                      _signs_to_bits, check_witness, compose_witnesses,
-                      derivation_dim, diagonal_orbit_representatives,
-                      from_graph, is_heisenberg_type, j_map, sign_vector,
-                      signed_perm_isomorphic, support_pairs, to_graph,
-                      verify_uniform_basis)
+from .algebra import (GeneralLinearWitness, SignedPermWitness, StructureTensor,
+                      _flip_space, _signed_perm_witness, _signs_to_bits,
+                      check_witness, compose_witnesses, derivation_dim,
+                      diagonal_orbit_representatives, from_graph,
+                      invert_witness, is_heisenberg_type, j_map, sign_vector,
+                      signed_perm_isomorphic, support_pairs, to_graph)
 from .graphs import (BudgetExceededError, ColoredDigraph, DEFAULT_SEARCH_BUDGET,
                      SimpleGraph, automorphisms, canonical_coloring,
-                     canonical_graph, colorings_equivalent)
-from .families import heisenberg, ring_algebra
+                     canonical_graph, colorings_equivalent, validate_uniform)
+from .families import (cyclic, free_two_step, heisenberg, quaternionic,
+                       ring_algebra)
 
 DEFAULT_ENUM_BUDGET = 10 ** 7
 
@@ -293,13 +294,15 @@ def sign_class_report(g: ColoredDigraph | StructureTensor,
     per other member b, verified by check_witness, from the first
     automorphism carrying members[0] onto b.
     """
-    t = from_graph(g) if isinstance(g, ColoredDigraph) else g
-    rep = verify_uniform_basis(t)
-    if not rep.is_uniform:
+    if isinstance(g, ColoredDigraph):
+        t = from_graph(g)
+    else:
+        t, g = g, to_graph(g)
+    if not validate_uniform(g).is_uniform:
         raise ValueError("sign class analysis needs a uniform tensor")
     reps = diagonal_orbit_representatives(t)
     # with a single orbit there is nothing to merge
-    auts = automorphisms(to_graph(t), budget=budget) if len(reps) > 1 else []
+    auts = automorphisms(g, budget=budget) if len(reps) > 1 else []
     pairs = support_pairs(t)
     position = {pr: n for n, pr in enumerate(pairs)}
     flips = _flip_space(t)
@@ -400,8 +403,6 @@ class KnownPresentation:
 def known_presentations() -> list[KnownPresentation]:
     """Reference presentations for every small-q class, named after the
     constructions that produce them."""
-    from .families import (cyclic, free_two_step, quaternionic)
-
     def T(q, p, brackets):
         return StructureTensor.from_brackets(q, p, brackets)
 
@@ -422,7 +423,7 @@ def known_presentations() -> list[KnownPresentation]:
     ]
     out = []
     for name, t, ptype in rows:
-        rep = verify_uniform_basis(t)
+        rep = validate_uniform(to_graph(t))
         assert rep.is_uniform and (rep.p, rep.q, rep.r) == ptype
         out.append(KnownPresentation(name, t, ptype, is_heisenberg_type(t)))
     return out
@@ -476,7 +477,7 @@ def _candidates(q_max: int, budget: int) -> list[_Candidate]:
     for g in regular_graphs(q_max, budget):
         for coloring in uniform_colorings(g, budget):
             report = sign_class_report(coloring, budget)
-            rep0 = verify_uniform_basis(report.tensor)
+            rep0 = validate_uniform(coloring)
             for sc in report.classes:
                 cands.append(_Candidate(
                     tensor=sc.representative, support=g, coloring=coloring,
@@ -501,26 +502,34 @@ def _singular_central_direction(t: StructureTensor, bound: int = 2):
     return None
 
 
-def _distinctness_certificate(ca: list[_Candidate], cb: list[_Candidate]):
-    """Sound reason the two merged classes are non-isomorphic, or None.
+def distinguish(a: Sequence[StructureTensor], b: Sequence[StructureTensor]):
+    """Sound reason that two algebras are non-isomorphic, or None.
 
-    Tried in order: (dim center, dim total) split; derivation algebra
-    dimension; one side with a square-norm J identity (forcing the canonical
-    determinant form positive on real central directions) against an explicit
-    singular direction on the other.
+    a and b each list one or more presentations of a single algebra.  The
+    result is (kind, left, right), from the first of these that applies:
+    "dimension-split" with the (p, q) pairs of a[0] and b[0];
+    "derivation-dimension" with the derivation algebra dimensions of a[0] and
+    b[0]; "central-direction" when a presentation of one side satisfies the
+    square-norm J identity (which makes J(c) invertible for every real c != 0)
+    and a presentation of the other side has an explicit singular central
+    direction d, given as "square-norm identity" on the first side and d on
+    the other.  The last step needs uniform presentations; without them the
+    answer is None.
     """
-    ta, tb = ca[0].tensor, cb[0].tensor
+    ta, tb = a[0], b[0]
     if (ta.p, ta.q) != (tb.p, tb.q):
         return ("dimension-split", (ta.p, ta.q), (tb.p, tb.q))
     da, db = derivation_dim(ta), derivation_dim(tb)
     if da != db:
         return ("derivation-dimension", da, db)
-    a_h = any(m.heisenberg for m in ca)
-    b_h = any(m.heisenberg for m in cb)
+    try:
+        a_h = any(is_heisenberg_type(t) for t in a)
+        b_h = any(is_heisenberg_type(t) for t in b)
+    except ValueError:
+        return None
     if a_h != b_h:
-        heis, other = (ca, cb) if a_h else (cb, ca)
-        for member in other:
-            d = _singular_central_direction(member.tensor)
+        for t in (b if a_h else a):
+            d = _singular_central_direction(t)
             if d is not None:
                 return ("central-direction", "square-norm identity" if a_h else d,
                         d if a_h else "square-norm identity")
@@ -565,7 +574,6 @@ def classify_detailed(q_max: int = 5, budget: int = DEFAULT_ENUM_BUDGET
         (ia, wa), (ib, wb) = loc["src"], loc["dst"]
         if find(ia) == find(ib):
             continue
-        from .algebra import invert_witness
         full = compose_witnesses(invert_witness(wb), compose_witnesses(glw, wa))
         res = check_witness(cands[ia].tensor, cands[ib].tensor, full)
         if not res.ok:
@@ -602,11 +610,11 @@ def classify_detailed(q_max: int = 5, budget: int = DEFAULT_ENUM_BUDGET
 
     certificates = []
     for (ia, ma), (ib, mb) in itertools.combinations(enumerate(ordered), 2):
-        ca = [cands[i] for i in ma]
-        cb = [cands[i] for i in mb]
-        cert = _distinctness_certificate(ca, cb)
+        ta = [cands[i].tensor for i in ma]
+        tb = [cands[i].tensor for i in mb]
+        cert = distinguish(ta, tb)
         if cert is None:
-            raise UndeterminedPairError(ca[0].tensor, cb[0].tensor)
+            raise UndeterminedPairError(ta[0], tb[0])
         kind, da, db = cert
         certificates.append(Certificate(left=ia + 1, right=ib + 1,
                                         kind=kind, detail=(da, db)))

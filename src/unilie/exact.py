@@ -208,11 +208,6 @@ def rref(rows: Sequence[Sequence[Scalar]]) -> tuple[list[list[Fraction]], list[i
     return red, pivots
 
 
-def rank_fraction(rows: Sequence[Sequence[Scalar]]) -> int:
-    """Rank by plain Fraction elimination; slower cross-check for rank()."""
-    return len(rref(rows)[1])
-
-
 def nullspace(rows: Sequence[Sequence[Scalar]], ncols: int | None = None) -> list[tuple[Fraction, ...]]:
     """Basis of the right kernel, echelon-ordered, deterministic."""
     if not rows:

@@ -13,7 +13,6 @@ every violation of these conditions rather than stopping at the first.
 
 from __future__ import annotations
 
-import itertools
 from collections import Counter
 from dataclasses import dataclass
 

@@ -24,7 +24,6 @@ from unilie.algebra import (
     j_basis,
     j_gram,
     to_graph,
-    verify_uniform_basis,
 )
 from unilie.exact import IntMatrix
 from unilie.families import (

@@ -39,7 +39,6 @@ from unilie.algebra import (
     support_pairs,
     to_graph,
     totally_geodesic,
-    verify_uniform_basis,
     WitnessCheck,
 )
 from unilie.exact import IntMatrix
@@ -51,7 +50,17 @@ from unilie.families import (
     quaternionic,
     ring_algebra,
 )
-from unilie.graphs import automorphisms, validate_uniform
+from unilie.graphs import (
+    ColorCountMismatch,
+    NonProper,
+    NotRegular,
+    NotSurjective,
+    UniformityReport,
+    _mode,
+    _sort_violations,
+    automorphisms,
+    validate_uniform,
+)
 
 H3 = from_graph(heisenberg(1))
 QUAT = from_graph(quaternionic())
@@ -59,6 +68,48 @@ ASSOC = from_graph(quaternionic(associate=True))
 RING2 = from_graph(ring_algebra(2))
 RING2P = from_graph(ring_algebra(2, primed=True))
 H33 = concatenate(H3, H3)
+
+def verify_uniform_basis(t):
+    """Uniformity check stated directly on the bracket data: the oracle that
+    validate_uniform(to_graph(t)) is compared against."""
+    violations = []
+    partner_colors = {i: [] for i in range(1, t.q + 1)}
+    color_counts = {k: 0 for k in range(1, t.p + 1)}
+    for (i, j, k, _) in t.entries:
+        partner_colors[i].append(k)
+        partner_colors[j].append(k)
+        color_counts[k] += 1
+
+    degrees = {i: len(partner_colors[i]) for i in partner_colors}
+    s = _mode(list(degrees.values()))
+    for i in range(1, t.q + 1):
+        if degrees[i] != s:
+            violations.append(NotRegular(vertex=i, degree=degrees[i]))
+
+    used = {k: c for k, c in color_counts.items() if c > 0}
+    for k in range(1, t.p + 1):
+        if color_counts[k] == 0:
+            violations.append(NotSurjective(color=k))
+    r = _mode(list(used.values()))
+    for k, c in sorted(used.items()):
+        if c != r:
+            violations.append(ColorCountMismatch(color=k, count=c))
+
+    for i in range(1, t.q + 1):
+        seen = {}
+        for k in partner_colors[i]:
+            seen[k] = seen.get(k, 0) + 1
+        for k, c in sorted(seen.items()):
+            if c > 1:
+                violations.append(NonProper(vertex=i, color=k))
+
+    if not t.entries:
+        s = 0
+        r = 0
+    ordered = _sort_violations(violations)
+    return UniformityReport(is_uniform=not ordered and s >= 1,
+                            p=t.p, q=t.q, r=r, s=s, violations=ordered)
+
 
 UNIFORM_SAMPLES = [
     (H3, 1, 2, 1, 1),
@@ -100,16 +151,12 @@ class TestStructureTensor:
             rep_t = verify_uniform_basis(t)
             rep_g = validate_uniform(to_graph(t))
             assert rep_t.is_uniform and rep_g.is_uniform
-            assert (rep_t.p, rep_t.q, rep_t.r, rep_t.s) == (
-                rep_g.p,
-                rep_g.q,
-                rep_g.r,
-                rep_g.s,
-            )
+            assert rep_t == rep_g
 
     def test_verify_uniform_basis_flags_bad_tensor(self):
         t = StructureTensor.from_entries(3, 1, [(1, 2, 1, 1), (2, 3, 1, 1)])
         assert not verify_uniform_basis(t).is_uniform
+        assert verify_uniform_basis(t) == validate_uniform(to_graph(t))
 
 
 class TestBracket:
@@ -610,4 +657,4 @@ class TestConcatenate:
     def test_shared_colors(self):
         t = concatenate(H3, H3, color_mode="shared")
         assert (t.q, t.p) == (4, 1)
-        assert verify_uniform_basis(t).is_uniform
+        assert validate_uniform(to_graph(t)).is_uniform

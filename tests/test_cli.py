@@ -1,11 +1,18 @@
 """Command line interface: verbs, exit codes, output contracts."""
 
+import io
 import json
+import os
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from unilie.algebra import from_graph
+from unilie.algebra import GeneralLinearWitness, from_graph
 from unilie.cli import main
+from unilie.exact import IntMatrix
 from unilie.families import heisenberg, quaternionic, ring_algebra
 from unilie.serialize import (
     parse_any,
@@ -258,6 +265,16 @@ class TestIso:
         assert "undetermined" in out
         assert machine_payload(out)["isomorphic"] is None
 
+    def test_non_uniform_pair_is_undetermined(self, capsys, tmp_path):
+        # same shape and derivation dimension, no signed permutation; the
+        # square-norm certificate is defined for uniform presentations only
+        a, b = tmp_path / "a.alg", tmp_path / "b.alg"
+        a.write_text("unilie-algebra v1 q=3 p=2\n1 2 2 +1\n1 3 2 -1\n2 3 1 +1\n")
+        b.write_text("unilie-algebra v1 q=3 p=2\n1 2 1 +1\n2 3 2 +1\n")
+        code, out = run(capsys, "iso", "--input", str(a), "--input", str(b))
+        assert code == 4
+        assert machine_payload(out)["isomorphic"] is None
+
     def test_budget_exit(self, capsys, tmp_path):
         a, b = tmp_path / "a.graph", tmp_path / "b.graph"
         a.write_text(write_graph(ring_algebra(2)))
@@ -446,3 +463,126 @@ class TestUsage:
         code, _ = run(capsys, "iso", "--input", str(g), "--input", str(g),
                       "--input", str(w))
         assert code == 2
+
+
+# every verb with arguments that succeed, and the flags the verb does not read
+VERB_ARGS = {
+    "verify": ["--input", "QUAT"],
+    "family": ["heisenberg", "1"],
+    "analyze": ["--input", "QUAT"],
+    "iso": ["--input", "QUAT", "--input", "QUAT"],
+    "orbit": ["--input", "QUAT"],
+    "classify": ["--qmax", "3"],
+    "factorize": ["4"],
+    "export": ["--input", "QUAT"],
+}
+IGNORED_FLAGS = [
+    ("verify", ["--format", "text"]), ("verify", ["--budget", "5"]),
+    ("verify", ["--strict-equivalence"]),
+    ("family", ["--input", "QUAT"]), ("family", ["--budget", "5"]),
+    ("family", ["--strict-equivalence"]),
+    ("analyze", ["--format", "text"]), ("analyze", ["--budget", "5"]),
+    ("analyze", ["--strict-equivalence"]),
+    ("iso", ["--format", "text"]),
+    ("orbit", ["--format", "text"]), ("orbit", ["--strict-equivalence"]),
+    ("classify", ["--input", "QUAT"]), ("classify", ["--format", "dot"]),
+    ("classify", ["--strict-equivalence"]),
+    ("factorize", ["--input", "QUAT"]), ("factorize", ["--format", "text"]),
+    ("factorize", ["--strict-equivalence"]),
+    ("export", ["--budget", "5"]), ("export", ["--strict-equivalence"]),
+]
+
+
+def fill(argv, files):
+    return [files.get(a, a) for a in argv]
+
+
+class TestPerVerbFlags:
+    @pytest.mark.parametrize("verb,flag", IGNORED_FLAGS)
+    def test_ignored_flag_is_usage_error(self, capsys, quat_file, verb, flag):
+        files = {"QUAT": quat_file}
+        assert run(capsys, verb, *fill(VERB_ARGS[verb], files))[0] == 0
+        code, out = run(capsys, verb, *fill(VERB_ARGS[verb] + flag, files))
+        assert code == 2
+        assert out == ""
+
+    @pytest.mark.parametrize("argv", [
+        ["verify", "--input", "WIT"],
+        ["analyze", "--input", "WIT"],
+        ["orbit", "--input", "WIT"],
+        ["export", "--input", "WIT"],
+        ["export", "--input", "WIT", "--format", "text"],
+        ["iso", "--input", "WIT", "--input", "QUAT"],
+        ["iso", "--input", "QUAT", "--input", "WIT", "--input", "WIT"],
+    ])
+    def test_witness_is_not_a_graph_or_algebra(self, capsys, tmp_path,
+                                               quat_file, argv):
+        wit = tmp_path / "w.wit"
+        wit.write_text(write_witness(
+            SignedPermWitness((1, 2, 3, 4), (1, 2, 3), (1, 1, 1, 1), (1, 1, 1)), 4, 3))
+        code, out = run(capsys, *fill(argv, {"QUAT": quat_file, "WIT": str(wit)}))
+        assert code == 2
+        assert out == ""
+
+
+# ---------------------------------------------------------------------------
+# exit-code contract under mutated input files
+
+FUZZ_FILES = {
+    "graph": write_graph(quaternionic()),
+    "algebra": write_tensor(from_graph(quaternionic())),
+    "signed-perm": write_witness(
+        SignedPermWitness((2, 1, 3, 4), (1, 3, 2), (1, -1, 1, 1), (1, 1, -1)), 4, 3),
+    "general-linear": write_witness(GeneralLinearWitness(IntMatrix.identity(7)), 4, 3),
+}
+FUZZ_TOKENS = ["0", "1", "-1", "+1", "4", "x", "1/0", "1/2", "q=3", "p=0",
+               "kind=general-linear", "kind=signed-perm", "vertex-images", "row",
+               "(1 2)", "#"]
+MUTATION = st.tuples(
+    st.sampled_from(["digit", "token", "delete", "duplicate", "append"]),
+    st.integers(0, 63), st.integers(0, 63), st.sampled_from(FUZZ_TOKENS))
+
+
+def mutate(text, ops):
+    lines = text.splitlines()
+    for op, i, j, token in ops:
+        if not lines:
+            break
+        i %= len(lines)
+        line, fields = lines[i], lines[i].split()
+        if op == "digit":
+            spots = [m for m, ch in enumerate(line) if ch.isdigit()]
+            if spots:
+                m = spots[j % len(spots)]
+                lines[i] = line[:m] + str(j % 10) + line[m + 1:]
+        elif op == "token" and fields:
+            fields[j % len(fields)] = token
+            lines[i] = " ".join(fields)
+        elif op == "delete":
+            del lines[i]
+        elif op == "duplicate":
+            lines.insert(i, line)
+        elif op == "append":
+            lines[i] = line + " " + token
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=80)
+@given(kind=st.sampled_from(sorted(FUZZ_FILES)),
+       ops=st.lists(MUTATION, min_size=1, max_size=3))
+def test_mutated_files_keep_exit_contract(kind, ops):
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = {}
+        for name, text in FUZZ_FILES.items():
+            paths[name] = os.path.join(tmp, name)
+            with open(paths[name], "w") as fh:
+                fh.write(mutate(text, ops) if name == kind else text)
+        witness = "signed-perm" if kind in ("graph", "algebra") else kind
+        runs = [[verb, "--input", paths[kind]]
+                for verb in ("verify", "analyze", "orbit", "export")]
+        runs.append(["iso", "--input", paths["graph"], "--input", paths["algebra"],
+                     "--input", paths[witness]])
+        for argv in runs:
+            with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+                code = main(argv)
+            assert code in (0, 1, 2, 3, 4), argv

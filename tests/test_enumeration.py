@@ -13,7 +13,7 @@ from unilie.algebra import (
     from_graph,
     is_heisenberg_type,
     signed_perm_isomorphic,
-    verify_uniform_basis,
+    to_graph,
 )
 from unilie.families import cyclic, heisenberg, quaternionic, ring_algebra
 from unilie.graphs import (
@@ -327,8 +327,8 @@ class TestStoredWitnesses:
 
     def test_ring_sum_connects_different_r(self):
         t1, t2, _ = ring_sum_witness()
-        assert verify_uniform_basis(t1).r == 2
-        assert verify_uniform_basis(t2).r == 1
+        assert validate_uniform(to_graph(t1)).r == 2
+        assert validate_uniform(to_graph(t2)).r == 1
 
     def test_near_factorization_witness_verifies(self):
         n2, n1, w = near_factorization_sign_witness()
@@ -350,7 +350,7 @@ class TestKnownPresentations:
         names = [k.name for k in refs]
         assert len(set(names)) == 13
         for k in refs:
-            rep = verify_uniform_basis(k.tensor)
+            rep = validate_uniform(to_graph(k.tensor))
             assert rep.is_uniform
             assert (rep.p, rep.q, rep.r) == k.ptype
             assert is_heisenberg_type(k.tensor) == k.heisenberg
@@ -417,7 +417,7 @@ class TestClassification:
 
     def test_representatives_are_uniform(self):
         for row in classify(5):
-            rep = verify_uniform_basis(row.representative)
+            rep = validate_uniform(to_graph(row.representative))
             assert rep.is_uniform
             assert (rep.p, rep.q, rep.r) in row.types
             assert rep.s == row.s

@@ -20,7 +20,6 @@ from unilie.exact import (
     inverse,
     nullspace,
     rank,
-    rank_fraction,
     rref,
     solve,
 )
@@ -36,6 +35,11 @@ def matrices(max_dim=5):
             )
         )
     )
+
+
+def rank_fraction(rows):
+    # rank by plain Fraction elimination through rref(); cross-check for rank()
+    return len(rref(rows)[1])
 
 
 def naive_rank(rows):
