@@ -22,6 +22,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from . import exact
 from .exact import IntMatrix, Scalar
@@ -79,6 +80,10 @@ class StructureTensor:
         """(i, j) with i < j -> (k, sign)."""
         return {(i, j): (k, s) for i, j, k, s in self.entries}
 
+    @cached_property
+    def _pairs(self) -> dict[tuple[int, int], tuple[int, int]]:
+        return self.pair_map()
+
     def alpha(self, i: int, j: int, k: int) -> int:
         """Structure constant of z_k in [v_i, v_j], any order of i, j."""
         if i == j:
@@ -86,10 +91,8 @@ class StructureTensor:
         flip = 1
         if i > j:
             i, j, flip = j, i, -1
-        for (a, b, c, s) in self.entries:
-            if (a, b) == (i, j):
-                return flip * s if c == k else 0
-        return 0
+        hit = self._pairs.get((i, j))
+        return flip * hit[1] if hit is not None and hit[0] == k else 0
 
     def dim(self) -> int:
         return self.q + self.p
@@ -204,15 +207,22 @@ def ad_rank(t: StructureTensor, i: int) -> int:
     return ad_matrix(t, i).rank()
 
 
+def _radical_rows(t: StructureTensor) -> list[list[int]]:
+    """Matrix of x -> ([x, v_j])_j on generator coordinates: row (j, k) holds
+    in column i the z_k coordinate of [v_i, v_j].  Its kernel is the radical
+    {x in V : [x, V] = 0}."""
+    rows = [[0] * t.q for _ in range(t.q * t.p)]
+    for (i, j, k, s) in t.entries:
+        rows[(j - 1) * t.p + k - 1][i - 1] = s   # [v_i, v_j] = s z_k
+        rows[(i - 1) * t.p + k - 1][j - 1] = -s  # [v_j, v_i] = -s z_k
+    return rows
+
+
 def center(t: StructureTensor) -> list[NVector]:
     """Basis of the center: all of the z-span plus any bracket-free generator
     combinations.  For a uniform tensor this is exactly the z-span."""
-    rows = []
-    for j in range(1, t.q + 1):
-        for k in range(1, t.p + 1):
-            rows.append([t.alpha(i, j, k) for i in range(1, t.q + 1)])
     basis = [NVector.basis_z(t.q, t.p, k) for k in range(1, t.p + 1)]
-    for vec in exact.nullspace(rows, ncols=t.q):
+    for vec in exact.nullspace(_radical_rows(t), ncols=t.q):
         basis.append(NVector(vec, (Fraction(0),) * t.p))
     return basis
 
@@ -621,38 +631,62 @@ def concatenate(t1: StructureTensor, t2: StructureTensor,
 def derivation_dim(t: StructureTensor) -> int:
     """Dimension of the derivation algebra {D : D[x,y] = [Dx,y] + [x,Dy]}.
 
-    A true isomorphism invariant, computed by exact rank of the defining
-    linear system in the n^2 matrix unknowns.
-    """
-    n = t.dim()
-    q = t.q
+    A true isomorphism invariant, computed exactly from the block form of D
+    on n = V + Z, where V is spanned by the generators v_i and Z by the z_k:
+    D = [[A, E], [C, B]] with A: V -> V, E: Z -> V, C: V -> Z and B: Z -> Z.
+    Only [v_i, v_j] = beta(v_i ^ v_j) can be nonzero, so the derivation rule
+    on basis pairs says exactly this.  On (z_k, z_l) it is empty.  On
+    (v_i, z_k) it says [v_i, E z_k] = 0, so E maps Z into the radical
+    rad = {x in V : [x, V] = 0}.  On (v_i, v_j) its V part says E vanishes on
+    [V, V], and its Z part says B beta(w) = gamma_A(w) for every w in
+    Lambda^2 V, where gamma_A(x ^ y) = [Ax, y] + [x, Ay].  So C is free (p*q);
+    E is any map from Z / [V, V] into rad ((p - u) * dim rad, where u is the
+    number of colors used and [V, V] is spanned by their z_k); B is forced on
+    [V, V] and free on the other p - u directions ((p - u) * p); and A is any
+    map for which gamma_A vanishes on ker beta, which is what makes B well
+    defined.  None of this assumes uniformity: on a non-uniform tensor rad may
+    be nonzero, which E absorbs, and Z may exceed [V, V], where B is free.
 
-    def beta(c: int, d: int) -> tuple[int, ...]:
-        # z coordinates of [e_c, e_d] for 0-based basis positions
-        if c < q and d < q:
-            return tuple(t.alpha(c + 1, d + 1, k) for k in range(1, t.p + 1))
-        return (0,) * t.p
+    Each generator pair carries at most one signed color, so ker beta has a
+    sparse basis: e_a ^ e_b for every bracket-free pair, and for each color
+    with pairs (a_t, b_t, s_t), t = 1, 2, ..., the differences
+    s_1 e_{a_1} ^ e_{b_1} - s_t e_{a_t} ^ e_{b_t}.  Each basis element gives
+    p rows in the q^2 unknowns of A, and
+
+        dim Der = p*q + (p - u) * (dim rad + p) + q^2 - rank(rows).
+
+    The radical costs a rank of its own only when u < p.
+    """
+    q, p = t.q, t.p
+    # touching[b]: (c, k, s) for each [v_c, v_b] = s z_k, 0-based c and k
+    touching = [[] for _ in range(q)]
+    by_color = {}  # used colors only
+    for (i, j, k, s) in t.sorted_entries():
+        touching[j - 1].append((i - 1, k - 1, s))
+        touching[i - 1].append((j - 1, k - 1, -s))
+        by_color.setdefault(k, []).append((i - 1, j - 1, s))
+
+    def gamma_rows(terms) -> list[list[int]]:
+        # z_k coordinate of gamma_A(sum coef e_a ^ e_b) in the unknowns
+        # A[c, a] at column c*q + a: A e_a contributes [v_c, e_b] and
+        # A e_b contributes [e_a, v_c] = -[v_c, e_a]
+        rows = [[0] * (q * q) for _ in range(p)]
+        for coef, a, b in terms:
+            for c, k, s in touching[b]:
+                rows[k][c * q + a] += coef * s
+            for c, k, s in touching[a]:
+                rows[k][c * q + b] -= coef * s
+        return [row for row in rows if any(row)]
 
     rows = []
-    for b1 in range(n):
-        for b2 in range(b1 + 1, n):
-            w = beta(b1, b2)
-            for a in range(n):
-                row = [0] * (n * n)
-                # D applied to [e_b1, e_b2]
-                for k, wk in enumerate(w):
-                    if wk:
-                        row[a * n + (q + k)] += wk
-                # minus [D e_b1, e_b2] and [e_b1, D e_b2], z components only
-                if a >= q:
-                    k = a - q
-                    for c in range(q):
-                        bz = beta(c, b2)[k]
-                        if bz:
-                            row[c * n + b1] -= bz
-                        bz = beta(b1, c)[k]
-                        if bz:
-                            row[c * n + b2] -= bz
-                if any(row):
-                    rows.append(row)
-    return n * n - exact.rank(rows)
+    for a, b in itertools.combinations(range(q), 2):
+        if (a + 1, b + 1) not in t._pairs:
+            rows += gamma_rows([(1, a, b)])
+    for (a1, b1, s1), *rest in by_color.values():
+        for a, b, s in rest:
+            rows += gamma_rows([(s1, a1, b1), (-s, a, b)])
+    dim = p * q + q * q - exact.rank(rows)
+    unused = p - len(by_color)
+    if unused:
+        dim += unused * (q - exact.rank(_radical_rows(t)) + p)
+    return dim

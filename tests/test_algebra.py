@@ -4,7 +4,7 @@ from fractions import Fraction
 from itertools import combinations, permutations, product
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from unilie.algebra import (
@@ -41,7 +41,9 @@ from unilie.algebra import (
     totally_geodesic,
     WitnessCheck,
 )
+from unilie import enumeration
 from unilie.exact import IntMatrix
+from unilie.exact import rank as exact_rank
 from unilie.families import (
     cyclic,
     free_two_step,
@@ -615,6 +617,62 @@ class TestSignedPermSearch:
             assert check_witness(t1, t2, got).ok
 
 
+def oracle_derivation_dim(t):
+    """Dense derivation dimension: exact rank of the defining system in all
+    (q+p)^2 matrix unknowns, the cross-check for the block formula."""
+    n = t.dim()
+    q = t.q
+
+    def beta(c, d):
+        # z coordinates of [e_c, e_d] for 0-based basis positions
+        if c < q and d < q:
+            return tuple(t.alpha(c + 1, d + 1, k) for k in range(1, t.p + 1))
+        return (0,) * t.p
+
+    rows = {}  # each row up to sign, first nonzero entry positive: same rank
+    for b1 in range(n):
+        for b2 in range(b1 + 1, n):
+            w = beta(b1, b2)
+            for a in range(n):
+                row = [0] * (n * n)
+                # D applied to [e_b1, e_b2]
+                for k, wk in enumerate(w):
+                    if wk:
+                        row[a * n + (q + k)] += wk
+                # minus [D e_b1, e_b2] and [e_b1, D e_b2], z components only
+                if a >= q:
+                    k = a - q
+                    for c in range(q):
+                        bz = beta(c, b2)[k]
+                        if bz:
+                            row[c * n + b1] -= bz
+                        bz = beta(b1, c)[k]
+                        if bz:
+                            row[c * n + b2] -= bz
+                lead = next((x for x in row if x), 0)
+                if lead:
+                    rows[tuple(x if lead > 0 else -x for x in row)] = None
+    return n * n - exact_rank(list(rows))
+
+
+@st.composite
+def small_tensors(draw):
+    """Tensors with q <= 5 and p <= 4, uniform or not: colors may go unused
+    or repeat at a vertex, generators may be bracket-free, entries may be
+    absent altogether."""
+    q = draw(st.integers(1, 5))
+    p = draw(st.integers(1, 4))
+    all_pairs = list(combinations(range(1, q + 1), 2))
+    chosen = draw(st.sets(st.sampled_from(all_pairs))) if all_pairs else set()
+    entries = [(i, j, draw(st.integers(1, p)), draw(st.sampled_from((1, -1))))
+               for i, j in sorted(chosen)]
+    return StructureTensor.from_entries(q, p, entries)
+
+
+def _candidate_tensors(q_max):
+    return [c.tensor for c in enumeration._candidates(q_max, enumeration.DEFAULT_ENUM_BUDGET)]
+
+
 class TestDerivations:
     @pytest.mark.parametrize(
         "t,dim",
@@ -626,6 +684,7 @@ class TestDerivations:
             (QUAT, 19),
             (ASSOC, 19),
             (from_graph(cyclic(5)), 30),
+            (from_graph(kneser(5, 2)), 57),
         ],
     )
     def test_frozen_values(self, t, dim):
@@ -633,19 +692,47 @@ class TestDerivations:
 
     def test_heisenberg_closed_form(self):
         # dim der = dim sp(2n) + dim Hom(V, Z) + 1
-        for n in range(1, 4):
+        for n in range(1, 5):
             expected = n * (2 * n + 1) + 2 * n + 1
             assert derivation_dim(from_graph(heisenberg(n))) == expected
 
     def test_free_two_step_closed_form(self):
-        # dim der = dim gl(n) + dim Hom(V, Z)
-        for n in range(2, 5):
+        # dim der = dim gl(n) + dim Hom(V, Z); 126 at n = 6
+        for n in range(2, 7):
             expected = n * n + n * (n * (n - 1) // 2)
             assert derivation_dim(from_graph(free_two_step(n))) == expected
+
+    @pytest.mark.parametrize("q,p", [(1, 1), (2, 1), (3, 2), (4, 3)])
+    def test_abelian_is_all_of_gl(self, q, p):
+        assert derivation_dim(StructureTensor.from_entries(q, p, [])) == (q + p) ** 2
+
+    def test_unused_color_and_isolated_generator(self):
+        # v4 brackets with nothing and z3 is never hit: rad and Z / [V, V]
+        # are both nonzero, so the E and free-B blocks appear
+        t = StructureTensor.from_entries(4, 3, [(1, 2, 1, 1), (2, 3, 2, -1), (1, 3, 1, 1)])
+        assert derivation_dim(t) == oracle_derivation_dim(t)
 
     def test_invariant_under_signed_perm(self):
         moved = apply_signs(QUAT, (-1, -1, 1, 1, -1, 1))
         assert derivation_dim(moved) == derivation_dim(QUAT)
+
+    def test_matches_oracle_on_five_generator_candidates(self):
+        for t in _candidate_tensors(5):
+            assert derivation_dim(t) == oracle_derivation_dim(t), t
+
+    @pytest.mark.slow
+    def test_matches_oracle_on_six_generator_candidates(self):
+        cands = _candidate_tensors(6)
+        assert len(cands) == 93
+        for t in cands:
+            assert derivation_dim(t) == oracle_derivation_dim(t), t
+
+    @settings(max_examples=150, deadline=None)
+    @given(small_tensors())
+    @example(StructureTensor.from_entries(3, 2, []))
+    @example(StructureTensor.from_entries(4, 2, [(1, 2, 1, 1), (1, 3, 1, -1), (2, 3, 2, 1)]))
+    def test_matches_oracle_on_random_tensors(self, t):
+        assert derivation_dim(t) == oracle_derivation_dim(t)
 
 
 class TestConcatenate:

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from unilie.algebra import GeneralLinearWitness, from_graph
 from unilie.cli import main
 from unilie.exact import IntMatrix
-from unilie.families import heisenberg, quaternionic, ring_algebra
+from unilie.families import free_two_step, heisenberg, kneser, quaternionic, ring_algebra
 from unilie.serialize import (
     parse_any,
     parse_graph,
@@ -142,6 +142,14 @@ class TestAnalyze:
         payload = machine_payload(out)
         assert payload["uniform"]["is_uniform"] is False
         assert "center_dim" in payload
+
+    @pytest.mark.parametrize("graph,dim", [(kneser(5, 2), 57), (free_two_step(6), 126)])
+    def test_derivation_dim_of_larger_families(self, capsys, tmp_path, graph, dim):
+        path = tmp_path / "family.graph"
+        path.write_text(write_graph(graph))
+        code, out = run(capsys, "analyze", "--input", str(path))
+        assert code == 0
+        assert machine_payload(out)["derivation_dim"] == dim
 
     def test_tensor_input_accepted(self, capsys, tmp_path):
         path = tmp_path / "quat.alg"
