@@ -276,12 +276,18 @@ def j_map(t: StructureTensor, coeffs) -> IntMatrix:
 
 
 def j_gram(t: StructureTensor) -> IntMatrix:
-    """Gram matrix trace(J_{z_k} J_{z_l}^T); equals 2r * I for uniform tensors."""
+    """Gram matrix trace(J_{z_k} J_{z_l}^T); equals 2r * I for uniform tensors.
+
+    trace(J_k J_l^T) sums J_k[a, b] J_l[a, b] over generator pairs, and each
+    pair carries one color, so the matrix is diagonal with entry 2 |E_k|,
+    twice the number of pairs of color k."""
     if not validate_uniform(to_graph(t)).is_uniform:
         raise ValueError("j_gram needs a uniform tensor")
-    js = [j_basis(t, k) for k in range(1, t.p + 1)]
-    rows = [[(jk @ jl.transpose()).trace() for jl in js] for jk in js]
-    return IntMatrix.from_rows(rows)
+    twice = [0] * t.p
+    for (_, _, k, _) in t.entries:
+        twice[k - 1] += 2
+    return IntMatrix.from_rows([[twice[k] if k == l else 0 for l in range(t.p)]
+                                for k in range(t.p)])
 
 
 def is_heisenberg_type(t: StructureTensor) -> bool:
@@ -289,13 +295,31 @@ def is_heisenberg_type(t: StructureTensor) -> bool:
     polarization: J_k J_l + J_l J_k = -2 delta_kl id on all basis pairs."""
     if not validate_uniform(to_graph(t)).is_uniform:
         raise ValueError("is_heisenberg_type needs a uniform tensor")
-    js = [j_basis(t, k) for k in range(1, t.p + 1)]
+    return _heisenberg_identity(t)
+
+
+def _heisenberg_identity(t: StructureTensor) -> bool:
+    """The polarized identity of is_heisenberg_type on a uniform tensor.
+
+    Each color class is a matching, so J_k is a signed partial permutation
+    of the generators: js[k][i] = (j, c) when J_k v_i = c v_j.  The identity
+    is checked on one generator at a time with O(p^2 q) lookups."""
+    js: list[dict[int, tuple[int, int]]] = [{} for _ in range(t.p)]
+    for (i, j, k, s) in t.entries:
+        js[k - 1][i] = (j, s)     # J_k v_i = s v_j
+        js[k - 1][j] = (i, -s)    # J_k v_j = -s v_i
     for k in range(t.p):
         for l in range(k, t.p):
-            anti = js[k] @ js[l] + js[l] @ js[k]
-            want = IntMatrix.identity(t.q).scale(-2) if k == l else IntMatrix.zero(t.q, t.q)
-            if anti != want:
-                return False
+            for i in range(1, t.q + 1):
+                image: dict[int, int] = {}  # (J_k J_l + J_l J_k) v_i
+                for outer, inner in ((js[k], js[l]), (js[l], js[k])):
+                    first = inner.get(i)
+                    second = outer.get(first[0]) if first is not None else None
+                    if second is not None:
+                        image[second[0]] = image.get(second[0], 0) + first[1] * second[1]
+                want = {i: -2} if k == l else {}
+                if {v: c for v, c in image.items() if c} != want:
+                    return False
     return True
 
 
@@ -540,14 +564,17 @@ def diagonal_orbit_representatives(t: StructureTensor,
     free = [i for i in range(width) if i not in pivots]
     if 2 ** len(free) > budget:
         raise BudgetExceededError(budget, 2 ** len(free))
-    reps = []
-    for assignment in itertools.product((1, -1), repeat=len(free)):
-        signs = [1] * width
-        for pos, s in zip(free, assignment):
-            signs[pos] = s
-        reps.append(apply_signs(t, signs))
-    reps.sort(key=lambda r: _signs_to_bits(sign_vector(r)))
-    return reps
+    assignments = []
+    for assignment in itertools.product((0, 1), repeat=len(free)):
+        bits = [0] * width
+        for pos, b in zip(free, assignment):
+            bits[pos] = b
+        assignments.append(bits)
+    assignments.sort()
+    pm = t.pair_map()
+    return [StructureTensor.from_entries(t.q, t.p, [
+                (i, j, pm[(i, j)][0], s) for (i, j), s in zip(pairs, _bits_to_signs(bits))])
+            for bits in assignments]
 
 
 def diagonal_witness(t1: StructureTensor, t2: StructureTensor) -> SignedPermWitness | None:

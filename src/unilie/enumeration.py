@@ -15,9 +15,9 @@ from dataclasses import dataclass
 
 from . import exact
 from .algebra import (GeneralLinearWitness, SignedPermWitness, StructureTensor,
-                      _flip_space, _signed_perm_witness, _signs_to_bits,
-                      check_witness, compose_witnesses, derivation_dim,
-                      diagonal_orbit_representatives, from_graph,
+                      _flip_space, _heisenberg_identity, _signed_perm_witness,
+                      _signs_to_bits, check_witness, compose_witnesses,
+                      derivation_dim, diagonal_orbit_representatives, from_graph,
                       invert_witness, is_heisenberg_type, j_map, sign_vector,
                       signed_perm_isomorphic, support_pairs, to_graph)
 from .graphs import (BudgetExceededError, ColoredDigraph, DEFAULT_SEARCH_BUDGET,
@@ -304,14 +304,28 @@ def sign_class_report(g: ColoredDigraph | StructureTensor,
     # with a single orbit there is nothing to merge
     auts = automorphisms(g, budget=budget) if len(reps) > 1 else []
     pairs = support_pairs(t)
-    position = {pr: n for n, pr in enumerate(pairs)}
+    width = len(pairs)
     flips = _flip_space(t)
+    # sign bit of each pair, in the gf2 encoding of sign vectors
+    bit_of = {pr: 1 << (width - 1 - n) for n, pr in enumerate(pairs)}
 
-    def bits(signs) -> int:
-        return exact.gf2_from_bits(_signs_to_bits(signs), len(pairs))
+    # Per automorphism, the bit each pair's sign moves to, and the moved
+    # bits of the pairs whose order it reverses, which change sign.
+    moves = []
+    for aut in auts:
+        vi = aut.vertex_images
+        targets, reversed_bits = [], 0
+        for pr in pairs:
+            x, y = vi[pr[0] - 1], vi[pr[1] - 1]
+            target = bit_of[(x, y) if x < y else (y, x)]
+            targets.append((bit_of[pr], target))
+            if x > y:
+                reversed_bits |= target
+        moves.append((aut, targets, reversed_bits))
 
     # the representatives are exactly the reduced members of their cosets
-    index = {bits(sign_vector(r)): n for n, r in enumerate(reps)}
+    rep_bits = [exact.gf2_from_bits(_signs_to_bits(sign_vector(r)), width) for r in reps]
+    index = {v: n for n, v in enumerate(rep_bits)}
 
     root = [-1] * len(reps)
     classes = []
@@ -319,14 +333,13 @@ def sign_class_report(g: ColoredDigraph | StructureTensor,
         if root[a] >= 0:
             continue
         root[a] = a
-        signs = sign_vector(ra)
         found: dict[int, SignedPermWitness] = {}
-        for aut in auts:
-            moved = [0] * len(pairs)
-            for (i, j), s in zip(pairs, signs):
-                x, y = aut.vertex(i), aut.vertex(j)
-                moved[position[(min(x, y), max(x, y))]] = s if x < y else -s
-            b = index[exact.gf2_reduce(bits(moved), flips)]
+        for aut, targets, reversed_bits in moves:
+            moved = reversed_bits
+            for source, target in targets:
+                if rep_bits[a] & source:
+                    moved ^= target
+            b = index[exact.gf2_reduce(moved, flips)]
             if root[b] >= 0:
                 continue
             w = _signed_perm_witness(ra, reps[b], aut.vertex_images, aut.color_images)
@@ -338,7 +351,8 @@ def sign_class_report(g: ColoredDigraph | StructureTensor,
         classes.append(SignClass(
             members=members,
             representative=ra,
-            heisenberg=is_heisenberg_type(ra),
+            # every representative shares the support validated above
+            heisenberg=_heisenberg_identity(ra),
             witnesses=tuple((a, b, found[b]) for b in members[1:])))
     return SignClassReport(tensor=t, orbit_representatives=tuple(reps),
                            classes=tuple(classes))

@@ -276,6 +276,16 @@ def _vertex_profiles(g: ColoredDigraph) -> dict[int, tuple]:
     return prof
 
 
+def _arcs_by_ordered_pair(g: ColoredDigraph) -> list[list[tuple[int, int, int] | None]]:
+    """Table of the arc joining u and v at both [u][v] and [v][u], None
+    where no arc joins them; vertices are 1-based."""
+    table: list[list[tuple[int, int, int] | None]] = [[None] * (g.q + 1)
+                                                      for _ in range(g.q + 1)]
+    for arc in g.arcs:
+        table[arc[0]][arc[1]] = table[arc[1]][arc[0]] = arc
+    return table
+
+
 def _mapping_search(g1: ColoredDigraph, g2: ColoredDigraph, strict: bool, budget: int):
     """Yield (vertex_images, color_images) mapping g1 onto g2, in lexicographic
     order of the vertex image word.
@@ -285,10 +295,10 @@ def _mapping_search(g1: ColoredDigraph, g2: ColoredDigraph, strict: bool, budget
     order, which keeps the automorphism set a group.
     """
     q, p = g1.q, g1.p
-    pairs1 = g1.pair_color()
-    pairs2 = g2.pair_color()
-    if len(pairs1) != len(pairs2):
+    if len(g1.arcs) != len(g2.arcs):
         return
+    arc_at1 = _arcs_by_ordered_pair(g1)
+    arc_at2 = _arcs_by_ordered_pair(g2)
     prof1 = _vertex_profiles(g1)
     prof2 = _vertex_profiles(g2)
     if sorted(prof1.values()) != sorted(prof2.values()):
@@ -324,23 +334,22 @@ def _mapping_search(g1: ColoredDigraph, g2: ColoredDigraph, strict: bool, budget
                 raise BudgetExceededError(budget, visited)
             new_colors = []
             ok = True
+            at1, at2 = arc_at1[v], arc_at2[w]
             for u in range(1, v):
-                a1 = pairs1.get((min(u, v), max(u, v)))
-                a2 = pairs2.get((min(img[u], w), max(img[u], w)))
+                a1 = at1[u]
+                a2 = at2[img[u]]
                 if (a1 is None) != (a2 is None):
                     ok = False
                     break
                 if a1 is None:
                     continue
-                t1, h1, k1 = a1
-                t2, h2, k2 = a2
-                if strict:
-                    # the arc (t1, h1) must map onto (t2, h2) exactly
-                    mt1 = img[t1] if t1 != v else w
-                    mh1 = img[h1] if h1 != v else w
-                    if (mt1, mh1) != (t2, h2):
-                        ok = False
-                        break
+                t1, _, k1 = a1
+                t2, _, k2 = a2
+                if strict and (t1 == v) != (t2 == w):
+                    # a1 joins u and v, a2 joins their images, and the tail
+                    # of a1 must map onto the tail of a2
+                    ok = False
+                    break
                 want = cmap.get(k1)
                 if want is None:
                     if k2 in cmap_inv:

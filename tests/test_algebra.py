@@ -1,5 +1,6 @@
 """Structure tensors, bracket operations, invariants, and isomorphism witnesses."""
 
+import functools
 from fractions import Fraction
 from itertools import combinations, permutations, product
 
@@ -288,6 +289,96 @@ class TestHeisenbergType:
                 assert n[a, b] == (-norm_sq if a == b else 0)
 
 
+def oracle_j_gram(t):
+    """Dense Gram matrix: trace(J_k J_l^T) from products of the q x q
+    matrices J_k."""
+    if not validate_uniform(to_graph(t)).is_uniform:
+        raise ValueError("j_gram needs a uniform tensor")
+    js = [j_basis(t, k) for k in range(1, t.p + 1)]
+    rows = [[(jk @ jl.transpose()).trace() for jl in js] for jk in js]
+    return IntMatrix.from_rows(rows)
+
+
+def oracle_is_heisenberg_type(t):
+    """Dense polarized identity: J_k J_l + J_l J_k = -2 delta_kl id as
+    products of the q x q matrices J_k."""
+    if not validate_uniform(to_graph(t)).is_uniform:
+        raise ValueError("is_heisenberg_type needs a uniform tensor")
+    js = [j_basis(t, k) for k in range(1, t.p + 1)]
+    for k in range(t.p):
+        for l in range(k, t.p):
+            anti = js[k] @ js[l] + js[l] @ js[k]
+            want = IntMatrix.identity(t.q).scale(-2) if k == l else IntMatrix.zero(t.q, t.q)
+            if anti != want:
+                return False
+    return True
+
+
+@functools.lru_cache(maxsize=None)
+def orbit_representatives_q6():
+    """Every diagonal orbit representative of every uniform coloring with
+    q <= 6, grouped by coloring."""
+    return [diagonal_orbit_representatives(from_graph(c))
+            for g in enumeration.regular_graphs(6) for c in enumeration.uniform_colorings(g)]
+
+
+@functools.lru_cache(maxsize=None)
+def j_kernel_cases():
+    reps = [r for group in orbit_representatives_q6() for r in group]
+    return reps + [kp.tensor for kp in enumeration.known_presentations()]
+
+
+@st.composite
+def signed_relabelings(draw):
+    """A case of j_kernel_cases under random vertex and color relabelings
+    and random bracket signs."""
+    t = draw(st.sampled_from(j_kernel_cases()))
+    vp = draw(st.permutations(range(1, t.q + 1)))
+    cp = draw(st.permutations(range(1, t.p + 1)))
+    moved = StructureTensor.from_brackets(
+        t.q, t.p, [(vp[i - 1], vp[j - 1], cp[k - 1], s) for i, j, k, s in t.entries])
+    signs = draw(st.lists(st.sampled_from((1, -1)),
+                          min_size=len(t.entries), max_size=len(t.entries)))
+    return apply_signs(moved, signs)
+
+
+class TestSparseJKernels:
+    def test_orbit_representatives_match_dense_oracles(self):
+        groups = orbit_representatives_q6()
+        assert len(groups) == 37
+        assert [len(g) for g in groups if (g[0].q, g[0].p) == (6, 5)] == [32]
+        reps = [r for group in groups for r in group]
+        assert len(reps) == 151
+        flags = []
+        for t in reps:
+            flags.append(is_heisenberg_type(t))
+            assert flags[-1] == oracle_is_heisenberg_type(t), t
+            assert j_gram(t) == oracle_j_gram(t), t
+        assert True in flags and False in flags
+
+    def test_known_presentations_match_dense_oracles(self):
+        for kp in enumeration.known_presentations():
+            assert is_heisenberg_type(kp.tensor) == oracle_is_heisenberg_type(kp.tensor)
+            assert kp.heisenberg == oracle_is_heisenberg_type(kp.tensor)
+            assert j_gram(kp.tensor) == oracle_j_gram(kp.tensor)
+
+    @given(signed_relabelings())
+    @settings(max_examples=150)
+    def test_signed_relabelings_match_dense_oracles(self, t):
+        assert is_heisenberg_type(t) == oracle_is_heisenberg_type(t)
+        assert j_gram(t) == oracle_j_gram(t)
+
+    @pytest.mark.parametrize("t", [
+        StructureTensor.from_entries(3, 1, [(1, 2, 1, 1), (2, 3, 1, 1)]),  # not proper
+        StructureTensor.from_entries(2, 2, [(1, 2, 1, 1)]),                # unused color
+        StructureTensor.from_entries(4, 2, [(1, 2, 1, 1), (3, 4, 1, -1), (1, 3, 2, 1)]),
+    ])
+    def test_non_uniform_raises(self, t):
+        for check in (is_heisenberg_type, j_gram, oracle_is_heisenberg_type, oracle_j_gram):
+            with pytest.raises(ValueError):
+                check(t)
+
+
 class TestTotallyGeodesic:
     def test_quaternionic_pair(self):
         rep = totally_geodesic(QUAT, [1, 2], [1])
@@ -554,6 +645,13 @@ class TestSignOrbits:
         # every sign assignment on a single heisenberg block is equivalent
         assert diagonal_orbit_count(H3) == 1
         assert diagonal_orbit_count(from_graph(heisenberg(3))) == 1
+
+    def test_representatives_are_reduced_and_in_bit_order(self):
+        for reps in orbit_representatives_q6():
+            bits = [tuple(0 if s > 0 else 1 for s in sign_vector(r)) for r in reps]
+            assert bits == sorted(set(bits))
+            assert all(sign_orbit_canonical(r) == sign_vector(r) for r in reps)
+            assert len(reps) == diagonal_orbit_count(reps[0])
 
     def test_diagonal_witness_none_across_orbits(self):
         reps = diagonal_orbit_representatives(QUAT)

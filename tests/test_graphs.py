@@ -1,11 +1,13 @@
 """Colored digraphs, uniformity validation, and equivalence search."""
 
+import functools
 from itertools import permutations
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from unilie.enumeration import regular_graphs, uniform_colorings
 from unilie.families import heisenberg, quaternionic, ring_algebra
 from unilie.graphs import (
     BudgetExceededError,
@@ -48,6 +50,31 @@ def oracle_mappings(g1, g2, strict):
             if ok:
                 found.add((vp, cp))
     return found
+
+
+def oracle_sorted_mappings(g1, g2, strict):
+    """Sorted (vertex_images, color_images) of every map carrying g1 onto g2,
+    for colorings with equal arc counts that use every color: each of the q!
+    vertex permutations is tried and the color map is read off the arcs."""
+    arc2 = {frozenset((i, j)): (i, j, k) for i, j, k in g2.arcs}
+    found = []
+    for vp in permutations(range(1, g1.q + 1)):
+        cmap = {}
+        for i, j, k in g1.arcs:
+            hit = arc2.get(frozenset((vp[i - 1], vp[j - 1])))
+            if (hit is None or (strict and hit[0] != vp[i - 1])
+                    or cmap.setdefault(k, hit[2]) != hit[2]):
+                break
+        else:
+            if len(set(cmap.values())) == len(cmap) == g1.p:
+                found.append((vp, tuple(cmap[k] for k in range(1, g1.p + 1))))
+    return sorted(found)
+
+
+@functools.lru_cache(maxsize=None)
+def small_colorings():
+    """The 37 uniform colorings with q <= 6, up to equivalence."""
+    return [c for g in regular_graphs(6) for c in uniform_colorings(g)]
 
 
 class TestSimpleGraph:
@@ -170,6 +197,13 @@ class TestAutomorphisms:
         }
         assert got == oracle_mappings(graph, graph, strict)
 
+    @pytest.mark.parametrize("strict", [False, True])
+    def test_matches_brute_force_on_small_colorings(self, strict):
+        assert len(small_colorings()) == 37
+        for g in small_colorings():
+            got = [(a.vertex_images, a.color_images) for a in automorphisms(g, strict)]
+            assert got == oracle_sorted_mappings(g, g, strict), g
+
     def test_group_closure(self):
         auts = automorphisms(quaternionic())
         table = {(a.vertex_images, a.color_images) for a in auts}
@@ -210,6 +244,17 @@ class TestEquivalence:
         plain, primed = ring_algebra(2), ring_algebra(2, primed=True)
         assert colorings_equivalent(plain, primed) is not None
         assert colorings_equivalent(plain, primed, strict=True) is None
+
+    @pytest.mark.parametrize("strict", [False, True])
+    def test_first_map_matches_brute_force_on_small_colorings(self, strict):
+        for g in small_colorings():
+            # reverse the vertices and rotate the colors
+            a = ColorPermAutomorphism(tuple(range(g.q, 0, -1)),
+                                      tuple(range(2, g.p + 1)) + (1,))
+            moved = relabel(g, a)
+            hit = colorings_equivalent(g, moved, strict=strict)
+            assert (hit.vertex_images, hit.color_images) == oracle_sorted_mappings(
+                g, moved, strict)[0], g
 
     def test_different_shapes_inequivalent(self):
         assert not colorings_equivalent(heisenberg(2), ring_algebra(2))
