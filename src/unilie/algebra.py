@@ -520,13 +520,13 @@ def _flip_space(t: StructureTensor) -> list[int]:
     pairs = support_pairs(t)
     width = len(pairs)
     pm = t.pair_map()
-    vectors = []
-    for i in range(1, t.q + 1):
-        vectors.append(exact.gf2_from_support(
-            [idx for idx, (a, b) in enumerate(pairs) if i in (a, b)], width))
-    for k in range(1, t.p + 1):
-        vectors.append(exact.gf2_from_support(
-            [idx for idx, pr in enumerate(pairs) if pm[pr][0] == k], width))
+    # one vector per generator v_1..v_q, then per color z_1..z_p
+    vectors = [0] * (t.q + t.p)
+    for idx, (a, b) in enumerate(pairs):
+        bit = 1 << (width - 1 - idx)
+        vectors[a - 1] |= bit
+        vectors[b - 1] |= bit
+        vectors[t.q + pm[(a, b)][0] - 1] |= bit
     return exact.gf2_echelon(v for v in vectors if v)
 
 

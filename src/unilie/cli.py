@@ -115,6 +115,9 @@ _FAMILIES = {
     "dihedral-bipartite": (families.dihedral_bipartite, 1),
 }
 
+# the one variant a family accepts, passed to its builder as a keyword flag
+_VARIANTS = {"ring": "primed", "quaternionic": "associate"}
+
 
 def _cmd_family(args) -> int:
     name = args.name
@@ -130,12 +133,10 @@ def _cmd_family(args) -> int:
     except ValueError:
         raise _Usage("family parameters must be integers")
     kwargs = {}
-    if name == "ring" and args.variant == "primed":
-        kwargs["primed"] = True
-    if name == "quaternionic" and args.variant == "associate":
-        kwargs["associate"] = True
-    if args.variant and name not in ("ring", "quaternionic"):
-        raise _Usage(f"family '{name}' has no variants")
+    if args.variant:
+        if _VARIANTS.get(name) != args.variant:
+            raise _Usage(f"family '{name}' has no variant '{args.variant}'")
+        kwargs[args.variant] = True
     try:
         g = builder(*fargs, **kwargs)
     except ValueError as exc:
@@ -430,7 +431,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="make graph equivalence respect arc directions")
     verbs["family"].add_argument("name")
     verbs["family"].add_argument("params", nargs="*")
-    verbs["family"].add_argument("--variant", choices=("primed", "associate"))
+    verbs["family"].add_argument("--variant", choices=tuple(_VARIANTS.values()))
     verbs["classify"].add_argument("--qmax", type=int, default=5)
     verbs["factorize"].add_argument("n", type=int)
     return parser

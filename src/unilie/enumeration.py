@@ -22,7 +22,7 @@ from .algebra import (GeneralLinearWitness, SignedPermWitness, StructureTensor,
                       signed_perm_isomorphic, support_pairs, to_graph)
 from .graphs import (BudgetExceededError, ColoredDigraph, DEFAULT_SEARCH_BUDGET,
                      SimpleGraph, automorphisms, canonical_coloring,
-                     canonical_graph, colorings_equivalent, validate_uniform)
+                     canonical_graph, validate_uniform)
 from .families import (cyclic, free_two_step, heisenberg, quaternionic,
                        ring_algebra)
 
@@ -189,55 +189,42 @@ def _complete_graph(n: int) -> SimpleGraph:
     return SimpleGraph.from_edges(n, itertools.combinations(range(1, n + 1), 2))
 
 
-def _pair_cycle_signature(n: int, factors) -> tuple:
-    """Multiset, over factor pairs, of the union's component shapes as
-    (edge count, is_cycle); near-perfect factors make paths, so plain cycle
-    types would not be well defined.  Cheap equivalence invariant used to
-    bucket factorizations before witness search."""
-    sig = []
-    for fa, fb in itertools.combinations(factors, 2):
-        adj = {v: [] for v in range(1, n + 1)}
-        for (a, b) in list(fa) + list(fb):
-            adj[a].append(b)
-            adj[b].append(a)
-        seen = set()
-        shape = []
-        for v in adj:
-            if v in seen or not adj[v]:
-                continue
-            stack, comp = [v], set()
-            while stack:
-                cur = stack.pop()
-                if cur in comp:
-                    continue
-                comp.add(cur)
-                stack.extend(adj[cur])
-            seen |= comp
-            edge_count = sum(len(adj[u]) for u in comp) // 2
-            is_cycle = all(len(adj[u]) == 2 for u in comp)
-            shape.append((edge_count, is_cycle))
-        sig.append(tuple(sorted(shape)))
-    return tuple(sorted(sig))
-
-
 def _factorization_report(n: int, kind: str, p: int, r: int,
                           budget: int) -> FactorizationReport:
+    """Factorizations of K_n into p matchings of size r, one per class.
+
+    The matching search yields every such partition of E(K_n) once, colors
+    numbered by first appearance, so the labeled set is closed under vertex
+    permutations and its equivalence classes are the orbits of S_n.  Each
+    orbit is walked with the generators (1 2) and (1 2 ... n) from its first
+    labeled member, which represents the class."""
     g = _complete_graph(n)
     edges = [(i - 1, j - 1) for (i, j) in g.sorted_edges()]
+    index = {e: k for k, e in enumerate(edges)}
+    # the position each edge moves to, per generator
+    moves = [[index[min(sg[a], sg[b]), max(sg[a], sg[b])] for a, b in edges]
+             for sg in ([1, 0, *range(2, n)], [*range(1, n), 0])]
     labeled = 0
-    buckets: dict[tuple, list[ColoredDigraph]] = {}
+    seen: set[tuple[int, ...]] = set()
+    classes = []
     for labels in _matching_partitions(edges, p, r, budget):
         labeled += 1
-        cand = _labels_to_coloring(g, labels)
-        factors = [[] for _ in range(p)]
-        for idx, (i, j) in enumerate(g.sorted_edges()):
-            factors[labels[idx]].append((i, j))
-        sig = _pair_cycle_signature(n, factors)
-        group = buckets.setdefault(sig, [])
-        if not any(colorings_equivalent(cand, known, budget=budget)
-                   for known in group):
-            group.append(cand)
-    classes = [c for sig in sorted(buckets) for c in buckets[sig]]
+        if labels in seen:
+            continue
+        classes.append(_labels_to_coloring(g, labels))
+        seen.add(labels)
+        stack = [labels]
+        while stack:
+            cur = stack.pop()
+            for move in moves:
+                moved = [0] * len(edges)
+                for target, c in zip(move, cur):
+                    moved[target] = c
+                renamed: dict[int, int] = {}
+                image = tuple(renamed.setdefault(c, len(renamed)) for c in moved)
+                if image not in seen:
+                    seen.add(image)
+                    stack.append(image)
     classes.sort(key=lambda c: c.sorted_arcs())
     return FactorizationReport(n, kind, labeled, tuple(classes))
 

@@ -121,8 +121,11 @@ class TestFamily:
         assert code == 2
 
     def test_bad_variant_is_usage_error(self, capsys):
-        code, _ = run(capsys, "family", "heisenberg", "2", "--variant", "primed")
-        assert code == 2
+        for args in (("heisenberg", "2", "--variant", "primed"),
+                     ("quaternionic", "--variant", "primed"),
+                     ("ring", "2", "--variant", "associate")):
+            code, _ = run(capsys, "family", *args)
+            assert code == 2, args
 
 
 class TestAnalyze:

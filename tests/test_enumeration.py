@@ -2,6 +2,7 @@
 
 import functools
 import itertools
+import math
 from collections import Counter
 
 import pytest
@@ -19,6 +20,7 @@ from unilie.families import cyclic, heisenberg, quaternionic, ring_algebra
 from unilie.graphs import (
     BudgetExceededError,
     SimpleGraph,
+    automorphisms,
     colorings_equivalent,
     connected_components,
     validate_uniform,
@@ -97,6 +99,64 @@ def oracle_sign_class_report(g):
                         is_heisenberg_type(reps[members[0]]),
                         tuple(w for w in witnesses if w[0] == members[0])))
     return reps, classes
+
+
+def _pair_cycle_signature(n, factors):
+    """Multiset, over factor pairs, of the union's component shapes as
+    (edge count, is_cycle); near-perfect factors make paths, so plain cycle
+    types would not be well defined.  Cheap equivalence invariant used to
+    bucket factorizations before witness search."""
+    sig = []
+    for fa, fb in itertools.combinations(factors, 2):
+        adj = {v: [] for v in range(1, n + 1)}
+        for (a, b) in list(fa) + list(fb):
+            adj[a].append(b)
+            adj[b].append(a)
+        seen = set()
+        shape = []
+        for v in adj:
+            if v in seen or not adj[v]:
+                continue
+            stack, comp = [v], set()
+            while stack:
+                cur = stack.pop()
+                if cur in comp:
+                    continue
+                comp.add(cur)
+                stack.extend(adj[cur])
+            seen |= comp
+            edge_count = sum(len(adj[u]) for u in comp) // 2
+            is_cycle = all(len(adj[u]) == 2 for u in comp)
+            shape.append((edge_count, is_cycle))
+        sig.append(tuple(sorted(shape)))
+    return tuple(sorted(sig))
+
+
+def oracle_factorization_report(n):
+    """(labeled count, classes) of the (near-)one-factorizations of K_n,
+    deduplicated by pairwise equivalence search within buckets of equal pair
+    cycle signature, keeping the first labeled factorization of each class."""
+    p, r = (n - 1, n // 2) if n % 2 == 0 else (n, (n - 1) // 2)
+    g = enumeration._complete_graph(n)
+    edges = [(i - 1, j - 1) for (i, j) in g.sorted_edges()]
+    labeled = 0
+    buckets = {}
+    for labels in enumeration._matching_partitions(edges, p, r, 10**7):
+        labeled += 1
+        cand = enumeration._labels_to_coloring(g, labels)
+        factors = [[] for _ in range(p)]
+        for idx, (i, j) in enumerate(g.sorted_edges()):
+            factors[labels[idx]].append((i, j))
+        group = buckets.setdefault(_pair_cycle_signature(n, factors), [])
+        if not any(colorings_equivalent(cand, known) for known in group):
+            group.append(cand)
+    classes = sorted((c for group in buckets.values() for c in group),
+                     key=lambda c: c.sorted_arcs())
+    return labeled, classes
+
+
+def factorization_report(n):
+    return one_factorizations(n) if n % 2 == 0 else near_one_factorizations(n)
 
 
 @functools.lru_cache(maxsize=None)
@@ -233,15 +293,37 @@ class TestFactorizations:
         rep = one_factorizations(6)
         assert (rep.labeled_count, len(rep.classes)) == (6, 1)
 
-    @pytest.mark.slow
     def test_seven_vertex_count(self):
         rep = near_one_factorizations(7)
         assert (rep.labeled_count, len(rep.classes)) == (6240, 7)
 
-    @pytest.mark.slow
     def test_eight_vertex_count(self):
         rep = one_factorizations(8)
         assert (rep.labeled_count, len(rep.classes)) == (6240, 6)
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6,
+                                   pytest.param(7, marks=pytest.mark.slow),
+                                   pytest.param(8, marks=pytest.mark.slow)])
+    def test_matches_pairwise_oracle(self, n):
+        rep = factorization_report(n)
+        labeled, classes = oracle_factorization_report(n)
+        assert rep.labeled_count == labeled
+        assert [c.sorted_arcs() for c in rep.classes] == \
+            [c.sorted_arcs() for c in classes]
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_orbit_stabilizer(self, n):
+        # each class is an S_n-orbit of n!/|Aut| labeled factorizations, and
+        # no two classes are equivalent
+        rep = factorization_report(n)
+        stabilizers = [len(automorphisms(c)) for c in rep.classes]
+        assert sum(math.factorial(n) // a for a in stabilizers) == rep.labeled_count
+        assert all(math.factorial(n) % a == 0 for a in stabilizers)
+        for a, b in itertools.combinations(rep.classes, 2):
+            assert colorings_equivalent(a, b) is None
+        expected = {7: [168, 8, 12, 2, 3, 6, 42], 8: [1344, 64, 96, 16, 24, 42]}
+        if n in expected:
+            assert stabilizers == expected[n]
 
     def test_parity_rejected(self):
         with pytest.raises(ValueError):
