@@ -357,11 +357,10 @@ def _cmd_classify(args) -> int:
 
 def _cmd_factorize(args) -> int:
     n = args.n
-    try:
-        report = (one_factorizations(n, budget=args.budget) if n % 2 == 0
-                  else near_one_factorizations(n, budget=args.budget))
-    except ValueError as exc:
-        raise _Usage(str(exc))
+    if not 2 <= n <= 8:
+        raise _Usage(f"factorize supports n from 2 to 8, got {n}")
+    report = (one_factorizations(n, budget=args.budget) if n % 2 == 0
+              else near_one_factorizations(n, budget=args.budget))
     lines = [f"{report.kind}s of the complete graph on {n} vertices:",
              f"{report.labeled_count} labeled, "
              f"{len(report.classes)} up to equivalence"]
@@ -432,7 +431,7 @@ def _build_parser() -> argparse.ArgumentParser:
     verbs["family"].add_argument("name")
     verbs["family"].add_argument("params", nargs="*")
     verbs["family"].add_argument("--variant", choices=tuple(_VARIANTS.values()))
-    verbs["classify"].add_argument("--qmax", type=int, default=5)
+    verbs["classify"].add_argument("--qmax", type=_positive_int, default=5)
     verbs["factorize"].add_argument("n", type=int)
     return parser
 

@@ -21,7 +21,7 @@ from .algebra import (GeneralLinearWitness, SignedPermWitness, StructureTensor,
                       invert_witness, is_heisenberg_type, j_map, sign_vector,
                       signed_perm_isomorphic, support_pairs, to_graph)
 from .graphs import (BudgetExceededError, ColoredDigraph, DEFAULT_SEARCH_BUDGET,
-                     SimpleGraph, automorphisms, canonical_coloring,
+                     SimpleGraph, _automorphism_generators, automorphisms,
                      canonical_graph, validate_uniform)
 from .families import (cyclic, free_two_step, heisenberg, quaternionic,
                        ring_algebra)
@@ -150,28 +150,72 @@ def _labels_to_coloring(g: SimpleGraph, labels) -> ColoredDigraph:
     return ColoredDigraph.from_arcs(g.q, max(labels) + 1, arcs, undirected=True)
 
 
+def _orbit_representatives(labeled, edges: list[tuple[int, int]],
+                           generators: Sequence[Sequence[int]]
+                           ) -> tuple[list[tuple[int, ...]], int]:
+    """First member of each orbit of a set of labeled edge partitions, in the
+    order they come, and the size of the set.
+
+    labeled yields color labels per edge, colors numbered by first
+    appearance, and must be closed under the vertex permutations in
+    generators (0-based images).  Each orbit is walked from its first member:
+    a generator carries every label to its edge's image, and the colors are
+    renumbered by first appearance."""
+    index = {e: k for k, e in enumerate(edges)}
+    # per generator, the edge whose label each position takes
+    sources = []
+    for sg in generators:
+        source = [0] * len(edges)
+        for k, (a, b) in enumerate(edges):
+            source[index[min(sg[a], sg[b]), max(sg[a], sg[b])]] = k
+        sources.append(source)
+    count = 0
+    seen: set[tuple[int, ...]] = set()
+    reps = []
+    for labels in labeled:
+        count += 1
+        if labels in seen:
+            continue
+        reps.append(labels)
+        seen.add(labels)
+        stack = [labels]
+        while stack:
+            cur = stack.pop()
+            for source in sources:
+                renamed: dict[int, int] = {}
+                image = tuple(renamed.setdefault(cur[k], len(renamed)) for k in source)
+                if image not in seen:
+                    seen.add(image)
+                    stack.append(image)
+    return reps, count
+
+
 def uniform_colorings(g: SimpleGraph, budget: int = DEFAULT_ENUM_BUDGET,
                       strict: bool = False) -> list[ColoredDigraph]:
     """All uniform edge colorings of a regular graph up to coloring
     equivalence, ordered by (p, sorted arcs).  Non-regular input has none.
 
-    Labeled colorings are deduplicated by canonical_coloring; each class
-    keeps the first labeled coloring the matching search meets."""
+    An equivalence between two colorings of g maps g onto itself, and the
+    matching search yields every labeled coloring once, colors numbered by
+    first appearance, so the classes are the orbits of Aut(g) on the labeled
+    colorings.  The labeled arcs run from the smaller vertex to the larger,
+    so with strict=True the group is the subgroup of Aut(g) that keeps every
+    edge's orientation.  Each class keeps the first labeled coloring the
+    matching search meets; the group's generators come from the canonical
+    labeling search on g, which counts its nodes against budget."""
     degs = g.degrees()
     if not degs or len(set(degs)) != 1 or degs[0] == 0:
         return []
     s = degs[0]
     edges = [(i - 1, j - 1) for (i, j) in g.sorted_edges()]
     m = len(edges)
-    reps: dict[ColoredDigraph, ColoredDigraph] = {}
-    for p in _divisors(m):
-        if p < s:
-            continue  # properness forces s distinct colors at each vertex
-        r = m // p
-        for labels in _matching_partitions(edges, p, r, budget):
-            cand = _labels_to_coloring(g, labels)
-            reps.setdefault(canonical_coloring(cand, strict, budget), cand)
-    return sorted(reps.values(), key=lambda c: (c.p, c.sorted_arcs()))
+    # properness forces s distinct colors at each vertex
+    labeled = itertools.chain.from_iterable(
+        _matching_partitions(edges, p, m // p, budget) for p in _divisors(m) if p >= s)
+    reps, _ = _orbit_representatives(labeled, edges,
+                                     _automorphism_generators(g, strict, budget))
+    return sorted((_labels_to_coloring(g, labels) for labels in reps),
+                  key=lambda c: (c.p, c.sorted_arcs()))
 
 
 # ---------------------------------------------------------------------------
@@ -200,31 +244,10 @@ def _factorization_report(n: int, kind: str, p: int, r: int,
     labeled member, which represents the class."""
     g = _complete_graph(n)
     edges = [(i - 1, j - 1) for (i, j) in g.sorted_edges()]
-    index = {e: k for k, e in enumerate(edges)}
-    # the position each edge moves to, per generator
-    moves = [[index[min(sg[a], sg[b]), max(sg[a], sg[b])] for a, b in edges]
-             for sg in ([1, 0, *range(2, n)], [*range(1, n), 0])]
-    labeled = 0
-    seen: set[tuple[int, ...]] = set()
-    classes = []
-    for labels in _matching_partitions(edges, p, r, budget):
-        labeled += 1
-        if labels in seen:
-            continue
-        classes.append(_labels_to_coloring(g, labels))
-        seen.add(labels)
-        stack = [labels]
-        while stack:
-            cur = stack.pop()
-            for move in moves:
-                moved = [0] * len(edges)
-                for target, c in zip(move, cur):
-                    moved[target] = c
-                renamed: dict[int, int] = {}
-                image = tuple(renamed.setdefault(c, len(renamed)) for c in moved)
-                if image not in seen:
-                    seen.add(image)
-                    stack.append(image)
+    reps, labeled = _orbit_representatives(
+        _matching_partitions(edges, p, r, budget), edges,
+        ([1, 0, *range(2, n)], [*range(1, n), 0]))
+    classes = [_labels_to_coloring(g, labels) for labels in reps]
     classes.sort(key=lambda c: c.sorted_arcs())
     return FactorizationReport(n, kind, labeled, tuple(classes))
 
@@ -233,9 +256,9 @@ def one_factorizations(n: int, budget: int = DEFAULT_ENUM_BUDGET) -> Factorizati
     """Partitions of E(K_n) into perfect matchings, up to equivalence plus the
     raw count of distinct partitions."""
     if n < 2 or n % 2 != 0:
-        raise ValueError("one-factorizations need an even number of vertices")
+        raise ValueError(f"one-factorizations need an even n >= 2, got {n}")
     if n > 8:
-        raise ValueError("sized for n <= 8")
+        raise ValueError(f"one-factorizations are sized for n <= 8, got {n}")
     return _factorization_report(n, "one-factorization", n - 1, n // 2, budget)
 
 
@@ -243,9 +266,9 @@ def near_one_factorizations(n: int, budget: int = DEFAULT_ENUM_BUDGET) -> Factor
     """Partitions of E(K_n) into near-perfect matchings (each missing one
     vertex), up to equivalence plus the raw labeled count."""
     if n < 3 or n % 2 != 1:
-        raise ValueError("near-one-factorizations need an odd number of vertices")
+        raise ValueError(f"near-one-factorizations need an odd n >= 3, got {n}")
     if n > 7:
-        raise ValueError("sized for n <= 7")
+        raise ValueError(f"near-one-factorizations are sized for n <= 7, got {n}")
     return _factorization_report(n, "near-one-factorization", n, (n - 1) // 2, budget)
 
 

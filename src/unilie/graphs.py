@@ -460,8 +460,9 @@ def _in_orbit(v: int, seen: list[int], gens: list[list[int]]) -> bool:
 def _canonical_form(cells: list[list[int]],
                     incid: list[list[tuple[int, int, int]]], form_of, budget: int):
     """Smallest form_of(labeling) over the leaves of the search tree, where a
-    labeling maps each point to its position.  Each node visited counts
-    against budget."""
+    labeling maps each point to its position, and the automorphisms met at
+    pairs of leaves with equal forms, as lists of point images.  Each node
+    visited counts against budget."""
     n = len(incid)
     autos: list[list[int]] = []
     first = best = None             # (form, labeling, path) of two leaves
@@ -510,24 +511,40 @@ def _canonical_form(cells: list[list[int]],
         return len(path) - 1
 
     search(cells, ())
-    return best[0]
+    return best[0], autos
+
+
+def _graph_search(g: SimpleGraph, strict: bool, budget: int):
+    """Canonical edge list of g and the automorphisms found on the way, as
+    0-based vertex images.  strict orients each edge i < j from i to j and
+    keeps that orientation in the form."""
+    edges = [(i - 1, j - 1) for i, j in g.edges]
+    incid: list[list[tuple[int, int, int]]] = [[] for _ in range(g.q)]
+    for a, b in edges:
+        incid[a].append((0, b, b))
+        incid[b].append((1 if strict else 0, a, a))
+
+    def form_of(lab):
+        return sorted((lab[a], lab[b]) if strict or lab[a] < lab[b] else (lab[b], lab[a])
+                      for a, b in edges)
+
+    return _canonical_form([list(range(g.q))], incid, form_of, budget)
 
 
 def canonical_graph(g: SimpleGraph, budget: int = DEFAULT_SEARCH_BUDGET) -> SimpleGraph:
     """Canonical relabeling of g: isomorphic graphs, and only they, give the
     same result.  Its edge list is the smallest over the search leaves."""
-    edges = [(i - 1, j - 1) for i, j in g.edges]
-    incid: list[list[tuple[int, int, int]]] = [[] for _ in range(g.q)]
-    for a, b in edges:
-        incid[a].append((0, b, b))
-        incid[b].append((0, a, a))
-
-    def form_of(lab):
-        return sorted((lab[a], lab[b]) if lab[a] < lab[b] else (lab[b], lab[a])
-                      for a, b in edges)
-
-    form = _canonical_form([list(range(g.q))], incid, form_of, budget)
+    form, _ = _graph_search(g, False, budget)
     return SimpleGraph(g.q, frozenset((a + 1, b + 1) for a, b in form))
+
+
+def _automorphism_generators(g: SimpleGraph, strict: bool,
+                             budget: int = DEFAULT_SEARCH_BUDGET) -> list[list[int]]:
+    """Generators of Aut(g) as 0-based vertex images, from the canonical
+    labeling search; strict keeps only the automorphisms that map every edge
+    i < j onto an edge with the same orientation.  Each search node counts
+    against budget."""
+    return _graph_search(g, strict, budget)[1]
 
 
 def canonical_coloring(g: ColoredDigraph, strict: bool = False,
@@ -555,7 +572,7 @@ def canonical_coloring(g: ColoredDigraph, strict: bool = False,
         return out
 
     cells = [list(range(q)), list(range(q, q + g.p))]
-    form = _canonical_form(cells, incid, form_of, budget)
+    form, _ = _canonical_form(cells, incid, form_of, budget)
     return ColoredDigraph(q, g.p, frozenset((a + 1, b + 1, c - q + 1)
                                             for a, b, c in form))
 

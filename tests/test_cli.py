@@ -353,6 +353,13 @@ class TestClassify:
         assert captured.out == ""
         assert "q <= 8" in captured.err
 
+    @pytest.mark.parametrize("qmax", ["-2", "0"])
+    def test_qmax_below_one_is_usage_error(self, capsys, qmax):
+        assert main(["classify", "--qmax", qmax]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"must be at least 1, got {qmax}" in captured.err
+
 
 class TestFactorize:
     def test_even_counts(self, capsys):
@@ -379,6 +386,13 @@ class TestFactorize:
         assert code == 2
         code, _ = run(capsys, "factorize", "1")
         assert code == 2
+
+    @pytest.mark.parametrize("n", ["0", "-3", "1", "9"])
+    def test_out_of_range_names_supported_range(self, capsys, n):
+        assert main(["factorize", n]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"usage error: factorize supports n from 2 to 8, got {n}\n"
 
     def test_budget_exit(self, capsys):
         code, _ = run(capsys, "factorize", "6", "--budget", "20")

@@ -16,7 +16,7 @@ from unilie.algebra import (
     signed_perm_isomorphic,
     to_graph,
 )
-from unilie.families import cyclic, heisenberg, quaternionic, ring_algebra
+from unilie.families import cyclic, heisenberg, quaternionic, ring_algebra, trivial_coloring
 from unilie.graphs import (
     BudgetExceededError,
     SimpleGraph,
@@ -53,7 +53,7 @@ def oracle_canonical_graph(g, budget=None):
     return SimpleGraph.from_edges(g.q, best[1])
 
 
-def oracle_uniform_colorings(g):
+def oracle_uniform_colorings(g, strict=False):
     """Uniform colorings deduplicated by pairwise equivalence search, keeping
     the first labeled coloring met in each class."""
     edges = [(i - 1, j - 1) for (i, j) in g.sorted_edges()]
@@ -64,8 +64,8 @@ def oracle_uniform_colorings(g):
             continue
         for labels in enumeration._matching_partitions(edges, p, m // p, 10**7):
             cand = enumeration._labels_to_coloring(g, labels)
-            if not any(colorings_equivalent(cand, known) for known in reps
-                       if known.p == p):
+            if not any(colorings_equivalent(cand, known, strict=strict)
+                       for known in reps if known.p == p):
                 reps.append(cand)
     return sorted(reps, key=lambda c: (c.p, c.sorted_arcs()))
 
@@ -252,6 +252,35 @@ class TestUniformColorings:
             total += len(got)
         assert total == 37
 
+    def test_matches_strict_pairwise_dedup(self):
+        total = 0
+        for g in regular_graphs(6):
+            got = uniform_colorings(g, strict=True)
+            assert got == oracle_uniform_colorings(g, strict=True)
+            total += len(got)
+        assert total == 112
+
+    @pytest.mark.parametrize("strict", [False, True])
+    def test_orbit_stabilizer(self, strict):
+        # each class is an Aut(g)-orbit of |Aut(g)|/|Aut(c)| labeled colorings
+        for g in regular_graphs(6):
+            group = len(automorphisms(trivial_coloring(g), strict))
+            edges = [(i - 1, j - 1) for (i, j) in g.sorted_edges()]
+            classes = uniform_colorings(g, strict=strict)
+            for p in {c.p for c in classes}:
+                labeled = sum(1 for _ in enumeration._matching_partitions(
+                    edges, p, len(edges) // p, 10**7))
+                stabilizers = [len(automorphisms(c, strict)) for c in classes
+                               if c.p == p]
+                assert all(group % a == 0 for a in stabilizers)
+                assert sum(group // a for a in stabilizers) == labeled
+
+    @pytest.mark.parametrize("strict", [False, True])
+    def test_budget_enforced(self, strict):
+        (k4,) = [g for g in regular_graphs(4) if g.degrees()[0] == 3]
+        with pytest.raises(BudgetExceededError):
+            uniform_colorings(k4, budget=3, strict=strict)
+
     def test_no_equivalent_duplicates(self):
         for g in regular_graphs(4):
             cols = uniform_colorings(g)
@@ -330,6 +359,19 @@ class TestFactorizations:
             one_factorizations(5)
         with pytest.raises(ValueError):
             near_one_factorizations(6)
+
+    @pytest.mark.parametrize("build, n, message", [
+        (one_factorizations, 0, "one-factorizations need an even n >= 2, got 0"),
+        (one_factorizations, 5, "one-factorizations need an even n >= 2, got 5"),
+        (one_factorizations, 10, "one-factorizations are sized for n <= 8, got 10"),
+        (near_one_factorizations, -3, "near-one-factorizations need an odd n >= 3, got -3"),
+        (near_one_factorizations, 1, "near-one-factorizations need an odd n >= 3, got 1"),
+        (near_one_factorizations, 9, "near-one-factorizations are sized for n <= 7, got 9"),
+    ])
+    def test_rejections_state_the_condition(self, build, n, message):
+        with pytest.raises(ValueError) as exc:
+            build(n)
+        assert str(exc.value) == message
 
     def test_classes_are_valid_colorings(self):
         rep = one_factorizations(6)

@@ -4,11 +4,11 @@ import functools
 from itertools import permutations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from unilie.enumeration import regular_graphs, uniform_colorings
-from unilie.families import heisenberg, quaternionic, ring_algebra
+from unilie.families import heisenberg, kneser, quaternionic, ring_algebra, trivial_coloring
 from unilie.graphs import (
     BudgetExceededError,
     ColoredDigraph,
@@ -18,6 +18,7 @@ from unilie.graphs import (
     NotRegular,
     NotSurjective,
     SimpleGraph,
+    _automorphism_generators,
     automorphisms,
     canonical_coloring,
     canonical_graph,
@@ -353,6 +354,86 @@ class TestCanonicalForms:
         assert exc.value.budget == 2
         with pytest.raises(BudgetExceededError):
             canonical_graph(quaternionic().support(), budget=1)
+
+
+def generated_order(generators, q):
+    """Order of the permutation group on range(q) that generators generate."""
+    group = {tuple(range(q))}
+    stack = list(group)
+    while stack:
+        x = stack.pop()
+        for g in generators:
+            y = tuple(g[v] for v in x)
+            if y not in group:
+                group.add(y)
+                stack.append(y)
+    return len(group)
+
+
+def union_of_graphs(*parts):
+    """Disjoint union of SimpleGraphs, vertices of later parts shifted up."""
+    edges, q = [], 0
+    for g in parts:
+        edges += [(i + q, j + q) for i, j in g.edges]
+        q += g.q
+    return SimpleGraph.from_edges(q, edges)
+
+
+def complete_graph(n):
+    return SimpleGraph.from_edges(n, [(i, j) for i in range(1, n + 1)
+                                      for j in range(i + 1, n + 1)])
+
+
+def complete_bipartite(a, b):
+    return SimpleGraph.from_edges(a + b, [(i, a + j) for i in range(1, a + 1)
+                                          for j in range(1, b + 1)])
+
+
+class TestAutomorphismGenerators:
+    """The automorphisms met by the canonical labeling search generate the
+    whole group: its order is the number of maps the exhaustive mapping
+    search finds on the trivial coloring, where every edge has its own color
+    and runs from the smaller vertex to the larger."""
+
+    @staticmethod
+    def check(g, strict):
+        gens = _automorphism_generators(g, strict)
+        assert all(sorted(x) == list(range(g.q)) for x in gens)
+        assert generated_order(gens, g.q) == len(automorphisms(trivial_coloring(g), strict))
+
+    @pytest.mark.parametrize("strict", [False, True])
+    def test_regular_graphs_through_eight_vertices(self, strict):
+        for g in regular_graphs(8):
+            self.check(g, strict)
+
+    @pytest.mark.parametrize("strict", [False, True])
+    @pytest.mark.parametrize("g", [
+        pytest.param(union_of_graphs(complete_graph(4), complete_graph(4)), id="2K4"),
+        pytest.param(complete_bipartite(4, 4), id="K4,4"),
+        pytest.param(union_of_graphs(*[complete_graph(3)] * 3), id="3K3"),
+        pytest.param(union_of_graphs(complete_bipartite(3, 3), complete_bipartite(3, 3)),
+                     id="K3,3+K3,3"),
+        pytest.param(kneser(5, 2).support(), id="Petersen"),
+    ])
+    def test_graphs_with_large_groups(self, strict, g):
+        self.check(g, strict)
+
+    @pytest.mark.parametrize("strict", [False, True])
+    @given(g=simple_graphs())
+    @settings(max_examples=60)
+    def test_random_graphs(self, strict, g):
+        assume(g.edges)
+        self.check(g, strict)
+
+    def test_orientation_cuts_the_group(self):
+        # a triangle has 6 automorphisms, but only the identity keeps 1<2<3
+        (triangle,) = [g for g in regular_graphs(3) if g.q == 3]
+        assert generated_order(_automorphism_generators(triangle, False), 3) == 6
+        assert _automorphism_generators(triangle, True) == []
+
+    def test_budget_enforced(self):
+        with pytest.raises(BudgetExceededError):
+            _automorphism_generators(complete_graph(5), False, budget=2)
 
 
 class TestCompositeGraphs:
