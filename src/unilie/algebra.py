@@ -163,16 +163,6 @@ class NVector:
     def is_zero(self) -> bool:
         return all(a == 0 for a in self.v) and all(a == 0 for a in self.z)
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, NVector):
-            return NotImplemented
-        return (len(self.v) == len(other.v) and len(self.z) == len(other.z)
-                and all(a == b for a, b in zip(self.v, other.v))
-                and all(a == b for a, b in zip(self.z, other.z)))
-
-    def __hash__(self):
-        return hash((tuple(Fraction(a) for a in self.v), tuple(Fraction(a) for a in self.z)))
-
 
 def bracket(t: StructureTensor, x: NVector, y: NVector) -> NVector:
     """[x, y]; bilinear, lands in the center, ignores the z parts of x and y."""
@@ -255,24 +245,20 @@ def j_basis(t: StructureTensor, k: int) -> IntMatrix:
     -v_j when [v_i, v_j] = -z_k; equals minus the skew adjacency of color k."""
     if not (1 <= k <= t.p):
         raise ValueError(f"center index {k} out of range")
-    m = [[0] * t.q for _ in range(t.q)]
-    for (i, j, c, s) in t.entries:
-        if c == k:
-            m[j - 1][i - 1] = s     # coeff of v_j in J(v_i)
-            m[i - 1][j - 1] = -s
-    return IntMatrix.from_rows(m)
+    return j_map(t, [1 if c == k else 0 for c in range(1, t.p + 1)])
 
 
 def j_map(t: StructureTensor, coeffs) -> IntMatrix:
-    """J map of the center element sum(coeffs[k-1] * z_k)."""
+    """J map of the center element sum(coeffs[k-1] * z_k): each bracket
+    [v_i, v_j] = s z_k puts s c_k at (j, i) and -s c_k at (i, j)."""
     coeffs = tuple(coeffs)
     if len(coeffs) != t.p:
         raise ValueError("need one coefficient per center direction")
-    m = IntMatrix.zero(t.q, t.q)
-    for k, c in enumerate(coeffs, start=1):
-        if c != 0:
-            m = m + j_basis(t, k).scale(c)
-    return m
+    m = [[0] * t.q for _ in range(t.q)]
+    for (i, j, k, s) in t.entries:
+        m[j - 1][i - 1] = s * coeffs[k - 1]     # coeff of v_j in J(v_i)
+        m[i - 1][j - 1] = -s * coeffs[k - 1]
+    return IntMatrix.from_rows(m)
 
 
 def j_gram(t: StructureTensor) -> IntMatrix:

@@ -115,6 +115,10 @@ _FAMILIES = {
     "dihedral-bipartite": (families.dihedral_bipartite, 1),
 }
 
+# the largest vertex count `family` builds; kneser(n, 1) stores C(n, 2)
+# colors of n - 2 elements each, about 80 MiB at this size
+FAMILY_MAX_VERTICES = 200
+
 # the one variant a family accepts, passed to its builder as a keyword flag
 _VARIANTS = {"ring": "primed", "quaternionic": "associate"}
 
@@ -138,6 +142,15 @@ def _cmd_family(args) -> int:
             raise _Usage(f"family '{name}' has no variant '{args.variant}'")
         kwargs[args.variant] = True
     try:
+        families.check_parameters(builder.__name__, *fargs)
+        # a parameter above the limit is refused before a count that may be
+        # huge is computed, since no accepted parameter exceeds the count
+        q = max(fargs, default=0)
+        if q <= FAMILY_MAX_VERTICES:
+            q = families.vertex_count(builder.__name__, *fargs)
+        if q > FAMILY_MAX_VERTICES:
+            raise _Usage(f"family '{name}' would have at least {q} vertices; "
+                         f"the limit is {FAMILY_MAX_VERTICES}")
         g = builder(*fargs, **kwargs)
     except ValueError as exc:
         raise _Usage(str(exc))

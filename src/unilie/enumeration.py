@@ -409,8 +409,10 @@ def near_factorization_sign_witness() -> tuple[StructureTensor, StructureTensor,
     return n2, n1, w
 
 
-def _gl_anchors():
-    return [ring_sum_witness()]
+def _gl_anchors() -> list[tuple[str, str, GeneralLinearWitness]]:
+    """Stored general-linear identifications between the named presentations
+    of known_presentations(): (source name, target name, witness)."""
+    return [("ring(2,primed)", "heisenberg(1)+heisenberg(1)", ring_sum_witness()[2])]
 
 
 # ---------------------------------------------------------------------------
@@ -488,12 +490,9 @@ class UndeterminedPairError(RuntimeError):
 @dataclass(frozen=True)
 class _Candidate:
     tensor: StructureTensor
-    support: SimpleGraph
-    coloring: ColoredDigraph
     ptype: tuple[int, int, int]
     s: int
     heisenberg: bool
-    orbits: int                 # diagonal orbits inside this sign class
 
 
 def _candidates(q_max: int, budget: int) -> list[_Candidate]:
@@ -504,9 +503,8 @@ def _candidates(q_max: int, budget: int) -> list[_Candidate]:
             rep0 = validate_uniform(coloring)
             for sc in report.classes:
                 cands.append(_Candidate(
-                    tensor=sc.representative, support=g, coloring=coloring,
-                    ptype=(rep0.p, rep0.q, rep0.r), s=rep0.s,
-                    heisenberg=sc.heisenberg, orbits=len(sc.members)))
+                    tensor=sc.representative, ptype=(rep0.p, rep0.q, rep0.r),
+                    s=rep0.s, heisenberg=sc.heisenberg))
     return cands
 
 
@@ -579,26 +577,27 @@ def classify_detailed(q_max: int = 5, budget: int = DEFAULT_ENUM_BUDGET
     # No two candidates are signed-permutation isomorphic: such a witness
     # induces an equivalence of the underlying colorings, and candidates come
     # from inequivalent colorings or from distinct sign classes of one
-    # coloring.  Only general-linear identifications can merge them.
-    # Merge by stored general-linear identifications, re-verified end to end.
+    # coloring.  So each named presentation lies in at most one candidate:
+    # located[name] = (candidate index, signed witness name -> candidate).
+    located: dict[str, tuple[int, SignedPermWitness]] = {}
+    for kp in known_presentations():
+        for idx, cand in enumerate(cands):
+            if cand.ptype[:2] != kp.ptype[:2]:
+                continue
+            w = signed_perm_isomorphic(kp.tensor, cand.tensor, budget=budget)
+            if w is not None:
+                located[kp.name] = (idx, w)
+                break
+
+    # Only general-linear identifications can merge candidates: the stored
+    # ones, carried over from the named presentations and re-verified.
     for src, dst, glw in _gl_anchors():
-        if src.q > q_max or dst.q > q_max:
+        if src not in located or dst not in located:
             continue
-        loc = {}
-        for label, anchor in (("src", src), ("dst", dst)):
-            for idx, cand in enumerate(cands):
-                if (cand.ptype[0], cand.ptype[1]) != (anchor.p, anchor.q):
-                    continue
-                w = signed_perm_isomorphic(cand.tensor, anchor, budget=budget)
-                if w is not None:
-                    loc[label] = (idx, w)
-                    break
-        if "src" not in loc or "dst" not in loc:
-            continue
-        (ia, wa), (ib, wb) = loc["src"], loc["dst"]
+        (ia, wa), (ib, wb) = located[src], located[dst]
         if find(ia) == find(ib):
             continue
-        full = compose_witnesses(invert_witness(wb), compose_witnesses(glw, wa))
+        full = compose_witnesses(wb, compose_witnesses(glw, invert_witness(wa)))
         res = check_witness(cands[ia].tensor, cands[ib].tensor, full)
         if not res.ok:
             raise AssertionError("stored identification failed verification")
@@ -611,24 +610,15 @@ def classify_detailed(q_max: int = 5, budget: int = DEFAULT_ENUM_BUDGET
         cands[m[0]].ptype[1], cands[m[0]].ptype[0], cands[m[0]].ptype[2],
         cands[m[0]].tensor.sorted_entries()))
 
-    known = known_presentations()
     rows = []
     for case, members in enumerate(ordered, start=1):
         ms = [cands[i] for i in members]
-        names = []
-        for kp in known:
-            for m in ms:
-                if (kp.ptype[0], kp.ptype[1]) != (m.ptype[0], m.ptype[1]):
-                    continue
-                if signed_perm_isomorphic(kp.tensor, m.tensor, budget=budget):
-                    names.append(kp.name)
-                    break
         rows.append(ClassificationRow(
             case=case,
             types=tuple(sorted({m.ptype for m in ms})),
             s=ms[0].s,
             representative=ms[0].tensor,
-            family=tuple(names),
+            family=tuple(name for name, (i, _) in located.items() if i in members),
             merged=len(ms),
             heisenberg=any(m.heisenberg for m in ms)))
 

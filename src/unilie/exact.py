@@ -1,15 +1,16 @@
 """Exact linear algebra over the integers, the rationals, and GF(2).
 
 Everything here is deterministic and allocation-light: matrices are tuples of
-tuples, ranks and determinants of integer matrices go through fraction-free
-(Bareiss) elimination, and anything that genuinely needs division is done with
-fractions.Fraction.  GF(2) vectors are plain ints with bit (width-1-j) holding
-coordinate j, so lexicographic order on coordinate tuples equals numeric order
-on the encodings.
+tuples, ranks and determinants go through fraction-free (Bareiss) elimination
+once each row's denominators are cleared, and anything that genuinely needs
+division is done with fractions.Fraction.  GF(2) vectors are plain ints with
+bit (width-1-j) holding coordinate j, so lexicographic order on coordinate
+tuples equals numeric order on the encodings.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -94,32 +95,21 @@ class IntMatrix:
         return all(a == 0 for r in self.rows for a in r)
 
 
-def _integer_rows(rows: Sequence[Sequence[Scalar]]) -> list[list[int]]:
-    """Clear denominators row by row; row scaling preserves rank."""
-    out = []
-    for row in rows:
-        lcm = 1
-        for a in row:
-            if isinstance(a, Fraction):
-                d = a.denominator
-                lcm = lcm * d // _gcd(lcm, d)
-        out.append([int(a * lcm) for a in row])
-    return out
+def _integer_rows(rows: Sequence[Sequence[Scalar]]) -> tuple[list[list[int]], int]:
+    """Clear denominators row by row, and return the product of the row
+    scales; row scaling preserves rank and multiplies det by that product."""
+    scales = [math.lcm(*(a.denominator for a in row)) for row in rows]
+    return [[int(a * c) for a in row] for row, c in zip(rows, scales)], math.prod(scales)
 
 
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return abs(a)
-
-
-def rank(rows: Sequence[Sequence[Scalar]]) -> int:
-    """Rank via fraction-free (Bareiss) elimination on integer rows."""
-    m = _integer_rows(rows)
-    if not m:
-        return 0
-    nr, nc = len(m), len(m[0])
+def _bareiss(m: list[list[int]]) -> tuple[int, int]:
+    """Fraction-free elimination of integer rows in place (Bareiss, Math.
+    Comp. 22, 1968).  Returns the rank and the last pivot signed by the row
+    swaps, which for square full-rank input is the determinant."""
+    nr = len(m)
+    nc = len(m[0]) if nr else 0
     prev = 1
+    sign = 1
     r = 0
     for c in range(nc):
         if r == nr:
@@ -129,56 +119,40 @@ def rank(rows: Sequence[Sequence[Scalar]]) -> int:
             continue
         if piv != r:
             m[r], m[piv] = m[piv], m[r]
+            sign = -sign
         for i in range(r + 1, nr):
             for j in range(c + 1, nc):
                 m[i][j] = (m[r][c] * m[i][j] - m[i][c] * m[r][j]) // prev
             m[i][c] = 0
         prev = m[r][c]
         r += 1
-    return r
+    return r, sign * prev
+
+
+def rank(rows: Sequence[Sequence[Scalar]]) -> int:
+    """Rank via fraction-free (Bareiss) elimination on integer rows."""
+    return _bareiss(_integer_rows(rows)[0])[0]
 
 
 def det(rows: Sequence[Sequence[Scalar]]) -> Scalar:
-    """Determinant; Bareiss for integer input, Fraction elimination otherwise."""
+    """Determinant via fraction-free (Bareiss) elimination on integer rows,
+    divided by the scales that cleared the denominators."""
     n = len(rows)
-    if n == 0:
-        return 1
-    if len(rows[0]) != n:
+    if n and len(rows[0]) != n:
         raise ValueError("det of non-square matrix")
-    if all(isinstance(a, int) for r in rows for a in r):
-        m = [list(r) for r in rows]
-        prev = 1
-        sign = 1
-        for c in range(n - 1):
-            piv = next((i for i in range(c, n) if m[i][c] != 0), None)
-            if piv is None:
-                return 0
-            if piv != c:
-                m[c], m[piv] = m[piv], m[c]
-                sign = -sign
-            for i in range(c + 1, n):
-                for j in range(c + 1, n):
-                    m[i][j] = (m[c][c] * m[i][j] - m[i][c] * m[c][j]) // prev
-                m[i][c] = 0
-            prev = m[c][c]
-        return sign * m[n - 1][n - 1]
-    rr, pivots, d = _rref([list(map(Fraction, r)) for r in rows])
-    if len(pivots) < n:
+    m, scales = _integer_rows(rows)
+    r, d = _bareiss(m)
+    if r < n:
         return 0
-    return d
+    return d if scales == 1 else Fraction(d, scales)
 
 
-def _rref(m: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int], Fraction]:
-    """In-place reduced row echelon form; returns (rows, pivot columns, det factor).
-
-    The det factor is the product of pivots times the row-swap sign, valid for
-    square input; callers that only need rank or pivots ignore it.
-    """
+def _rref(m: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
+    """In-place reduced row echelon form; returns (rows, pivot columns)."""
     nr = len(m)
     nc = len(m[0]) if nr else 0
     pivots: list[int] = []
     r = 0
-    detf = Fraction(1)
     for c in range(nc):
         if r == nr:
             break
@@ -187,8 +161,6 @@ def _rref(m: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int], Fra
             continue
         if piv != r:
             m[r], m[piv] = m[piv], m[r]
-            detf = -detf
-        detf *= m[r][c]
         inv = Fraction(1) / m[r][c]
         m[r] = [a * inv for a in m[r]]
         for i in range(nr):
@@ -197,15 +169,14 @@ def _rref(m: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int], Fra
                 m[i] = [a - f * b for a, b in zip(m[i], m[r])]
         pivots.append(c)
         r += 1
-    return m, pivots, detf
+    return m, pivots
 
 
 def rref(rows: Sequence[Sequence[Scalar]]) -> tuple[list[list[Fraction]], list[int]]:
     m = [[Fraction(a) for a in r] for r in rows]
     if not m:
         return [], []
-    red, pivots, _ = _rref(m)
-    return red, pivots
+    return _rref(m)
 
 
 def nullspace(rows: Sequence[Sequence[Scalar]], ncols: int | None = None) -> list[tuple[Fraction, ...]]:
@@ -229,7 +200,7 @@ def nullspace(rows: Sequence[Sequence[Scalar]], ncols: int | None = None) -> lis
 def solve(a: IntMatrix, b: Sequence[Scalar]) -> tuple[Fraction, ...] | None:
     """One exact solution of a x = b, or None if inconsistent."""
     aug = [list(map(Fraction, row)) + [Fraction(bv)] for row, bv in zip(a.rows, b)]
-    red, pivots, _ = _rref(aug)
+    red, pivots = _rref(aug)
     nc = a.ncols
     if nc in pivots:
         return None
@@ -246,7 +217,7 @@ def inverse(a: IntMatrix) -> IntMatrix | None:
         raise ValueError("inverse of non-square matrix")
     aug = [list(map(Fraction, row)) + [Fraction(1) if i == j else Fraction(0) for j in range(n)]
            for i, row in enumerate(a.rows)]
-    red, pivots, _ = _rref(aug)
+    red, pivots = _rref(aug)
     if pivots != list(range(n)):
         return None
     return IntMatrix(tuple(tuple(red[i][n:]) for i in range(n)))

@@ -113,18 +113,45 @@ def symmetric_group(n: int) -> FiniteGroup:
 # ---------------------------------------------------------------------------
 # families
 
+# each sized family's parameter check, as its builder makes it, and its
+# vertex count from the builder's docstring, so a family can be sized
+# without being built
+_SIZES = {
+    "heisenberg": (lambda n: n >= 1, "need n >= 1", lambda n: 2 * n),
+    "free_two_step": (lambda n: n >= 2, "need n >= 2", lambda n: n),
+    "ring_algebra": (lambda r: r >= 2, "need r >= 2", lambda r: 2 * r),
+    "quaternionic": (lambda: True, "", lambda: 4),
+    "cyclic": (lambda q: q >= 3, "need q >= 3", lambda q: q),
+    "kneser": (lambda n, m: 1 <= m and n >= 2 * m + 1, "need 1 <= m and n >= 2m + 1", comb),
+    "dihedral_bipartite": (lambda p: p >= 3 and p % 2 == 1, "need odd p >= 3",
+                           lambda p: 2 * p),
+}
+
+
+def check_parameters(family: str, *params: int) -> None:
+    """Raise the ValueError that the builder named `family` raises for params."""
+    accepts, need, _ = _SIZES[family]
+    if not accepts(*params):
+        raise ValueError(need)
+
+
+def vertex_count(family: str, *params: int) -> int:
+    """Vertex count of the builder named `family` at params, without building.
+    Every parameter it accepts is at most the count."""
+    check_parameters(family, *params)
+    return _SIZES[family][2](*params)
+
+
 def heisenberg(n: int) -> ColoredDigraph:
     """Type (1, 2n, n): n disjoint arcs (i, n+i) all colored 1."""
-    if n < 1:
-        raise ValueError("need n >= 1")
+    check_parameters("heisenberg", n)
     return ColoredDigraph.from_arcs(2 * n, 1, [(i, n + i, 1) for i in range(1, n + 1)])
 
 
 def free_two_step(n: int) -> ColoredDigraph:
     """Free two-step algebra on n generators: K_n with every edge its own color.
     Type (n(n-1)/2, n, 1)."""
-    if n < 2:
-        raise ValueError("need n >= 2")
+    check_parameters("free_two_step", n)
     arcs = [(i, j, k) for k, (i, j) in
             enumerate(itertools.combinations(range(1, n + 1), 2), start=1)]
     return ColoredDigraph.from_arcs(n, comb(n, 2), arcs)
@@ -137,8 +164,7 @@ def ring_algebra(r: int, primed: bool = False) -> ColoredDigraph:
     closing arc is (1, 2r) unprimed and (2r, 1) primed; for even r the two
     variants lie in different diagonal sign classes.
     """
-    if r < 2:
-        raise ValueError("need r >= 2")
+    check_parameters("ring_algebra", r)
     arcs = [(2 * i - 1, 2 * i, 1) for i in range(1, r + 1)]
     arcs += [(2 * i, 2 * i + 1, 2) for i in range(1, r)]
     arcs.append((2 * r, 1, 2) if primed else (1, 2 * r, 2))
@@ -160,8 +186,7 @@ def quaternionic(associate: bool = False) -> ColoredDigraph:
 
 def cyclic(q: int) -> ColoredDigraph:
     """Cycle C_q with every edge its own color, type (q, q, 1)."""
-    if q < 3:
-        raise ValueError("need q >= 3")
+    check_parameters("cyclic", q)
     arcs = [(i, i + 1, i) for i in range(1, q)] + [(q, 1, q)]
     return ColoredDigraph.from_arcs(q, q, arcs)
 
@@ -175,8 +200,7 @@ def kneser(n: int, m: int) -> ColoredDigraph:
     (C(n, 2m), C(n, m), C(2m, m)/2); kneser(5, 2) is the Petersen graph
     with type (5, 10, 3).
     """
-    if m < 1 or n < 2 * m + 1:
-        raise ValueError("need 1 <= m and n >= 2m + 1")
+    check_parameters("kneser", n, m)
     universe = range(1, n + 1)
     verts = sorted(itertools.combinations(universe, m), key=lambda s: s[::-1])
     vidx = {s: i for i, s in enumerate(verts, start=1)}
@@ -225,8 +249,7 @@ def cayley(group: FiniteGroup, generators) -> ColoredDigraph:
 def dihedral_bipartite(p: int) -> ColoredDigraph:
     """Cayley coloring of K_{p,p} by the p reflections of the dihedral group
     of order 2p, for odd p >= 3; type (p, 2p, p)."""
-    if p < 3 or p % 2 == 0:
-        raise ValueError("need odd p >= 3")
+    check_parameters("dihedral_bipartite", p)
     g = dihedral_group(p)
     return cayley(g, range(p, 2 * p))
 

@@ -266,14 +266,15 @@ class ColorPermAutomorphism:
         return self.color_images[k - 1]
 
 
-def _vertex_profiles(g: ColoredDigraph) -> dict[int, tuple]:
-    """Cheap per-vertex invariant: degree plus sorted incident color-class sizes."""
+def _vertex_profiles(g: ColoredDigraph) -> list[tuple[int, ...]]:
+    """Per-vertex invariant at index v: the sorted sizes of the color classes
+    of the arcs at v, whose length is the degree of v; index 0 is empty."""
     class_size = Counter(k for _, _, k in g.arcs)
-    prof = {}
-    for v in range(1, g.q + 1):
-        sizes = sorted(class_size[k] for i, j, k in g.arcs if v in (i, j))
-        prof[v] = (len(sizes), tuple(sizes))
-    return prof
+    sizes: list[list[int]] = [[] for _ in range(g.q + 1)]
+    for i, j, k in g.arcs:
+        sizes[i].append(class_size[k])
+        sizes[j].append(class_size[k])
+    return [tuple(sorted(s)) for s in sizes]
 
 
 def _arcs_by_ordered_pair(g: ColoredDigraph) -> list[list[tuple[int, int, int] | None]]:
@@ -299,9 +300,11 @@ def _mapping_search(g1: ColoredDigraph, g2: ColoredDigraph, strict: bool, budget
         return
     arc_at1 = _arcs_by_ordered_pair(g1)
     arc_at2 = _arcs_by_ordered_pair(g2)
+    # uniform colorings with equal (q, p) and arc count share their profiles,
+    # so this prunes only the non-uniform input `iso` also accepts
     prof1 = _vertex_profiles(g1)
     prof2 = _vertex_profiles(g2)
-    if sorted(prof1.values()) != sorted(prof2.values()):
+    if sorted(prof1) != sorted(prof2):
         return
     used1 = sorted({k for _, _, k in g1.arcs})
     used2 = sorted({k for _, _, k in g2.arcs})
@@ -376,15 +379,14 @@ def _mapping_search(g1: ColoredDigraph, g2: ColoredDigraph, strict: bool, budget
 
 def automorphisms(g: ColoredDigraph, strict: bool = False,
                   budget: int = DEFAULT_SEARCH_BUDGET) -> list[ColorPermAutomorphism]:
-    """All color-permuting automorphisms, lexicographically ordered.
+    """All color-permuting automorphisms, lexicographically ordered: the
+    mapping search yields them by vertex images, which determine the colors.
 
     The result always forms a group; with strict=True only direction
     preserving maps are returned.
     """
-    out = [ColorPermAutomorphism(vi, ci, strict)
-           for vi, ci in _mapping_search(g, g, strict, budget)]
-    out.sort(key=lambda a: (a.vertex_images, a.color_images))
-    return out
+    return [ColorPermAutomorphism(vi, ci, strict)
+            for vi, ci in _mapping_search(g, g, strict, budget)]
 
 
 def colorings_equivalent(g1: ColoredDigraph, g2: ColoredDigraph, strict: bool = False,

@@ -1,6 +1,7 @@
 """Structure tensors, bracket operations, invariants, and isomorphism witnesses."""
 
 import functools
+import random
 from fractions import Fraction
 from itertools import combinations, permutations, product
 
@@ -62,6 +63,7 @@ from unilie.graphs import (
     _mode,
     _sort_violations,
     automorphisms,
+    skew_adjacency,
     validate_uniform,
 )
 
@@ -172,6 +174,14 @@ class TestBracket:
         assert bracket(QUAT, v(4), v(2)) == z(2)
         assert bracket(QUAT, v(2), v(4)) == -z(2)
 
+    def test_vectors_compare_and_hash_by_value(self):
+        a = NVector((1, 0, 2), (0, -3))
+        b = NVector((Fraction(1), Fraction(0), Fraction(4, 2)), (Fraction(0), Fraction(-3)))
+        assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+        assert a != NVector((1, 0, 2), (0, 3))
+        assert a != NVector((1, 0), (2, 0, -3))
+        assert a != (1, 0, 2, 0, -3)
+
     def test_center_annihilates(self):
         for x in center(QUAT):
             for i in range(1, 5):
@@ -264,6 +274,26 @@ class TestJMaps:
         assert j_map(QUAT, (Fraction(1, 2), 0, 0)) == j_basis(QUAT, 1).scale(
             Fraction(1, 2)
         )
+
+    def test_j_basis_is_minus_skew_adjacency(self):
+        for t in j_kernel_cases():
+            g = to_graph(t)
+            for k in range(1, t.p + 1):
+                assert j_basis(t, k) == -skew_adjacency(g, k)
+
+    def test_j_map_matches_sum_of_scaled_j_basis(self):
+        # the sum of the J_k scaled by the coefficients is what j_map
+        # computed before it was built in one pass over the entries
+        rnd = random.Random(5)
+        values = (0, 1, -1, 3, Fraction(1, 2), Fraction(-5, 3))
+        for t in j_kernel_cases():
+            for _ in range(4):
+                coeffs = [rnd.choice(values) for _ in range(t.p)]
+                want = IntMatrix.zero(t.q, t.q)
+                for k, c in enumerate(coeffs, start=1):
+                    if c != 0:
+                        want = want + j_basis(t, k).scale(c)
+                assert j_map(t, coeffs) == want, (t, coeffs)
 
 
 class TestHeisenbergType:

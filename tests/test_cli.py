@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from unilie.algebra import GeneralLinearWitness, from_graph
-from unilie.cli import main
+from unilie.cli import FAMILY_MAX_VERTICES, main
 from unilie.exact import IntMatrix
 from unilie.families import free_two_step, heisenberg, kneser, quaternionic, ring_algebra
 from unilie.serialize import (
@@ -119,6 +119,45 @@ class TestFamily:
     def test_wrong_arity_is_usage_error(self, capsys):
         code, _ = run(capsys, "family", "kneser", "5")
         assert code == 2
+
+    @pytest.mark.parametrize("args,count", [
+        (("heisenberg", "99999999999999999999"), "99999999999999999999"),
+        (("heisenberg", "9" * 4300), "9" * 4300),
+        (("kneser", "41", "20"), "269128937220"),
+        (("kneser", "9" * 4300, "9" * 4000), "9" * 4300),
+        (("kneser", "15", "7"), "6435"),
+        (("heisenberg", "101"), "202"),
+        (("ring", "101"), "202"),
+        (("free", "201"), "201"),
+        (("cyclic", "201"), "201"),
+        (("dihedral-bipartite", "101"), "202"),
+    ])
+    def test_oversized_family_is_refused_before_building(self, capsys, args, count):
+        code = main(["family", *args])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert count in captured.err
+        assert f"limit is {FAMILY_MAX_VERTICES}" in captured.err
+
+    @pytest.mark.parametrize("args,message", [
+        (("kneser", "20", "15"), "need 1 <= m and n >= 2m + 1"),
+        (("kneser", "5", "300"), "need 1 <= m and n >= 2m + 1"),
+        (("kneser", "9" * 4000, "9" * 4300), "need 1 <= m and n >= 2m + 1"),
+        (("dihedral-bipartite", "1000"), "need odd p >= 3"),
+        (("heisenberg", "-9" + "9" * 4000), "need n >= 1"),
+    ])
+    def test_invalid_parameters_are_named_before_the_size(self, capsys, args, message):
+        code = main(["family", *args])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert message in captured.err and "vertices" not in captured.err
+
+    @pytest.mark.parametrize("args,q", [
+        (("heisenberg", "100"), 200), (("cyclic", "200"), 200),
+        (("kneser", "10", "3"), 120)])
+    def test_family_at_the_vertex_limit_builds(self, capsys, args, q):
+        code, out = run(capsys, "family", *args)
+        assert code == 0 and machine_payload(out)["q"] == q
 
     def test_bad_variant_is_usage_error(self, capsys):
         for args in (("heisenberg", "2", "--variant", "primed"),

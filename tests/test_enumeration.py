@@ -10,8 +10,10 @@ import pytest
 from unilie import enumeration
 from unilie.algebra import (
     check_witness,
+    compose_witnesses,
     diagonal_orbit_representatives,
     from_graph,
+    invert_witness,
     is_heisenberg_type,
     signed_perm_isomorphic,
     to_graph,
@@ -578,6 +580,35 @@ class TestClassification:
                 tried += 1
                 assert signed_perm_isomorphic(ca.tensor, cb.tensor) is None
         assert tried > 0
+
+    def test_each_named_presentation_lies_in_one_candidate(self):
+        # classify_detailed stops at the first candidate a name reaches;
+        # no later candidate may be reached as well
+        cands = enumeration._candidates(5, enumeration.DEFAULT_ENUM_BUDGET)
+        known = known_presentations()
+        assert len(known) == 13
+        located = {}
+        for kp in known:
+            hits = []
+            for idx, cand in enumerate(cands):
+                if (cand.tensor.p, cand.tensor.q) == (kp.tensor.p, kp.tensor.q):
+                    w = signed_perm_isomorphic(kp.tensor, cand.tensor)
+                    if w is not None:
+                        hits.append((idx, w))
+            assert len(hits) == 1, kp.name
+            located[kp.name] = hits[0]
+        anchors = enumeration._gl_anchors()
+        assert [(a, b) for a, b, _ in anchors] == [
+            ("ring(2,primed)", "heisenberg(1)+heisenberg(1)")]
+        for src, dst, glw in anchors:
+            (ia, wa), (ib, wb) = located[src], located[dst]
+            assert ia != ib
+            full = compose_witnesses(wb, compose_witnesses(glw, invert_witness(wa)))
+            assert check_witness(cands[ia].tensor, cands[ib].tensor, full).ok
+        rows = classify(5)
+        assert [name for row in rows for name in row.family] == [
+            kp.name for kp in sorted(known, key=lambda kp: next(
+                row.case for row in rows if kp.name in row.family))]
 
     @pytest.mark.slow
     def test_six_generators_hits_open_pair(self):

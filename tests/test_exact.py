@@ -59,6 +59,50 @@ def naive_rank(rows):
     return r
 
 
+def fraction_det(rows):
+    """Determinant by Gauss-Jordan elimination over Fraction: the product of
+    the pivots, negated for each row swap.  This was det's path for rational
+    input before every determinant went through Bareiss elimination."""
+    work = [[Fraction(x) for x in row] for row in rows]
+    n = len(work)
+    d = Fraction(1)
+    for c in range(n):
+        pivot = next((i for i in range(c, n) if work[i][c] != 0), None)
+        if pivot is None:
+            return 0
+        if pivot != c:
+            work[c], work[pivot] = work[pivot], work[c]
+            d = -d
+        d *= work[c][c]
+        inv = 1 / work[c][c]
+        work[c] = [a * inv for a in work[c]]
+        for i in range(n):
+            if i != c and work[i][c] != 0:
+                f = work[i][c]
+                work[i] = [a - f * b for a, b in zip(work[i], work[c])]
+    return d
+
+
+@st.composite
+def rational_matrices(draw, square=True, max_dim=5):
+    """Rational matrices with one denominator per row, times a small extra
+    denominator per entry; a drawn flag makes a square one singular by
+    replacing its last row with a rational combination of the others."""
+    n = draw(st.integers(min_value=1, max_value=max_dim))
+    m = n if square else draw(st.integers(min_value=1, max_value=max_dim))
+    rows = []
+    for _ in range(n):
+        row_den = draw(st.integers(min_value=1, max_value=12))
+        rows.append([Fraction(draw(entries), row_den * draw(st.integers(1, 3)))
+                     for _ in range(m)])
+    if draw(st.booleans()):
+        weights = [Fraction(draw(entries), draw(st.integers(1, 5)))
+                   for _ in range(n - 1)]
+        rows[-1] = [sum((w * row[j] for w, row in zip(weights, rows)), Fraction(0))
+                    for j in range(m)]
+    return rows
+
+
 class TestIntMatrix:
     def test_construction_and_access(self):
         m = IntMatrix.from_rows([[1, 2], [3, 4]])
@@ -116,6 +160,26 @@ class TestRankDet:
             return
         m = IntMatrix.from_rows(rows)
         assert (m.det() == 0) == (m.rank() < m.nrows)
+
+    @given(rational_matrices())
+    def test_det_matches_fraction_elimination_on_rationals(self, rows):
+        assert det(rows) == fraction_det(rows)
+
+    @given(matrices(5))
+    def test_det_matches_fraction_elimination_on_integers(self, rows):
+        n = min(len(rows), len(rows[0]))
+        square = [row[:n] for row in rows[:n]]
+        assert det(square) == fraction_det(square)
+        assert isinstance(det(square), int)
+
+    def test_det_of_rationals_is_exact(self):
+        assert det([[Fraction(1, 2), 0], [0, Fraction(2, 3)]]) == Fraction(1, 3)
+        assert det([[Fraction(1, 2), Fraction(1, 3)], [1, Fraction(2, 3)]]) == 0
+        assert det([[Fraction(4, 2)]]) == 2
+
+    @given(rational_matrices(square=False))
+    def test_rank_on_rationals_matches_fraction_rank(self, rows):
+        assert rank(rows) == rank_fraction(rows)
 
     @given(matrices(3), matrices(3))
     def test_det_multiplicative(self, rows_a, rows_b):

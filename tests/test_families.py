@@ -1,5 +1,6 @@
 """Constructive families: every builder yields a uniform coloring of the stated type."""
 
+import itertools
 from itertools import combinations
 
 import pytest
@@ -9,6 +10,7 @@ from unilie.families import (
     FiniteGroup,
     cayley,
     cyclic,
+    check_parameters,
     cyclic_group,
     dihedral_bipartite,
     dihedral_group,
@@ -21,6 +23,7 @@ from unilie.families import (
     ring_algebra,
     symmetric_group,
     trivial_coloring,
+    vertex_count,
 )
 from unilie.graphs import SimpleGraph, colorings_equivalent, validate_uniform
 
@@ -210,6 +213,29 @@ class TestDihedralBipartite:
     def test_rejects_even(self):
         with pytest.raises(ValueError):
             dihedral_bipartite(4)
+
+
+class TestSizing:
+    """`vertex_count` sizes a family without building it, and
+    `check_parameters` refuses exactly what the builder refuses."""
+
+    @pytest.mark.parametrize("builder,arity", [
+        (heisenberg, 1), (free_two_step, 1), (ring_algebra, 1), (quaternionic, 0),
+        (cyclic, 1), (kneser, 2), (dihedral_bipartite, 1)], ids=lambda b: getattr(b, "__name__", ""))
+    def test_count_and_check_agree_with_the_builder(self, builder, arity):
+        for params in itertools.product(range(-1, 10), repeat=arity):
+            try:
+                g = builder(*params)
+            except ValueError as exc:
+                with pytest.raises(ValueError) as refused:
+                    check_parameters(builder.__name__, *params)
+                assert str(refused.value) == str(exc)
+                with pytest.raises(ValueError):
+                    vertex_count(builder.__name__, *params)
+                continue
+            check_parameters(builder.__name__, *params)
+            assert vertex_count(builder.__name__, *params) == g.q
+            assert all(x <= g.q for x in params)
 
 
 class TestFactorizationInput:

@@ -55,9 +55,13 @@ def oracle_mappings(g1, g2, strict):
 
 def oracle_sorted_mappings(g1, g2, strict):
     """Sorted (vertex_images, color_images) of every map carrying g1 onto g2,
-    for colorings with equal arc counts that use every color: each of the q!
-    vertex permutations is tried and the color map is read off the arcs."""
+    for colorings with equal q, p and arc counts: each of the q! vertex
+    permutations is tried and the color map is read off the arcs.  Colors
+    unused on both sides are paired off in increasing order."""
+    assert (g1.q, g1.p, len(g1.arcs)) == (g2.q, g2.p, len(g2.arcs))
     arc2 = {frozenset((i, j)): (i, j, k) for i, j, k in g2.arcs}
+    unused1, unused2 = ([k for k in range(1, g.p + 1) if k not in {a[2] for a in g.arcs}]
+                        for g in (g1, g2))
     found = []
     for vp in permutations(range(1, g1.q + 1)):
         cmap = {}
@@ -67,7 +71,8 @@ def oracle_sorted_mappings(g1, g2, strict):
                     or cmap.setdefault(k, hit[2]) != hit[2]):
                 break
         else:
-            if len(set(cmap.values())) == len(cmap) == g1.p:
+            if len(set(cmap.values())) == len(cmap) and len(unused1) == len(unused2):
+                cmap.update(zip(unused1, unused2))
                 found.append((vp, tuple(cmap[k] for k in range(1, g1.p + 1))))
     return sorted(found)
 
@@ -299,6 +304,72 @@ def colorings(draw, max_q=6, max_p=4):
 
     both = st.lists(arc, min_size=len(support), max_size=len(support))
     return color(draw(both)), color(draw(both))
+
+
+class TestMappingSearchOffUniform:
+    """The mapping search on colorings that are not uniform: mixed degrees,
+    unused colors, non-proper color classes.  These are the inputs that the
+    filter on vertex degrees and incident class sizes prunes; the search must
+    still find every map, in order."""
+
+    @pytest.mark.parametrize("strict", [False, True])
+    @given(pair=colorings(max_q=6, max_p=4), rnd=st.randoms(use_true_random=False))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_sorted_oracle(self, strict, pair, rnd):
+        g, other = pair
+        got = [(a.vertex_images, a.color_images) for a in automorphisms(g, strict)]
+        assert got == oracle_sorted_mappings(g, g, strict)
+        vp, cp = list(range(1, g.q + 1)), list(range(1, g.p + 1))
+        rnd.shuffle(vp)
+        rnd.shuffle(cp)
+        moved = relabel(g, ColorPermAutomorphism(tuple(vp), tuple(cp)))
+        hit = colorings_equivalent(g, moved, strict=strict)
+        assert (hit.vertex_images, hit.color_images) == oracle_sorted_mappings(
+            g, moved, strict)[0]
+        first = oracle_sorted_mappings(g, other, strict)
+        hit = colorings_equivalent(g, other, strict=strict)
+        assert (None if hit is None else (hit.vertex_images, hit.color_images)) == (
+            first[0] if first else None)
+
+    @pytest.mark.parametrize("strict", [False, True])
+    def test_degree_and_class_size_mismatches(self, strict):
+        star = ColoredDigraph.from_arcs(4, 2, [(1, 2, 1), (1, 3, 1), (1, 4, 2)])
+        path = ColoredDigraph.from_arcs(4, 2, [(1, 2, 1), (2, 3, 1), (3, 4, 2)])
+        # same degrees and class sizes as path, but vertex 2 meets a class of
+        # size 2 and one of size 1
+        other = ColoredDigraph.from_arcs(4, 2, [(1, 2, 1), (2, 3, 2), (3, 4, 1)])
+        unused = ColoredDigraph.from_arcs(4, 3, [(1, 2, 3), (2, 3, 3), (3, 4, 1)])
+        assert colorings_equivalent(star, path, strict=strict) is None
+        assert colorings_equivalent(path, other, strict=strict) is None
+        assert colorings_equivalent(path, star, strict=strict) is None
+        hit = colorings_equivalent(ColoredDigraph(4, 3, path.arcs), unused, strict=strict)
+        assert (hit.vertex_images, hit.color_images) == oracle_sorted_mappings(
+            ColoredDigraph(4, 3, path.arcs), unused, strict)[0]
+        assert hit.color_images == (3, 1, 2)
+
+    @pytest.mark.parametrize("strict", [False, True])
+    def test_profile_mismatch_fails_before_the_search(self, strict):
+        # a triangle on 10..12 beside 9 isolated vertices against a path
+        # 1-2-3-4 beside 8: equal q, p and arc count, but the vertex degrees
+        # differ, so no vertex is placed and even a budget of 1 suffices
+        triangle = ColoredDigraph.from_arcs(12, 3, [(10, 11, 1), (11, 12, 2), (10, 12, 3)])
+        path = ColoredDigraph.from_arcs(12, 3, [(1, 2, 1), (2, 3, 2), (3, 4, 3)])
+        assert colorings_equivalent(triangle, path, strict=strict, budget=1) is None
+        assert colorings_equivalent(path, triangle, strict=strict, budget=1) is None
+        star = ColoredDigraph.from_arcs(8, 1, [(1, i, 1) for i in range(2, 9)])
+        line = ColoredDigraph.from_arcs(8, 1, [(i, i + 1, 1) for i in range(1, 8)])
+        assert colorings_equivalent(line, star, strict=strict, budget=1) is None
+
+    def test_profiles_prune_each_placement(self):
+        # equal profiles as multisets, so the root check passes; each vertex
+        # is tried only against images with its profile, and the failing
+        # search visits 32 nodes (136 with that test dropped)
+        g = ColoredDigraph.from_arcs(8, 2, [(1, 2, 1), (2, 3, 1), (3, 4, 2),
+                                            (5, 6, 1), (6, 7, 2), (7, 8, 2)])
+        h = ColoredDigraph.from_arcs(8, 2, [(1, 2, 1), (2, 3, 2), (3, 4, 1),
+                                            (5, 6, 2), (6, 7, 1), (7, 8, 2)])
+        assert oracle_sorted_mappings(g, h, False) == []
+        assert colorings_equivalent(g, h, budget=40) is None
 
 
 class TestCanonicalForms:
