@@ -20,7 +20,6 @@ Conventions used throughout:
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
@@ -29,10 +28,10 @@ from .exact import IntMatrix, Scalar
 from .graphs import (BudgetExceededError, ColoredDigraph, ColorPermAutomorphism,
                      DEFAULT_SEARCH_BUDGET, _mapping_search, disjoint_union,
                      validate_uniform)
+from .record import Record
 
 
-@dataclass(frozen=True)
-class StructureTensor:
+class StructureTensor(Record):
     """Bracket data: entries (i, j, k, sign) with i < j mean [v_i, v_j] = sign * z_k.
 
     All indices are 1-based.  Each generator pair carries at most one entry,
@@ -118,8 +117,7 @@ def to_graph(t: StructureTensor) -> ColoredDigraph:
 # ---------------------------------------------------------------------------
 # vectors and brackets
 
-@dataclass(frozen=True)
-class NVector:
+class NVector(Record):
     """Element of the algebra in coordinates: v over generators, z over center."""
 
     v: tuple[Scalar, ...]
@@ -309,8 +307,7 @@ def _heisenberg_identity(t: StructureTensor) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class TotallyGeodesicReport:
+class TotallyGeodesicReport(Record):
     is_subalgebra: bool
     is_totally_geodesic: bool
 
@@ -342,8 +339,7 @@ def totally_geodesic(t: StructureTensor, generators, colors) -> TotallyGeodesicR
 # ---------------------------------------------------------------------------
 # isomorphism witnesses
 
-@dataclass(frozen=True)
-class SignedPermWitness:
+class SignedPermWitness(Record):
     """Signed permutation map: v_i -> vertex_signs[i-1] * v_{vertex_images[i-1]}
     and z_k -> color_signs[k-1] * z_{color_images[k-1]}."""
 
@@ -376,8 +372,7 @@ class SignedPermWitness:
         return IntMatrix.from_rows(m)
 
 
-@dataclass(frozen=True)
-class GeneralLinearWitness:
+class GeneralLinearWitness(Record):
     """Arbitrary invertible rational map in the v1..vq, z1..zp coordinate order;
     column b holds the image of basis vector b."""
 
@@ -390,8 +385,7 @@ class GeneralLinearWitness:
 IsoWitness = SignedPermWitness | GeneralLinearWitness
 
 
-@dataclass(frozen=True)
-class WitnessCheck:
+class WitnessCheck(Record):
     ok: bool
     failures: tuple[str, ...]
 

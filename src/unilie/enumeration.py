@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import itertools
 from collections.abc import Sequence
-from dataclasses import dataclass
 
 from . import exact
 from .algebra import (GeneralLinearWitness, SignedPermWitness, StructureTensor,
@@ -25,6 +24,7 @@ from .graphs import (BudgetExceededError, ColoredDigraph, DEFAULT_SEARCH_BUDGET,
                      canonical_graph, validate_uniform)
 from .families import (cyclic, free_two_step, heisenberg, quaternionic,
                        ring_algebra)
+from .record import Record
 
 DEFAULT_ENUM_BUDGET = 10 ** 7
 
@@ -221,8 +221,7 @@ def uniform_colorings(g: SimpleGraph, budget: int = DEFAULT_ENUM_BUDGET,
 # ---------------------------------------------------------------------------
 # factorizations of complete graphs
 
-@dataclass(frozen=True)
-class FactorizationReport:
+class FactorizationReport(Record):
     n: int
     kind: str                      # "one-factorization" | "near-one-factorization"
     labeled_count: int
@@ -275,16 +274,14 @@ def near_one_factorizations(n: int, budget: int = DEFAULT_ENUM_BUDGET) -> Factor
 # ---------------------------------------------------------------------------
 # sign classes over one support
 
-@dataclass(frozen=True)
-class SignClass:
+class SignClass(Record):
     members: tuple[int, ...]       # indices into orbit_representatives
     representative: StructureTensor
     heisenberg: bool
     witnesses: tuple[tuple[int, int, SignedPermWitness], ...]
 
 
-@dataclass(frozen=True)
-class SignClassReport:
+class SignClassReport(Record):
     tensor: StructureTensor
     orbit_representatives: tuple[StructureTensor, ...]
     classes: tuple[SignClass, ...]
@@ -418,8 +415,7 @@ def _gl_anchors() -> list[tuple[str, str, GeneralLinearWitness]]:
 # ---------------------------------------------------------------------------
 # named reference presentations
 
-@dataclass(frozen=True)
-class KnownPresentation:
+class KnownPresentation(Record):
     name: str
     tensor: StructureTensor
     ptype: tuple[int, int, int]
@@ -458,8 +454,7 @@ def known_presentations() -> list[KnownPresentation]:
 # ---------------------------------------------------------------------------
 # the classification pipeline
 
-@dataclass(frozen=True)
-class ClassificationRow:
+class ClassificationRow(Record):
     case: int
     types: tuple[tuple[int, int, int], ...]   # all (p, q, r) seen in the class
     s: int
@@ -469,8 +464,7 @@ class ClassificationRow:
     heisenberg: bool
 
 
-@dataclass(frozen=True)
-class Certificate:
+class Certificate(Record):
     left: int                  # case ids
     right: int
     kind: str                  # "dimension-split" | "derivation-dimension" | "central-direction"
@@ -487,8 +481,7 @@ class UndeterminedPairError(RuntimeError):
                          f"at (p, q) = ({left.p}, {left.q})")
 
 
-@dataclass(frozen=True)
-class _Candidate:
+class _Candidate(Record):
     tensor: StructureTensor
     ptype: tuple[int, int, int]
     s: int

@@ -11,15 +11,15 @@ tuples equals numeric order on the encodings.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections.abc import Iterable, Sequence
 from fractions import Fraction
-from typing import Iterable, Sequence
+
+from .record import Record
 
 Scalar = int | Fraction
 
 
-@dataclass(frozen=True)
-class IntMatrix:
+class IntMatrix(Record):
     """Immutable matrix with int or Fraction entries."""
 
     rows: tuple[tuple[Scalar, ...], ...]

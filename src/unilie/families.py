@@ -8,17 +8,16 @@ the type (p, q, r) stated in its docstring.  Vertex and color numbering are
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from math import comb
 
 from .graphs import ColoredDigraph, SimpleGraph
+from .record import Record
 
 
 # ---------------------------------------------------------------------------
 # finite groups, for the Cayley construction
 
-@dataclass(frozen=True)
-class FiniteGroup:
+class FiniteGroup(Record):
     """Multiplication table group on elements 0..order-1 with identity 0.
 
     table[a][b] is the product a*b.  Validation checks the Latin-square
@@ -201,22 +200,21 @@ def kneser(n: int, m: int) -> ColoredDigraph:
     with type (5, 10, 3).
     """
     check_parameters("kneser", n, m)
-    universe = range(1, n + 1)
-    verts = sorted(itertools.combinations(universe, m), key=lambda s: s[::-1])
-    vidx = {s: i for i, s in enumerate(verts, start=1)}
-    csize = n - 2 * m
-    colors = sorted(itertools.combinations(universe, csize), key=lambda s: s[::-1])
-    cidx = {s: k for k, s in enumerate(colors, start=1)}
+    verts = sorted(itertools.combinations(range(1, n + 1), m), key=lambda s: s[::-1])
+    # complementing reverses colex order, so the 1-based colex rank of the
+    # complement of a 2m-subset u is C(n, 2m) minus the 0-based rank of u
+    p = comb(n, 2 * m)
     arcs = []
-    for a, b in itertools.combinations(verts, 2):
-        if set(a) & set(b):
-            continue
-        rest = tuple(sorted(set(universe) - set(a) - set(b)))
-        i, j = vidx[a], vidx[b]
-        if i > j:
-            i, j = j, i
-        arcs.append((i, j, cidx[rest]))
-    return ColoredDigraph.from_arcs(len(verts), len(colors), arcs)
+    for (i, a), (j, b) in itertools.combinations(enumerate(verts, start=1), 2):
+        if set(a).isdisjoint(b):
+            arcs.append((i, j, p - _colex_rank(sorted(a + b))))
+    return ColoredDigraph.from_arcs(len(verts), p, arcs)
+
+
+def _colex_rank(subset) -> int:
+    """0-based colex rank of an increasing tuple of 1-based elements among
+    the subsets of its size."""
+    return sum(comb(x - 1, i) for i, x in enumerate(subset, start=1))
 
 
 def cayley(group: FiniteGroup, generators) -> ColoredDigraph:

@@ -14,9 +14,9 @@ every violation of these conditions rather than stopping at the first.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 
 from .exact import IntMatrix
+from .record import Record
 
 
 class BudgetExceededError(RuntimeError):
@@ -31,8 +31,7 @@ class BudgetExceededError(RuntimeError):
 DEFAULT_SEARCH_BUDGET = 10**8
 
 
-@dataclass(frozen=True)
-class SimpleGraph:
+class SimpleGraph(Record):
     """Plain undirected simple graph; edges are 1-based pairs (i, j) with i < j."""
 
     q: int
@@ -62,8 +61,7 @@ class SimpleGraph:
         return sorted(self.edges)
 
 
-@dataclass(frozen=True)
-class ColoredDigraph:
+class ColoredDigraph(Record):
     """Directed graph with arc colors; the core combinatorial object.
 
     arcs holds 1-based triples (tail, head, color).  Construction rejects
@@ -122,26 +120,22 @@ class ColoredDigraph:
 # ---------------------------------------------------------------------------
 # uniformity report
 
-@dataclass(frozen=True)
-class NonProper:
+class NonProper(Record):
     vertex: int
     color: int
 
 
-@dataclass(frozen=True)
-class ColorCountMismatch:
+class ColorCountMismatch(Record):
     color: int
     count: int
 
 
-@dataclass(frozen=True)
-class NotRegular:
+class NotRegular(Record):
     vertex: int
     degree: int
 
 
-@dataclass(frozen=True)
-class NotSurjective:
+class NotSurjective(Record):
     color: int
 
 
@@ -155,8 +149,7 @@ def _sort_violations(violations) -> tuple[Violation, ...]:
                         key=lambda v: (_VIOLATION_ORDER[type(v)],) + tuple(vars(v).values())))
 
 
-@dataclass(frozen=True)
-class UniformityReport:
+class UniformityReport(Record):
     """Outcome of the uniformity check; r and s are meaningful only when
     is_uniform holds (they are best-effort modal values otherwise)."""
 
@@ -246,8 +239,7 @@ def skew_adjacency(g: ColoredDigraph, k: int) -> IntMatrix:
 # ---------------------------------------------------------------------------
 # color-permuting automorphisms and coloring equivalence
 
-@dataclass(frozen=True)
-class ColorPermAutomorphism:
+class ColorPermAutomorphism(Record):
     """A pair of permutations (vertices, colors) preserving the coloring.
 
     vertex_images[i-1] is the image of v_i, color_images[k-1] the image of

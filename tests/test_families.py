@@ -25,7 +25,7 @@ from unilie.families import (
     trivial_coloring,
     vertex_count,
 )
-from unilie.graphs import SimpleGraph, colorings_equivalent, validate_uniform
+from unilie.graphs import ColoredDigraph, SimpleGraph, colorings_equivalent, validate_uniform
 
 
 def uniform_type(g):
@@ -124,6 +124,31 @@ class TestKneser:
     def test_rejects_touching_subsets(self):
         with pytest.raises(ValueError):
             kneser(4, 2)
+
+    @pytest.mark.parametrize("n,m", [(n, m) for n in range(3, 10)
+                                     for m in range(1, (n - 1) // 2 + 1)])
+    def test_matches_complement_lookup(self, n, m):
+        assert kneser(n, m) == oracle_kneser(n, m)
+
+
+def oracle_kneser(n, m):
+    """Kneser graph with each edge colored by looking up the complement of
+    its union in the colex-sorted list of (n - 2m)-subsets."""
+    universe = range(1, n + 1)
+    verts = sorted(itertools.combinations(universe, m), key=lambda s: s[::-1])
+    vidx = {s: i for i, s in enumerate(verts, start=1)}
+    colors = sorted(itertools.combinations(universe, n - 2 * m), key=lambda s: s[::-1])
+    cidx = {s: k for k, s in enumerate(colors, start=1)}
+    arcs = []
+    for a, b in itertools.combinations(verts, 2):
+        if set(a) & set(b):
+            continue
+        rest = tuple(sorted(set(universe) - set(a) - set(b)))
+        i, j = vidx[a], vidx[b]
+        if i > j:
+            i, j = j, i
+        arcs.append((i, j, cidx[rest]))
+    return ColoredDigraph.from_arcs(len(verts), len(colors), arcs)
 
 
 class TestGroups:

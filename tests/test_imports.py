@@ -2,6 +2,9 @@
 private name it defines is used somewhere in the library."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import unilie
@@ -29,17 +32,27 @@ def test_no_unused_imports():
     assert {name: names for name, names in found.items() if names} == {}
 
 
-def _is_dataclass(node: ast.ClassDef) -> bool:
-    for d in node.decorator_list:
-        target = d.func if isinstance(d, ast.Call) else d
-        if isinstance(target, ast.Name) and target.id == "dataclass":
-            return True
-    return False
+def test_cli_import_skips_code_generation_modules():
+    """A fresh interpreter importing the CLI loads neither `dataclasses` nor
+    `inspect`, which together cost tens of milliseconds per invocation."""
+    src = str(Path(unilie.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    code = ("import sys; before = set(sys.modules); import unilie.cli; "
+            "print(sorted({'dataclasses', 'inspect'} & (set(sys.modules) - before)))")
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
+def _is_record(node: ast.ClassDef) -> bool:
+    return any(isinstance(b, ast.Name) and b.id == "Record" for b in node.bases)
 
 
 def unread_private_names(sources: dict[str, str]) -> list[str]:
     """Module-level private functions and classes that nothing else in the
-    sources references, and fields of private dataclasses that no attribute
+    sources references, and fields of private records that no attribute
     access reads."""
     trees = {name: ast.parse(text) for name, text in sources.items()}
     nodes = [n for tree in trees.values() for n in ast.walk(tree)]
@@ -59,7 +72,7 @@ def unread_private_names(sources: dict[str, str]) -> list[str]:
                 for n in nodes)
             if not used:
                 out.append(f"{module}.{node.name}")
-            if isinstance(node, ast.ClassDef) and _is_dataclass(node):
+            if isinstance(node, ast.ClassDef) and _is_record(node):
                 out += [f"{module}.{node.name}.{f.target.id}" for f in node.body
                         if isinstance(f, ast.AnnAssign) and isinstance(f.target, ast.Name)
                         and f.target.id not in loaded_attrs]
@@ -74,10 +87,9 @@ def test_every_private_name_is_read():
 
 def test_unread_private_names_are_found():
     source = '''
-from dataclasses import dataclass
+from .record import Record
 
-@dataclass(frozen=True)
-class _Row:
+class _Row(Record):
     kept: int
     dropped: int
 
