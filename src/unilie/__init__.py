@@ -1,32 +1,66 @@
 """Uniformly colored digraphs and the two-step nilpotent Lie algebras they
-encode, with exact arithmetic throughout."""
+encode, with exact arithmetic throughout.
 
-from .graphs import (BudgetExceededError, ColorPermAutomorphism, ColoredDigraph,
-                     SimpleGraph, UniformityReport, automorphisms,
-                     canonical_coloring, canonical_graph, colorings_equivalent,
-                     connected_components, disjoint_union, relabel,
-                     validate_uniform)
-from .algebra import (GeneralLinearWitness, NVector, SignedPermWitness,
-                      StructureTensor, WitnessCheck, ad_matrix, ad_rank,
-                      bracket, center, centralizer, check_witness, commutator,
-                      compose_witnesses, concatenate, derivation_dim,
-                      diagonal_orbit_count, diagonal_orbit_representatives,
-                      diagonal_witness, from_graph, invert_witness,
-                      is_heisenberg_type, j_basis, j_gram, j_map,
-                      lift_automorphism, sign_orbit_canonical, sign_vector,
-                      signed_perm_isomorphic, to_graph, totally_geodesic)
-from .families import (FiniteGroup, cayley, cyclic, cyclic_group,
-                       dihedral_bipartite, dihedral_group,
-                       elementary_abelian_group, free_two_step,
-                       from_factorization, heisenberg, kneser, quaternionic,
-                       ring_algebra, symmetric_group, trivial_coloring)
-from .enumeration import (ClassificationRow, FactorizationReport,
-                          KnownPresentation, SignClass, SignClassReport,
-                          UndeterminedPairError, classify, classify_detailed,
-                          distinguish, known_presentations,
-                          near_factorization_sign_witness,
-                          near_one_factorizations, one_factorizations,
-                          regular_graphs, ring_sum_witness, sign_class_report,
-                          uniform_colorings)
+Importing the package loads no submodule: each public name below, and each
+submodule, is imported on first access (PEP 562) and then kept here."""
+
+import importlib
 
 __version__ = "0.1.0"
+
+# module -> the public names the package re-exports from it
+_EXPORTS = {
+    "graphs": ("BudgetExceededError", "ColorPermAutomorphism", "ColoredDigraph",
+               "SimpleGraph", "UniformityReport", "automorphisms",
+               "canonical_graph", "colorings_equivalent",
+               "connected_components", "disjoint_union", "relabel",
+               "validate_uniform"),
+    "algebra": ("GeneralLinearWitness", "NVector", "SignedPermWitness",
+                "StructureTensor", "WitnessCheck", "ad_matrix", "ad_rank",
+                "bracket", "center", "centralizer", "check_witness",
+                "commutator", "compose_witnesses", "concatenate",
+                "derivation_dim", "diagonal_orbit_representatives",
+                "diagonal_witness", "from_graph", "invert_witness",
+                "is_heisenberg_type", "j_basis", "j_gram", "j_map",
+                "lift_automorphism", "sign_vector", "signed_perm_isomorphic",
+                "to_graph", "totally_geodesic"),
+    "families": ("FiniteGroup", "cayley", "cyclic", "cyclic_group",
+                 "dihedral_bipartite", "dihedral_group",
+                 "elementary_abelian_group", "free_two_step",
+                 "from_factorization", "heisenberg", "kneser", "quaternionic",
+                 "ring_algebra", "symmetric_group", "trivial_coloring"),
+    "enumeration": ("ClassificationRow", "FactorizationReport",
+                    "KnownPresentation", "SignClass", "SignClassReport",
+                    "UndeterminedPairError", "classify", "classify_detailed",
+                    "distinguish", "known_presentations",
+                    "near_factorization_sign_witness",
+                    "near_one_factorizations", "one_factorizations",
+                    "regular_graphs", "ring_sum_witness", "sign_class_report",
+                    "uniform_colorings"),
+    "exact": (),
+    "record": (),
+    "serialize": (),
+    "cli": (),
+}
+
+# every lazily importable name -> its module; a submodule maps to itself
+_MODULE_OF = {name: module for module, names in _EXPORTS.items()
+              for name in (module, *names)}
+
+__all__ = sorted(_MODULE_OF)
+
+
+def __getattr__(name):
+    try:
+        module = _MODULE_OF[name]
+    except KeyError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    value = importlib.import_module(f"{__name__}.{module}")
+    if name != module:
+        value = getattr(value, name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

@@ -518,22 +518,6 @@ def _bits_to_signs(bits) -> tuple[int, ...]:
     return tuple(1 if b == 0 else -1 for b in bits)
 
 
-def sign_orbit_canonical(t: StructureTensor) -> tuple[int, ...]:
-    """Lexicographically least sign vector reachable from t by negating basis
-    vectors (+1 sorts before -1).  Tensors with equal support, colors, and
-    canonical vector are isomorphic via a diagonal witness."""
-    pairs = support_pairs(t)
-    width = len(pairs)
-    v = exact.gf2_from_bits(_signs_to_bits(sign_vector(t)), width)
-    reduced = exact.gf2_reduce(v, _flip_space(t))
-    return _bits_to_signs(exact.gf2_to_bits(reduced, width))
-
-
-def diagonal_orbit_count(t: StructureTensor) -> int:
-    """Number of diagonal-action orbits on sign vectors over this support."""
-    return 2 ** (len(support_pairs(t)) - len(_flip_space(t)))
-
-
 def diagonal_orbit_representatives(t: StructureTensor,
                                    budget: int = 1 << 20) -> list[StructureTensor]:
     """One canonical representative per diagonal orbit, lexicographic order."""

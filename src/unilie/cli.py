@@ -5,25 +5,15 @@ Reports are a human-readable section followed by a fenced ```machine block
 holding deterministic JSON, so scripted callers parse the fence and people
 read the prose.  Exit codes: 0 success, 1 property fails, 2 usage error,
 3 budget exceeded, 4 undetermined isomorphism question.
+
+Parsing the command line loads no library module, so `--help` and usage
+errors stay cheap; each verb imports the modules it uses when it runs.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
-
-from . import families, serialize
-from .algebra import (StructureTensor, ad_rank, center, centralizer,
-                      check_witness, commutator, derivation_dim, from_graph,
-                      is_heisenberg_type, j_basis, j_gram, sign_vector,
-                      signed_perm_isomorphic, to_graph, totally_geodesic)
-from .enumeration import (UndeterminedPairError, classify_detailed,
-                          distinguish, near_one_factorizations,
-                          one_factorizations, sign_class_report)
-from .graphs import (BudgetExceededError, ColoredDigraph,
-                     DEFAULT_SEARCH_BUDGET, colorings_equivalent,
-                     connected_components, validate_uniform)
 
 EXIT_OK = 0
 EXIT_PROPERTY = 1
@@ -37,6 +27,7 @@ class _Usage(Exception):
 
 
 def _machine(payload: dict) -> str:
+    import json
     return "```machine\n" + json.dumps(payload, sort_keys=True, indent=2) + "\n```\n"
 
 
@@ -51,6 +42,7 @@ def _emit(args, human: str, payload: dict, file_body: str | None = None) -> None
 
 
 def _read_inputs(args, count=None):
+    from . import serialize
     paths = args.input or []
     if count is not None and len(paths) != count:
         raise _Usage(f"this verb needs exactly {count} --input file(s), got {len(paths)}")
@@ -64,7 +56,9 @@ def _read_inputs(args, count=None):
     return objs
 
 
-def _as_tensor(obj) -> StructureTensor:
+def _as_tensor(obj):
+    from .algebra import StructureTensor, from_graph
+    from .graphs import ColoredDigraph
     if isinstance(obj, ColoredDigraph):
         return from_graph(obj)
     if isinstance(obj, StructureTensor):
@@ -72,7 +66,9 @@ def _as_tensor(obj) -> StructureTensor:
     raise _Usage("expected a graph or algebra file, got a witness file")
 
 
-def _as_graph(obj) -> ColoredDigraph:
+def _as_graph(obj):
+    from .algebra import to_graph
+    from .graphs import ColoredDigraph
     return obj if isinstance(obj, ColoredDigraph) else to_graph(_as_tensor(obj))
 
 
@@ -92,6 +88,7 @@ def _report_dict(rep) -> dict:
 # verbs
 
 def _cmd_verify(args) -> int:
+    from .graphs import validate_uniform
     (obj,) = _read_inputs(args, 1)
     rep = validate_uniform(_as_graph(obj))
     lines = [f"uniformity check on q={rep.q}, p={rep.p}"]
@@ -105,14 +102,15 @@ def _cmd_verify(args) -> int:
     return EXIT_OK if rep.is_uniform else EXIT_PROPERTY
 
 
+# verb name -> (builder in `families`, parameter count)
 _FAMILIES = {
-    "heisenberg": (families.heisenberg, 1),
-    "free": (families.free_two_step, 1),
-    "ring": (families.ring_algebra, 1),
-    "quaternionic": (families.quaternionic, 0),
-    "cyclic": (families.cyclic, 1),
-    "kneser": (families.kneser, 2),
-    "dihedral-bipartite": (families.dihedral_bipartite, 1),
+    "heisenberg": ("heisenberg", 1),
+    "free": ("free_two_step", 1),
+    "ring": ("ring_algebra", 1),
+    "quaternionic": ("quaternionic", 0),
+    "cyclic": ("cyclic", 1),
+    "kneser": ("kneser", 2),
+    "dihedral-bipartite": ("dihedral_bipartite", 1),
 }
 
 # the largest vertex count `family` builds; kneser(n, 1) stores C(n, 2)
@@ -124,6 +122,8 @@ _VARIANTS = {"ring": "primed", "quaternionic": "associate"}
 
 
 def _cmd_family(args) -> int:
+    from . import families, serialize
+    from .graphs import validate_uniform
     name = args.name
     if name not in _FAMILIES:
         raise _Usage(f"unknown family '{name}'; choose from "
@@ -142,16 +142,16 @@ def _cmd_family(args) -> int:
             raise _Usage(f"family '{name}' has no variant '{args.variant}'")
         kwargs[args.variant] = True
     try:
-        families.check_parameters(builder.__name__, *fargs)
+        families.check_parameters(builder, *fargs)
         # a parameter above the limit is refused before a count that may be
         # huge is computed, since no accepted parameter exceeds the count
         q = max(fargs, default=0)
         if q <= FAMILY_MAX_VERTICES:
-            q = families.vertex_count(builder.__name__, *fargs)
+            q = families.vertex_count(builder, *fargs)
         if q > FAMILY_MAX_VERTICES:
             raise _Usage(f"family '{name}' would have at least {q} vertices; "
                          f"the limit is {FAMILY_MAX_VERTICES}")
-        g = builder(*fargs, **kwargs)
+        g = getattr(families, builder)(*fargs, **kwargs)
     except ValueError as exc:
         raise _Usage(str(exc))
     rep = validate_uniform(g)
@@ -167,6 +167,8 @@ def _cmd_family(args) -> int:
 
 
 def _format_object(obj, fmt: str) -> str:
+    from . import serialize
+    from .graphs import ColoredDigraph
     if fmt == "dot":
         return serialize.write_dot(_as_graph(obj))
     if fmt == "data":
@@ -177,6 +179,11 @@ def _format_object(obj, fmt: str) -> str:
 
 
 def _cmd_analyze(args) -> int:
+    from . import serialize
+    from .algebra import (ad_rank, center, centralizer, commutator,
+                          derivation_dim, is_heisenberg_type, j_basis, j_gram,
+                          totally_geodesic)
+    from .graphs import connected_components, validate_uniform
     (obj,) = _read_inputs(args, 1)
     t, g = _as_tensor(obj), _as_graph(obj)
     rep = validate_uniform(g)
@@ -228,6 +235,10 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_iso(args) -> int:
+    from . import serialize
+    from .algebra import check_witness, signed_perm_isomorphic
+    from .enumeration import distinguish
+    from .graphs import ColoredDigraph, colorings_equivalent
     objs = _read_inputs(args)
     if len(objs) == 3:
         a, b, w = objs
@@ -302,6 +313,9 @@ def _render_certificate(kind: str, left, right) -> tuple[str, dict]:
 
 
 def _cmd_orbit(args) -> int:
+    from . import serialize
+    from .algebra import sign_vector
+    from .enumeration import sign_class_report
     (obj,) = _read_inputs(args, 1)
     t = _as_tensor(obj)
     try:
@@ -328,6 +342,8 @@ def _cmd_orbit(args) -> int:
 
 
 def _cmd_classify(args) -> int:
+    from . import serialize
+    from .enumeration import UndeterminedPairError, classify_detailed
     try:
         rows, certs = classify_detailed(args.qmax, budget=args.budget)
     except ValueError as exc:
@@ -369,6 +385,8 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_factorize(args) -> int:
+    from . import serialize
+    from .enumeration import near_one_factorizations, one_factorizations
     n = args.n
     if not 2 <= n <= 8:
         raise _Usage(f"factorize supports n from 2 to 8, got {n}")
@@ -389,6 +407,7 @@ def _cmd_factorize(args) -> int:
 
 
 def _cmd_export(args) -> int:
+    from . import serialize
     (obj,) = _read_inputs(args, 1)
     body = _format_object(obj, args.format)
     payload = serialize.to_data(obj)
@@ -436,7 +455,7 @@ def _build_parser() -> argparse.ArgumentParser:
                                  default=default)
     for name in ("iso", "orbit", "classify", "factorize"):
         verbs[name].add_argument(
-            "--budget", type=_positive_int, default=DEFAULT_SEARCH_BUDGET,
+            "--budget", type=_positive_int,
             help="search node budget before aborting with exit 3")
     verbs["iso"].add_argument(
         "--strict-equivalence", action="store_true",
@@ -467,12 +486,14 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
+    from . import serialize
+    from .graphs import DEFAULT_SEARCH_BUDGET, BudgetExceededError
+    # the default is filled in here so that parsing imports no library module
+    if hasattr(args, "budget") and args.budget is None:
+        args.budget = DEFAULT_SEARCH_BUDGET
     try:
         return _DISPATCH[args.verb](args)
-    except _Usage as exc:
-        sys.stderr.write(f"usage error: {exc}\n")
-        return EXIT_USAGE
-    except serialize.ParseError as exc:
+    except (_Usage, serialize.ParseError) as exc:
         sys.stderr.write(f"usage error: {exc}\n")
         return EXIT_USAGE
     except BudgetExceededError as exc:

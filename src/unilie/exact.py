@@ -197,19 +197,6 @@ def nullspace(rows: Sequence[Sequence[Scalar]], ncols: int | None = None) -> lis
     return basis
 
 
-def solve(a: IntMatrix, b: Sequence[Scalar]) -> tuple[Fraction, ...] | None:
-    """One exact solution of a x = b, or None if inconsistent."""
-    aug = [list(map(Fraction, row)) + [Fraction(bv)] for row, bv in zip(a.rows, b)]
-    red, pivots = _rref(aug)
-    nc = a.ncols
-    if nc in pivots:
-        return None
-    x = [Fraction(0)] * nc
-    for r, c in enumerate(pivots):
-        x[c] = red[r][nc]
-    return tuple(x)
-
-
 def inverse(a: IntMatrix) -> IntMatrix | None:
     """Exact inverse over the rationals, or None if singular."""
     n = a.nrows
@@ -221,25 +208,6 @@ def inverse(a: IntMatrix) -> IntMatrix | None:
     if pivots != list(range(n)):
         return None
     return IntMatrix(tuple(tuple(red[i][n:]) for i in range(n)))
-
-
-def charpoly(a: IntMatrix) -> tuple[Scalar, ...]:
-    """Coefficients of det(x I - A), highest degree first, via Faddeev-LeVerrier."""
-    n = a.nrows
-    if n != a.ncols:
-        raise ValueError("charpoly of non-square matrix")
-    coeffs: list[Fraction] = [Fraction(1)]
-    mk = IntMatrix.identity(n)
-    for k in range(1, n + 1):
-        mk = a @ mk
-        c = Fraction(-mk.trace(), k)
-        coeffs.append(c)
-        mk = mk + IntMatrix.identity(n).scale(c)
-    out: list[Scalar] = []
-    for c in coeffs:
-        f = Fraction(c)
-        out.append(int(f) if f.denominator == 1 else f)
-    return tuple(out)
 
 
 # ---------------------------------------------------------------------------

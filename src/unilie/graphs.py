@@ -15,7 +15,6 @@ from __future__ import annotations
 
 from collections import Counter
 
-from .exact import IntMatrix
 from .record import Record
 
 
@@ -213,27 +212,6 @@ def validate_uniform(g: ColoredDigraph) -> UniformityReport:
     ordered = _sort_violations(violations)
     is_uniform = not ordered and s >= 1
     return UniformityReport(is_uniform=is_uniform, p=g.p, q=g.q, r=r, s=s, violations=ordered)
-
-
-def color_classes(g: ColoredDigraph) -> tuple[tuple[tuple[int, int, int], ...], ...]:
-    """Arcs grouped by color; entry k-1 lists the arcs of color k, sorted."""
-    classes: list[list[tuple[int, int, int]]] = [[] for _ in range(g.p)]
-    for arc in g.arcs:
-        classes[arc[2] - 1].append(arc)
-    return tuple(tuple(sorted(c)) for c in classes)
-
-
-def skew_adjacency(g: ColoredDigraph, k: int) -> IntMatrix:
-    """Skew-symmetric adjacency of color class k: entry (i, j) is +1 when the
-    arc (v_i, v_j, z_k) is present, -1 for the reverse arc, else 0."""
-    if not (1 <= k <= g.p):
-        raise ValueError(f"color {k} out of range")
-    m = [[0] * g.q for _ in range(g.q)]
-    for (i, j, c) in g.arcs:
-        if c == k:
-            m[i - 1][j - 1] = 1
-            m[j - 1][i - 1] = -1
-    return IntMatrix.from_rows(m)
 
 
 # ---------------------------------------------------------------------------
@@ -539,36 +517,6 @@ def _automorphism_generators(g: SimpleGraph, strict: bool,
     i < j onto an edge with the same orientation.  Each search node counts
     against budget."""
     return _graph_search(g, strict, budget)[1]
-
-
-def canonical_coloring(g: ColoredDigraph, strict: bool = False,
-                       budget: int = DEFAULT_SEARCH_BUDGET) -> ColoredDigraph:
-    """Canonical relabeling of g under vertex and color permutations: two
-    colorings give the same result exactly when colorings_equivalent finds a
-    map between them.  By default arc directions are ignored and the result
-    has tail < head; strict=True keeps them."""
-    q = g.q
-    arcs = [(i - 1, j - 1, q + k - 1) for i, j, k in g.arcs]
-    incid: list[list[tuple[int, int, int]]] = [[] for _ in range(q + g.p)]
-    for a, b, c in arcs:
-        incid[a].append((0, b, c))
-        incid[b].append((1 if strict else 0, a, c))
-        incid[c].append((2, a, b))
-        if not strict:
-            incid[c].append((2, b, a))
-
-    def form_of(lab):
-        out = []
-        for a, b, c in arcs:
-            la, lb = lab[a], lab[b]
-            out.append((la, lb, lab[c]) if strict or la < lb else (lb, la, lab[c]))
-        out.sort()
-        return out
-
-    cells = [list(range(q)), list(range(q, q + g.p))]
-    form, _ = _canonical_form(cells, incid, form_of, budget)
-    return ColoredDigraph(q, g.p, frozenset((a + 1, b + 1, c - q + 1)
-                                            for a, b, c in form))
 
 
 def relabel(g: ColoredDigraph, a: ColorPermAutomorphism) -> ColoredDigraph:

@@ -33,7 +33,8 @@ def _body_lines(text: str) -> list[str]:
     return out
 
 
-def _parse_header(line: str, expected: str) -> dict[str, str]:
+def _parse_header(line: str, expected: str,
+                  allowed: tuple[str, ...] = ("q", "p")) -> dict[str, str]:
     parts = line.split()
     if parts[:2] != expected.split():
         raise ParseError(f"expected header '{expected}', got '{line}'")
@@ -42,6 +43,10 @@ def _parse_header(line: str, expected: str) -> dict[str, str]:
         if "=" not in tok:
             raise ParseError(f"malformed header field '{tok}'")
         key, val = tok.split("=", 1)
+        if key not in allowed:
+            raise ParseError(f"unknown header field '{key}'")
+        if key in fields:
+            raise ParseError(f"repeated header field '{key}'")
         fields[key] = val
     return fields
 
@@ -203,19 +208,29 @@ def _parse_signs(parts: list[str], n: int) -> tuple[int, ...]:
     return tuple(out)
 
 
+_SIGNED_PERM_KEYS = ("vertex-images", "vertex-cycles", "vertex-signs",
+                     "color-images", "color-cycles", "color-signs")
+
+
 def parse_witness(text: str) -> tuple[IsoWitness, int, int]:
     lines = _body_lines(text)
     if not lines:
         raise ParseError("empty input")
-    fields = _parse_header(lines[0], WITNESS_HEADER)
+    fields = _parse_header(lines[0], WITNESS_HEADER, ("kind", "q", "p"))
     q, p = _header_int(fields, "q"), _header_int(fields, "p")
     kind = fields.get("kind")
     if kind == "signed-perm":
         data: dict[str, list[str]] = {}
         for line in lines[1:]:
             key, _, rest = line.partition(" ")
+            if key not in _SIGNED_PERM_KEYS:
+                raise ParseError(f"unknown witness line '{key}'")
+            if key in data:
+                raise ParseError(f"repeated witness line '{key}'")
             data[key] = rest.split()
         def perm(key: str, size: str, n: int) -> tuple[int, ...]:
+            if key + "-images" in data and key + "-cycles" in data:
+                raise ParseError(f"give {key}-images or {key}-cycles, not both")
             if key + "-images" in data:
                 words = data[key + "-images"]
                 imgs = _ints(words, " ".join([key + "-images"] + words))

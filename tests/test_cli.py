@@ -10,10 +10,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from unilie import cli, families
 from unilie.algebra import GeneralLinearWitness, from_graph
 from unilie.cli import FAMILY_MAX_VERTICES, main
 from unilie.exact import IntMatrix
 from unilie.families import free_two_step, heisenberg, kneser, quaternionic, ring_algebra
+from unilie.graphs import DEFAULT_SEARCH_BUDGET
 from unilie.serialize import (
     parse_any,
     parse_graph,
@@ -518,6 +520,28 @@ class TestUsage:
         assert f"header says {size}" in err and f"lists {count} images" in err
         assert "signs" not in err
 
+    @pytest.mark.parametrize("body,message", [
+        ("unilie-graph v1 q=3 p=1 q=4 bogus=x\n1 2 1\n", "repeated header field 'q'"),
+        ("unilie-graph v1 q=2 p=1 bogus=x\n1 2 1\n", "unknown header field 'bogus'"),
+        ("unilie-algebra v1 q=2 p=1 p=1\n1 2 1 +1\n", "repeated header field 'p'"),
+        ("unilie-witness v1 kind=signed-perm q=4 p=1\nvertex-image 2 1 3 4\n",
+         "unknown witness line 'vertex-image'"),
+        ("unilie-witness v1 kind=signed-perm q=2 p=1\nvertex-images 2 1\n"
+         "vertex-images 1 2\n", "repeated witness line 'vertex-images'"),
+        ("unilie-witness v1 kind=signed-perm q=2 p=1\nvertex-images 2 1\n"
+         "vertex-cycles (1 2)\n", "not both"),
+    ], ids=["graph-repeated-q", "graph-unknown-field", "algebra-repeated-p",
+             "witness-unknown-line", "witness-repeated-line",
+             "witness-images-and-cycles"])
+    def test_unknown_or_repeated_field_is_usage_error(self, capsys, tmp_path,
+                                                      body, message):
+        path = tmp_path / "bad.txt"
+        path.write_text(body)
+        code = main(["export", "--input", str(path), "--format", "data"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert message in captured.err
+
     @pytest.mark.parametrize("entry", ["1/0", "abc"])
     def test_bad_witness_entry_is_usage_error(self, capsys, tmp_path, entry):
         g, w = tmp_path / "h.graph", tmp_path / "w.txt"
@@ -527,6 +551,82 @@ class TestUsage:
         code, _ = run(capsys, "iso", "--input", str(g), "--input", str(g),
                       "--input", str(w))
         assert code == 2
+
+
+HELP_TEXT = """\
+usage: unilie [-h]
+              {verify,family,analyze,iso,orbit,classify,factorize,export} ...
+
+uniformly colored digraphs and their nilpotent Lie algebras
+
+positional arguments:
+  {verify,family,analyze,iso,orbit,classify,factorize,export}
+    verify              uniformity report
+    family              emit a construction
+    analyze             full structure dossier
+    iso                 equivalence/isomorphism/witness check
+    orbit               diagonal sign classes
+    classify            small-q classification
+    factorize           matching factorizations of K_n
+    export              rewrite an object in a format
+
+options:
+  -h, --help            show this help message and exit
+"""
+
+CLASSIFY_HELP_TEXT = """\
+usage: unilie classify [-h] [--output OUTPUT] [--budget BUDGET] [--qmax QMAX]
+
+options:
+  -h, --help       show this help message and exit
+  --output OUTPUT  also write the report to this file
+  --budget BUDGET  search node budget before aborting with exit 3
+  --qmax QMAX
+"""
+
+
+class TestParserEdges:
+    """What the parser decides before a verb runs: help text, usage exits and
+    the budget default."""
+
+    @pytest.mark.parametrize("argv,text", [
+        (["--help"], HELP_TEXT), (["classify", "--help"], CLASSIFY_HELP_TEXT)])
+    def test_help_text(self, capsys, monkeypatch, argv, text):
+        monkeypatch.setenv("COLUMNS", "80")
+        code, out = run(capsys, *argv)
+        assert code == 0
+        assert out == text
+
+    @pytest.mark.parametrize("argv", [
+        ["summon"], ["classify", "--qmax", "0"], ["factorize"], ["family"]])
+    def test_parser_rejections_exit_two(self, capsys, argv):
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == "" and captured.err.startswith("usage: unilie")
+
+    @pytest.mark.parametrize("argv,budget", [
+        (["classify"], DEFAULT_SEARCH_BUDGET),
+        (["factorize", "4"], DEFAULT_SEARCH_BUDGET),
+        (["orbit", "--input", "x"], DEFAULT_SEARCH_BUDGET),
+        (["iso", "--input", "x", "--input", "y"], DEFAULT_SEARCH_BUDGET),
+        (["iso", "--budget", "7"], 7),
+        (["classify", "--budget", "1"], 1),
+    ])
+    def test_budget_default(self, monkeypatch, argv, budget):
+        seen = []
+        monkeypatch.setitem(cli._DISPATCH, argv[0],
+                            lambda args: seen.append(args.budget) or 0)
+        assert main(argv) == 0
+        assert seen == [budget]
+
+    @pytest.mark.parametrize("name", sorted(cli._FAMILIES))
+    def test_family_builders_resolve_by_name(self, name):
+        builder, arity = cli._FAMILIES[name]
+        fn = getattr(families, builder)
+        assert callable(fn) and fn.__name__ == builder
+        params = {0: (), 1: (3,), 2: (5, 2)}[arity]
+        assert families.vertex_count(builder, *params) == fn(*params).q
 
 
 # every verb with arguments that succeed, and the flags the verb does not read

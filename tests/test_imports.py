@@ -2,12 +2,17 @@
 private name it defines is used somewhere in the library."""
 
 import ast
+import importlib
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import unilie
+from unilie import serialize
+from unilie.families import quaternionic
 
 MODULES = sorted(p for p in Path(unilie.__file__).parent.glob("*.py")
                  if p.name != "__init__.py")
@@ -44,6 +49,85 @@ def test_cli_import_skips_code_generation_modules():
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def fresh_unilie_modules(code: str) -> list[str]:
+    """Run code in a fresh interpreter with `src` on the path and return the
+    unilie modules loaded at its end, sorted."""
+    src = str(Path(unilie.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    code += ("\nimport sys; print(sorted(m for m in sys.modules"
+             " if m.split('.')[0] == 'unilie'))")
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    return ast.literal_eval(proc.stdout.strip().splitlines()[-1])
+
+
+def test_package_import_loads_no_submodule():
+    assert fresh_unilie_modules("import unilie") == ["unilie"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["--help"], ["classify", "--help"], ["summon"], ["classify", "--qmax", "0"],
+    ["factorize"], ["family"]])
+def test_parser_exits_load_only_the_cli(argv):
+    code = ("import contextlib, io, unilie.cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()), "
+            "contextlib.redirect_stderr(io.StringIO()):\n"
+            f"    assert unilie.cli.main({argv!r}) in (0, 2)")
+    assert fresh_unilie_modules(code) == ["unilie", "unilie.cli"]
+
+
+@pytest.mark.parametrize("verb,absent", [
+    ("verify", {"unilie.enumeration", "unilie.families"}),
+    ("analyze", {"unilie.enumeration", "unilie.families"}),
+    ("export", {"unilie.enumeration", "unilie.families"}),
+])
+def test_verbs_skip_modules_they_do_not_use(tmp_path, verb, absent):
+    path = tmp_path / "quat.graph"
+    path.write_text(serialize.write_graph(quaternionic()))
+    code = ("import contextlib, io, unilie.cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    assert unilie.cli.main([{verb!r}, '--input', {str(path)!r}]) == 0")
+    loaded = set(fresh_unilie_modules(code))
+    assert "unilie.serialize" in loaded
+    assert not loaded & absent
+
+
+def test_family_skips_enumeration():
+    code = ("import contextlib, io, unilie.cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    assert unilie.cli.main(['family', 'kneser', '5', '2']) == 0")
+    loaded = fresh_unilie_modules(code)
+    assert "unilie.families" in loaded and "unilie.enumeration" not in loaded
+
+
+def test_name_table_resolves_every_entry():
+    modules = set(unilie._EXPORTS)
+    assert modules == {p.stem for p in MODULES}
+    for name, module in unilie._MODULE_OF.items():
+        mod = importlib.import_module(f"unilie.{module}")
+        expected = mod if name == module else getattr(mod, name)
+        assert getattr(unilie, name) is expected, name
+    assert sorted(unilie.__all__) == sorted(unilie._MODULE_OF)
+    assert set(unilie.__all__) <= set(dir(unilie))
+
+
+def test_star_import_binds_every_name():
+    scope = {}
+    exec("from unilie import *", scope)
+    assert set(unilie.__all__) <= set(scope)
+    assert scope["ColoredDigraph"] is unilie.graphs.ColoredDigraph
+
+
+def test_unknown_attribute_raises():
+    with pytest.raises(AttributeError, match="no attribute 'canonical_coloring'"):
+        unilie.canonical_coloring
+    with pytest.raises(ImportError):
+        exec("from unilie import sign_orbit_canonical", {})
+    assert not hasattr(unilie, "_missing")
 
 
 def _is_record(node: ast.ClassDef) -> bool:

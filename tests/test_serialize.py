@@ -186,6 +186,66 @@ class TestWitnessFormat:
             assert check_witness(t, t, parsed).ok
 
 
+class TestStrictFields:
+    """Header fields and signed-perm witness lines are each known and given at
+    most once; anything else is refused instead of silently read."""
+
+    @pytest.mark.parametrize("header,message", [
+        ("unilie-graph v1 q=3 p=1 q=4", "repeated header field 'q'"),
+        ("unilie-graph v1 q=3 p=1 p=1", "repeated header field 'p'"),
+        ("unilie-graph v1 q=3 p=1 bogus=x", "unknown header field 'bogus'"),
+        ("unilie-graph v1 q=3 p=1 kind=signed-perm", "unknown header field 'kind'"),
+    ])
+    def test_graph_header(self, header, message):
+        with pytest.raises(ParseError, match=message):
+            parse_graph(f"{header}\n1 2 1\n")
+
+    @pytest.mark.parametrize("header,message", [
+        ("unilie-algebra v1 q=2 p=1 q=2", "repeated header field 'q'"),
+        ("unilie-algebra v1 q=2 p=1 r=1", "unknown header field 'r'"),
+    ])
+    def test_tensor_header(self, header, message):
+        with pytest.raises(ParseError, match=message):
+            parse_tensor(f"{header}\n1 2 1 +1\n")
+
+    @pytest.mark.parametrize("header,message", [
+        ("kind=signed-perm q=2 p=1 kind=general-linear", "repeated header field 'kind'"),
+        ("kind=signed-perm q=2 p=1 q=2", "repeated header field 'q'"),
+        ("kind=signed-perm q=2 p=1 sign=+1", "unknown header field 'sign'"),
+        ("kind=general-linear q=2 p=1 p=1", "repeated header field 'p'"),
+    ])
+    def test_witness_header(self, header, message):
+        with pytest.raises(ParseError, match=message):
+            parse_witness(f"unilie-witness v1 {header}\n")
+
+    @pytest.mark.parametrize("body,message", [
+        ("vertex-image 2 1\n", "unknown witness line 'vertex-image'"),
+        ("colour-signs -1\n", "unknown witness line 'colour-signs'"),
+        ("vertex-images 2 1\nvertex-images 1 2\n",
+         "repeated witness line 'vertex-images'"),
+        ("vertex-signs + -\nvertex-signs - +\n",
+         "repeated witness line 'vertex-signs'"),
+        ("vertex-cycles (1 2)\nvertex-cycles\n",
+         "repeated witness line 'vertex-cycles'"),
+        ("vertex-images 2 1\nvertex-cycles (1 2)\n",
+         "vertex-images or vertex-cycles, not both"),
+        ("color-cycles\ncolor-images 1\n", "color-images or color-cycles, not both"),
+    ], ids=["unknown-vertex-image", "unknown-colour-signs",
+             "repeated-vertex-images", "repeated-vertex-signs",
+             "repeated-vertex-cycles", "vertex-images-and-cycles",
+             "color-images-and-cycles"])
+    def test_signed_perm_body(self, body, message):
+        with pytest.raises(ParseError, match=message):
+            parse_witness(f"unilie-witness v1 kind=signed-perm q=2 p=1\n{body}")
+
+    def test_fields_in_any_order(self):
+        w, q, p = parse_witness("unilie-witness v1 p=1 q=2 kind=signed-perm\n"
+                                "color-signs -1\nvertex-cycles (1 2)\n")
+        assert (q, p) == (2, 1)
+        assert w == SignedPermWitness((2, 1), (1,), (1, 1), (-1,))
+        assert parse_graph("unilie-graph v1 p=1 q=2\n1 2 1\n") == heisenberg(1)
+
+
 class TestDot:
     def test_dot_structure(self):
         text = write_dot(quaternionic())
