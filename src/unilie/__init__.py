@@ -29,7 +29,7 @@ _EXPORTS = {
                  "elementary_abelian_group", "free_two_step",
                  "from_factorization", "heisenberg", "kneser", "quaternionic",
                  "ring_algebra", "symmetric_group", "trivial_coloring"),
-    "enumeration": ("ClassificationRow", "FactorizationReport",
+    "enumeration": ("ClassificationRow", "FactorizationReport", "Invariants",
                     "KnownPresentation", "SignClass", "SignClassReport",
                     "UndeterminedPairError", "classify", "classify_detailed",
                     "distinguish", "known_presentations",

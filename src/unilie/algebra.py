@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from functools import cached_property
 
 from . import exact
 from .exact import IntMatrix, Scalar
@@ -78,20 +77,6 @@ class StructureTensor(Record):
     def pair_map(self) -> dict[tuple[int, int], tuple[int, int]]:
         """(i, j) with i < j -> (k, sign)."""
         return {(i, j): (k, s) for i, j, k, s in self.entries}
-
-    @cached_property
-    def _pairs(self) -> dict[tuple[int, int], tuple[int, int]]:
-        return self.pair_map()
-
-    def alpha(self, i: int, j: int, k: int) -> int:
-        """Structure constant of z_k in [v_i, v_j], any order of i, j."""
-        if i == j:
-            return 0
-        flip = 1
-        if i > j:
-            i, j, flip = j, i, -1
-        hit = self._pairs.get((i, j))
-        return flip * hit[1] if hit is not None and hit[0] == k else 0
 
     def dim(self) -> int:
         return self.q + self.p
@@ -669,9 +654,10 @@ def derivation_dim(t: StructureTensor) -> int:
                 rows[k][c * q + b] -= coef * s
         return [row for row in rows if any(row)]
 
+    pairs = t.pair_map()
     rows = []
     for a, b in itertools.combinations(range(q), 2):
-        if (a + 1, b + 1) not in t._pairs:
+        if (a + 1, b + 1) not in pairs:
             rows += gamma_rows([(1, a, b)])
     for (a1, b1, s1), *rest in by_color.values():
         for a, b, s in rest:

@@ -236,9 +236,9 @@ def _cmd_analyze(args) -> int:
 
 def _cmd_iso(args) -> int:
     from . import serialize
-    from .algebra import check_witness, signed_perm_isomorphic
-    from .enumeration import distinguish
-    from .graphs import ColoredDigraph, colorings_equivalent
+    from .algebra import (check_witness, is_heisenberg_type,
+                          signed_perm_isomorphic, to_graph)
+    from .graphs import ColoredDigraph, colorings_equivalent, validate_uniform
     objs = _read_inputs(args)
     if len(objs) == 3:
         a, b, w = objs
@@ -287,7 +287,11 @@ def _cmd_iso(args) -> int:
             _emit(args, "isomorphic via signed permutation\n\n"
                   + serialize.write_witness(w, t1.q, t1.p), payload)
             return EXIT_OK
-    cert = distinguish([t1], [t2])
+    from .enumeration import Invariants, distinguish
+    # the square-norm identity is defined for uniform presentations only
+    flags = [is_heisenberg_type(t) if validate_uniform(to_graph(t)).is_uniform
+             else None for t in (t1, t2)]
+    cert = distinguish(Invariants((t1,), flags[0]), Invariants((t2,), flags[1]))
     if cert is None:
         _emit(args, "undetermined: no signed-permutation witness and no "
               "separating certificate",

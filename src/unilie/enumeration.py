@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 from collections.abc import Sequence
+from functools import cached_property
 
 from . import exact
 from .algebra import (GeneralLinearWitness, SignedPermWitness, StructureTensor,
@@ -25,8 +26,6 @@ from .graphs import (BudgetExceededError, ColoredDigraph, DEFAULT_SEARCH_BUDGET,
 from .families import (cyclic, free_two_step, heisenberg, quaternionic,
                        ring_algebra)
 from .record import Record
-
-DEFAULT_ENUM_BUDGET = 10 ** 7
 
 
 def _divisors(n: int) -> list[int]:
@@ -77,7 +76,7 @@ def _regular_graphs_qs(q: int, s: int, budget: int) -> list[SimpleGraph]:
     return [found[c] for c in sorted(found, key=lambda c: sorted(c.edges, reverse=True))]
 
 
-def regular_graphs(q_max: int, budget: int = DEFAULT_ENUM_BUDGET) -> list[SimpleGraph]:
+def regular_graphs(q_max: int, budget: int = DEFAULT_SEARCH_BUDGET) -> list[SimpleGraph]:
     """All regular simple graphs with degree >= 1 on 2..q_max vertices, up to
     isomorphism, ordered by vertex count, then degree.
 
@@ -190,7 +189,7 @@ def _orbit_representatives(labeled, edges: list[tuple[int, int]],
     return reps, count
 
 
-def uniform_colorings(g: SimpleGraph, budget: int = DEFAULT_ENUM_BUDGET,
+def uniform_colorings(g: SimpleGraph, budget: int = DEFAULT_SEARCH_BUDGET,
                       strict: bool = False) -> list[ColoredDigraph]:
     """All uniform edge colorings of a regular graph up to coloring
     equivalence, ordered by (p, sorted arcs).  Non-regular input has none.
@@ -251,7 +250,7 @@ def _factorization_report(n: int, kind: str, p: int, r: int,
     return FactorizationReport(n, kind, labeled, tuple(classes))
 
 
-def one_factorizations(n: int, budget: int = DEFAULT_ENUM_BUDGET) -> FactorizationReport:
+def one_factorizations(n: int, budget: int = DEFAULT_SEARCH_BUDGET) -> FactorizationReport:
     """Partitions of E(K_n) into perfect matchings, up to equivalence plus the
     raw count of distinct partitions."""
     if n < 2 or n % 2 != 0:
@@ -261,7 +260,7 @@ def one_factorizations(n: int, budget: int = DEFAULT_ENUM_BUDGET) -> Factorizati
     return _factorization_report(n, "one-factorization", n - 1, n // 2, budget)
 
 
-def near_one_factorizations(n: int, budget: int = DEFAULT_ENUM_BUDGET) -> FactorizationReport:
+def near_one_factorizations(n: int, budget: int = DEFAULT_SEARCH_BUDGET) -> FactorizationReport:
     """Partitions of E(K_n) into near-perfect matchings (each missing one
     vertex), up to equivalence plus the raw labeled count."""
     if n < 3 or n % 2 != 1:
@@ -501,11 +500,13 @@ def _candidates(q_max: int, budget: int) -> list[_Candidate]:
     return cands
 
 
-def _singular_central_direction(t: StructureTensor, bound: int = 2):
+def _singular_central_direction(t: StructureTensor):
     """Nonzero rational central direction with singular J map, if a small one
-    exists.  Existence of any real one is an isomorphism invariant."""
-    if 3 ** t.p > 400_000:
-        bound = 1
+    exists.  Existence of any real one is an isomorphism invariant.
+
+    The search visits the box of radius 2 while it has at most 400,000
+    points, else the box of radius 1 while that one does, else nothing."""
+    bound = next((b for b in (2, 1) if (2 * b + 1) ** t.p <= 400_000), 0)
     for c in itertools.product(range(-bound, bound + 1), repeat=t.p):
         if all(x == 0 for x in c):
             continue
@@ -517,41 +518,55 @@ def _singular_central_direction(t: StructureTensor, bound: int = 2):
     return None
 
 
-def distinguish(a: Sequence[StructureTensor], b: Sequence[StructureTensor]):
+class Invariants(Record):
+    """The isomorphism invariants distinguish compares, for one algebra given
+    by one or more presentations; each is computed on first use and kept.
+
+    heisenberg says whether some presentation satisfies the square-norm J
+    identity, and is None when a presentation is not uniform, where the
+    identity is not defined."""
+
+    presentations: tuple[StructureTensor, ...]
+    heisenberg: bool | None
+
+    @cached_property
+    def derivation_dim(self) -> int:
+        return derivation_dim(self.presentations[0])
+
+    @cached_property
+    def singular_direction(self) -> tuple[int, ...] | None:
+        """A small singular central direction of some presentation, if any."""
+        return next(filter(None, map(_singular_central_direction,
+                                     self.presentations)), None)
+
+
+def distinguish(a: Invariants, b: Invariants):
     """Sound reason that two algebras are non-isomorphic, or None.
 
-    a and b each list one or more presentations of a single algebra.  The
-    result is (kind, left, right), from the first of these that applies:
-    "dimension-split" with the (p, q) pairs of a[0] and b[0];
-    "derivation-dimension" with the derivation algebra dimensions of a[0] and
-    b[0]; "central-direction" when a presentation of one side satisfies the
-    square-norm J identity (which makes J(c) invertible for every real c != 0)
-    and a presentation of the other side has an explicit singular central
-    direction d, given as "square-norm identity" on the first side and d on
-    the other.  The last step needs uniform presentations; without them the
-    answer is None.
+    The result is (kind, left, right), from the first of these that applies:
+    "dimension-split" with the (p, q) pairs of a and b;
+    "derivation-dimension" with the derivation algebra dimensions of a and b;
+    "central-direction" when one side satisfies the square-norm J identity
+    (which makes J(c) invertible for every real c != 0) and the other side
+    has an explicit singular central direction d, given as "square-norm
+    identity" on the first side and d on the other.  The last step needs
+    both flags; when either is None the answer is None.
     """
-    ta, tb = a[0], b[0]
+    ta, tb = a.presentations[0], b.presentations[0]
     if (ta.p, ta.q) != (tb.p, tb.q):
         return ("dimension-split", (ta.p, ta.q), (tb.p, tb.q))
-    da, db = derivation_dim(ta), derivation_dim(tb)
-    if da != db:
-        return ("derivation-dimension", da, db)
-    try:
-        a_h = any(is_heisenberg_type(t) for t in a)
-        b_h = any(is_heisenberg_type(t) for t in b)
-    except ValueError:
+    if a.derivation_dim != b.derivation_dim:
+        return ("derivation-dimension", a.derivation_dim, b.derivation_dim)
+    if None in (a.heisenberg, b.heisenberg) or a.heisenberg == b.heisenberg:
         return None
-    if a_h != b_h:
-        for t in (b if a_h else a):
-            d = _singular_central_direction(t)
-            if d is not None:
-                return ("central-direction", "square-norm identity" if a_h else d,
-                        d if a_h else "square-norm identity")
-    return None
+    d = (b if a.heisenberg else a).singular_direction
+    if d is None:
+        return None
+    return ("central-direction", "square-norm identity" if a.heisenberg else d,
+            d if a.heisenberg else "square-norm identity")
 
 
-def classify_detailed(q_max: int = 5, budget: int = DEFAULT_ENUM_BUDGET
+def classify_detailed(q_max: int = 5, budget: int = DEFAULT_SEARCH_BUDGET
                       ) -> tuple[list[ClassificationRow], list[Certificate]]:
     """Classification rows plus the distinctness certificates backing them.
 
@@ -603,9 +618,12 @@ def classify_detailed(q_max: int = 5, budget: int = DEFAULT_ENUM_BUDGET
         cands[m[0]].ptype[1], cands[m[0]].ptype[0], cands[m[0]].ptype[2],
         cands[m[0]].tensor.sorted_entries()))
 
-    rows = []
+    rows, records = [], []
     for case, members in enumerate(ordered, start=1):
         ms = [cands[i] for i in members]
+        inv = Invariants(tuple(m.tensor for m in ms),
+                         any(m.heisenberg for m in ms))
+        records.append(inv)
         rows.append(ClassificationRow(
             case=case,
             types=tuple(sorted({m.ptype for m in ms})),
@@ -613,21 +631,19 @@ def classify_detailed(q_max: int = 5, budget: int = DEFAULT_ENUM_BUDGET
             representative=ms[0].tensor,
             family=tuple(name for name, (i, _) in located.items() if i in members),
             merged=len(ms),
-            heisenberg=any(m.heisenberg for m in ms)))
+            heisenberg=inv.heisenberg))
 
     certificates = []
-    for (ia, ma), (ib, mb) in itertools.combinations(enumerate(ordered), 2):
-        ta = [cands[i].tensor for i in ma]
-        tb = [cands[i].tensor for i in mb]
-        cert = distinguish(ta, tb)
+    for (ia, a), (ib, b) in itertools.combinations(enumerate(records), 2):
+        cert = distinguish(a, b)
         if cert is None:
-            raise UndeterminedPairError(ta[0], tb[0])
+            raise UndeterminedPairError(a.presentations[0], b.presentations[0])
         kind, da, db = cert
         certificates.append(Certificate(left=ia + 1, right=ib + 1,
                                         kind=kind, detail=(da, db)))
     return rows, certificates
 
 
-def classify(q_max: int = 5, budget: int = DEFAULT_ENUM_BUDGET) -> list[ClassificationRow]:
+def classify(q_max: int = 5, budget: int = DEFAULT_SEARCH_BUDGET) -> list[ClassificationRow]:
     """Isomorphism classes of uniform algebras with at most q_max generators."""
     return classify_detailed(q_max, budget)[0]

@@ -82,9 +82,6 @@ class IntMatrix(Record):
             raise ValueError("shape mismatch")
         return tuple(sum(a * x for a, x in zip(row, vec)) for row in self.rows)
 
-    def trace(self) -> Scalar:
-        return sum(self.rows[i][i] for i in range(min(self.nrows, self.ncols)))
-
     def rank(self) -> int:
         return rank(self.rows)
 
@@ -271,29 +268,19 @@ def gf2_solve_min(equations: Sequence[tuple[int, int]], width: int) -> int | Non
     Each equation is (mask, rhs) with mask an encoded row vector.  The returned
     encoding prefers 0 in the earliest coordinates.
     """
-    rows = [(m, r & 1) for m, r in equations]
-    basis: list[tuple[int, int]] = []  # echelon rows (mask, rhs), decreasing leading bit
-    for m, r in rows:
-        for bm, br in basis:
-            top = 1 << (bm.bit_length() - 1)
-            if m & top:
-                m ^= bm
-                r ^= br
-        if m:
-            basis.append((m, r))
-            basis.sort(key=lambda t: t[0].bit_length(), reverse=True)
-        elif r:
-            return None
-    # particular solution: free coordinates 0, pivots by back-substitution
+    # eliminate the augmented rows, the right-hand side as the low bit; the
+    # system is inconsistent exactly when the row 0 = 1 is in the span
+    basis = gf2_echelon((m << 1) | (r & 1) for m, r in equations)
+    if basis and basis[-1] == 1:
+        return None
+    # in reduced form each row sets its pivot coordinate to its right-hand
+    # side once the free coordinates are 0
     x = 0
-    for bm, br in sorted(basis, key=lambda t: t[0].bit_length()):
-        top = 1 << (bm.bit_length() - 1)
-        parity = bin(bm & x).count("1") & 1
-        if parity ^ br:
-            x ^= top
+    for b in basis:
+        if b & 1:
+            x |= 1 << (b.bit_length() - 2)
     # lex-minimize over the homogeneous solution space
-    null = gf2_nullspace([m for m, _ in basis], width)
-    return gf2_reduce(x, null)
+    return gf2_reduce(x, gf2_nullspace([b >> 1 for b in basis], width))
 
 
 def gf2_nullspace(masks: Sequence[int], width: int) -> list[int]:

@@ -108,10 +108,6 @@ class ColoredDigraph(Record):
     def support(self) -> SimpleGraph:
         return SimpleGraph(self.q, self.undirected_edges())
 
-    def pair_color(self) -> dict[tuple[int, int], tuple[int, int, int]]:
-        """Map unordered pair (i<j) -> its full arc (tail, head, color)."""
-        return {(min(i, j), max(i, j)): (i, j, k) for i, j, k in self.arcs}
-
     def degree(self, v: int) -> int:
         return sum(1 for (i, j, _) in self.arcs if v in (i, j))
 

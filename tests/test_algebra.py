@@ -54,6 +54,7 @@ from unilie.families import (
     ring_algebra,
 )
 from unilie.graphs import (
+    DEFAULT_SEARCH_BUDGET,
     ColorCountMismatch,
     NonProper,
     NotRegular,
@@ -67,6 +68,14 @@ from unilie.graphs import (
 
 H3 = from_graph(heisenberg(1))
 QUAT = from_graph(quaternionic())
+
+
+def alpha(t, i, j, k):
+    """Structure constant of z_k in [v_i, v_j], any order of i, j."""
+    if i > j:
+        return -alpha(t, j, i, k)
+    hit = t.pair_map().get((i, j))
+    return hit[1] if hit is not None and hit[0] == k else 0
 ASSOC = from_graph(quaternionic(associate=True))
 RING2 = from_graph(ring_algebra(2))
 RING2P = from_graph(ring_algebra(2, primed=True))
@@ -137,9 +146,10 @@ class TestStructureTensor:
 
     def test_alpha_antisymmetry(self):
         for (i, j, k, s) in QUAT.sorted_entries():
-            assert QUAT.alpha(i, j, k) == s
-            assert QUAT.alpha(j, i, k) == -s
-        assert QUAT.alpha(1, 2, 3) == 0
+            assert alpha(QUAT, i, j, k) == s
+            assert alpha(QUAT, j, i, k) == -s
+        assert alpha(QUAT, 1, 2, 3) == 0
+        assert alpha(QUAT, 2, 2, 1) == 0
 
     def test_rejects_double_pair(self):
         with pytest.raises(ValueError):
@@ -334,7 +344,9 @@ def oracle_j_gram(t):
     if not validate_uniform(to_graph(t)).is_uniform:
         raise ValueError("j_gram needs a uniform tensor")
     js = [j_basis(t, k) for k in range(1, t.p + 1)]
-    rows = [[(jk @ jl.transpose()).trace() for jl in js] for jk in js]
+    # trace(J_k J_l^T) is the entrywise inner product of J_k and J_l
+    rows = [[sum(a * b for ra, rb in zip(jk.rows, jl.rows) for a, b in zip(ra, rb))
+             for jl in js] for jk in js]
     return IntMatrix.from_rows(rows)
 
 
@@ -778,7 +790,7 @@ def oracle_derivation_dim(t):
     def beta(c, d):
         # z coordinates of [e_c, e_d] for 0-based basis positions
         if c < q and d < q:
-            return tuple(t.alpha(c + 1, d + 1, k) for k in range(1, t.p + 1))
+            return tuple(alpha(t, c + 1, d + 1, k) for k in range(1, t.p + 1))
         return (0,) * t.p
 
     rows = {}  # each row up to sign, first nonzero entry positive: same rank
@@ -822,7 +834,7 @@ def small_tensors(draw):
 
 
 def _candidate_tensors(q_max):
-    return [c.tensor for c in enumeration._candidates(q_max, enumeration.DEFAULT_ENUM_BUDGET)]
+    return [c.tensor for c in enumeration._candidates(q_max, DEFAULT_SEARCH_BUDGET)]
 
 
 class TestDerivations:

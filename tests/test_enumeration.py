@@ -1,6 +1,7 @@
 """Exhaustive enumeration, factorization counting, and the classification pipeline."""
 
 import functools
+import inspect
 import itertools
 import math
 from collections import Counter
@@ -9,8 +10,10 @@ import pytest
 
 from unilie import enumeration
 from unilie.algebra import (
+    StructureTensor,
     check_witness,
     compose_witnesses,
+    derivation_dim,
     diagonal_orbit_representatives,
     from_graph,
     invert_witness,
@@ -20,6 +23,7 @@ from unilie.algebra import (
 )
 from unilie.families import cyclic, heisenberg, quaternionic, ring_algebra, trivial_coloring
 from unilie.graphs import (
+    DEFAULT_SEARCH_BUDGET,
     BudgetExceededError,
     SimpleGraph,
     automorphisms,
@@ -28,9 +32,11 @@ from unilie.graphs import (
     validate_uniform,
 )
 from unilie.enumeration import (
+    Invariants,
     UndeterminedPairError,
     classify,
     classify_detailed,
+    distinguish,
     known_presentations,
     near_factorization_sign_witness,
     near_one_factorizations,
@@ -573,7 +579,7 @@ class TestClassification:
     def test_candidates_are_not_signed_perm_isomorphic(self):
         # classify_detailed does not search signed permutations between
         # candidates; this is the pairwise merge it would have run
-        cands = enumeration._candidates(5, enumeration.DEFAULT_ENUM_BUDGET)
+        cands = enumeration._candidates(5, DEFAULT_SEARCH_BUDGET)
         tried = 0
         for ca, cb in itertools.combinations(cands, 2):
             if (ca.tensor.p, ca.tensor.q) == (cb.tensor.p, cb.tensor.q):
@@ -584,7 +590,7 @@ class TestClassification:
     def test_each_named_presentation_lies_in_one_candidate(self):
         # classify_detailed stops at the first candidate a name reaches;
         # no later candidate may be reached as well
-        cands = enumeration._candidates(5, enumeration.DEFAULT_ENUM_BUDGET)
+        cands = enumeration._candidates(5, DEFAULT_SEARCH_BUDGET)
         known = known_presentations()
         assert len(known) == 13
         located = {}
@@ -623,3 +629,116 @@ class TestClassification:
     def test_budget_enforced(self):
         with pytest.raises(BudgetExceededError):
             classify(5, budget=50)
+
+    def test_default_budget_is_the_search_budget(self):
+        for f in (classify, classify_detailed, regular_graphs, uniform_colorings,
+                  one_factorizations, near_one_factorizations, sign_class_report):
+            budget = inspect.signature(f).parameters["budget"].default
+            assert budget == DEFAULT_SEARCH_BUDGET, f.__name__
+        assert not hasattr(enumeration, "DEFAULT_ENUM_BUDGET")
+
+    def test_derivation_dim_once_per_class(self, monkeypatch):
+        seen = []
+        real = enumeration.derivation_dim
+
+        def counted(t):
+            seen.append(t)
+            return real(t)
+
+        monkeypatch.setattr(enumeration, "derivation_dim", counted)
+        classify_detailed(5)
+        assert len(seen) == len(set(seen)) == 6
+        seen.clear()
+        with pytest.raises(UndeterminedPairError):
+            classify_detailed(6)
+        assert len(seen) == len(set(seen)) <= 17
+
+
+def _invariants(*names):
+    known = {kp.name: kp for kp in known_presentations()}
+    return Invariants(tuple(known[n].tensor for n in names),
+                      any(known[n].heisenberg for n in names))
+
+
+class TestDistinguish:
+    def test_dimension_split(self):
+        a, b = _invariants("heisenberg(1)"), _invariants("heisenberg(2)")
+        assert distinguish(a, b) == ("dimension-split", (1, 2), (1, 4))
+        assert distinguish(b, a) == ("dimension-split", (1, 4), (1, 2))
+
+    def test_derivation_dimension(self):
+        a, b = _invariants("cyclic(5)"), _invariants("k5-near-factorization")
+        assert distinguish(a, b) == ("derivation-dimension", 30, 26)
+
+    def test_central_direction(self):
+        a, b = _invariants("quaternionic"), _invariants("quaternionic-associate")
+        assert distinguish(a, b) == ("central-direction", "square-norm identity",
+                                     (1, -1, 0))
+        assert distinguish(b, a) == ("central-direction", (1, -1, 0),
+                                     "square-norm identity")
+
+    def test_central_direction_from_some_presentation(self):
+        # the merged (2, 4) class: each presentation has its own direction,
+        # and the first one that has one is reported
+        ring = _invariants("ring(2)")
+        merged = _invariants("heisenberg(1)+heisenberg(1)", "ring(2,primed)")
+        assert distinguish(merged, ring) == ("central-direction", (0, 1),
+                                             "square-norm identity")
+        merged = _invariants("ring(2,primed)", "heisenberg(1)+heisenberg(1)")
+        assert distinguish(merged, ring) == ("central-direction", (1, -1),
+                                             "square-norm identity")
+
+    def test_isomorphic_presentations_are_undetermined(self):
+        a = _invariants("heisenberg(1)+heisenberg(1)")
+        b = _invariants("ring(2,primed)")
+        assert distinguish(a, b) is None
+
+    def test_non_uniform_pair_is_undetermined(self):
+        # same shape and derivation dimension; the square-norm flag is None
+        a = StructureTensor.from_entries(3, 2, [(1, 2, 2, 1), (1, 3, 2, -1),
+                                                (2, 3, 1, 1)])
+        b = StructureTensor.from_entries(3, 2, [(1, 2, 1, 1), (2, 3, 2, 1)])
+        assert derivation_dim(a) == derivation_dim(b)
+        assert distinguish(Invariants((a,), None), Invariants((b,), None)) is None
+        # one unknown flag is enough to leave the last step out
+        assert distinguish(Invariants((a,), True), Invariants((b,), None)) is None
+
+    def test_invariants_are_computed_once(self, monkeypatch):
+        calls = []
+        for name in ("derivation_dim", "_singular_central_direction"):
+            real = getattr(enumeration, name)
+            monkeypatch.setattr(enumeration, name,
+                                lambda t, real=real: calls.append(t) or real(t))
+        a, b = _invariants("quaternionic"), _invariants("quaternionic-associate")
+        first = distinguish(a, b)
+        assert distinguish(a, b) == first
+        assert distinguish(b, a) == (first[0], first[2], first[1])
+        # a derivation dimension per side, a direction search on the side
+        # without the square-norm identity only
+        assert calls == [a.presentations[0], b.presentations[0], b.presentations[0]]
+        assert "singular_direction" not in vars(a)
+        assert vars(b)["singular_direction"] == (1, -1, 0)
+
+    @pytest.mark.parametrize("edges,calls", [
+        # C5, radius 2: half of the 5^5 - 1 nonzero points
+        ([(1, 2), (2, 3), (3, 4), (4, 5), (1, 5)], (5 ** 5 - 1) // 2),
+        # K_{3,3}, p = 9: 5^9 points exceed the box, 3^9 do not
+        ([(i, j) for i in (1, 2, 3) for j in (4, 5, 6)], (3 ** 9 - 1) // 2),
+        # the octahedron, p = 12: 3^12 points exceed the box, no search
+        ([pr for pr in itertools.combinations(range(1, 7), 2)
+          if pr not in ((1, 2), (3, 4), (5, 6))], 0),
+    ])
+    def test_central_direction_search_box(self, monkeypatch, edges, calls):
+        t = from_graph(trivial_coloring(SimpleGraph.from_edges(max(map(max, edges)),
+                                                               edges)))
+        count = 0
+
+        def regular(rows):
+            nonlocal count
+            count += 1
+            assert count <= 10_000, "searched beyond the radius-1 box"
+            return 1
+
+        monkeypatch.setattr(enumeration.exact, "det", regular)
+        assert enumeration._singular_central_direction(t) is None
+        assert count == calls

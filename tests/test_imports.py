@@ -84,13 +84,16 @@ def test_parser_exits_load_only_the_cli(argv):
     ("verify", {"unilie.enumeration", "unilie.families"}),
     ("analyze", {"unilie.enumeration", "unilie.families"}),
     ("export", {"unilie.enumeration", "unilie.families"}),
+    # two graphs: coloring equivalence, with no certificate chain
+    ("iso", {"unilie.enumeration", "unilie.families"}),
 ])
 def test_verbs_skip_modules_they_do_not_use(tmp_path, verb, absent):
     path = tmp_path / "quat.graph"
     path.write_text(serialize.write_graph(quaternionic()))
+    argv = [verb] + ["--input", str(path)] * (2 if verb == "iso" else 1)
     code = ("import contextlib, io, unilie.cli\n"
             "with contextlib.redirect_stdout(io.StringIO()):\n"
-            f"    assert unilie.cli.main([{verb!r}, '--input', {str(path)!r}]) == 0")
+            f"    assert unilie.cli.main({argv!r}) == 0")
     loaded = set(fresh_unilie_modules(code))
     assert "unilie.serialize" in loaded
     assert not loaded & absent

@@ -2,7 +2,8 @@
 
 import pytest
 
-from unilie.algebra import StructureTensor
+from unilie.algebra import StructureTensor, derivation_dim, is_heisenberg_type
+from unilie.enumeration import Invariants
 from unilie.families import FiniteGroup, cyclic_group
 from unilie.graphs import ColorPermAutomorphism, NonProper, NotRegular, UniformityReport
 
@@ -60,12 +61,12 @@ class TestValueSemantics:
         assert NonProper(1, 2) != NonProper(2, 1)
         assert len({NonProper(1, 2), NotRegular(1, 2), NonProper(1, 2)}) == 2
 
-    def test_equality_ignores_cached_pairs(self):
-        entries = frozenset({(1, 2, 1, 1), (3, 4, 1, -1)})
-        warm = StructureTensor(4, 1, entries)
-        cold = StructureTensor(4, 1, entries)
-        assert warm.alpha(2, 1, 1) == -1
-        assert "_pairs" in vars(warm) and "_pairs" not in vars(cold)
+    def test_equality_ignores_cached_values(self):
+        t = StructureTensor.from_entries(4, 1, [(1, 2, 1, 1), (3, 4, 1, -1)])
+        warm = Invariants((t,), is_heisenberg_type(t))
+        cold = Invariants((t,), is_heisenberg_type(t))
+        assert warm.derivation_dim == derivation_dim(t)
+        assert "derivation_dim" in vars(warm) and "derivation_dim" not in vars(cold)
         assert warm == cold and hash(warm) == hash(cold)
 
     def test_vars_holds_the_fields_in_order(self):

@@ -18,3 +18,5 @@ def test_reproduce_tables_five_generators():
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
     assert any(line.startswith("Table A: 12 isomorphism classes") for line in lines)
+    assert ("  distinctness certificates: 2 central-direction, "
+            "1 derivation-dimension, 63 dimension-split") in lines
