@@ -8,19 +8,31 @@ Table B: per regular graph, the number of inequivalent uniform colorings
 and their color counts.
 
 Run: python3 scripts/reproduce_tables.py [--qmax N]
+
+Exits 4, after Table B, when two classes of Table A can neither be merged
+nor separated; the report names that pair in place of Table A.
 """
 
 import argparse
 import sys
 import time
 
-from unilie.enumeration import classify_detailed, regular_graphs, uniform_colorings
+from unilie.enumeration import (UndeterminedPairError, classify_detailed,
+                                regular_graphs, uniform_colorings)
 from unilie.graphs import validate_uniform
+from unilie.serialize import bracket_table
 
 
-def table_a(qmax: int) -> None:
+def table_a(qmax: int) -> bool:
+    """Print Table A; False when the classification stops at an open pair."""
     t0 = time.monotonic()
-    rows, certs = classify_detailed(qmax)
+    try:
+        rows, certs = classify_detailed(qmax)
+    except UndeterminedPairError as exc:
+        print(f"Table A: classification aborted: {exc}")
+        print("left candidate:\n" + bracket_table(exc.left)
+              + "right candidate:\n" + bracket_table(exc.right))
+        return False
     elapsed = time.monotonic() - t0
     print(f"Table A: {len(rows)} isomorphism classes with q <= {qmax} "
           f"({elapsed:.1f}s)")
@@ -37,6 +49,7 @@ def table_a(qmax: int) -> None:
     print(f"  distinctness certificates: " +
           ", ".join(f"{v} {k}" for k, v in sorted(kinds.items())))
     print()
+    return True
 
 
 def table_b(qmax: int) -> None:
@@ -57,9 +70,9 @@ def main() -> int:
     ap.add_argument("--qmax", type=int, default=5,
                     help="largest generator count (default 5)")
     args = ap.parse_args()
-    table_a(args.qmax)
+    complete = table_a(args.qmax)
     table_b(min(args.qmax, 8))
-    return 0
+    return 0 if complete else 4
 
 
 if __name__ == "__main__":

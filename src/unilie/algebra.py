@@ -503,8 +503,12 @@ def _bits_to_signs(bits) -> tuple[int, ...]:
     return tuple(1 if b == 0 else -1 for b in bits)
 
 
+# the most diagonal orbits built at once; each one is a tensor in memory
+MAX_SIGN_ORBITS = 1 << 20
+
+
 def diagonal_orbit_representatives(t: StructureTensor,
-                                   budget: int = 1 << 20) -> list[StructureTensor]:
+                                   budget: int = MAX_SIGN_ORBITS) -> list[StructureTensor]:
     """One canonical representative per diagonal orbit, lexicographic order."""
     pairs = support_pairs(t)
     width = len(pairs)

@@ -236,9 +236,8 @@ def _cmd_analyze(args) -> int:
 
 def _cmd_iso(args) -> int:
     from . import serialize
-    from .algebra import (check_witness, is_heisenberg_type,
-                          signed_perm_isomorphic, to_graph)
-    from .graphs import ColoredDigraph, colorings_equivalent, validate_uniform
+    from .algebra import check_witness, signed_perm_isomorphic
+    from .graphs import ColoredDigraph, colorings_equivalent
     objs = _read_inputs(args)
     if len(objs) == 3:
         a, b, w = objs
@@ -288,10 +287,7 @@ def _cmd_iso(args) -> int:
                   + serialize.write_witness(w, t1.q, t1.p), payload)
             return EXIT_OK
     from .enumeration import Invariants, distinguish
-    # the square-norm identity is defined for uniform presentations only
-    flags = [is_heisenberg_type(t) if validate_uniform(to_graph(t)).is_uniform
-             else None for t in (t1, t2)]
-    cert = distinguish(Invariants((t1,), flags[0]), Invariants((t2,), flags[1]))
+    cert = distinguish(Invariants((t1,)), Invariants((t2,)))
     if cert is None:
         _emit(args, "undetermined: no signed-permutation witness and no "
               "separating certificate",
@@ -432,6 +428,19 @@ def _positive_int(text: str) -> int:
     return value
 
 
+# verb name -> (help text, handler), in the order --help lists them
+_VERBS = {
+    "verify": ("uniformity report", _cmd_verify),
+    "family": ("emit a construction", _cmd_family),
+    "analyze": ("full structure dossier", _cmd_analyze),
+    "iso": ("equivalence/isomorphism/witness check", _cmd_iso),
+    "orbit": ("diagonal sign classes", _cmd_orbit),
+    "classify": ("small-q classification", _cmd_classify),
+    "factorize": ("matching factorizations of K_n", _cmd_factorize),
+    "export": ("rewrite an object in a format", _cmd_export),
+}
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="unilie",
@@ -439,14 +448,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="verb", required=True)
 
     verbs = {}
-    for name, text in (("verify", "uniformity report"),
-                       ("family", "emit a construction"),
-                       ("analyze", "full structure dossier"),
-                       ("iso", "equivalence/isomorphism/witness check"),
-                       ("orbit", "diagonal sign classes"),
-                       ("classify", "small-q classification"),
-                       ("factorize", "matching factorizations of K_n"),
-                       ("export", "rewrite an object in a format")):
+    for name, (text, _) in _VERBS.items():
         verbs[name] = sub.add_parser(name, help=text)
         verbs[name].add_argument("--output",
                                  help="also write the report to this file")
@@ -472,18 +474,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_DISPATCH = {
-    "verify": _cmd_verify,
-    "family": _cmd_family,
-    "analyze": _cmd_analyze,
-    "iso": _cmd_iso,
-    "orbit": _cmd_orbit,
-    "classify": _cmd_classify,
-    "factorize": _cmd_factorize,
-    "export": _cmd_export,
-}
-
-
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
@@ -496,7 +486,7 @@ def main(argv=None) -> int:
     if hasattr(args, "budget") and args.budget is None:
         args.budget = DEFAULT_SEARCH_BUDGET
     try:
-        return _DISPATCH[args.verb](args)
+        return _VERBS[args.verb][1](args)
     except (_Usage, serialize.ParseError) as exc:
         sys.stderr.write(f"usage error: {exc}\n")
         return EXIT_USAGE

@@ -14,15 +14,16 @@ from collections.abc import Sequence
 from functools import cached_property
 
 from . import exact
-from .algebra import (GeneralLinearWitness, SignedPermWitness, StructureTensor,
-                      _flip_space, _heisenberg_identity, _signed_perm_witness,
-                      _signs_to_bits, check_witness, compose_witnesses,
-                      derivation_dim, diagonal_orbit_representatives, from_graph,
-                      invert_witness, is_heisenberg_type, j_map, sign_vector,
-                      signed_perm_isomorphic, support_pairs, to_graph)
+from .algebra import (MAX_SIGN_ORBITS, GeneralLinearWitness, SignedPermWitness,
+                      StructureTensor, _flip_space, _heisenberg_identity,
+                      _signed_perm_witness, _signs_to_bits, check_witness,
+                      compose_witnesses, derivation_dim,
+                      diagonal_orbit_representatives, from_graph, invert_witness,
+                      j_map, sign_vector, signed_perm_isomorphic, support_pairs,
+                      to_graph)
 from .graphs import (BudgetExceededError, ColoredDigraph, DEFAULT_SEARCH_BUDGET,
-                     SimpleGraph, _automorphism_generators, automorphisms,
-                     canonical_graph, validate_uniform)
+                     SimpleGraph, UniformityReport, _automorphism_generators,
+                     automorphisms, canonical_graph, validate_uniform)
 from .families import (cyclic, free_two_step, heisenberg, quaternionic,
                        ring_algebra)
 from .record import Record
@@ -290,15 +291,16 @@ def sign_class_report(g: ColoredDigraph | StructureTensor,
                       budget: int = DEFAULT_SEARCH_BUDGET) -> SignClassReport:
     """Diagonal sign orbits of a uniform support, merged into sign classes.
 
-    Every orbit representative has the same colored support, so the maps a
-    signed-permutation search could try between two of them are exactly the
-    color-permuting automorphisms of that support.  They are enumerated once,
-    against budget, and the sign classes are the orbits of this group on the
-    diagonal orbits: an automorphism permutes a sign vector along the support
-    pairs and negates each pair whose order it reverses.  Each class holds
-    its orbit indices in increasing order and one witness (members[0], b, w)
-    per other member b, verified by check_witness, from the first
-    automorphism carrying members[0] onto b.
+    The diagonal orbits count against budget, capped at MAX_SIGN_ORBITS
+    since each one is built.  Every orbit representative has the same colored
+    support, so the maps a signed-permutation search could try between two of
+    them are exactly the color-permuting automorphisms of that support.  They
+    are enumerated once, against budget, and the sign classes are the orbits
+    of this group on the diagonal orbits: an automorphism permutes a sign
+    vector along the support pairs and negates each pair whose order it
+    reverses.  Each class holds its orbit indices in increasing order and one
+    witness (members[0], b, w) per other member b, verified by check_witness,
+    from the first automorphism carrying members[0] onto b.
     """
     if isinstance(g, ColoredDigraph):
         t = from_graph(g)
@@ -306,7 +308,7 @@ def sign_class_report(g: ColoredDigraph | StructureTensor,
         t, g = g, to_graph(g)
     if not validate_uniform(g).is_uniform:
         raise ValueError("sign class analysis needs a uniform tensor")
-    reps = diagonal_orbit_representatives(t)
+    reps = diagonal_orbit_representatives(t, min(budget, MAX_SIGN_ORBITS))
     # with a single orbit there is nothing to merge
     auts = automorphisms(g, budget=budget) if len(reps) > 1 else []
     pairs = support_pairs(t)
@@ -417,37 +419,26 @@ def _gl_anchors() -> list[tuple[str, str, GeneralLinearWitness]]:
 class KnownPresentation(Record):
     name: str
     tensor: StructureTensor
-    ptype: tuple[int, int, int]
-    heisenberg: bool
 
 
 def known_presentations() -> list[KnownPresentation]:
     """Reference presentations for every small-q class, named after the
     constructions that produce them."""
-    def T(q, p, brackets):
-        return StructureTensor.from_brackets(q, p, brackets)
-
-    rows = [
-        ("heisenberg(1)", from_graph(heisenberg(1)), (1, 2, 1)),
-        ("heisenberg(2)", from_graph(heisenberg(2)), (1, 4, 2)),
-        ("heisenberg(1)+heisenberg(1)", _heisenberg_sum(), (2, 4, 1)),
-        ("ring(2,primed)", from_graph(ring_algebra(2, primed=True)), (2, 4, 2)),
-        ("free(3)", from_graph(free_two_step(3)), (3, 3, 1)),
-        ("cyclic(4)", from_graph(cyclic(4)), (4, 4, 1)),
-        ("ring(2)", from_graph(ring_algebra(2)), (2, 4, 2)),
-        ("cyclic(5)", from_graph(cyclic(5)), (5, 5, 1)),
-        ("quaternionic", from_graph(quaternionic()), (3, 4, 2)),
-        ("quaternionic-associate", from_graph(quaternionic(True)), (3, 4, 2)),
-        ("free(4)", from_graph(free_two_step(4)), (6, 4, 1)),
-        ("k5-near-factorization", near_factorization_sign_witness()[1], (5, 5, 2)),
-        ("free(5)", from_graph(free_two_step(5)), (10, 5, 1)),
-    ]
-    out = []
-    for name, t, ptype in rows:
-        rep = validate_uniform(to_graph(t))
-        assert rep.is_uniform and (rep.p, rep.q, rep.r) == ptype
-        out.append(KnownPresentation(name, t, ptype, is_heisenberg_type(t)))
-    return out
+    return [KnownPresentation(name, t) for name, t in (
+        ("heisenberg(1)", from_graph(heisenberg(1))),
+        ("heisenberg(2)", from_graph(heisenberg(2))),
+        ("heisenberg(1)+heisenberg(1)", _heisenberg_sum()),
+        ("ring(2,primed)", from_graph(ring_algebra(2, primed=True))),
+        ("free(3)", from_graph(free_two_step(3))),
+        ("cyclic(4)", from_graph(cyclic(4))),
+        ("ring(2)", from_graph(ring_algebra(2))),
+        ("cyclic(5)", from_graph(cyclic(5))),
+        ("quaternionic", from_graph(quaternionic())),
+        ("quaternionic-associate", from_graph(quaternionic(True))),
+        ("free(4)", from_graph(free_two_step(4))),
+        ("k5-near-factorization", near_factorization_sign_witness()[1]),
+        ("free(5)", from_graph(free_two_step(5))),
+    )]
 
 
 # ---------------------------------------------------------------------------
@@ -480,24 +471,13 @@ class UndeterminedPairError(RuntimeError):
                          f"at (p, q) = ({left.p}, {left.q})")
 
 
-class _Candidate(Record):
-    tensor: StructureTensor
-    ptype: tuple[int, int, int]
-    s: int
-    heisenberg: bool
-
-
-def _candidates(q_max: int, budget: int) -> list[_Candidate]:
-    cands = []
-    for g in regular_graphs(q_max, budget):
-        for coloring in uniform_colorings(g, budget):
-            report = sign_class_report(coloring, budget)
-            rep0 = validate_uniform(coloring)
-            for sc in report.classes:
-                cands.append(_Candidate(
-                    tensor=sc.representative, ptype=(rep0.p, rep0.q, rep0.r),
-                    s=rep0.s, heisenberg=sc.heisenberg))
-    return cands
+def _candidates(q_max: int, budget: int) -> list[StructureTensor]:
+    """One representative per sign class of each uniform coloring of each
+    regular graph on at most q_max vertices."""
+    return [sc.representative
+            for g in regular_graphs(q_max, budget)
+            for coloring in uniform_colorings(g, budget)
+            for sc in sign_class_report(coloring, budget).classes]
 
 
 def _singular_central_direction(t: StructureTensor):
@@ -519,15 +499,24 @@ def _singular_central_direction(t: StructureTensor):
 
 
 class Invariants(Record):
-    """The isomorphism invariants distinguish compares, for one algebra given
-    by one or more presentations; each is computed on first use and kept.
-
-    heisenberg says whether some presentation satisfies the square-norm J
-    identity, and is None when a presentation is not uniform, where the
-    identity is not defined."""
+    """The facts about one algebra, given by one or more presentations, that
+    classify_detailed and distinguish read; each is computed on first use
+    and kept."""
 
     presentations: tuple[StructureTensor, ...]
-    heisenberg: bool | None
+
+    @cached_property
+    def reports(self) -> tuple[UniformityReport, ...]:
+        """The uniformity report of each presentation."""
+        return tuple(validate_uniform(to_graph(t)) for t in self.presentations)
+
+    @cached_property
+    def heisenberg(self) -> bool | None:
+        """Whether some presentation satisfies the square-norm J identity;
+        None when a presentation is not uniform, where it is not defined."""
+        if not all(rep.is_uniform for rep in self.reports):
+            return None
+        return any(map(_heisenberg_identity, self.presentations))
 
     @cached_property
     def derivation_dim(self) -> int:
@@ -590,9 +579,9 @@ def classify_detailed(q_max: int = 5, budget: int = DEFAULT_SEARCH_BUDGET
     located: dict[str, tuple[int, SignedPermWitness]] = {}
     for kp in known_presentations():
         for idx, cand in enumerate(cands):
-            if cand.ptype[:2] != kp.ptype[:2]:
+            if (cand.p, cand.q) != (kp.tensor.p, kp.tensor.q):
                 continue
-            w = signed_perm_isomorphic(kp.tensor, cand.tensor, budget=budget)
+            w = signed_perm_isomorphic(kp.tensor, cand, budget=budget)
             if w is not None:
                 located[kp.name] = (idx, w)
                 break
@@ -606,7 +595,7 @@ def classify_detailed(q_max: int = 5, budget: int = DEFAULT_SEARCH_BUDGET
         if find(ia) == find(ib):
             continue
         full = compose_witnesses(wb, compose_witnesses(glw, invert_witness(wa)))
-        res = check_witness(cands[ia].tensor, cands[ib].tensor, full)
+        res = check_witness(cands[ia], cands[ib], full)
         if not res.ok:
             raise AssertionError("stored identification failed verification")
         parent[find(ib)] = find(ia)
@@ -614,27 +603,26 @@ def classify_detailed(q_max: int = 5, budget: int = DEFAULT_SEARCH_BUDGET
     groups: dict[int, list[int]] = {}
     for i in range(len(cands)):
         groups.setdefault(find(i), []).append(i)
-    ordered = sorted(groups.values(), key=lambda m: (
-        cands[m[0]].ptype[1], cands[m[0]].ptype[0], cands[m[0]].ptype[2],
-        cands[m[0]].tensor.sorted_entries()))
+    classes = [(Invariants(tuple(cands[i] for i in members)), members)
+               for members in groups.values()]
 
-    rows, records = [], []
-    for case, members in enumerate(ordered, start=1):
-        ms = [cands[i] for i in members]
-        inv = Invariants(tuple(m.tensor for m in ms),
-                         any(m.heisenberg for m in ms))
-        records.append(inv)
-        rows.append(ClassificationRow(
-            case=case,
-            types=tuple(sorted({m.ptype for m in ms})),
-            s=ms[0].s,
-            representative=ms[0].tensor,
-            family=tuple(name for name, (i, _) in located.items() if i in members),
-            merged=len(ms),
-            heisenberg=inv.heisenberg))
+    def order(c):
+        rep = c[0].reports[0]
+        return (rep.q, rep.p, rep.r, c[0].presentations[0].sorted_entries())
+
+    classes.sort(key=order)
+    rows = [ClassificationRow(
+                case=case,
+                types=tuple(sorted({(rep.p, rep.q, rep.r) for rep in inv.reports})),
+                s=inv.reports[0].s,
+                representative=inv.presentations[0],
+                family=tuple(name for name, (i, _) in located.items() if i in members),
+                merged=len(inv.presentations),
+                heisenberg=inv.heisenberg)
+            for case, (inv, members) in enumerate(classes, start=1)]
 
     certificates = []
-    for (ia, a), (ib, b) in itertools.combinations(enumerate(records), 2):
+    for (ia, (a, _)), (ib, (b, _)) in itertools.combinations(enumerate(classes), 2):
         cert = distinguish(a, b)
         if cert is None:
             raise UndeterminedPairError(a.presentations[0], b.presentations[0])

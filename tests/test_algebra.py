@@ -410,7 +410,8 @@ class TestSparseJKernels:
     def test_known_presentations_match_dense_oracles(self):
         for kp in enumeration.known_presentations():
             assert is_heisenberg_type(kp.tensor) == oracle_is_heisenberg_type(kp.tensor)
-            assert kp.heisenberg == oracle_is_heisenberg_type(kp.tensor)
+            assert (enumeration.Invariants((kp.tensor,)).heisenberg
+                    == oracle_is_heisenberg_type(kp.tensor))
             assert j_gram(kp.tensor) == oracle_j_gram(kp.tensor)
 
     @given(signed_relabelings())
@@ -834,7 +835,7 @@ def small_tensors(draw):
 
 
 def _candidate_tensors(q_max):
-    return [c.tensor for c in enumeration._candidates(q_max, DEFAULT_SEARCH_BUDGET)]
+    return enumeration._candidates(q_max, DEFAULT_SEARCH_BUDGET)
 
 
 class TestDerivations:

@@ -3,6 +3,8 @@
 import io
 import json
 import os
+import subprocess
+import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 
@@ -352,6 +354,15 @@ class TestOrbit:
         code, _ = run(capsys, "orbit", "--input", bad_file)
         assert code == 1
 
+    def test_budget_bounds_the_sign_orbits(self, capsys, tmp_path):
+        # kneser(6, 2) has 2^21 diagonal sign orbits
+        path = tmp_path / "k.graph"
+        path.write_text(write_graph(kneser(6, 2)))
+        assert main(["orbit", "--input", str(path), "--budget", "50"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "budget exceeded: visited 2097152 nodes with budget 50\n"
+
 
 class TestClassify:
     def test_five_generator_table(self, capsys):
@@ -383,6 +394,22 @@ class TestClassify:
         assert payload["undetermined"] is True
         assert payload["left"]["kind"] == "algebra"
         assert payload["right"]["kind"] == "algebra"
+
+    @pytest.mark.parametrize("qmax,code", [("5", 0), ("6", 4)])
+    def test_golden_output(self, qmax, code):
+        # the stdout of a fresh `unilie classify`, byte for byte; an
+        # intentional change of the report rewrites the file
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (os.path.join(root, "src"), env.get("PYTHONPATH")) if p)
+        proc = subprocess.run(
+            [sys.executable, "-m", "unilie.cli", "classify", "--qmax", qmax],
+            env=env, capture_output=True, timeout=300)
+        with open(os.path.join(root, "tests", "golden",
+                               f"classify_qmax{qmax}.txt"), "rb") as fh:
+            assert proc.stdout == fh.read()
+        assert proc.returncode == code, proc.stderr
 
     def test_budget_exit(self, capsys):
         code, _ = run(capsys, "classify", "--qmax", "5", "--budget", "50")
@@ -615,8 +642,8 @@ class TestParserEdges:
     ])
     def test_budget_default(self, monkeypatch, argv, budget):
         seen = []
-        monkeypatch.setitem(cli._DISPATCH, argv[0],
-                            lambda args: seen.append(args.budget) or 0)
+        monkeypatch.setitem(cli._VERBS, argv[0], (
+            cli._VERBS[argv[0]][0], lambda args: seen.append(args.budget) or 0))
         assert main(argv) == 0
         assert seen == [budget]
 

@@ -10,6 +10,7 @@ import pytest
 
 from unilie import enumeration
 from unilie.algebra import (
+    MAX_SIGN_ORBITS,
     StructureTensor,
     check_witness,
     compose_witnesses,
@@ -21,7 +22,8 @@ from unilie.algebra import (
     signed_perm_isomorphic,
     to_graph,
 )
-from unilie.families import cyclic, heisenberg, quaternionic, ring_algebra, trivial_coloring
+from unilie.families import (cyclic, heisenberg, kneser, quaternionic, ring_algebra,
+                             trivial_coloring)
 from unilie.graphs import (
     DEFAULT_SEARCH_BUDGET,
     BudgetExceededError,
@@ -451,6 +453,16 @@ class TestSignClassReport:
         with pytest.raises(BudgetExceededError):
             sign_class_report(quaternionic(), budget=3)
 
+    @pytest.mark.parametrize("budget,reported", [
+        (50, 50), (DEFAULT_SEARCH_BUDGET, MAX_SIGN_ORBITS)])
+    def test_budget_bounds_the_sign_orbits(self, budget, reported):
+        # kneser(6, 2) has 2^21 diagonal sign orbits; each one is built, so
+        # a budget above MAX_SIGN_ORBITS is capped there
+        assert MAX_SIGN_ORBITS == 1 << 20
+        with pytest.raises(BudgetExceededError) as exc:
+            sign_class_report(kneser(6, 2), budget=budget)
+        assert (exc.value.budget, exc.value.visited) == (reported, 1 << 21)
+
 
 class TestStoredWitnesses:
     def test_ring_sum_witness_verifies(self):
@@ -475,25 +487,39 @@ class TestStoredWitnesses:
         assert signed_perm_isomorphic(n2, n1) is not None
 
 
+# name -> (type (p, q, r), square-norm J identity) of each named presentation
+KNOWN_TYPES = {
+    "heisenberg(1)": ((1, 2, 1), True),
+    "heisenberg(2)": ((1, 4, 2), True),
+    "heisenberg(1)+heisenberg(1)": ((2, 4, 1), False),
+    "ring(2,primed)": ((2, 4, 2), False),
+    "free(3)": ((3, 3, 1), False),
+    "cyclic(4)": ((4, 4, 1), False),
+    "ring(2)": ((2, 4, 2), True),
+    "cyclic(5)": ((5, 5, 1), False),
+    "quaternionic": ((3, 4, 2), True),
+    "quaternionic-associate": ((3, 4, 2), False),
+    "free(4)": ((6, 4, 1), False),
+    "k5-near-factorization": ((5, 5, 2), False),
+    "free(5)": ((10, 5, 1), False),
+}
+
+
 class TestKnownPresentations:
     def test_thirteen_reference_presentations(self):
         refs = known_presentations()
-        assert len(refs) == 13
-        names = [k.name for k in refs]
-        assert len(set(names)) == 13
+        assert [k.name for k in refs] == list(KNOWN_TYPES)
         for k in refs:
             rep = validate_uniform(to_graph(k.tensor))
             assert rep.is_uniform
-            assert (rep.p, rep.q, rep.r) == k.ptype
-            assert is_heisenberg_type(k.tensor) == k.heisenberg
+            assert (rep.p, rep.q, rep.r) == KNOWN_TYPES[k.name][0]
+            assert Invariants((k.tensor,)).reports == (rep,)
 
     def test_heisenberg_flags(self):
-        flags = {k.name: k.heisenberg for k in known_presentations()}
-        assert flags["heisenberg(1)"] and flags["heisenberg(2)"]
-        assert flags["ring(2)"] and flags["quaternionic"]
-        assert not flags["quaternionic-associate"]
-        assert not flags["heisenberg(1)+heisenberg(1)"]
-        assert not flags["k5-near-factorization"]
+        for k in known_presentations():
+            flag = KNOWN_TYPES[k.name][1]
+            assert is_heisenberg_type(k.tensor) == flag, k.name
+            assert Invariants((k.tensor,)).heisenberg == flag, k.name
 
 
 class TestClassification:
@@ -582,9 +608,9 @@ class TestClassification:
         cands = enumeration._candidates(5, DEFAULT_SEARCH_BUDGET)
         tried = 0
         for ca, cb in itertools.combinations(cands, 2):
-            if (ca.tensor.p, ca.tensor.q) == (cb.tensor.p, cb.tensor.q):
+            if (ca.p, ca.q) == (cb.p, cb.q):
                 tried += 1
-                assert signed_perm_isomorphic(ca.tensor, cb.tensor) is None
+                assert signed_perm_isomorphic(ca, cb) is None
         assert tried > 0
 
     def test_each_named_presentation_lies_in_one_candidate(self):
@@ -597,8 +623,8 @@ class TestClassification:
         for kp in known:
             hits = []
             for idx, cand in enumerate(cands):
-                if (cand.tensor.p, cand.tensor.q) == (kp.tensor.p, kp.tensor.q):
-                    w = signed_perm_isomorphic(kp.tensor, cand.tensor)
+                if (cand.p, cand.q) == (kp.tensor.p, kp.tensor.q):
+                    w = signed_perm_isomorphic(kp.tensor, cand)
                     if w is not None:
                         hits.append((idx, w))
             assert len(hits) == 1, kp.name
@@ -610,7 +636,7 @@ class TestClassification:
             (ia, wa), (ib, wb) = located[src], located[dst]
             assert ia != ib
             full = compose_witnesses(wb, compose_witnesses(glw, invert_witness(wa)))
-            assert check_witness(cands[ia].tensor, cands[ib].tensor, full).ok
+            assert check_witness(cands[ia], cands[ib], full).ok
         rows = classify(5)
         assert [name for row in rows for name in row.family] == [
             kp.name for kp in sorted(known, key=lambda kp: next(
@@ -655,9 +681,8 @@ class TestClassification:
 
 
 def _invariants(*names):
-    known = {kp.name: kp for kp in known_presentations()}
-    return Invariants(tuple(known[n].tensor for n in names),
-                      any(known[n].heisenberg for n in names))
+    known = {kp.name: kp.tensor for kp in known_presentations()}
+    return Invariants(tuple(known[n] for n in names))
 
 
 class TestDistinguish:
@@ -699,9 +724,36 @@ class TestDistinguish:
                                                 (2, 3, 1, 1)])
         b = StructureTensor.from_entries(3, 2, [(1, 2, 1, 1), (2, 3, 2, 1)])
         assert derivation_dim(a) == derivation_dim(b)
-        assert distinguish(Invariants((a,), None), Invariants((b,), None)) is None
-        # one unknown flag is enough to leave the last step out
-        assert distinguish(Invariants((a,), True), Invariants((b,), None)) is None
+        assert distinguish(Invariants((a,)), Invariants((b,))) is None
+
+    def test_one_unknown_flag_leaves_the_last_step_out(self):
+        # ring(2) satisfies the square-norm identity; b is not uniform but
+        # has the same shape and derivation dimension and a singular
+        # central direction, which alone is no certificate
+        ring = _invariants("ring(2)")
+        b = Invariants((StructureTensor.from_entries(4, 2, [
+            (1, 2, 1, 1), (1, 3, 1, 1), (2, 4, 2, 1)]),))
+        assert ring.heisenberg is True and b.heisenberg is None
+        assert b.derivation_dim == ring.derivation_dim == 16
+        assert b.singular_direction == (0, 1)
+        assert distinguish(ring, b) is None
+        assert distinguish(b, ring) is None
+
+    def test_flag_is_the_square_norm_identity(self):
+        flags = []
+        for t in enumeration._candidates(5, DEFAULT_SEARCH_BUDGET):
+            flags.append(Invariants((t,)).heisenberg)
+            assert flags[-1] == is_heisenberg_type(t), t
+        assert True in flags and False in flags
+
+    def test_flag_is_none_unless_every_presentation_is_uniform(self):
+        bad = StructureTensor.from_entries(3, 2, [(1, 2, 1, 1), (2, 3, 2, 1)])
+        good = from_graph(heisenberg(1))
+        assert not validate_uniform(to_graph(bad)).is_uniform
+        assert Invariants((bad,)).heisenberg is None
+        assert Invariants((good, bad)).heisenberg is None
+        assert Invariants((bad, good)).heisenberg is None
+        assert Invariants((good,)).heisenberg is True
 
     def test_invariants_are_computed_once(self, monkeypatch):
         calls = []

@@ -63,10 +63,13 @@ class TestValueSemantics:
 
     def test_equality_ignores_cached_values(self):
         t = StructureTensor.from_entries(4, 1, [(1, 2, 1, 1), (3, 4, 1, -1)])
-        warm = Invariants((t,), is_heisenberg_type(t))
-        cold = Invariants((t,), is_heisenberg_type(t))
+        # every fact but the presentations is a cached value
+        assert Invariants._fields == ("presentations",)
+        warm, cold = Invariants((t,)), Invariants((t,))
         assert warm.derivation_dim == derivation_dim(t)
+        assert warm.heisenberg == is_heisenberg_type(t)
         assert "derivation_dim" in vars(warm) and "derivation_dim" not in vars(cold)
+        assert "heisenberg" in vars(warm) and "reports" in vars(warm)
         assert warm == cold and hash(warm) == hash(cold)
 
     def test_vars_holds_the_fields_in_order(self):

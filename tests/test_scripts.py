@@ -8,15 +8,32 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def test_reproduce_tables_five_generators():
+def reproduce_tables(qmax):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
-    proc = subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / "reproduce_tables.py"), "--qmax", "5"],
+    return subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "reproduce_tables.py"), "--qmax", qmax],
         env=env, capture_output=True, text=True, timeout=300)
+
+
+def test_reproduce_tables_five_generators():
+    proc = reproduce_tables("5")
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
     assert any(line.startswith("Table A: 12 isomorphism classes") for line in lines)
     assert ("  distinctness certificates: 2 central-direction, "
             "1 derivation-dimension, 63 dimension-split") in lines
+
+
+def test_reproduce_tables_six_generators_names_the_open_pair():
+    proc = reproduce_tables("6")
+    assert proc.returncode == 4, proc.stderr
+    assert proc.stderr == ""
+    lines = proc.stdout.splitlines()
+    assert lines[0] == ("Table A: classification aborted: undetermined pair "
+                        "of candidate classes at (p, q) = (3, 6)")
+    left, right = lines.index("left candidate:"), lines.index("right candidate:")
+    assert lines[left + 1:right] == ["[v1, v2] = z1", "[v3, v4] = z2", "[v5, v6] = z3"]
+    assert len(lines[right + 1:lines.index("", right)]) == 9
+    assert any(line.startswith("Table B:") for line in lines)
