@@ -10,7 +10,8 @@ and their color counts.
 Run: python3 scripts/reproduce_tables.py [--qmax N]
 
 Exits 4, after Table B, when two classes of Table A can neither be merged
-nor separated; the report names that pair in place of Table A.
+nor separated; the report names that pair in place of Table A.  Exits 2,
+printing nothing, when --qmax is beyond the regular-graph census (q <= 8).
 """
 
 import argparse
@@ -28,6 +29,10 @@ def table_a(qmax: int) -> bool:
     t0 = time.monotonic()
     try:
         rows, certs = classify_detailed(qmax)
+    except ValueError as exc:
+        # qmax outside the census: a usage error, as `unilie classify` reports it
+        sys.stderr.write(f"usage error: {exc}\n")
+        sys.exit(2)
     except UndeterminedPairError as exc:
         print(f"Table A: classification aborted: {exc}")
         print("left candidate:\n" + bracket_table(exc.left)

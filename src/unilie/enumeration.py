@@ -39,7 +39,12 @@ def _divisors(n: int) -> list[int]:
 def _regular_graphs_qs(q: int, s: int, budget: int) -> list[SimpleGraph]:
     """All s-regular graphs on q labeled vertices, one per isomorphism class:
     the first labeled graph met in each class, keyed by its canonical form.
-    The labeled search fixes vertex 0's neighborhood to {1..s}."""
+    The labeled search fixes vertex 0's neighborhood to {1..s}.
+
+    Row i never takes a later vertex j while skipping an earlier twin u, a
+    vertex u < j with the same neighbors among 0..i-1.  Swapping u and j
+    keeps rows 0..i-1 and makes row i come earlier, so a skipped labeling is
+    never the first member of its class the search meets."""
     visited = 0
     found: dict[SimpleGraph, SimpleGraph] = {}
 
@@ -54,7 +59,18 @@ def _regular_graphs_qs(q: int, s: int, budget: int) -> list[SimpleGraph]:
         candidates = [j for j in range(i + 1, q) if residual[j] > 0]
         if need > len(candidates):
             return
+        earlier = [0] * q
+        for a, b in edges:
+            earlier[b] |= 1 << a
+        # twins have equal residual degree, so both or neither are candidates
+        last: dict[int, int] = {}
+        twin: dict[int, int] = {}
+        for j in candidates:
+            twin[j] = last.get(earlier[j], j)
+            last[earlier[j]] = j
         for chosen in itertools.combinations(candidates, need):
+            if any(twin[j] not in chosen for j in chosen):
+                continue
             visited += 1
             if visited > budget:
                 raise BudgetExceededError(budget, visited)

@@ -374,17 +374,17 @@ def colorings_equivalent(g1: ColoredDigraph, g2: ColoredDigraph, strict: bool = 
 #
 # After McKay & Piperno, "Practical graph isomorphism, II", J. Symbolic
 # Comput. 60 (2014).  An object is a set of points with an initial ordered
-# partition and an incidence list: point x lies in entries (code, a, b), where
-# code says which role x plays and a, b are the other points of the entry.
-# Refinement splits cells by the multiset of (code, cell of a, cell of b)
-# until nothing splits; the search individualizes each point of the first
-# non-singleton cell in turn.  Every leaf is a discrete partition, i.e. a
-# labeling, and the canonical form is the smallest relabeled object over all
-# leaves.  Two leaves with equal forms differ by an automorphism, which
-# prunes the tree: orbit pruning on the first path, and a backjump to the
-# node where the two leaves' paths part.
+# partition and an incidence list: point x lies in entries (code, y), where
+# code says which role x plays and y is the other point of the entry.
+# Refinement splits cells by the multiset of (code, cell of y) until nothing
+# splits; the search individualizes each point of the first non-singleton
+# cell in turn.  Every leaf is a discrete partition, i.e. a labeling, and the
+# canonical form is the smallest relabeled object over all leaves.  Two
+# leaves with equal forms differ by an automorphism, which prunes the tree:
+# orbit pruning on the first path, and a backjump to the node where the two
+# leaves' paths part.
 
-def _refine(cells: list[list[int]], incid: list[list[tuple[int, int, int]]]
+def _refine(cells: list[list[int]], incid: list[list[tuple[int, int]]]
             ) -> list[list[int]]:
     """Split cells by incidence signatures until the partition is stable.
 
@@ -402,8 +402,7 @@ def _refine(cells: list[list[int]], incid: list[list[tuple[int, int, int]]]
                 continue
             groups: dict[tuple, list[int]] = {}
             for x in cell:
-                sig = tuple(sorted([(c, cell_of[a], cell_of[b])
-                                    for c, a, b in incid[x]]))
+                sig = tuple(sorted([(c, cell_of[y]) for c, y in incid[x]]))
                 groups.setdefault(sig, []).append(x)
             out.extend(groups[sig] for sig in sorted(groups))
         if len(out) == len(cells):
@@ -426,7 +425,7 @@ def _in_orbit(v: int, seen: list[int], gens: list[list[int]]) -> bool:
 
 
 def _canonical_form(cells: list[list[int]],
-                    incid: list[list[tuple[int, int, int]]], form_of, budget: int):
+                    incid: list[list[tuple[int, int]]], form_of, budget: int):
     """Smallest form_of(labeling) over the leaves of the search tree, where a
     labeling maps each point to its position, and the automorphisms met at
     pairs of leaves with equal forms, as lists of point images.  Each node
@@ -487,10 +486,10 @@ def _graph_search(g: SimpleGraph, strict: bool, budget: int):
     0-based vertex images.  strict orients each edge i < j from i to j and
     keeps that orientation in the form."""
     edges = [(i - 1, j - 1) for i, j in g.edges]
-    incid: list[list[tuple[int, int, int]]] = [[] for _ in range(g.q)]
+    incid: list[list[tuple[int, int]]] = [[] for _ in range(g.q)]
     for a, b in edges:
-        incid[a].append((0, b, b))
-        incid[b].append((1 if strict else 0, a, a))
+        incid[a].append((0, b))
+        incid[b].append((1 if strict else 0, a))
 
     def form_of(lab):
         return sorted((lab[a], lab[b]) if strict or lab[a] < lab[b] else (lab[b], lab[a])

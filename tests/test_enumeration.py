@@ -29,6 +29,7 @@ from unilie.graphs import (
     BudgetExceededError,
     SimpleGraph,
     automorphisms,
+    canonical_graph,
     colorings_equivalent,
     connected_components,
     validate_uniform,
@@ -61,6 +62,41 @@ def oracle_canonical_graph(g, budget=None):
         if best is None or code < best[0]:
             best = (code, edges)
     return SimpleGraph.from_edges(g.q, best[1])
+
+
+def oracle_regular_graphs_qs(q, s):
+    """The labeled census search without the twin rule: every s-regular
+    labeling with vertex 0 adjacent to 1..s is canonically labeled, and the
+    first labeled graph met in each class is kept."""
+    found = {}
+
+    def extend(i, edges, residual):
+        if i == q:
+            if all(d == 0 for d in residual):
+                g = SimpleGraph.from_edges(q, [(a + 1, b + 1) for a, b in edges])
+                found.setdefault(canonical_graph(g), g)
+            return
+        need = residual[i]
+        candidates = [j for j in range(i + 1, q) if residual[j] > 0]
+        if need > len(candidates):
+            return
+        for chosen in itertools.combinations(candidates, need):
+            for j in chosen:
+                residual[j] -= 1
+            residual[i] = 0
+            if all(residual[j] <= q - i - 2 or residual[j] == 0
+                   for j in range(i + 1, q)):
+                extend(i + 1, edges + [(i, j) for j in chosen], residual)
+            for j in chosen:
+                residual[j] += 1
+            residual[i] = need
+
+    residual = [s] * q
+    for j in range(1, s + 1):
+        residual[j] -= 1
+    residual[0] = 0
+    extend(1, [(0, j) for j in range(1, s + 1)], residual)
+    return [found[c] for c in sorted(found, key=lambda c: sorted(c.edges, reverse=True))]
 
 
 def oracle_uniform_colorings(g, strict=False):
@@ -181,6 +217,25 @@ class TestRegularGraphs:
         want = regular_graphs(6)
         # the same labeled representatives, and through q = 6 in the same order
         assert got == want
+
+    def test_matches_unpruned_search(self):
+        want = [g for q in range(2, 9) for s in range(1, q) if q * s % 2 == 0
+                for g in oracle_regular_graphs_qs(q, s)]
+        # the same labeled representatives in the same order
+        assert regular_graphs(8) == want
+
+    @pytest.mark.parametrize("q_max,labeled", [(7, 25), (8, 105)])
+    def test_canonical_labelings_counted(self, monkeypatch, q_max, labeled):
+        # the unpruned search labels 92 graphs at q <= 7 and 1,563 at q <= 8
+        calls = []
+
+        def counting(g, budget):
+            calls.append(g)
+            return canonical_graph(g, budget)
+
+        monkeypatch.setattr(enumeration, "canonical_graph", counting)
+        regular_graphs(q_max)
+        assert len(calls) == labeled
 
     def test_eight_vertex_census(self):
         eight = [g for g in regular_graphs(8) if g.q == 8]

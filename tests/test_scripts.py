@@ -37,3 +37,10 @@ def test_reproduce_tables_six_generators_names_the_open_pair():
     assert lines[left + 1:right] == ["[v1, v2] = z1", "[v3, v4] = z2", "[v5, v6] = z3"]
     assert len(lines[right + 1:lines.index("", right)]) == 9
     assert any(line.startswith("Table B:") for line in lines)
+
+
+def test_reproduce_tables_rejects_nine_generators():
+    proc = reproduce_tables("9")
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == "usage error: the regular graph census is sized for q <= 8, got 9\n"
