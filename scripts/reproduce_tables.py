@@ -11,7 +11,8 @@ Run: python3 scripts/reproduce_tables.py [--qmax N]
 
 Exits 4, after Table B, when two classes of Table A can neither be merged
 nor separated; the report names that pair in place of Table A.  Exits 2,
-printing nothing, when --qmax is beyond the regular-graph census (q <= 8).
+printing nothing, when --qmax is below 1 or beyond the regular-graph census
+(q <= 8).
 """
 
 import argparse
@@ -20,7 +21,6 @@ import time
 
 from unilie.enumeration import (UndeterminedPairError, classify_detailed,
                                 regular_graphs, uniform_colorings)
-from unilie.graphs import validate_uniform
 from unilie.serialize import bracket_table
 
 
@@ -63,7 +63,7 @@ def table_b(qmax: int) -> None:
     print(f"{'q':>2} {'s':>2} {'edges':>5}  {'count':>5}  color counts")
     for g in regular_graphs(qmax):
         cols = uniform_colorings(g)
-        ps = sorted(validate_uniform(c).p for c in cols)
+        ps = sorted(c.p for c in cols)
         s = g.degrees()[0]
         print(f"{g.q:>2} {s:>2} {len(g.edges):>5}  {len(cols):>5}  "
               f"p in {ps}")
@@ -75,6 +75,10 @@ def main() -> int:
     ap.add_argument("--qmax", type=int, default=5,
                     help="largest generator count (default 5)")
     args = ap.parse_args()
+    if args.qmax < 1:
+        # as `unilie classify` reports it
+        sys.stderr.write(f"usage error: --qmax must be at least 1, got {args.qmax}\n")
+        return 2
     complete = table_a(args.qmax)
     table_b(min(args.qmax, 8))
     return 0 if complete else 4

@@ -22,7 +22,7 @@ from .algebra import (MAX_SIGN_ORBITS, GeneralLinearWitness, SignedPermWitness,
                       j_map, sign_vector, signed_perm_isomorphic, support_pairs,
                       to_graph)
 from .graphs import (BudgetExceededError, ColoredDigraph, DEFAULT_SEARCH_BUDGET,
-                     SimpleGraph, UniformityReport, _automorphism_generators,
+                     SimpleGraph, UniformityReport, _canonical_search,
                      automorphisms, canonical_graph, validate_uniform)
 from .families import (cyclic, free_two_step, heisenberg, quaternionic,
                        ring_algebra)
@@ -206,19 +206,17 @@ def _orbit_representatives(labeled, edges: list[tuple[int, int]],
     return reps, count
 
 
-def uniform_colorings(g: SimpleGraph, budget: int = DEFAULT_SEARCH_BUDGET,
-                      strict: bool = False) -> list[ColoredDigraph]:
+def uniform_colorings(g: SimpleGraph,
+                      budget: int = DEFAULT_SEARCH_BUDGET) -> list[ColoredDigraph]:
     """All uniform edge colorings of a regular graph up to coloring
     equivalence, ordered by (p, sorted arcs).  Non-regular input has none.
 
     An equivalence between two colorings of g maps g onto itself, and the
     matching search yields every labeled coloring once, colors numbered by
     first appearance, so the classes are the orbits of Aut(g) on the labeled
-    colorings.  The labeled arcs run from the smaller vertex to the larger,
-    so with strict=True the group is the subgroup of Aut(g) that keeps every
-    edge's orientation.  Each class keeps the first labeled coloring the
-    matching search meets; the group's generators come from the canonical
-    labeling search on g, which counts its nodes against budget."""
+    colorings.  Each class keeps the first labeled coloring the matching
+    search meets; the group's generators come from the canonical labeling
+    search on g, which counts its nodes against budget."""
     degs = g.degrees()
     if not degs or len(set(degs)) != 1 or degs[0] == 0:
         return []
@@ -228,8 +226,7 @@ def uniform_colorings(g: SimpleGraph, budget: int = DEFAULT_SEARCH_BUDGET,
     # properness forces s distinct colors at each vertex
     labeled = itertools.chain.from_iterable(
         _matching_partitions(edges, p, m // p, budget) for p in _divisors(m) if p >= s)
-    reps, _ = _orbit_representatives(labeled, edges,
-                                     _automorphism_generators(g, strict, budget))
+    reps, _ = _orbit_representatives(labeled, edges, _canonical_search(g, budget)[1])
     return sorted((_labels_to_coloring(g, labels) for labels in reps),
                   key=lambda c: (c.p, c.sorted_arcs()))
 

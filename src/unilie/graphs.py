@@ -136,13 +136,6 @@ class NotSurjective(Record):
 
 Violation = NonProper | ColorCountMismatch | NotRegular | NotSurjective
 
-_VIOLATION_ORDER = {NonProper: 0, ColorCountMismatch: 1, NotRegular: 2, NotSurjective: 3}
-
-
-def _sort_violations(violations) -> tuple[Violation, ...]:
-    return tuple(sorted(violations,
-                        key=lambda v: (_VIOLATION_ORDER[type(v)],) + tuple(vars(v).values())))
-
 
 class UniformityReport(Record):
     """Outcome of the uniformity check; r and s are meaningful only when
@@ -168,9 +161,10 @@ def _mode(values) -> int:
 def validate_uniform(g: ColoredDigraph) -> UniformityReport:
     """Check regularity, properness, surjectivity, and equal color counts.
 
-    All violations are enumerated.  When the report is clean the graph is a
-    uniformly colored digraph of type (p, q, r) and degree s, and these
-    numbers satisfy 2 r p = s q.
+    All violations are enumerated: NonProper, then ColorCountMismatch,
+    NotRegular and NotSurjective, each kind in the order of its fields.
+    When the report is clean the graph is a uniformly colored digraph of
+    type (p, q, r) and degree s, and these numbers satisfy 2 r p = s q.
     """
     violations: list[Violation] = []
     degrees = {v: 0 for v in range(1, g.q + 1)}
@@ -183,31 +177,32 @@ def validate_uniform(g: ColoredDigraph) -> UniformityReport:
         incident_colors[j].append(k)
         color_counts[k] += 1
 
-    s = _mode(list(degrees.values()))
-    for v in range(1, g.q + 1):
-        if degrees[v] != s:
-            violations.append(NotRegular(vertex=v, degree=degrees[v]))
-
-    used = {k: c for k, c in color_counts.items() if c > 0}
-    for k in range(1, g.p + 1):
-        if color_counts[k] == 0:
-            violations.append(NotSurjective(color=k))
-    r = _mode(list(used.values()))
-    for k, c in sorted(used.items()):
-        if c != r:
-            violations.append(ColorCountMismatch(color=k, count=c))
-
     for v in range(1, g.q + 1):
         for k, c in sorted(Counter(incident_colors[v]).items()):
             if c > 1:
                 violations.append(NonProper(vertex=v, color=k))
 
+    used = {k: c for k, c in color_counts.items() if c > 0}
+    r = _mode(list(used.values()))
+    for k, c in sorted(used.items()):
+        if c != r:
+            violations.append(ColorCountMismatch(color=k, count=c))
+
+    s = _mode(list(degrees.values()))
+    for v in range(1, g.q + 1):
+        if degrees[v] != s:
+            violations.append(NotRegular(vertex=v, degree=degrees[v]))
+
+    for k in range(1, g.p + 1):
+        if color_counts[k] == 0:
+            violations.append(NotSurjective(color=k))
+
     if not g.arcs:
         s = 0
         r = 0
-    ordered = _sort_violations(violations)
-    is_uniform = not ordered and s >= 1
-    return UniformityReport(is_uniform=is_uniform, p=g.p, q=g.q, r=r, s=s, violations=ordered)
+    is_uniform = not violations and s >= 1
+    return UniformityReport(is_uniform=is_uniform, p=g.p, q=g.q, r=r, s=s,
+                            violations=tuple(violations))
 
 
 # ---------------------------------------------------------------------------
@@ -370,27 +365,24 @@ def colorings_equivalent(g1: ColoredDigraph, g2: ColoredDigraph, strict: bool = 
 
 
 # ---------------------------------------------------------------------------
-# canonical labeling by individualization and refinement
+# canonical labeling of simple graphs by individualization and refinement
 #
 # After McKay & Piperno, "Practical graph isomorphism, II", J. Symbolic
-# Comput. 60 (2014).  An object is a set of points with an initial ordered
-# partition and an incidence list: point x lies in entries (code, y), where
-# code says which role x plays and y is the other point of the entry.
-# Refinement splits cells by the multiset of (code, cell of y) until nothing
-# splits; the search individualizes each point of the first non-singleton
-# cell in turn.  Every leaf is a discrete partition, i.e. a labeling, and the
-# canonical form is the smallest relabeled object over all leaves.  Two
-# leaves with equal forms differ by an automorphism, which prunes the tree:
-# orbit pruning on the first path, and a backjump to the node where the two
-# leaves' paths part.
+# Comput. 60 (2014).  Refinement splits the cells of an ordered vertex
+# partition by the multiset of cells of each vertex's neighbours until
+# nothing splits; the search individualizes each vertex of the first
+# non-singleton cell in turn.  Every leaf is a discrete partition, i.e. a
+# labeling, and the canonical form is the smallest relabeled edge list over
+# all leaves.  Two leaves with equal forms differ by an automorphism, which
+# prunes the tree: orbit pruning on the first path, and a backjump to the
+# node where the two leaves' paths part.
 
-def _refine(cells: list[list[int]], incid: list[list[tuple[int, int]]]
-            ) -> list[list[int]]:
-    """Split cells by incidence signatures until the partition is stable.
+def _refine(cells: list[list[int]], adj: list[list[int]]) -> list[list[int]]:
+    """Split cells by neighbour signatures until the partition is stable.
 
     New cells replace the old one in the order of their signatures, so the
-    result commutes with relabeling the points."""
-    cell_of = [0] * len(incid)
+    result commutes with relabeling the vertices."""
+    cell_of = [0] * len(adj)
     while True:
         for ci, cell in enumerate(cells):
             for x in cell:
@@ -402,7 +394,7 @@ def _refine(cells: list[list[int]], incid: list[list[tuple[int, int]]]
                 continue
             groups: dict[tuple, list[int]] = {}
             for x in cell:
-                sig = tuple(sorted([(c, cell_of[y]) for c, y in incid[x]]))
+                sig = tuple(sorted([cell_of[y] for y in adj[x]]))
                 groups.setdefault(sig, []).append(x)
             out.extend(groups[sig] for sig in sorted(groups))
         if len(out) == len(cells):
@@ -424,13 +416,17 @@ def _in_orbit(v: int, seen: list[int], gens: list[list[int]]) -> bool:
     return any(u in orbit for u in seen)
 
 
-def _canonical_form(cells: list[list[int]],
-                    incid: list[list[tuple[int, int]]], form_of, budget: int):
-    """Smallest form_of(labeling) over the leaves of the search tree, where a
-    labeling maps each point to its position, and the automorphisms met at
-    pairs of leaves with equal forms, as lists of point images.  Each node
-    visited counts against budget."""
-    n = len(incid)
+def _canonical_search(g: SimpleGraph, budget: int):
+    """Canonical edge list of g, 0-based pairs a < b in sorted order, and the
+    automorphisms met at pairs of leaves with equal forms, as lists of 0-based
+    vertex images; these generate Aut(g).  A leaf's labeling maps each vertex
+    to its position.  Each node visited counts against budget."""
+    n = g.q
+    edges = [(i - 1, j - 1) for i, j in g.edges]
+    adj: list[list[int]] = [[] for _ in range(n)]
+    for a, b in edges:
+        adj[a].append(b)
+        adj[b].append(a)
     autos: list[list[int]] = []
     first = best = None             # (form, labeling, path) of two leaves
     nodes = 0
@@ -441,13 +437,14 @@ def _canonical_form(cells: list[list[int]],
         nodes += 1
         if nodes > budget:
             raise BudgetExceededError(budget, nodes)
-        cells = _refine(cells, incid)
+        cells = _refine(cells, adj)
         t = next((i for i, c in enumerate(cells) if len(c) > 1), None)
         if t is None:
             lab = [0] * n
             for pos, (x,) in enumerate(cells):
                 lab[x] = pos
-            form = form_of(lab)
+            form = sorted((lab[a], lab[b]) if lab[a] < lab[b] else (lab[b], lab[a])
+                          for a, b in edges)
             if first is None:
                 first = best = (form, lab, path)
                 return len(path) - 1
@@ -477,41 +474,15 @@ def _canonical_form(cells: list[list[int]],
             done.append(v)
         return len(path) - 1
 
-    search(cells, ())
+    search([list(range(n))], ())
     return best[0], autos
-
-
-def _graph_search(g: SimpleGraph, strict: bool, budget: int):
-    """Canonical edge list of g and the automorphisms found on the way, as
-    0-based vertex images.  strict orients each edge i < j from i to j and
-    keeps that orientation in the form."""
-    edges = [(i - 1, j - 1) for i, j in g.edges]
-    incid: list[list[tuple[int, int]]] = [[] for _ in range(g.q)]
-    for a, b in edges:
-        incid[a].append((0, b))
-        incid[b].append((1 if strict else 0, a))
-
-    def form_of(lab):
-        return sorted((lab[a], lab[b]) if strict or lab[a] < lab[b] else (lab[b], lab[a])
-                      for a, b in edges)
-
-    return _canonical_form([list(range(g.q))], incid, form_of, budget)
 
 
 def canonical_graph(g: SimpleGraph, budget: int = DEFAULT_SEARCH_BUDGET) -> SimpleGraph:
     """Canonical relabeling of g: isomorphic graphs, and only they, give the
     same result.  Its edge list is the smallest over the search leaves."""
-    form, _ = _graph_search(g, False, budget)
+    form = _canonical_search(g, budget)[0]
     return SimpleGraph(g.q, frozenset((a + 1, b + 1) for a, b in form))
-
-
-def _automorphism_generators(g: SimpleGraph, strict: bool,
-                             budget: int = DEFAULT_SEARCH_BUDGET) -> list[list[int]]:
-    """Generators of Aut(g) as 0-based vertex images, from the canonical
-    labeling search; strict keeps only the automorphisms that map every edge
-    i < j onto an edge with the same orientation.  Each search node counts
-    against budget."""
-    return _graph_search(g, strict, budget)[1]
 
 
 def relabel(g: ColoredDigraph, a: ColorPermAutomorphism) -> ColoredDigraph:

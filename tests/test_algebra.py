@@ -61,7 +61,6 @@ from unilie.graphs import (
     NotSurjective,
     UniformityReport,
     _mode,
-    _sort_violations,
     automorphisms,
     validate_uniform,
 )
@@ -118,7 +117,9 @@ def verify_uniform_basis(t):
     if not t.entries:
         s = 0
         r = 0
-    ordered = _sort_violations(violations)
+    report_order = (NonProper, ColorCountMismatch, NotRegular, NotSurjective)
+    ordered = tuple(sorted(violations, key=lambda v: (report_order.index(type(v)),)
+                           + tuple(vars(v).values())))
     return UniformityReport(is_uniform=not ordered and s >= 1,
                             p=t.p, q=t.q, r=r, s=s, violations=ordered)
 

@@ -40,6 +40,13 @@ def machine_payload(out):
     return json.loads(body)
 
 
+def assert_search_too_deep(captured):
+    assert captured.out == ""
+    assert captured.err.startswith("search too deep: ")
+    assert captured.err.count("\n") == 1
+    assert "budget" not in captured.err
+
+
 @pytest.fixture
 def quat_file(tmp_path):
     path = tmp_path / "quat.graph"
@@ -338,6 +345,14 @@ class TestIso:
         )
         assert code == 3
 
+    def test_search_depth_exit(self, capsys, tmp_path):
+        # the mapping search nests one call per vertex; `family` refuses a
+        # graph this large, so the file is written through the library
+        path = tmp_path / "h.graph"
+        path.write_text(write_graph(heisenberg(500)))
+        assert main(["iso", "--input", str(path), "--input", str(path)]) == 3
+        assert_search_too_deep(capsys.readouterr())
+
 
 class TestOrbit:
     def test_quaternionic_support(self, capsys, quat_file):
@@ -362,6 +377,12 @@ class TestOrbit:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "budget exceeded: visited 2097152 nodes with budget 50\n"
+
+    def test_search_depth_exit(self, capsys, tmp_path):
+        path = tmp_path / "r.graph"
+        path.write_text(write_graph(ring_algebra(500)))
+        assert main(["orbit", "--input", str(path)]) == 3
+        assert_search_too_deep(capsys.readouterr())
 
 
 class TestClassify:

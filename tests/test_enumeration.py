@@ -4,6 +4,7 @@ import functools
 import inspect
 import itertools
 import math
+import random
 from collections import Counter
 
 import pytest
@@ -99,7 +100,7 @@ def oracle_regular_graphs_qs(q, s):
     return [found[c] for c in sorted(found, key=lambda c: sorted(c.edges, reverse=True))]
 
 
-def oracle_uniform_colorings(g, strict=False):
+def oracle_uniform_colorings(g):
     """Uniform colorings deduplicated by pairwise equivalence search, keeping
     the first labeled coloring met in each class."""
     edges = [(i - 1, j - 1) for (i, j) in g.sorted_edges()]
@@ -110,7 +111,7 @@ def oracle_uniform_colorings(g, strict=False):
             continue
         for labels in enumeration._matching_partitions(edges, p, m // p, 10**7):
             cand = enumeration._labels_to_coloring(g, labels)
-            if not any(colorings_equivalent(cand, known, strict=strict)
+            if not any(colorings_equivalent(cand, known)
                        for known in reps if known.p == p):
                 reps.append(cand)
     return sorted(reps, key=lambda c: (c.p, c.sorted_arcs()))
@@ -317,34 +318,37 @@ class TestUniformColorings:
             total += len(got)
         assert total == 37
 
-    def test_matches_strict_pairwise_dedup(self):
-        total = 0
-        for g in regular_graphs(6):
-            got = uniform_colorings(g, strict=True)
-            assert got == oracle_uniform_colorings(g, strict=True)
-            total += len(got)
-        assert total == 112
-
-    @pytest.mark.parametrize("strict", [False, True])
-    def test_orbit_stabilizer(self, strict):
+    def test_orbit_stabilizer(self):
         # each class is an Aut(g)-orbit of |Aut(g)|/|Aut(c)| labeled colorings
         for g in regular_graphs(6):
-            group = len(automorphisms(trivial_coloring(g), strict))
+            group = len(automorphisms(trivial_coloring(g)))
             edges = [(i - 1, j - 1) for (i, j) in g.sorted_edges()]
-            classes = uniform_colorings(g, strict=strict)
+            classes = uniform_colorings(g)
             for p in {c.p for c in classes}:
                 labeled = sum(1 for _ in enumeration._matching_partitions(
                     edges, p, len(edges) // p, 10**7))
-                stabilizers = [len(automorphisms(c, strict)) for c in classes
-                               if c.p == p]
+                stabilizers = [len(automorphisms(c)) for c in classes if c.p == p]
                 assert all(group % a == 0 for a in stabilizers)
                 assert sum(group // a for a in stabilizers) == labeled
 
-    @pytest.mark.parametrize("strict", [False, True])
-    def test_budget_enforced(self, strict):
+    def test_classes_do_not_depend_on_the_labeling(self):
+        rnd = random.Random(15)
+        for g in regular_graphs(6):
+            classes = uniform_colorings(g)
+            for _ in range(4):
+                perm = list(range(1, g.q + 1))
+                rnd.shuffle(perm)
+                h = SimpleGraph.from_edges(
+                    g.q, [(perm[i - 1], perm[j - 1]) for i, j in g.edges])
+                moved = uniform_colorings(h)
+                assert len(moved) == len(classes)
+                for c in moved:
+                    assert any(colorings_equivalent(c, known) for known in classes)
+
+    def test_budget_enforced(self):
         (k4,) = [g for g in regular_graphs(4) if g.degrees()[0] == 3]
         with pytest.raises(BudgetExceededError):
-            uniform_colorings(k4, budget=3, strict=strict)
+            uniform_colorings(k4, budget=3)
 
     def test_no_equivalent_duplicates(self):
         for g in regular_graphs(4):

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from unilie.enumeration import regular_graphs, uniform_colorings
 from unilie.families import heisenberg, kneser, quaternionic, ring_algebra, trivial_coloring
 from unilie.graphs import (
+    DEFAULT_SEARCH_BUDGET,
     BudgetExceededError,
     ColoredDigraph,
     ColorCountMismatch,
@@ -18,7 +19,7 @@ from unilie.graphs import (
     NotRegular,
     NotSurjective,
     SimpleGraph,
-    _automorphism_generators,
+    _canonical_search,
     automorphisms,
     canonical_graph,
     colorings_equivalent,
@@ -435,21 +436,19 @@ def complete_bipartite(a, b):
 class TestAutomorphismGenerators:
     """The automorphisms met by the canonical labeling search generate the
     whole group: its order is the number of maps the exhaustive mapping
-    search finds on the trivial coloring, where every edge has its own color
-    and runs from the smaller vertex to the larger."""
+    search finds on the trivial coloring, where every edge has its own
+    color."""
 
     @staticmethod
-    def check(g, strict):
-        gens = _automorphism_generators(g, strict)
+    def check(g):
+        gens = _canonical_search(g, DEFAULT_SEARCH_BUDGET)[1]
         assert all(sorted(x) == list(range(g.q)) for x in gens)
-        assert generated_order(gens, g.q) == len(automorphisms(trivial_coloring(g), strict))
+        assert generated_order(gens, g.q) == len(automorphisms(trivial_coloring(g)))
 
-    @pytest.mark.parametrize("strict", [False, True])
-    def test_regular_graphs_through_eight_vertices(self, strict):
+    def test_regular_graphs_through_eight_vertices(self):
         for g in regular_graphs(8):
-            self.check(g, strict)
+            self.check(g)
 
-    @pytest.mark.parametrize("strict", [False, True])
     @pytest.mark.parametrize("g", [
         pytest.param(union_of_graphs(complete_graph(4), complete_graph(4)), id="2K4"),
         pytest.param(complete_bipartite(4, 4), id="K4,4"),
@@ -458,25 +457,22 @@ class TestAutomorphismGenerators:
                      id="K3,3+K3,3"),
         pytest.param(kneser(5, 2).support(), id="Petersen"),
     ])
-    def test_graphs_with_large_groups(self, strict, g):
-        self.check(g, strict)
+    def test_graphs_with_large_groups(self, g):
+        self.check(g)
 
-    @pytest.mark.parametrize("strict", [False, True])
     @given(g=simple_graphs())
     @settings(max_examples=60)
-    def test_random_graphs(self, strict, g):
+    def test_random_graphs(self, g):
         assume(g.edges)
-        self.check(g, strict)
+        self.check(g)
 
-    def test_orientation_cuts_the_group(self):
-        # a triangle has 6 automorphisms, but only the identity keeps 1<2<3
+    def test_triangle_has_the_full_symmetric_group(self):
         (triangle,) = [g for g in regular_graphs(3) if g.q == 3]
-        assert generated_order(_automorphism_generators(triangle, False), 3) == 6
-        assert _automorphism_generators(triangle, True) == []
+        assert generated_order(_canonical_search(triangle, DEFAULT_SEARCH_BUDGET)[1], 3) == 6
 
     def test_budget_enforced(self):
         with pytest.raises(BudgetExceededError):
-            _automorphism_generators(complete_graph(5), False, budget=2)
+            _canonical_search(complete_graph(5), budget=2)
 
 
 class TestCompositeGraphs:

@@ -5,6 +5,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parents[1]
 
 
@@ -44,3 +46,11 @@ def test_reproduce_tables_rejects_nine_generators():
     assert proc.returncode == 2
     assert proc.stdout == ""
     assert proc.stderr == "usage error: the regular graph census is sized for q <= 8, got 9\n"
+
+
+@pytest.mark.parametrize("qmax", ["0", "-1"])
+def test_reproduce_tables_rejects_fewer_than_one_generator(qmax):
+    proc = reproduce_tables(qmax)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == f"usage error: --qmax must be at least 1, got {qmax}\n"
