@@ -19,8 +19,8 @@ import argparse
 import sys
 import time
 
-from unilie.enumeration import (UndeterminedPairError, classify_detailed,
-                                regular_graphs, uniform_colorings)
+from unilie.classification import UndeterminedPairError, classify_detailed
+from unilie.enumeration import regular_graphs, uniform_colorings
 from unilie.serialize import bracket_table
 
 

@@ -15,28 +15,30 @@ _EXPORTS = {
                "canonical_graph", "colorings_equivalent",
                "connected_components", "disjoint_union", "relabel",
                "validate_uniform"),
-    "algebra": ("GeneralLinearWitness", "NVector", "SignedPermWitness",
-                "StructureTensor", "WitnessCheck", "ad_matrix", "ad_rank",
-                "bracket", "center", "centralizer", "check_witness",
-                "commutator", "compose_witnesses", "concatenate",
-                "derivation_dim", "diagonal_orbit_representatives",
-                "diagonal_witness", "from_graph", "invert_witness",
-                "is_heisenberg_type", "j_basis", "j_gram", "j_map",
-                "lift_automorphism", "sign_vector", "signed_perm_isomorphic",
+    "algebra": ("GeneralLinearWitness", "NVector", "SignClass",
+                "SignClassReport", "SignedPermWitness", "StructureTensor",
+                "WitnessCheck", "ad_matrix", "ad_rank", "bracket", "center",
+                "centralizer", "check_witness", "commutator",
+                "compose_witnesses", "concatenate", "derivation_dim",
+                "diagonal_orbit_representatives", "diagonal_witness",
+                "from_graph", "invert_witness", "is_heisenberg_type",
+                "j_basis", "j_gram", "j_map", "lift_automorphism",
+                "sign_class_report", "sign_vector", "signed_perm_isomorphic",
                 "to_graph", "totally_geodesic"),
     "families": ("FiniteGroup", "cayley", "cyclic", "cyclic_group",
                  "dihedral_bipartite", "dihedral_group",
                  "elementary_abelian_group", "free_two_step",
                  "from_factorization", "heisenberg", "kneser", "quaternionic",
                  "ring_algebra", "symmetric_group", "trivial_coloring"),
-    "enumeration": ("ClassificationRow", "FactorizationReport", "Invariants",
-                    "KnownPresentation", "SignClass", "SignClassReport",
-                    "UndeterminedPairError", "classify", "classify_detailed",
-                    "distinguish", "known_presentations",
-                    "near_factorization_sign_witness",
-                    "near_one_factorizations", "one_factorizations",
-                    "regular_graphs", "ring_sum_witness", "sign_class_report",
+    "enumeration": ("FactorizationReport", "near_one_factorizations",
+                    "one_factorizations", "regular_graphs",
                     "uniform_colorings"),
+    "classification": ("ClassificationRow", "Invariants", "KnownPresentation",
+                       "UndeterminedPairError", "classify",
+                       "classify_detailed", "distinguish",
+                       "known_presentations",
+                       "near_factorization_sign_witness",
+                       "ring_sum_witness"),
     "exact": (),
     "record": (),
     "serialize": (),

@@ -25,8 +25,8 @@ from fractions import Fraction
 from . import exact
 from .exact import IntMatrix, Scalar
 from .graphs import (BudgetExceededError, ColoredDigraph, ColorPermAutomorphism,
-                     DEFAULT_SEARCH_BUDGET, _mapping_search, disjoint_union,
-                     validate_uniform)
+                     DEFAULT_SEARCH_BUDGET, _mapping_search, automorphisms,
+                     disjoint_union, validate_uniform)
 from .record import Record
 
 
@@ -574,6 +574,101 @@ def _signed_perm_witness(t1: StructureTensor, t2: StructureTensor,
     if not check_witness(t1, t2, w).ok:
         raise AssertionError("sign solve produced a bad witness")
     return w
+
+
+# ---------------------------------------------------------------------------
+# sign classes over one support
+
+class SignClass(Record):
+    members: tuple[int, ...]       # indices into orbit_representatives
+    representative: StructureTensor
+    heisenberg: bool
+    witnesses: tuple[tuple[int, int, SignedPermWitness], ...]
+
+
+class SignClassReport(Record):
+    tensor: StructureTensor
+    orbit_representatives: tuple[StructureTensor, ...]
+    classes: tuple[SignClass, ...]
+
+
+def sign_class_report(g: ColoredDigraph | StructureTensor,
+                      budget: int = DEFAULT_SEARCH_BUDGET) -> SignClassReport:
+    """Diagonal sign orbits of a uniform support, merged into sign classes.
+
+    The diagonal orbits count against budget, capped at MAX_SIGN_ORBITS
+    since each one is built.  Every orbit representative has the same colored
+    support, so the maps a signed-permutation search could try between two of
+    them are exactly the color-permuting automorphisms of that support.  They
+    are enumerated once, against budget, and the sign classes are the orbits
+    of this group on the diagonal orbits: an automorphism permutes a sign
+    vector along the support pairs and negates each pair whose order it
+    reverses.  Each class holds its orbit indices in increasing order and one
+    witness (members[0], b, w) per other member b, verified by check_witness,
+    from the first automorphism carrying members[0] onto b.
+    """
+    if isinstance(g, ColoredDigraph):
+        t = from_graph(g)
+    else:
+        t, g = g, to_graph(g)
+    if not validate_uniform(g).is_uniform:
+        raise ValueError("sign class analysis needs a uniform tensor")
+    reps = diagonal_orbit_representatives(t, min(budget, MAX_SIGN_ORBITS))
+    # with a single orbit there is nothing to merge
+    auts = automorphisms(g, budget=budget) if len(reps) > 1 else []
+    pairs = support_pairs(t)
+    width = len(pairs)
+    flips = _flip_space(t)
+    # sign bit of each pair, in the gf2 encoding of sign vectors
+    bit_of = {pr: 1 << (width - 1 - n) for n, pr in enumerate(pairs)}
+
+    # Per automorphism, the bit each pair's sign moves to, and the moved
+    # bits of the pairs whose order it reverses, which change sign.
+    moves = []
+    for aut in auts:
+        vi = aut.vertex_images
+        targets, reversed_bits = [], 0
+        for pr in pairs:
+            x, y = vi[pr[0] - 1], vi[pr[1] - 1]
+            target = bit_of[(x, y) if x < y else (y, x)]
+            targets.append((bit_of[pr], target))
+            if x > y:
+                reversed_bits |= target
+        moves.append((aut, targets, reversed_bits))
+
+    # the representatives are exactly the reduced members of their cosets
+    rep_bits = [exact.gf2_from_bits(_signs_to_bits(sign_vector(r)), width) for r in reps]
+    index = {v: n for n, v in enumerate(rep_bits)}
+
+    root = [-1] * len(reps)
+    classes = []
+    for a, ra in enumerate(reps):
+        if root[a] >= 0:
+            continue
+        root[a] = a
+        found: dict[int, SignedPermWitness] = {}
+        for aut, targets, reversed_bits in moves:
+            moved = reversed_bits
+            for source, target in targets:
+                if rep_bits[a] & source:
+                    moved ^= target
+            b = index[exact.gf2_reduce(moved, flips)]
+            if root[b] >= 0:
+                continue
+            w = _signed_perm_witness(ra, reps[b], aut.vertex_images, aut.color_images)
+            if w is None:
+                raise AssertionError("automorphism image has no sign witness")
+            root[b] = a
+            found[b] = w
+        members = (a,) + tuple(sorted(found))
+        classes.append(SignClass(
+            members=members,
+            representative=ra,
+            # every representative shares the support validated above
+            heisenberg=_heisenberg_identity(ra),
+            witnesses=tuple((a, b, found[b]) for b in members[1:])))
+    return SignClassReport(tensor=t, orbit_representatives=tuple(reps),
+                           classes=tuple(classes))
 
 
 # ---------------------------------------------------------------------------

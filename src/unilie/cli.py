@@ -286,7 +286,7 @@ def _cmd_iso(args) -> int:
             _emit(args, "isomorphic via signed permutation\n\n"
                   + serialize.write_witness(w, t1.q, t1.p), payload)
             return EXIT_OK
-    from .enumeration import Invariants, distinguish
+    from .classification import Invariants, distinguish
     cert = distinguish(Invariants((t1,)), Invariants((t2,)))
     if cert is None:
         _emit(args, "undetermined: no signed-permutation witness and no "
@@ -314,8 +314,7 @@ def _render_certificate(kind: str, left, right) -> tuple[str, dict]:
 
 def _cmd_orbit(args) -> int:
     from . import serialize
-    from .algebra import sign_vector
-    from .enumeration import sign_class_report
+    from .algebra import sign_class_report, sign_vector
     (obj,) = _read_inputs(args, 1)
     t = _as_tensor(obj)
     try:
@@ -343,7 +342,7 @@ def _cmd_orbit(args) -> int:
 
 def _cmd_classify(args) -> int:
     from . import serialize
-    from .enumeration import UndeterminedPairError, classify_detailed
+    from .classification import UndeterminedPairError, classify_detailed
     try:
         rows, certs = classify_detailed(args.qmax, budget=args.budget)
     except ValueError as exc:

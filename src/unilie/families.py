@@ -191,13 +191,14 @@ def cyclic(q: int) -> ColoredDigraph:
 
 
 def kneser(n: int, m: int) -> ColoredDigraph:
-    """Kneser graph K(n, m) colored by complements, for n >= 3m.
+    """Kneser graph K(n, m) colored by complements, for m >= 1 and
+    n >= 2m + 1.
 
     Vertices are the m-subsets of {1..n} in colexicographic order; disjoint
     subsets are adjacent and the edge color is the colex rank of the
     complement of their union, an (n - 2m)-subset.  Type
     (C(n, 2m), C(n, m), C(2m, m)/2); kneser(5, 2) is the Petersen graph
-    with type (5, 10, 3).
+    with type (5, 10, 3), and kneser(7, 3) has type (7, 35, 10).
     """
     check_parameters("kneser", n, m)
     verts = sorted(itertools.combinations(range(1, n + 1), m), key=lambda s: s[::-1])

@@ -40,15 +40,17 @@ from unilie.families import (
 )
 from unilie.graphs import ColoredDigraph, disjoint_union, relabel, validate_uniform
 from unilie.graphs import ColorPermAutomorphism
-from unilie.enumeration import (
+from unilie.algebra import sign_class_report
+from unilie.classification import (
     classify,
     known_presentations,
     near_factorization_sign_witness,
+    ring_sum_witness,
+)
+from unilie.enumeration import (
     near_one_factorizations,
     one_factorizations,
     regular_graphs,
-    ring_sum_witness,
-    sign_class_report,
     uniform_colorings,
 )
 from unilie.serialize import from_data, parse_graph, to_data, write_graph

@@ -42,7 +42,7 @@ from unilie.algebra import (
     WitnessCheck,
     _flip_space,
 )
-from unilie import enumeration
+from unilie import classification, enumeration
 from unilie.exact import IntMatrix, gf2_from_bits, gf2_reduce, gf2_to_bits
 from unilie.exact import rank as exact_rank
 from unilie.families import (
@@ -377,7 +377,7 @@ def orbit_representatives_q6():
 @functools.lru_cache(maxsize=None)
 def j_kernel_cases():
     reps = [r for group in orbit_representatives_q6() for r in group]
-    return reps + [kp.tensor for kp in enumeration.known_presentations()]
+    return reps + [kp.tensor for kp in classification.known_presentations()]
 
 
 @st.composite
@@ -409,9 +409,9 @@ class TestSparseJKernels:
         assert True in flags and False in flags
 
     def test_known_presentations_match_dense_oracles(self):
-        for kp in enumeration.known_presentations():
+        for kp in classification.known_presentations():
             assert is_heisenberg_type(kp.tensor) == oracle_is_heisenberg_type(kp.tensor)
-            assert (enumeration.Invariants((kp.tensor,)).heisenberg
+            assert (classification.Invariants((kp.tensor,)).heisenberg
                     == oracle_is_heisenberg_type(kp.tensor))
             assert j_gram(kp.tensor) == oracle_j_gram(kp.tensor)
 
@@ -639,7 +639,7 @@ class TestSparseWitnessCheck:
             oracle_check_witness, t1, t2, glw)
 
     def test_ring_sum_witness_matches_dense_oracle(self):
-        from unilie.enumeration import ring_sum_witness
+        from unilie.classification import ring_sum_witness
 
         t1, t2, w = ring_sum_witness()
         assert check_witness(t1, t2, w) == oracle_check_witness(t1, t2, w)
@@ -836,7 +836,7 @@ def small_tensors(draw):
 
 
 def _candidate_tensors(q_max):
-    return enumeration._candidates(q_max, DEFAULT_SEARCH_BUDGET)
+    return classification._candidates(q_max, DEFAULT_SEARCH_BUDGET)
 
 
 class TestDerivations:

@@ -9,7 +9,7 @@ from collections import Counter
 
 import pytest
 
-from unilie import enumeration
+from unilie import classification, enumeration
 from unilie.algebra import (
     MAX_SIGN_ORBITS,
     StructureTensor,
@@ -20,6 +20,7 @@ from unilie.algebra import (
     from_graph,
     invert_witness,
     is_heisenberg_type,
+    sign_class_report,
     signed_perm_isomorphic,
     to_graph,
 )
@@ -35,7 +36,7 @@ from unilie.graphs import (
     connected_components,
     validate_uniform,
 )
-from unilie.enumeration import (
+from unilie.classification import (
     Invariants,
     UndeterminedPairError,
     classify,
@@ -43,11 +44,12 @@ from unilie.enumeration import (
     distinguish,
     known_presentations,
     near_factorization_sign_witness,
+    ring_sum_witness,
+)
+from unilie.enumeration import (
     near_one_factorizations,
     one_factorizations,
     regular_graphs,
-    ring_sum_witness,
-    sign_class_report,
     uniform_colorings,
 )
 
@@ -664,7 +666,7 @@ class TestClassification:
     def test_candidates_are_not_signed_perm_isomorphic(self):
         # classify_detailed does not search signed permutations between
         # candidates; this is the pairwise merge it would have run
-        cands = enumeration._candidates(5, DEFAULT_SEARCH_BUDGET)
+        cands = classification._candidates(5, DEFAULT_SEARCH_BUDGET)
         tried = 0
         for ca, cb in itertools.combinations(cands, 2):
             if (ca.p, ca.q) == (cb.p, cb.q):
@@ -675,7 +677,7 @@ class TestClassification:
     def test_each_named_presentation_lies_in_one_candidate(self):
         # classify_detailed stops at the first candidate a name reaches;
         # no later candidate may be reached as well
-        cands = enumeration._candidates(5, DEFAULT_SEARCH_BUDGET)
+        cands = classification._candidates(5, DEFAULT_SEARCH_BUDGET)
         known = known_presentations()
         assert len(known) == 13
         located = {}
@@ -688,7 +690,7 @@ class TestClassification:
                         hits.append((idx, w))
             assert len(hits) == 1, kp.name
             located[kp.name] = hits[0]
-        anchors = enumeration._gl_anchors()
+        anchors = classification._gl_anchors()
         assert [(a, b) for a, b, _ in anchors] == [
             ("ring(2,primed)", "heisenberg(1)+heisenberg(1)")]
         for src, dst, glw in anchors:
@@ -724,13 +726,13 @@ class TestClassification:
 
     def test_derivation_dim_once_per_class(self, monkeypatch):
         seen = []
-        real = enumeration.derivation_dim
+        real = classification.derivation_dim
 
         def counted(t):
             seen.append(t)
             return real(t)
 
-        monkeypatch.setattr(enumeration, "derivation_dim", counted)
+        monkeypatch.setattr(classification, "derivation_dim", counted)
         classify_detailed(5)
         assert len(seen) == len(set(seen)) == 6
         seen.clear()
@@ -800,7 +802,7 @@ class TestDistinguish:
 
     def test_flag_is_the_square_norm_identity(self):
         flags = []
-        for t in enumeration._candidates(5, DEFAULT_SEARCH_BUDGET):
+        for t in classification._candidates(5, DEFAULT_SEARCH_BUDGET):
             flags.append(Invariants((t,)).heisenberg)
             assert flags[-1] == is_heisenberg_type(t), t
         assert True in flags and False in flags
@@ -817,8 +819,8 @@ class TestDistinguish:
     def test_invariants_are_computed_once(self, monkeypatch):
         calls = []
         for name in ("derivation_dim", "_singular_central_direction"):
-            real = getattr(enumeration, name)
-            monkeypatch.setattr(enumeration, name,
+            real = getattr(classification, name)
+            monkeypatch.setattr(classification, name,
                                 lambda t, real=real: calls.append(t) or real(t))
         a, b = _invariants("quaternionic"), _invariants("quaternionic-associate")
         first = distinguish(a, b)
@@ -850,6 +852,6 @@ class TestDistinguish:
             assert count <= 10_000, "searched beyond the radius-1 box"
             return 1
 
-        monkeypatch.setattr(enumeration.exact, "det", regular)
-        assert enumeration._singular_central_direction(t) is None
+        monkeypatch.setattr(classification.exact, "det", regular)
+        assert classification._singular_central_direction(t) is None
         assert count == calls

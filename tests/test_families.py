@@ -108,6 +108,9 @@ class TestKneser:
             ((4), 1, (6, 4, 1, 3)),
             ((5), 1, (10, 5, 1, 4)),
             ((5), 2, (5, 10, 3, 3)),
+            # n < 3m is allowed: any n >= 2m + 1 gives a uniform coloring
+            ((7), 3, (7, 35, 10, 4)),
+            ((8), 3, (28, 56, 10, 10)),
         ],
     )
     def test_types(self, n, m, expected):

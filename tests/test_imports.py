@@ -1,5 +1,6 @@
-"""Every name a library module imports is used in that module, and every
-private name it defines is used somewhere in the library."""
+"""Every name a library module imports is used in that module, every
+private name it defines is used somewhere in the library, each module
+imports only its layers, and each entry point loads only what it runs."""
 
 import ast
 import importlib
@@ -12,6 +13,7 @@ import pytest
 
 import unilie
 from unilie import serialize
+from unilie.algebra import from_graph
 from unilie.families import quaternionic
 
 MODULES = sorted(p for p in Path(unilie.__file__).parent.glob("*.py")
@@ -37,6 +39,51 @@ def test_no_unused_imports():
     assert {name: names for name, names in found.items() if names} == {}
 
 
+# module -> the library modules it imports at its top level; the census
+# (enumeration) stays on the graph layer, and only classification reaches
+# every layer at once.  cli imports what a verb uses when the verb runs.
+LAYERS = {
+    "record": set(),
+    "graphs": {"record"},
+    "enumeration": {"graphs", "record"},
+    "exact": {"record"},
+    "algebra": {"exact", "graphs", "record"},
+    "families": {"graphs", "record"},
+    "serialize": {"algebra", "exact", "graphs"},
+    "classification": {"algebra", "enumeration", "exact", "families", "graphs",
+                       "record"},
+    "cli": set(),
+}
+
+
+def top_level_edges(source: str) -> set[str]:
+    """The sibling modules that `from .x import` or `from . import x`
+    statements at module level name."""
+    edges = set()
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            edges |= ({node.module} if node.module else {a.name for a in node.names})
+    return edges
+
+
+def test_modules_import_only_their_layers():
+    found = {p.stem: top_level_edges(p.read_text()) for p in MODULES}
+    assert found == LAYERS
+
+
+def test_top_level_edges_are_found():
+    source = """
+from . import exact
+from .graphs import ColoredDigraph
+import itertools
+
+def late():
+    from .algebra import from_graph
+"""
+    assert top_level_edges(source) == {"exact", "graphs"}
+    assert top_level_edges("from .algebra import from_graph\n") == {"algebra"}
+
+
 def test_cli_import_skips_code_generation_modules():
     """A fresh interpreter importing the CLI loads neither `dataclasses` nor
     `inspect`, which together cost tens of milliseconds per invocation."""
@@ -51,18 +98,30 @@ def test_cli_import_skips_code_generation_modules():
     assert proc.stdout.strip() == "[]"
 
 
-def fresh_unilie_modules(code: str) -> list[str]:
+def fresh_modules(code: str) -> list[str]:
     """Run code in a fresh interpreter with `src` on the path and return the
-    unilie modules loaded at its end, sorted."""
+    modules loaded at its end, sorted."""
     src = str(Path(unilie.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
-    code += ("\nimport sys; print(sorted(m for m in sys.modules"
-             " if m.split('.')[0] == 'unilie'))")
+    code += "\nimport sys; print(sorted(sys.modules))"
     proc = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     return ast.literal_eval(proc.stdout.strip().splitlines()[-1])
+
+
+def fresh_unilie_modules(code: str) -> list[str]:
+    """The unilie modules loaded at the end of code in a fresh interpreter."""
+    return [m for m in fresh_modules(code) if m.split(".")[0] == "unilie"]
+
+
+def run_cli(argv: list[str], code: int = 0) -> str:
+    """Source that runs the CLI on argv with stdout muted and checks its
+    exit code."""
+    return ("import contextlib, io, unilie.cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    assert unilie.cli.main({argv!r}) == {code}")
 
 
 def test_package_import_loads_no_submodule():
@@ -80,30 +139,76 @@ def test_parser_exits_load_only_the_cli(argv):
     assert fresh_unilie_modules(code) == ["unilie", "unilie.cli"]
 
 
+UNUSED_BY_VERBS = {"unilie.classification", "unilie.enumeration", "unilie.families"}
+
+
 @pytest.mark.parametrize("verb,absent", [
-    ("verify", {"unilie.enumeration", "unilie.families"}),
-    ("analyze", {"unilie.enumeration", "unilie.families"}),
-    ("export", {"unilie.enumeration", "unilie.families"}),
+    ("verify", UNUSED_BY_VERBS),
+    ("analyze", UNUSED_BY_VERBS),
+    ("export", UNUSED_BY_VERBS),
     # two graphs: coloring equivalence, with no certificate chain
-    ("iso", {"unilie.enumeration", "unilie.families"}),
+    ("iso", UNUSED_BY_VERBS),
 ])
 def test_verbs_skip_modules_they_do_not_use(tmp_path, verb, absent):
     path = tmp_path / "quat.graph"
     path.write_text(serialize.write_graph(quaternionic()))
     argv = [verb] + ["--input", str(path)] * (2 if verb == "iso" else 1)
-    code = ("import contextlib, io, unilie.cli\n"
-            "with contextlib.redirect_stdout(io.StringIO()):\n"
-            f"    assert unilie.cli.main({argv!r}) == 0")
-    loaded = set(fresh_unilie_modules(code))
+    loaded = set(fresh_unilie_modules(run_cli(argv)))
     assert "unilie.serialize" in loaded
     assert not loaded & absent
 
 
+def test_census_loads_only_the_graph_layer():
+    loaded = fresh_modules("from unilie import regular_graphs, uniform_colorings\n"
+                           "assert len(uniform_colorings(regular_graphs(4)[-1])) == 2")
+    assert [m for m in loaded if m.split(".")[0] == "unilie"] == [
+        "unilie", "unilie.enumeration", "unilie.graphs", "unilie.record"]
+    assert "fractions" not in loaded
+
+
+def test_sign_classes_skip_the_census_and_classification():
+    # the quaternionic support: the three perfect matchings of K4
+    code = ("from unilie import ColoredDigraph, sign_class_report\n"
+            "g = ColoredDigraph.from_arcs(4, 3, [(1, 2, 1), (3, 4, 1), (1, 3, 2),"
+            " (2, 4, 2), (1, 4, 3), (2, 3, 3)])\n"
+            "assert len(sign_class_report(g).classes) == 2")
+    loaded = set(fresh_unilie_modules(code))
+    assert "unilie.algebra" in loaded
+    assert not loaded & UNUSED_BY_VERBS
+
+
+def test_orbit_skips_the_census_and_classification(tmp_path):
+    path = tmp_path / "quat.graph"
+    path.write_text(serialize.write_graph(quaternionic()))
+    loaded = set(fresh_unilie_modules(run_cli(["orbit", "--input", str(path)])))
+    assert "unilie.algebra" in loaded
+    assert not loaded & UNUSED_BY_VERBS
+
+
+def test_factorize_skips_families_and_classification():
+    loaded = set(fresh_unilie_modules(run_cli(["factorize", "6"])))
+    assert "unilie.enumeration" in loaded
+    assert not loaded & {"unilie.classification", "unilie.families"}
+
+
+def test_classify_loads_classification():
+    loaded = fresh_unilie_modules(run_cli(["classify", "--qmax", "3"]))
+    assert "unilie.classification" in loaded
+
+
+def test_iso_on_two_tensors_loads_classification(tmp_path):
+    # distinct algebras on one support: no signed-permutation witness, so
+    # the verdict comes from distinguish()
+    paths = []
+    for n, t in enumerate((quaternionic(), quaternionic(True))):
+        paths += ["--input", str(tmp_path / f"{n}.alg")]
+        (tmp_path / f"{n}.alg").write_text(serialize.write_tensor(from_graph(t)))
+    loaded = fresh_unilie_modules(run_cli(["iso", *paths], code=1))
+    assert "unilie.classification" in loaded
+
+
 def test_family_skips_enumeration():
-    code = ("import contextlib, io, unilie.cli\n"
-            "with contextlib.redirect_stdout(io.StringIO()):\n"
-            "    assert unilie.cli.main(['family', 'kneser', '5', '2']) == 0")
-    loaded = fresh_unilie_modules(code)
+    loaded = fresh_unilie_modules(run_cli(["family", "kneser", "5", "2"]))
     assert "unilie.families" in loaded and "unilie.enumeration" not in loaded
 
 

@@ -3,7 +3,7 @@
 import pytest
 
 from unilie.algebra import StructureTensor, derivation_dim, is_heisenberg_type
-from unilie.enumeration import Invariants
+from unilie.classification import Invariants
 from unilie.families import FiniteGroup, cyclic_group
 from unilie.graphs import ColorPermAutomorphism, NonProper, NotRegular, UniformityReport
 

@@ -14,7 +14,7 @@ from unilie.algebra import (
     from_graph,
     lift_automorphism,
 )
-from unilie.enumeration import ring_sum_witness
+from unilie.classification import ring_sum_witness
 from unilie.exact import IntMatrix
 from unilie.families import heisenberg, quaternionic, ring_algebra
 from unilie.graphs import ColoredDigraph, automorphisms
