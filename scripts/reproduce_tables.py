@@ -9,8 +9,8 @@ and their color counts.
 
 Run: python3 scripts/reproduce_tables.py [--qmax N]
 
-Exits 4, after Table B, when two classes of Table A can neither be merged
-nor separated; the report names that pair in place of Table A.  Exits 2,
+Exits 4, after Table B, when some classes of Table A can neither be merged
+nor separated; Table A lists them as open blocks.  Exits 2,
 printing nothing, when --qmax is below 1 or beyond the regular-graph census
 (q <= 8).
 """
@@ -18,26 +18,21 @@ printing nothing, when --qmax is below 1 or beyond the regular-graph census
 import argparse
 import sys
 import time
+from collections import Counter
 
-from unilie.classification import UndeterminedPairError, classify_detailed
+from unilie.classification import classify_detailed
 from unilie.enumeration import regular_graphs, uniform_colorings
-from unilie.serialize import bracket_table
 
 
 def table_a(qmax: int) -> bool:
-    """Print Table A; False when the classification stops at an open pair."""
+    """Print Table A; False when some classes are left in open blocks."""
     t0 = time.monotonic()
     try:
-        rows, certs = classify_detailed(qmax)
+        rows, splits, open_blocks = classify_detailed(qmax)
     except ValueError as exc:
         # qmax outside the census: a usage error, as `unilie classify` reports it
         sys.stderr.write(f"usage error: {exc}\n")
         sys.exit(2)
-    except UndeterminedPairError as exc:
-        print(f"Table A: classification aborted: {exc}")
-        print("left candidate:\n" + bracket_table(exc.left)
-              + "right candidate:\n" + bracket_table(exc.right))
-        return False
     elapsed = time.monotonic() - t0
     print(f"Table A: {len(rows)} isomorphism classes with q <= {qmax} "
           f"({elapsed:.1f}s)")
@@ -48,13 +43,14 @@ def table_a(qmax: int) -> bool:
         star = " *" if row.heisenberg else ""
         print(f"{row.case:>4}  {types:<22} {row.s:>2}  {names}{star}")
     print("  (* satisfies the square-norm J identity)")
-    kinds = {}
-    for c in certs:
-        kinds[c.kind] = kinds.get(c.kind, 0) + 1
-    print(f"  distinctness certificates: " +
-          ", ".join(f"{v} {k}" for k, v in sorted(kinds.items())))
+    kinds = Counter(split.invariant for split in splits)
+    print("  splits by invariant: "
+          + ", ".join(f"{v} {k}" for k, v in sorted(kinds.items())))
+    for block in open_blocks:
+        print(f"  open block: cases {', '.join(map(str, block.cases))}; shared "
+              + ", ".join(f"{k} {v}" for k, v in block.shared))
     print()
-    return True
+    return not open_blocks
 
 
 def table_b(qmax: int) -> None:

@@ -33,11 +33,10 @@ _EXPORTS = {
     "enumeration": ("FactorizationReport", "near_one_factorizations",
                     "one_factorizations", "regular_graphs",
                     "uniform_colorings"),
-    "classification": ("ClassificationRow", "Invariants", "KnownPresentation",
-                       "UndeterminedPairError", "classify",
-                       "classify_detailed", "distinguish",
-                       "known_presentations",
-                       "near_factorization_sign_witness",
+    "classification": ("Block", "ClassificationRow", "Invariants",
+                       "KnownPresentation", "Split", "classify",
+                       "classify_detailed", "known_presentations",
+                       "near_factorization_sign_witness", "refine",
                        "ring_sum_witness"),
     "exact": (),
     "record": (),

@@ -3,9 +3,10 @@
 Candidates are the sign classes of every uniform coloring of every regular
 graph from the census; named reference presentations locate the known
 families among them, stored general-linear identifications merge candidates
-after check_witness re-verifies them, and sound invariants certify every
-remaining pair distinct.  Everything is exact and deterministic; searches
-take explicit budgets and raise BudgetExceededError instead of degrading.
+after check_witness re-verifies them, and sound invariants split the rest
+into blocks, reporting each block of more than one class as open.  Exact
+and deterministic throughout; searches take explicit budgets and raise
+BudgetExceededError instead of degrading.
 """
 
 from __future__ import annotations
@@ -113,23 +114,6 @@ class ClassificationRow(Record):
     heisenberg: bool
 
 
-class Certificate(Record):
-    left: int                  # case ids
-    right: int
-    kind: str                  # "dimension-split" | "derivation-dimension" | "central-direction"
-    detail: tuple
-
-
-class UndeterminedPairError(RuntimeError):
-    """Two candidate classes admit no witness and no separating certificate."""
-
-    def __init__(self, left: StructureTensor, right: StructureTensor):
-        self.left = left
-        self.right = right
-        super().__init__("undetermined pair of candidate classes "
-                         f"at (p, q) = ({left.p}, {left.q})")
-
-
 def _candidates(q_max: int, budget: int) -> list[StructureTensor]:
     """One representative per sign class of each uniform coloring of each
     regular graph on at most q_max vertices."""
@@ -147,20 +131,15 @@ def _singular_central_direction(t: StructureTensor):
     points, else the box of radius 1 while that one does, else nothing."""
     bound = next((b for b in (2, 1) if (2 * b + 1) ** t.p <= 400_000), 0)
     for c in itertools.product(range(-bound, bound + 1), repeat=t.p):
-        if all(x == 0 for x in c):
-            continue
-        first = next(x for x in c if x != 0)
-        if first < 0:
-            continue
-        if exact.det(j_map(t, c).rows) == 0:
+        # one of c and -c, nonzero: its first nonzero coordinate is positive
+        if next((x for x in c if x), 0) > 0 and exact.det(j_map(t, c).rows) == 0:
             return c
     return None
 
 
 class Invariants(Record):
     """The facts about one algebra, given by one or more presentations, that
-    classify_detailed and distinguish read; each is computed on first use
-    and kept."""
+    refine reads; each is computed on first use and kept."""
 
     presentations: tuple[StructureTensor, ...]
 
@@ -177,6 +156,10 @@ class Invariants(Record):
             return None
         return any(map(_heisenberg_identity, self.presentations))
 
+    @property
+    def dimensions(self) -> tuple[int, int]:
+        return (self.presentations[0].p, self.presentations[0].q)
+
     @cached_property
     def derivation_dim(self) -> int:
         return derivation_dim(self.presentations[0])
@@ -188,39 +171,64 @@ class Invariants(Record):
                                      self.presentations)), None)
 
 
-def distinguish(a: Invariants, b: Invariants):
-    """Sound reason that two algebras are non-isomorphic, or None.
+class Split(Record):
+    """A block of classes that one invariant divides into parts."""
+    invariant: str                       # "dimensions" | "derivation-dimension" | "central-direction"
+    parts: tuple[tuple[int, ...], ...]   # the case ids in each part
+    values: tuple                        # the invariant on each part, JSON-native
 
-    The result is (kind, left, right), from the first of these that applies:
-    "dimension-split" with the (p, q) pairs of a and b;
-    "derivation-dimension" with the derivation algebra dimensions of a and b;
-    "central-direction" when one side satisfies the square-norm J identity
-    (which makes J(c) invertible for every real c != 0) and the other side
-    has an explicit singular central direction d, given as "square-norm
-    identity" on the first side and d on the other.  The last step needs
-    both flags; when either is None the answer is None.
-    """
-    ta, tb = a.presentations[0], b.presentations[0]
-    if (ta.p, ta.q) != (tb.p, tb.q):
-        return ("dimension-split", (ta.p, ta.q), (tb.p, tb.q))
-    if a.derivation_dim != b.derivation_dim:
-        return ("derivation-dimension", a.derivation_dim, b.derivation_dim)
-    if None in (a.heisenberg, b.heisenberg) or a.heisenberg == b.heisenberg:
-        return None
-    d = (b if a.heisenberg else a).singular_direction
-    if d is None:
-        return None
-    return ("central-direction", "square-norm identity" if a.heisenberg else d,
-            d if a.heisenberg else "square-norm identity")
+
+class Block(Record):
+    """Classes that no step of refine tells apart."""
+    cases: tuple[int, ...]
+    shared: tuple[tuple[str, object], ...]   # (Invariants field, value) in step order
+
+
+def refine(classes: list[Invariants]) -> tuple[list[Block], list[Split]]:
+    """Blocks of algebras with equal invariants, and the splits that part
+    them; classes[i] has case id i + 1.
+
+    All classes are split by (p, q), then each block of more than one class
+    by derivation dimension, then by the square-norm flag: a class with the
+    identity has J(c) invertible for every real c != 0, so it differs from
+    one with an explicit singular central direction.  That split is made
+    only when a block's flags are exactly {True, False} and every member
+    without the identity has a direction, the value of its part.  Facts are
+    computed only for members of blocks of more than one class."""
+    blocks, splits = [Block(tuple(range(1, len(classes) + 1)), ())], []
+    # each step: (split kind, the Invariants field that keys the parts)
+    for kind, field in (("dimensions", "dimensions"),
+                        ("derivation-dimension", "derivation_dim"),
+                        ("central-direction", "heisenberg")):
+        refined = []
+        for block in blocks:
+            if len(block.cases) == 1:
+                refined.append(block)
+                continue
+            parts: dict = {}
+            for case in block.cases:
+                parts.setdefault(getattr(classes[case - 1], field), []).append(case)
+            values = tuple(parts)
+            if len(parts) > 1 and kind == "central-direction":
+                if set(parts) != {True, False} or None in (directions := tuple(
+                        classes[c - 1].singular_direction for c in parts[False])):
+                    refined.append(block)
+                    continue
+                values = tuple("square-norm identity" if flag else directions
+                               for flag in parts)
+            if len(parts) > 1:
+                splits.append(Split(kind, tuple(map(tuple, parts.values())), values))
+            refined += [Block(tuple(cases), block.shared + ((field, key),))
+                        for key, cases in parts.items()]
+        blocks = refined
+    return blocks, splits
 
 
 def classify_detailed(q_max: int = 5, budget: int = DEFAULT_SEARCH_BUDGET
-                      ) -> tuple[list[ClassificationRow], list[Certificate]]:
-    """Classification rows plus the distinctness certificates backing them.
-
-    Raises UndeterminedPairError when two classes can neither be merged by a
-    verified witness nor separated by a sound invariant.
-    """
+                      ) -> tuple[list[ClassificationRow], list[Split], list[Block]]:
+    """Classification rows, the splits of refine that certify rows in
+    different blocks distinct, and the open blocks: blocks of more than one
+    row that no verified witness merges and no invariant splits."""
     cands = _candidates(q_max, budget)
     parent = list(range(len(cands)))
 
@@ -279,18 +287,11 @@ def classify_detailed(q_max: int = 5, budget: int = DEFAULT_SEARCH_BUDGET
                 merged=len(inv.presentations),
                 heisenberg=inv.heisenberg)
             for case, (inv, members) in enumerate(classes, start=1)]
-
-    certificates = []
-    for (ia, (a, _)), (ib, (b, _)) in itertools.combinations(enumerate(classes), 2):
-        cert = distinguish(a, b)
-        if cert is None:
-            raise UndeterminedPairError(a.presentations[0], b.presentations[0])
-        kind, da, db = cert
-        certificates.append(Certificate(left=ia + 1, right=ib + 1,
-                                        kind=kind, detail=(da, db)))
-    return rows, certificates
+    blocks, splits = refine([inv for inv, _ in classes])
+    return rows, splits, [b for b in blocks if len(b.cases) > 1]
 
 
 def classify(q_max: int = 5, budget: int = DEFAULT_SEARCH_BUDGET) -> list[ClassificationRow]:
-    """Isomorphism classes of uniform algebras with at most q_max generators."""
+    """Isomorphism classes of uniform algebras with at most q_max generators;
+    rows in one open block of classify_detailed are not certified distinct."""
     return classify_detailed(q_max, budget)[0]

@@ -36,8 +36,11 @@ def _emit(args, human: str, payload: dict, file_body: str | None = None) -> None
     verb produces one, else the full report."""
     text = human.rstrip("\n") + "\n\n" + _machine(payload)
     if args.output:
-        with open(args.output, "w") as fh:
-            fh.write(file_body if file_body is not None else text)
+        try:
+            with open(args.output, "w") as fh:
+                fh.write(file_body if file_body is not None else text)
+        except OSError as exc:
+            raise _Usage(f"cannot write {args.output}: {exc.strerror}")
     sys.stdout.write(text)
 
 
@@ -239,6 +242,9 @@ def _cmd_iso(args) -> int:
     from .algebra import check_witness, signed_perm_isomorphic
     from .graphs import ColoredDigraph, colorings_equivalent
     objs = _read_inputs(args)
+    if args.strict_equivalence and not (
+            len(objs) == 2 and all(isinstance(o, ColoredDigraph) for o in objs)):
+        raise _Usage("--strict-equivalence needs two graph files")
     if len(objs) == 3:
         a, b, w = objs
         if not hasattr(w, "to_matrix"):
@@ -286,30 +292,31 @@ def _cmd_iso(args) -> int:
             _emit(args, "isomorphic via signed permutation\n\n"
                   + serialize.write_witness(w, t1.q, t1.p), payload)
             return EXIT_OK
-    from .classification import Invariants, distinguish
-    cert = distinguish(Invariants((t1,)), Invariants((t2,)))
-    if cert is None:
+    from .classification import Invariants, refine
+    _, splits = refine([Invariants((t1,)), Invariants((t2,))])
+    if not splits:
         _emit(args, "undetermined: no signed-permutation witness and no "
               "separating certificate",
               {"mode": "signed-perm", "isomorphic": None})
         return EXIT_UNDETERMINED
-    human, detail = _render_certificate(*cert)
-    _emit(args, "distinct: " + human,
-          {"mode": "signed-perm", "isomorphic": False, "certificate": detail})
+    human, entry = _render_split(splits[0])
+    _emit(args, "distinct, inputs " + human,
+          {"mode": "signed-perm", "isomorphic": False, "certificate": entry})
     return EXIT_PROPERTY
 
 
-def _render_certificate(kind: str, left, right) -> tuple[str, dict]:
-    """Human text and machine entry for a distinguish() certificate."""
-    if kind == "dimension-split":
-        return "(p, q) differ", {"kind": kind, "left": list(left),
-                                 "right": list(right)}
-    if kind == "derivation-dimension":
-        return (f"derivation algebra dimensions {left} vs {right}",
-                {"kind": kind, "left": left, "right": right})
-    d = list(right if isinstance(left, str) else left)
-    return ("one side satisfies the square-norm J identity, the other has "
-            f"singular central direction {d}", {"kind": kind, "direction": d})
+def _show(value) -> str:
+    """An invariant value as text; a tuple of directions as the directions."""
+    nested = isinstance(value, tuple) and value and isinstance(value[0], tuple)
+    return " ".join(map(str, value)) if nested else str(value)
+
+
+def _render_split(split) -> tuple[str, dict]:
+    """Human line and machine entry for a Split of refine()."""
+    return (" | ".join(",".join(map(str, part)) for part in split.parts)
+            + f" by {split.invariant} "
+            + " | ".join(map(_show, split.values)),
+            {"kind": split.invariant, "cases": split.parts, "values": split.values})
 
 
 def _cmd_orbit(args) -> int:
@@ -342,20 +349,11 @@ def _cmd_orbit(args) -> int:
 
 def _cmd_classify(args) -> int:
     from . import serialize
-    from .classification import UndeterminedPairError, classify_detailed
+    from .classification import classify_detailed
     try:
-        rows, certs = classify_detailed(args.qmax, budget=args.budget)
+        rows, splits, open_blocks = classify_detailed(args.qmax, budget=args.budget)
     except ValueError as exc:
         raise _Usage(str(exc))
-    except UndeterminedPairError as exc:
-        payload = {"undetermined": True,
-                   "left": serialize.to_data(exc.left),
-                   "right": serialize.to_data(exc.right)}
-        _emit(args, f"classification aborted: {exc}\n"
-              "left candidate:\n" + serialize.bracket_table(exc.left)
-              + "right candidate:\n" + serialize.bracket_table(exc.right),
-              payload)
-        return EXIT_UNDETERMINED
     header = f"{'case':>4}  {'(p,q,r)':<22} {'s':>2}  {'merged':>6}  family"
     lines = [f"{len(rows)} isomorphism classes with q <= {args.qmax}", header,
              "-" * len(header)]
@@ -369,18 +367,19 @@ def _cmd_classify(args) -> int:
             "merged": r.merged, "heisenberg": r.heisenberg,
             "family": list(r.family),
             "representative": serialize.to_data(r.representative)})
-    lines.append("")
-    lines.append("distinctness certificates for same-(p,q) pairs:")
-    cert_payload = []
-    for c in certs:
-        cert_payload.append({"left": c.left, "right": c.right, "kind": c.kind,
-                             "detail": [str(x) for x in c.detail]})
-        if c.kind != "dimension-split":
-            lines.append(f"  cases {c.left} vs {c.right}: {c.kind} {c.detail}")
+    rendered = [_render_split(split) for split in splits]
+    lines += ["", "splits: the cases of each part, the invariant, its value on each part"]
+    lines += ["  " + human for human, _ in rendered]
+    if open_blocks:
+        lines += ["", "open blocks, cases that no witness merges and no invariant splits:"]
+    lines += [f"  {','.join(map(str, b.cases))} share "
+              + ", ".join(f"{k} {v}" for k, v in b.shared) for b in open_blocks]
     payload = {"qmax": args.qmax, "classes": row_payload,
-               "certificates": cert_payload}
+               "splits": [entry for _, entry in rendered],
+               "open_blocks": [{"cases": b.cases, "shared": dict(b.shared)}
+                               for b in open_blocks]}
     _emit(args, "\n".join(lines), payload)
-    return EXIT_OK
+    return EXIT_UNDETERMINED if open_blocks else EXIT_OK
 
 
 def _cmd_factorize(args) -> int:

@@ -410,11 +410,13 @@ class TestClassify:
     def test_six_generators_undetermined(self, capsys):
         code, out = run(capsys, "classify", "--qmax", "6")
         assert code == 4
-        assert "undetermined" in out
         payload = machine_payload(out)
-        assert payload["undetermined"] is True
-        assert payload["left"]["kind"] == "algebra"
-        assert payload["right"]["kind"] == "algebra"
+        assert len(payload["classes"]) == 92
+        blocks = payload["open_blocks"]
+        assert len(blocks) == 12
+        assert sum(len(b["cases"]) * (len(b["cases"]) - 1) // 2 for b in blocks) == 417
+        human = out.split("open blocks", 1)[1].split("```machine")[0]
+        assert len(human.strip().splitlines()) == 1 + 12
 
     @pytest.mark.parametrize("qmax,code", [("5", 0), ("6", 4)])
     def test_golden_output(self, qmax, code):
@@ -531,6 +533,16 @@ class TestUsage:
     def test_unknown_verb(self, capsys):
         code, _ = run(capsys, "summon")
         assert code == 2
+
+    @pytest.mark.parametrize("argv", [["factorize", "4"], ["classify", "--qmax", "3"]])
+    @pytest.mark.parametrize("target", ["missing directory", "directory"])
+    def test_unwritable_output_is_usage_error(self, capsys, tmp_path, argv, target):
+        path = tmp_path / "missing" / "x" if target == "missing directory" else tmp_path
+        assert main(argv + ["--output", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"usage error: cannot write {path}: ")
+        assert captured.err.count("\n") == 1
 
     def test_no_verb(self, capsys):
         code, _ = run(capsys)
@@ -735,6 +747,25 @@ class TestPerVerbFlags:
         code, out = run(capsys, *fill(argv, {"QUAT": quat_file, "WIT": str(wit)}))
         assert code == 2
         assert out == ""
+
+    @pytest.mark.parametrize("argv", [
+        ["--input", "ALG", "--input", "ALG"],
+        ["--input", "QUAT", "--input", "ALG"],
+        ["--input", "QUAT", "--input", "QUAT", "--input", "WIT"],
+    ])
+    def test_strict_equivalence_needs_two_graphs(self, capsys, tmp_path,
+                                                 quat_file, argv):
+        alg, wit = tmp_path / "quat.alg", tmp_path / "id.wit"
+        alg.write_text(write_tensor(from_graph(quaternionic())))
+        wit.write_text(write_witness(
+            SignedPermWitness((1, 2, 3, 4), (1, 2, 3), (1, 1, 1, 1), (1, 1, 1)), 4, 3))
+        argv = ["iso"] + fill(argv, {"QUAT": quat_file, "ALG": str(alg),
+                                     "WIT": str(wit)})
+        assert run(capsys, *argv)[0] == 0
+        assert main(argv + ["--strict-equivalence"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "usage error: --strict-equivalence needs two graph files\n"
 
 
 # ---------------------------------------------------------------------------

@@ -38,12 +38,12 @@ from unilie.graphs import (
 )
 from unilie.classification import (
     Invariants,
-    UndeterminedPairError,
+    Split,
     classify,
     classify_detailed,
-    distinguish,
     known_presentations,
     near_factorization_sign_witness,
+    refine,
     ring_sum_witness,
 )
 from unilie.enumeration import (
@@ -641,24 +641,29 @@ class TestClassification:
             assert (rep.p, rep.q, rep.r) in row.types
             assert rep.s == row.s
 
-    def test_certificates_cover_all_pairs(self):
-        rows, certs = classify_detailed(5)
-        seen = {(c.left, c.right) for c in certs}
+    def test_splits_separate_all_classes(self):
+        rows, splits, open_blocks = classify_detailed(5)
+        assert open_blocks == []
         cases = [r.case for r in rows]
-        expected = {
-            (a, b) for i, a in enumerate(cases) for b in cases[i + 1 :]
-        }
-        assert seen == expected
+        parted = parted_pairs(splits)
+        assert set(parted) == set(itertools.combinations(cases, 2))
+        # the pairs each kind separates, as the pairwise certificates counted
+        assert Counter(parted.values()) == {
+            "dimensions": 63, "derivation-dimension": 1, "central-direction": 2}
 
-    def test_certificate_kinds(self):
-        _, certs = classify_detailed(5)
-        by_pair = {(c.left, c.right): c for c in certs}
-        assert by_pair[(4, 5)].kind == "central-direction"
-        assert by_pair[(6, 7)].kind == "central-direction"
-        assert by_pair[(10, 11)].kind == "derivation-dimension"
-        assert by_pair[(10, 11)].detail == (30, 26)
-        others = [c for c in certs if c.kind == "dimension-split"]
-        assert len(others) == len(certs) - 3
+    def test_split_kinds(self):
+        _, splits, _ = classify_detailed(5)
+        assert splits == [
+            Split("dimensions", ((1,), (2,), (3,), (4, 5), (6, 7), (8,), (9,),
+                                 (10, 11), (12,)),
+                  ((1, 2), (3, 3), (1, 4), (2, 4), (3, 4), (4, 4), (6, 4),
+                   (5, 5), (10, 5))),
+            Split("derivation-dimension", ((10,), (11,)), (30, 26)),
+            Split("central-direction", ((4,), (5,)),
+                  (((0, 1),), "square-norm identity")),
+            Split("central-direction", ((6,), (7,)),
+                  ("square-norm identity", ((0, 1, -1),))),
+        ]
 
     def test_deterministic(self):
         assert classify(5) == classify(5)
@@ -704,14 +709,27 @@ class TestClassification:
                 row.case for row in rows if kp.name in row.family))]
 
     @pytest.mark.slow
-    def test_six_generators_hits_open_pair(self):
-        with pytest.raises(UndeterminedPairError) as exc:
-            classify(6)
-        e = exc.value
-        assert (e.left.p, e.left.q) == (3, 6)
-        assert (e.right.p, e.right.q) == (3, 6)
-        # the two presentations really are different sign classes
-        assert signed_perm_isomorphic(e.left, e.right) is None
+    def test_six_generators_leave_open_blocks(self):
+        rows, splits, open_blocks = classify_detailed(6)
+        assert len(rows) == 92
+        assert rows[:12] == classify(5)
+        assert len(splits) == 8
+        assert sorted(len(b.cases) for b in open_blocks) == [
+            2, 2, 2, 2, 3, 3, 3, 3, 6, 8, 15, 23]
+        assert sum(math.comb(len(b.cases), 2) for b in open_blocks) == 417
+        assert Counter(dict(b.shared)["dimensions"] for b in open_blocks) == {
+            (3, 6): 4, (4, 6): 1, (5, 6): 1, (6, 6): 6}
+        for block in open_blocks:
+            shared = dict(block.shared)
+            for case in block.cases:
+                row = rows[case - 1]
+                t = row.representative
+                assert (t.p, t.q) == shared["dimensions"]
+                assert row.heisenberg is shared["heisenberg"] is False
+            # the members really are different sign classes
+            first = rows[block.cases[0] - 1].representative
+            assert signed_perm_isomorphic(
+                first, rows[block.cases[1] - 1].representative) is None
 
     def test_budget_enforced(self):
         with pytest.raises(BudgetExceededError):
@@ -736,9 +754,8 @@ class TestClassification:
         classify_detailed(5)
         assert len(seen) == len(set(seen)) == 6
         seen.clear()
-        with pytest.raises(UndeterminedPairError):
-            classify_detailed(6)
-        assert len(seen) == len(set(seen)) <= 17
+        classify_detailed(6)
+        assert len(seen) == len(set(seen)) == 82
 
 
 def _invariants(*names):
@@ -746,38 +763,92 @@ def _invariants(*names):
     return Invariants(tuple(known[n] for n in names))
 
 
-class TestDistinguish:
-    def test_dimension_split(self):
+def oracle_distinguish(a, b):
+    """Pairwise reason that two algebras are non-isomorphic, or None: the
+    first of (p, q), the derivation algebra dimension, and the square-norm
+    identity on one side against an explicit singular central direction on
+    the other, which needs both flags known."""
+    ta, tb = a.presentations[0], b.presentations[0]
+    if (ta.p, ta.q) != (tb.p, tb.q):
+        return ("dimensions", (ta.p, ta.q), (tb.p, tb.q))
+    if a.derivation_dim != b.derivation_dim:
+        return ("derivation-dimension", a.derivation_dim, b.derivation_dim)
+    if None in (a.heisenberg, b.heisenberg) or a.heisenberg == b.heisenberg:
+        return None
+    d = (b if a.heisenberg else a).singular_direction
+    if d is None:
+        return None
+    return ("central-direction", "square-norm identity" if a.heisenberg else d,
+            d if a.heisenberg else "square-norm identity")
+
+
+def parted_pairs(splits):
+    """(a, b) with a < b -> the kind of the split that put them apart."""
+    parted = {}
+    for split in splits:
+        for i, j in itertools.combinations(range(len(split.parts)), 2):
+            for a, b in itertools.product(split.parts[i], split.parts[j]):
+                assert (min(a, b), max(a, b)) not in parted
+                parted[min(a, b), max(a, b)] = split.invariant
+    return parted
+
+
+def only_split(a, b):
+    """The split that refine makes on two algebras, or None."""
+    blocks, splits = refine([a, b])
+    assert len(blocks) == 1 + len(splits) and len(splits) <= 1
+    return splits[0] if splits else None
+
+
+SQUARE_NORM = "square-norm identity"
+
+
+class TestRefine:
+    def test_dimensions(self):
         a, b = _invariants("heisenberg(1)"), _invariants("heisenberg(2)")
-        assert distinguish(a, b) == ("dimension-split", (1, 2), (1, 4))
-        assert distinguish(b, a) == ("dimension-split", (1, 4), (1, 2))
+        assert only_split(a, b) == Split("dimensions", ((1,), (2,)), ((1, 2), (1, 4)))
+        assert only_split(b, a) == Split("dimensions", ((1,), (2,)), ((1, 4), (1, 2)))
 
     def test_derivation_dimension(self):
         a, b = _invariants("cyclic(5)"), _invariants("k5-near-factorization")
-        assert distinguish(a, b) == ("derivation-dimension", 30, 26)
+        assert only_split(a, b) == Split("derivation-dimension", ((1,), (2,)), (30, 26))
 
     def test_central_direction(self):
         a, b = _invariants("quaternionic"), _invariants("quaternionic-associate")
-        assert distinguish(a, b) == ("central-direction", "square-norm identity",
-                                     (1, -1, 0))
-        assert distinguish(b, a) == ("central-direction", (1, -1, 0),
-                                     "square-norm identity")
+        assert only_split(a, b) == Split("central-direction", ((1,), (2,)),
+                                         (SQUARE_NORM, ((1, -1, 0),)))
+        assert only_split(b, a) == Split("central-direction", ((1,), (2,)),
+                                         (((1, -1, 0),), SQUARE_NORM))
 
     def test_central_direction_from_some_presentation(self):
         # the merged (2, 4) class: each presentation has its own direction,
         # and the first one that has one is reported
         ring = _invariants("ring(2)")
         merged = _invariants("heisenberg(1)+heisenberg(1)", "ring(2,primed)")
-        assert distinguish(merged, ring) == ("central-direction", (0, 1),
-                                             "square-norm identity")
+        assert only_split(merged, ring).values == (((0, 1),), SQUARE_NORM)
         merged = _invariants("ring(2,primed)", "heisenberg(1)+heisenberg(1)")
-        assert distinguish(merged, ring) == ("central-direction", (1, -1),
-                                             "square-norm identity")
+        assert only_split(merged, ring).values == (((1, -1),), SQUARE_NORM)
+
+    def test_member_without_direction_keeps_the_block_whole(self):
+        # a third (2, 4) record whose direction search found nothing: it may
+        # be isomorphic to either side, so the flags part nothing
+        ring = _invariants("ring(2)")
+        merged = _invariants("heisenberg(1)+heisenberg(1)", "ring(2,primed)")
+        blind = _invariants("ring(2,primed)")
+        vars(blind)["singular_direction"] = None
+        assert [s.invariant for s in refine([ring, merged])[1]] == [
+            "central-direction"]
+        blocks, splits = refine([ring, merged, blind])
+        assert [b.cases for b in blocks] == [(1, 2, 3)]
+        assert blocks[0].shared == (("dimensions", (2, 4)), ("derivation_dim", 16))
+        assert splits == []
 
     def test_isomorphic_presentations_are_undetermined(self):
         a = _invariants("heisenberg(1)+heisenberg(1)")
         b = _invariants("ring(2,primed)")
-        assert distinguish(a, b) is None
+        assert only_split(a, b) is None
+        assert refine([a, b])[0][0].shared == (
+            ("dimensions", (2, 4)), ("derivation_dim", 16), ("heisenberg", False))
 
     def test_non_uniform_pair_is_undetermined(self):
         # same shape and derivation dimension; the square-norm flag is None
@@ -785,7 +856,7 @@ class TestDistinguish:
                                                 (2, 3, 1, 1)])
         b = StructureTensor.from_entries(3, 2, [(1, 2, 1, 1), (2, 3, 2, 1)])
         assert derivation_dim(a) == derivation_dim(b)
-        assert distinguish(Invariants((a,)), Invariants((b,))) is None
+        assert only_split(Invariants((a,)), Invariants((b,))) is None
 
     def test_one_unknown_flag_leaves_the_last_step_out(self):
         # ring(2) satisfies the square-norm identity; b is not uniform but
@@ -797,8 +868,13 @@ class TestDistinguish:
         assert ring.heisenberg is True and b.heisenberg is None
         assert b.derivation_dim == ring.derivation_dim == 16
         assert b.singular_direction == (0, 1)
-        assert distinguish(ring, b) is None
-        assert distinguish(b, ring) is None
+        assert only_split(ring, b) is None
+        assert only_split(b, ring) is None
+
+    def test_single_class_is_one_block(self):
+        a = _invariants("free(3)")
+        assert refine([a]) == ([classification.Block((1,), ())], [])
+        assert "derivation_dim" not in vars(a)
 
     def test_flag_is_the_square_norm_identity(self):
         flags = []
@@ -823,14 +899,37 @@ class TestDistinguish:
             monkeypatch.setattr(classification, name,
                                 lambda t, real=real: calls.append(t) or real(t))
         a, b = _invariants("quaternionic"), _invariants("quaternionic-associate")
-        first = distinguish(a, b)
-        assert distinguish(a, b) == first
-        assert distinguish(b, a) == (first[0], first[2], first[1])
+        first = only_split(a, b)
+        assert only_split(a, b) == first
+        assert only_split(b, a).values == first.values[::-1]
         # a derivation dimension per side, a direction search on the side
         # without the square-norm identity only
         assert calls == [a.presentations[0], b.presentations[0], b.presentations[0]]
         assert "singular_direction" not in vars(a)
         assert vars(b)["singular_direction"] == (1, -1, 0)
+
+    def test_agrees_with_the_pairwise_oracle_up_to_six_generators(self, monkeypatch):
+        # the records that classify_detailed hands to refine
+        seen = []
+        real = classification.refine
+        monkeypatch.setattr(classification, "refine",
+                            lambda classes: seen.append(classes) or real(classes))
+        classify_detailed(6)
+        (classes,) = seen
+        blocks, splits = real(classes)
+        block_of = {c: n for n, b in enumerate(blocks) for c in b.cases}
+        parted_by = parted_pairs(splits)
+        pairs = list(itertools.combinations(range(1, len(classes) + 1), 2))
+        assert len(pairs) == 4186
+        open_pairs = 0
+        for a, b in pairs:
+            cert = oracle_distinguish(classes[a - 1], classes[b - 1])
+            if cert is None:
+                assert block_of[a] == block_of[b], (a, b)
+                open_pairs += 1
+            else:
+                assert parted_by[a, b] == cert[0], (a, b)
+        assert open_pairs == len(pairs) - len(parted_by) == 417
 
     @pytest.mark.parametrize("edges,calls", [
         # C5, radius 2: half of the 5^5 - 1 nonzero points

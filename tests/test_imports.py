@@ -198,7 +198,7 @@ def test_classify_loads_classification():
 
 def test_iso_on_two_tensors_loads_classification(tmp_path):
     # distinct algebras on one support: no signed-permutation witness, so
-    # the verdict comes from distinguish()
+    # the verdict comes from refine()
     paths = []
     for n, t in enumerate((quaternionic(), quaternionic(True))):
         paths += ["--input", str(tmp_path / f"{n}.alg")]

@@ -24,21 +24,25 @@ def test_reproduce_tables_five_generators():
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
     assert any(line.startswith("Table A: 12 isomorphism classes") for line in lines)
-    assert ("  distinctness certificates: 2 central-direction, "
-            "1 derivation-dimension, 63 dimension-split") in lines
+    assert ("  splits by invariant: 2 central-direction, "
+            "1 derivation-dimension, 1 dimensions") in lines
+    assert not any(line.startswith("  open block") for line in lines)
 
 
-def test_reproduce_tables_six_generators_names_the_open_pair():
+def test_reproduce_tables_six_generators_lists_the_open_blocks():
     proc = reproduce_tables("6")
     assert proc.returncode == 4, proc.stderr
     assert proc.stderr == ""
     lines = proc.stdout.splitlines()
-    assert lines[0] == ("Table A: classification aborted: undetermined pair "
-                        "of candidate classes at (p, q) = (3, 6)")
-    left, right = lines.index("left candidate:"), lines.index("right candidate:")
-    assert lines[left + 1:right] == ["[v1, v2] = z1", "[v3, v4] = z2", "[v5, v6] = z3"]
-    assert len(lines[right + 1:lines.index("", right)]) == 9
-    assert any(line.startswith("Table B:") for line in lines)
+    assert lines[0].startswith("Table A: 92 isomorphism classes with q <= 6")
+    assert ("  splits by invariant: 2 central-direction, "
+            "5 derivation-dimension, 1 dimensions") in lines
+    blocks = [line for line in lines if line.startswith("  open block: ")]
+    assert len(blocks) == 12
+    assert blocks[0] == ("  open block: cases 15, 25; shared dimensions (3, 6), "
+                         "derivation_dim 30, heisenberg False")
+    assert lines.index(blocks[-1]) < lines.index(
+        next(line for line in lines if line.startswith("Table B:")))
 
 
 def test_reproduce_tables_rejects_nine_generators():
