@@ -641,7 +641,7 @@ class TestClassification:
             assert (rep.p, rep.q, rep.r) in row.types
             assert rep.s == row.s
 
-    def test_splits_separate_all_classes(self):
+    def test_certificates_cover_all_pairs(self):
         rows, splits, open_blocks = classify_detailed(5)
         assert open_blocks == []
         cases = [r.case for r in rows]
@@ -651,7 +651,7 @@ class TestClassification:
         assert Counter(parted.values()) == {
             "dimensions": 63, "derivation-dimension": 1, "central-direction": 2}
 
-    def test_split_kinds(self):
+    def test_certificate_kinds(self):
         _, splits, _ = classify_detailed(5)
         assert splits == [
             Split("dimensions", ((1,), (2,), (3,), (4, 5), (6, 7), (8,), (9,),
@@ -709,7 +709,7 @@ class TestClassification:
                 row.case for row in rows if kp.name in row.family))]
 
     @pytest.mark.slow
-    def test_six_generators_leave_open_blocks(self):
+    def test_six_generators_hits_open_pair(self):
         rows, splits, open_blocks = classify_detailed(6)
         assert len(rows) == 92
         assert rows[:12] == classify(5)
@@ -803,8 +803,10 @@ def only_split(a, b):
 SQUARE_NORM = "square-norm identity"
 
 
-class TestRefine:
-    def test_dimensions(self):
+class TestDistinguish:
+    """How `refine` tells two or more classes apart, and when it cannot."""
+
+    def test_dimension_split(self):
         a, b = _invariants("heisenberg(1)"), _invariants("heisenberg(2)")
         assert only_split(a, b) == Split("dimensions", ((1,), (2,)), ((1, 2), (1, 4)))
         assert only_split(b, a) == Split("dimensions", ((1,), (2,)), ((1, 4), (1, 2)))

@@ -29,7 +29,7 @@ def test_reproduce_tables_five_generators():
     assert not any(line.startswith("  open block") for line in lines)
 
 
-def test_reproduce_tables_six_generators_lists_the_open_blocks():
+def test_reproduce_tables_six_generators_names_the_open_pair():
     proc = reproduce_tables("6")
     assert proc.returncode == 4, proc.stderr
     assert proc.stderr == ""
