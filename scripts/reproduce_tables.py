@@ -20,7 +20,7 @@ import sys
 import time
 from collections import Counter
 
-from unilie.classification import classify_detailed
+from unilie.classification import classify_detailed, count_line
 from unilie.enumeration import regular_graphs, uniform_colorings
 
 
@@ -34,8 +34,7 @@ def table_a(qmax: int) -> bool:
         sys.stderr.write(f"usage error: {exc}\n")
         sys.exit(2)
     elapsed = time.monotonic() - t0
-    print(f"Table A: {len(rows)} isomorphism classes with q <= {qmax} "
-          f"({elapsed:.1f}s)")
+    print(f"Table A: {count_line(rows, open_blocks, qmax)} ({elapsed:.1f}s)")
     print(f"{'case':>4}  {'types (p,q,r)':<22} {'s':>2}  family")
     for row in rows:
         types = " = ".join(f"({p},{q},{r})" for (p, q, r) in row.types)

@@ -15,16 +15,16 @@ _EXPORTS = {
                "canonical_graph", "colorings_equivalent",
                "connected_components", "disjoint_union", "relabel",
                "validate_uniform"),
-    "algebra": ("GeneralLinearWitness", "NVector", "SignClass",
-                "SignClassReport", "SignedPermWitness", "StructureTensor",
-                "WitnessCheck", "ad_matrix", "ad_rank", "bracket", "center",
-                "centralizer", "check_witness", "commutator",
-                "compose_witnesses", "concatenate", "derivation_dim",
-                "diagonal_orbit_representatives", "diagonal_witness",
-                "from_graph", "invert_witness", "is_heisenberg_type",
-                "j_basis", "j_gram", "j_map", "lift_automorphism",
-                "sign_class_report", "sign_vector", "signed_perm_isomorphic",
-                "to_graph", "totally_geodesic"),
+    "algebra": ("GeneralLinearWitness", "SignClass", "SignClassReport",
+                "SignedPermWitness", "StructureTensor", "WitnessCheck",
+                "check_witness", "compose_witnesses", "concatenate",
+                "derivation_dim", "diagonal_orbit_representatives",
+                "diagonal_witness", "from_graph", "invert_witness", "j_map",
+                "lift_automorphism", "sign_class_report", "sign_vector",
+                "signed_perm_isomorphic", "to_graph"),
+    "analysis": ("NVector", "ad_matrix", "ad_rank", "bracket", "center",
+                 "centralizer", "commutator", "is_heisenberg_type", "j_basis",
+                 "j_gram", "totally_geodesic"),
     "families": ("FiniteGroup", "cayley", "cyclic", "cyclic_group",
                  "dihedral_bipartite", "dihedral_group",
                  "elementary_abelian_group", "free_two_step",

@@ -20,10 +20,9 @@ Conventions used throughout:
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
 
 from . import exact
-from .exact import IntMatrix, Scalar
+from .exact import IntMatrix, format_scalar
 from .graphs import (BudgetExceededError, ColoredDigraph, ColorPermAutomorphism,
                      DEFAULT_SEARCH_BUDGET, _mapping_search, automorphisms,
                      disjoint_union, validate_uniform)
@@ -81,6 +80,11 @@ class StructureTensor(Record):
     def dim(self) -> int:
         return self.q + self.p
 
+    def to_data(self) -> dict:
+        """JSON-ready form mirroring the text format."""
+        return {"kind": "algebra", "q": self.q, "p": self.p,
+                "entries": [list(e) for e in self.sorted_entries()]}
+
 
 def from_graph(g: ColoredDigraph) -> StructureTensor:
     """Structure tensor of a colored digraph: arc (i, j, k) gives [v_i, v_j] = z_k."""
@@ -99,87 +103,6 @@ def to_graph(t: StructureTensor) -> ColoredDigraph:
     return ColoredDigraph.from_arcs(t.q, t.p, arcs)
 
 
-# ---------------------------------------------------------------------------
-# vectors and brackets
-
-class NVector(Record):
-    """Element of the algebra in coordinates: v over generators, z over center."""
-
-    v: tuple[Scalar, ...]
-    z: tuple[Scalar, ...]
-
-    @staticmethod
-    def zero(q: int, p: int) -> "NVector":
-        return NVector((0,) * q, (0,) * p)
-
-    @staticmethod
-    def basis_v(q: int, p: int, i: int) -> "NVector":
-        return NVector(tuple(1 if a == i else 0 for a in range(1, q + 1)), (0,) * p)
-
-    @staticmethod
-    def basis_z(q: int, p: int, k: int) -> "NVector":
-        return NVector((0,) * q, tuple(1 if a == k else 0 for a in range(1, p + 1)))
-
-    @staticmethod
-    def from_coords(q: int, p: int, coords) -> "NVector":
-        coords = tuple(coords)
-        if len(coords) != q + p:
-            raise ValueError("coordinate length mismatch")
-        return NVector(coords[:q], coords[q:])
-
-    def coords(self) -> tuple[Scalar, ...]:
-        return self.v + self.z
-
-    def __add__(self, other: "NVector") -> "NVector":
-        return NVector(tuple(a + b for a, b in zip(self.v, other.v)),
-                       tuple(a + b for a, b in zip(self.z, other.z)))
-
-    def __sub__(self, other: "NVector") -> "NVector":
-        return self + (-other)
-
-    def __neg__(self) -> "NVector":
-        return NVector(tuple(-a for a in self.v), tuple(-a for a in self.z))
-
-    def scale(self, c: Scalar) -> "NVector":
-        return NVector(tuple(c * a for a in self.v), tuple(c * a for a in self.z))
-
-    def is_zero(self) -> bool:
-        return all(a == 0 for a in self.v) and all(a == 0 for a in self.z)
-
-
-def bracket(t: StructureTensor, x: NVector, y: NVector) -> NVector:
-    """[x, y]; bilinear, lands in the center, ignores the z parts of x and y."""
-    if len(x.v) != t.q or len(y.v) != t.q or len(x.z) != t.p or len(y.z) != t.p:
-        raise ValueError("vector shape mismatch")
-    z = [0] * t.p
-    for (i, j, k, s) in t.entries:
-        c = x.v[i - 1] * y.v[j - 1] - x.v[j - 1] * y.v[i - 1]
-        if c != 0:
-            z[k - 1] += s * c
-    return NVector((0,) * t.q, tuple(z))
-
-
-# ---------------------------------------------------------------------------
-# structural subspaces
-
-def ad_matrix(t: StructureTensor, i: int) -> IntMatrix:
-    """Matrix of ad_{v_i} restricted to generators: column j holds [v_i, v_j]."""
-    if not (1 <= i <= t.q):
-        raise ValueError(f"generator index {i} out of range")
-    m = [[0] * t.q for _ in range(t.p)]
-    for (a, b, k, s) in t.entries:
-        if a == i:
-            m[k - 1][b - 1] = s
-        elif b == i:
-            m[k - 1][a - 1] = -s
-    return IntMatrix.from_rows(m)
-
-
-def ad_rank(t: StructureTensor, i: int) -> int:
-    """Rank of ad_{v_i}; equals the degree s for a uniform tensor."""
-    return ad_matrix(t, i).rank()
-
-
 def _radical_rows(t: StructureTensor) -> list[list[int]]:
     """Matrix of x -> ([x, v_j])_j on generator coordinates: row (j, k) holds
     in column i the z_k coordinate of [v_i, v_j].  Its kernel is the radical
@@ -191,45 +114,8 @@ def _radical_rows(t: StructureTensor) -> list[list[int]]:
     return rows
 
 
-def center(t: StructureTensor) -> list[NVector]:
-    """Basis of the center: all of the z-span plus any bracket-free generator
-    combinations.  For a uniform tensor this is exactly the z-span."""
-    basis = [NVector.basis_z(t.q, t.p, k) for k in range(1, t.p + 1)]
-    for vec in exact.nullspace(_radical_rows(t), ncols=t.q):
-        basis.append(NVector(vec, (Fraction(0),) * t.p))
-    return basis
-
-
-def commutator(t: StructureTensor) -> list[NVector]:
-    """Echelon basis of [n, n] inside the z-span."""
-    rows = []
-    for (_, _, k, s) in sorted(t.entries):
-        rows.append([s if c == k else 0 for c in range(1, t.p + 1)])
-    if not rows:
-        return []
-    red, pivots = exact.rref(rows)
-    return [NVector((Fraction(0),) * t.q, tuple(red[r])) for r in range(len(pivots))]
-
-
-def centralizer(t: StructureTensor, i: int) -> list[NVector]:
-    """Basis of {x : [x, v_i] = 0}; dimension p + q - s for a uniform tensor."""
-    rows = ad_matrix(t, i).rows  # [v_i, x] = 0 iff [x, v_i] = 0
-    basis = [NVector.basis_z(t.q, t.p, k) for k in range(1, t.p + 1)]
-    for vec in exact.nullspace(rows, ncols=t.q):
-        basis.append(NVector(vec, (Fraction(0),) * t.p))
-    return basis
-
-
 # ---------------------------------------------------------------------------
 # J maps
-
-def j_basis(t: StructureTensor, k: int) -> IntMatrix:
-    """Matrix of J_{z_k} on generators: J(v_i) = v_j when [v_i, v_j] = z_k,
-    -v_j when [v_i, v_j] = -z_k; equals minus the skew adjacency of color k."""
-    if not (1 <= k <= t.p):
-        raise ValueError(f"center index {k} out of range")
-    return j_map(t, [1 if c == k else 0 for c in range(1, t.p + 1)])
-
 
 def j_map(t: StructureTensor, coeffs) -> IntMatrix:
     """J map of the center element sum(coeffs[k-1] * z_k): each bracket
@@ -244,31 +130,9 @@ def j_map(t: StructureTensor, coeffs) -> IntMatrix:
     return IntMatrix.from_rows(m)
 
 
-def j_gram(t: StructureTensor) -> IntMatrix:
-    """Gram matrix trace(J_{z_k} J_{z_l}^T); equals 2r * I for uniform tensors.
-
-    trace(J_k J_l^T) sums J_k[a, b] J_l[a, b] over generator pairs, and each
-    pair carries one color, so the matrix is diagonal with entry 2 |E_k|,
-    twice the number of pairs of color k."""
-    if not validate_uniform(to_graph(t)).is_uniform:
-        raise ValueError("j_gram needs a uniform tensor")
-    twice = [0] * t.p
-    for (_, _, k, _) in t.entries:
-        twice[k - 1] += 2
-    return IntMatrix.from_rows([[twice[k] if k == l else 0 for l in range(t.p)]
-                                for k in range(t.p)])
-
-
-def is_heisenberg_type(t: StructureTensor) -> bool:
-    """Whether J_z^2 = -|z|^2 id holds for the basis inner product, checked by
-    polarization: J_k J_l + J_l J_k = -2 delta_kl id on all basis pairs."""
-    if not validate_uniform(to_graph(t)).is_uniform:
-        raise ValueError("is_heisenberg_type needs a uniform tensor")
-    return _heisenberg_identity(t)
-
-
 def _heisenberg_identity(t: StructureTensor) -> bool:
-    """The polarized identity of is_heisenberg_type on a uniform tensor.
+    """The polarized identity of analysis.is_heisenberg_type on a uniform
+    tensor; the sign classes and the classification read it directly.
 
     Each color class is a matching, so J_k is a signed partial permutation
     of the generators: js[k][i] = (j, c) when J_k v_i = c v_j.  The identity
@@ -290,35 +154,6 @@ def _heisenberg_identity(t: StructureTensor) -> bool:
                 if {v: c for v, c in image.items() if c} != want:
                     return False
     return True
-
-
-class TotallyGeodesicReport(Record):
-    is_subalgebra: bool
-    is_totally_geodesic: bool
-
-
-def totally_geodesic(t: StructureTensor, generators, colors) -> TotallyGeodesicReport:
-    """Test the span of {v_i : i in generators} + {z_k : k in colors}.
-
-    Subalgebra: every bracket between chosen generators lands in the chosen
-    center directions.  Totally geodesic additionally needs each chosen color
-    class to touch either both or neither endpoint of the generator set, which
-    is J-invariance of the span.
-    """
-    vset = set(generators)
-    cset = set(colors)
-    for i in vset:
-        if not (1 <= i <= t.q):
-            raise ValueError(f"generator index {i} out of range")
-    for k in cset:
-        if not (1 <= k <= t.p):
-            raise ValueError(f"center index {k} out of range")
-    is_sub = all(k in cset
-                 for (i, j, k, _) in t.entries if i in vset and j in vset)
-    j_invariant = all(len({i, j} & vset) != 1
-                      for (i, j, k, _) in t.entries if k in cset)
-    return TotallyGeodesicReport(is_subalgebra=is_sub,
-                                 is_totally_geodesic=is_sub and j_invariant)
 
 
 # ---------------------------------------------------------------------------
@@ -356,6 +191,14 @@ class SignedPermWitness(Record):
             m[q + im - 1][q + k] = s
         return IntMatrix.from_rows(m)
 
+    def to_data(self) -> dict:
+        """JSON-ready form mirroring the text format."""
+        return {"kind": "witness", "witness_kind": "signed-perm",
+                "vertex_images": list(self.vertex_images),
+                "vertex_signs": list(self.vertex_signs),
+                "color_images": list(self.color_images),
+                "color_signs": list(self.color_signs)}
+
 
 class GeneralLinearWitness(Record):
     """Arbitrary invertible rational map in the v1..vq, z1..zp coordinate order;
@@ -365,6 +208,11 @@ class GeneralLinearWitness(Record):
 
     def to_matrix(self) -> IntMatrix:
         return self.matrix
+
+    def to_data(self) -> dict:
+        """JSON-ready form mirroring the text format; entries are rational strings."""
+        return {"kind": "witness", "witness_kind": "general-linear",
+                "matrix": [list(map(format_scalar, row)) for row in self.matrix.rows]}
 
 
 IsoWitness = SignedPermWitness | GeneralLinearWitness

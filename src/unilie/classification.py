@@ -291,6 +291,21 @@ def classify_detailed(q_max: int = 5, budget: int = DEFAULT_SEARCH_BUDGET
     return rows, splits, [b for b in blocks if len(b.cases) > 1]
 
 
+def count_line(rows: list[ClassificationRow], open_blocks: list[Block],
+               q_max: int) -> str:
+    """How many isomorphism classes the rows of classify_detailed are, as the
+    first line of a report.  Rows in different blocks are certified
+    distinct, and an open block holds at least one class and at most one per
+    row, so with open blocks the count is the range from
+    rows - sum(block sizes) + blocks to rows."""
+    if not open_blocks:
+        return f"{len(rows)} isomorphism classes with q <= {q_max}"
+    n = len(open_blocks)
+    low = len(rows) - sum(len(b.cases) for b in open_blocks) + n
+    return (f"{len(rows)} rows: {low} to {len(rows)} isomorphism classes, "
+            f"{n} block{'s' if n > 1 else ''} open")
+
+
 def classify(q_max: int = 5, budget: int = DEFAULT_SEARCH_BUDGET) -> list[ClassificationRow]:
     """Isomorphism classes of uniform algebras with at most q_max generators;
     rows in one open block of classify_detailed are not certified distinct."""

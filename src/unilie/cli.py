@@ -8,6 +8,9 @@ read the prose.  Exit codes: 0 success, 1 property fails, 2 usage error,
 
 Parsing the command line loads no library module, so `--help` and usage
 errors stay cheap; each verb imports the modules it uses when it runs.
+Input files are parsed in one place, `_read_inputs`, which turns a parse
+error into a usage error (exit 2); `classify` and `factorize` read no file
+and never load `serialize`.
 """
 
 from __future__ import annotations
@@ -56,6 +59,8 @@ def _read_inputs(args, count=None):
                 objs.append(serialize.parse_any(fh.read()))
         except OSError as exc:
             raise _Usage(f"cannot read {path}: {exc.strerror}")
+        except serialize.ParseError as exc:
+            raise _Usage(str(exc))
     return objs
 
 
@@ -125,7 +130,7 @@ _VARIANTS = {"ring": "primed", "quaternionic": "associate"}
 
 
 def _cmd_family(args) -> int:
-    from . import families, serialize
+    from . import families
     from .graphs import validate_uniform
     name = args.name
     if name not in _FAMILIES:
@@ -158,7 +163,7 @@ def _cmd_family(args) -> int:
     except ValueError as exc:
         raise _Usage(str(exc))
     rep = validate_uniform(g)
-    payload = serialize.to_data(g)
+    payload = g.to_data()
     payload["family"] = name
     payload["type"] = [rep.p, rep.q, rep.r]
     body = _format_object(g, args.format)
@@ -183,9 +188,9 @@ def _format_object(obj, fmt: str) -> str:
 
 def _cmd_analyze(args) -> int:
     from . import serialize
-    from .algebra import (ad_rank, center, centralizer, commutator,
-                          derivation_dim, is_heisenberg_type, j_basis, j_gram,
-                          totally_geodesic)
+    from .algebra import derivation_dim
+    from .analysis import (ad_rank, center, centralizer, commutator,
+                           is_heisenberg_type, j_basis, j_gram, totally_geodesic)
     from .graphs import connected_components, validate_uniform
     (obj,) = _read_inputs(args, 1)
     t, g = _as_tensor(obj), _as_graph(obj)
@@ -288,7 +293,7 @@ def _cmd_iso(args) -> int:
         w = signed_perm_isomorphic(t1, t2, budget=args.budget)
         if w is not None:
             payload = {"mode": "signed-perm", "isomorphic": True,
-                       "witness": serialize.to_data(w)}
+                       "witness": w.to_data()}
             _emit(args, "isomorphic via signed permutation\n\n"
                   + serialize.write_witness(w, t1.q, t1.p), payload)
             return EXIT_OK
@@ -320,7 +325,6 @@ def _render_split(split) -> tuple[str, dict]:
 
 
 def _cmd_orbit(args) -> int:
-    from . import serialize
     from .algebra import sign_class_report, sign_vector
     (obj,) = _read_inputs(args, 1)
     t = _as_tensor(obj)
@@ -340,7 +344,7 @@ def _cmd_orbit(args) -> int:
                                 for s in sign_vector(sc.representative)))
         cls_payload.append({"members": list(sc.members),
                             "heisenberg": sc.heisenberg,
-                            "representative": serialize.to_data(sc.representative)})
+                            "representative": sc.representative.to_data()})
     payload = {"orbit_count": len(report.orbit_representatives),
                "classes": cls_payload}
     _emit(args, "\n".join(lines), payload)
@@ -348,15 +352,13 @@ def _cmd_orbit(args) -> int:
 
 
 def _cmd_classify(args) -> int:
-    from . import serialize
-    from .classification import classify_detailed
+    from .classification import classify_detailed, count_line
     try:
         rows, splits, open_blocks = classify_detailed(args.qmax, budget=args.budget)
     except ValueError as exc:
         raise _Usage(str(exc))
     header = f"{'case':>4}  {'(p,q,r)':<22} {'s':>2}  {'merged':>6}  family"
-    lines = [f"{len(rows)} isomorphism classes with q <= {args.qmax}", header,
-             "-" * len(header)]
+    lines = [count_line(rows, open_blocks, args.qmax), header, "-" * len(header)]
     row_payload = []
     for r in rows:
         types = " = ".join(f"({p},{q},{rr})" for (p, q, rr) in r.types)
@@ -366,7 +368,7 @@ def _cmd_classify(args) -> int:
             "case": r.case, "types": [list(t) for t in r.types], "s": r.s,
             "merged": r.merged, "heisenberg": r.heisenberg,
             "family": list(r.family),
-            "representative": serialize.to_data(r.representative)})
+            "representative": r.representative.to_data()})
     rendered = [_render_split(split) for split in splits]
     lines += ["", "splits: the cases of each part, the invariant, its value on each part"]
     lines += ["  " + human for human, _ in rendered]
@@ -383,7 +385,6 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_factorize(args) -> int:
-    from . import serialize
     from .enumeration import near_one_factorizations, one_factorizations
     n = args.n
     if not 2 <= n <= 8:
@@ -395,7 +396,7 @@ def _cmd_factorize(args) -> int:
              f"{len(report.classes)} up to equivalence"]
     payload = {"n": n, "kind": report.kind,
                "labeled_count": report.labeled_count,
-               "classes": [serialize.to_data(c) for c in report.classes]}
+               "classes": [c.to_data() for c in report.classes]}
     for idx, c in enumerate(report.classes, start=1):
         lines.append(f"class {idx}:")
         for (t, h, k) in c.sorted_arcs():
@@ -405,10 +406,9 @@ def _cmd_factorize(args) -> int:
 
 
 def _cmd_export(args) -> int:
-    from . import serialize
     (obj,) = _read_inputs(args, 1)
     body = _format_object(obj, args.format)
-    payload = serialize.to_data(obj)
+    payload = obj.to_data()
     _emit(args, body, payload, file_body=body)
     return EXIT_OK
 
@@ -478,14 +478,13 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
-    from . import serialize
     from .graphs import DEFAULT_SEARCH_BUDGET, BudgetExceededError
     # the default is filled in here so that parsing imports no library module
     if hasattr(args, "budget") and args.budget is None:
         args.budget = DEFAULT_SEARCH_BUDGET
     try:
         return _VERBS[args.verb][1](args)
-    except (_Usage, serialize.ParseError) as exc:
+    except _Usage as exc:
         sys.stderr.write(f"usage error: {exc}\n")
         return EXIT_USAGE
     except BudgetExceededError as exc:

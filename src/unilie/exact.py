@@ -19,6 +19,11 @@ from .record import Record
 Scalar = int | Fraction
 
 
+def format_scalar(x: Scalar) -> str:
+    """An int or Fraction in lowest terms as text: '3' or '-1/2'."""
+    return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
+
+
 class IntMatrix(Record):
     """Immutable matrix with int or Fraction entries."""
 

@@ -102,6 +102,11 @@ class ColoredDigraph(Record):
     def sorted_arcs(self) -> list[tuple[int, int, int]]:
         return sorted(self.arcs)
 
+    def to_data(self) -> dict:
+        """JSON-ready form mirroring the text format."""
+        return {"kind": "graph", "q": self.q, "p": self.p,
+                "arcs": [list(a) for a in self.sorted_arcs()]}
+
     def undirected_edges(self) -> frozenset[tuple[int, int]]:
         return frozenset((min(i, j), max(i, j)) for i, j, _ in self.arcs)
 

@@ -1,4 +1,5 @@
-"""Versioned text, DOT, and structured-data serialization.
+"""Versioned text and DOT serialization, and the reading of the structured
+data form that each object's `to_data()` writes.
 
 One object per file.  Headers name the format and carry q and p; body lines
 hold one arc, entry, or witness component each.  Blank lines and `#` comments
@@ -12,7 +13,7 @@ from fractions import Fraction
 
 from .algebra import (GeneralLinearWitness, IsoWitness, SignedPermWitness,
                       StructureTensor)
-from .exact import IntMatrix
+from .exact import IntMatrix, format_scalar
 from .graphs import ColoredDigraph
 
 GRAPH_HEADER = "unilie-graph v1"
@@ -140,11 +141,6 @@ def bracket_table(t: StructureTensor) -> str:
 # ---------------------------------------------------------------------------
 # witnesses
 
-def _fmt_scalar(x) -> str:
-    f = Fraction(x)
-    return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
-
-
 def write_witness(w: IsoWitness, q: int, p: int) -> str:
     if isinstance(w, SignedPermWitness):
         lines = [f"{WITNESS_HEADER} kind=signed-perm q={q} p={p}"]
@@ -158,7 +154,7 @@ def write_witness(w: IsoWitness, q: int, p: int) -> str:
         raise ValueError("matrix size does not match q + p")
     lines = [f"{WITNESS_HEADER} kind=general-linear q={q} p={p}"]
     for row in m.rows:
-        lines.append("row " + " ".join(_fmt_scalar(x) for x in row))
+        lines.append("row " + " ".join(format_scalar(x) for x in row))
     return "\n".join(lines) + "\n"
 
 
@@ -288,28 +284,8 @@ def write_dot(g: ColoredDigraph, name: str = "unilie") -> str:
     return "\n".join(lines) + "\n"
 
 
-def to_data(obj) -> dict:
-    """JSON-ready dictionary mirroring the text formats."""
-    if isinstance(obj, ColoredDigraph):
-        return {"kind": "graph", "q": obj.q, "p": obj.p,
-                "arcs": [list(a) for a in obj.sorted_arcs()]}
-    if isinstance(obj, StructureTensor):
-        return {"kind": "algebra", "q": obj.q, "p": obj.p,
-                "entries": [list(e) for e in obj.sorted_entries()]}
-    if isinstance(obj, SignedPermWitness):
-        return {"kind": "witness", "witness_kind": "signed-perm",
-                "vertex_images": list(obj.vertex_images),
-                "vertex_signs": list(obj.vertex_signs),
-                "color_images": list(obj.color_images),
-                "color_signs": list(obj.color_signs)}
-    if isinstance(obj, GeneralLinearWitness):
-        return {"kind": "witness", "witness_kind": "general-linear",
-                "matrix": [[_fmt_scalar(x) for x in row]
-                           for row in obj.matrix.rows]}
-    raise TypeError(f"no data form for {type(obj).__name__}")
-
-
 def from_data(data: dict):
+    """The object whose `to_data()` is data."""
     kind = data.get("kind")
     try:
         if kind == "graph":
@@ -334,7 +310,7 @@ def from_data(data: dict):
 
 
 def to_json(obj) -> str:
-    return json.dumps(to_data(obj), sort_keys=True, indent=2) + "\n"
+    return json.dumps(obj.to_data(), sort_keys=True, indent=2) + "\n"
 
 
 def parse_any(text: str):

@@ -14,16 +14,18 @@ import pytest
 from unilie.algebra import (
     GeneralLinearWitness,
     SignedPermWitness,
+    check_witness,
+    from_graph,
+    to_graph,
+)
+from unilie.analysis import (
     ad_rank,
     center,
     centralizer,
-    check_witness,
     commutator,
-    from_graph,
     is_heisenberg_type,
     j_basis,
     j_gram,
-    to_graph,
 )
 from unilie.exact import IntMatrix
 from unilie.families import (
@@ -53,7 +55,7 @@ from unilie.enumeration import (
     regular_graphs,
     uniform_colorings,
 )
-from unilie.serialize import from_data, parse_graph, to_data, write_graph
+from unilie.serialize import from_data, parse_graph, write_graph
 
 pytestmark = pytest.mark.acceptance
 
@@ -273,7 +275,7 @@ def test_criterion_08_serialization_round_trip():
         else:
             g = _random_colored_digraph(rng)
         ok = ok and parse_graph(write_graph(g)) == g
-        ok = ok and from_data(to_data(g)) == g
+        ok = ok and from_data(g.to_data()) == g
         rep = validate_uniform(g)
         if rep.is_uniform:
             uniform_seen += 1

@@ -11,17 +11,10 @@ from hypothesis import strategies as st
 
 from unilie.algebra import (
     GeneralLinearWitness,
-    NVector,
     SignedPermWitness,
     StructureTensor,
-    ad_matrix,
-    ad_rank,
     apply_signs,
-    bracket,
-    center,
-    centralizer,
     check_witness,
-    commutator,
     compose_witnesses,
     concatenate,
     derivation_dim,
@@ -29,18 +22,27 @@ from unilie.algebra import (
     diagonal_witness,
     from_graph,
     invert_witness,
-    is_heisenberg_type,
-    j_basis,
-    j_gram,
     j_map,
     lift_automorphism,
     sign_vector,
     signed_perm_isomorphic,
     support_pairs,
     to_graph,
-    totally_geodesic,
     WitnessCheck,
     _flip_space,
+)
+from unilie.analysis import (
+    NVector,
+    ad_matrix,
+    ad_rank,
+    bracket,
+    center,
+    centralizer,
+    commutator,
+    is_heisenberg_type,
+    j_basis,
+    j_gram,
+    totally_geodesic,
 )
 from unilie import classification, enumeration
 from unilie.exact import IntMatrix, gf2_from_bits, gf2_reduce, gf2_to_bits

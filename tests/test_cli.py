@@ -554,6 +554,17 @@ class TestUsage:
         assert code == 2
         assert out == ""
 
+    @pytest.mark.parametrize("verb", ["verify", "analyze", "iso", "orbit", "export"])
+    def test_malformed_input_is_usage_error(self, capsys, tmp_path, verb):
+        # _read_inputs turns the parse error into a usage error
+        path = tmp_path / "bad.txt"
+        path.write_text("unilie-graph v1 q=2 p=1\n1 2\n")
+        argv = [verb] + ["--input", str(path)] * (2 if verb == "iso" else 1)
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "usage error: arc line needs 3 fields: '1 2'\n"
+
     @pytest.mark.parametrize("body", [
         "unilie-graph v1 q=2 p=1\n1 2 x\n",
         "unilie-algebra v1 q=2 p=1\n1 2 x +1\n",

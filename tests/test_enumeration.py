@@ -19,11 +19,11 @@ from unilie.algebra import (
     diagonal_orbit_representatives,
     from_graph,
     invert_witness,
-    is_heisenberg_type,
     sign_class_report,
     signed_perm_isomorphic,
     to_graph,
 )
+from unilie.analysis import is_heisenberg_type
 from unilie.families import (cyclic, heisenberg, kneser, quaternionic, ring_algebra,
                              trivial_coloring)
 from unilie.graphs import (
@@ -592,6 +592,20 @@ class TestClassification:
     def test_four_generators(self):
         rows = classify(4)
         assert len(rows) == 9
+
+    def test_count_line_gives_the_certified_range(self):
+        # 92 rows, 72 of them in 12 open blocks: each block is at least one
+        # class, so 92 - 72 + 12 = 32 classes are certified
+        rows, _, open_blocks = classify_detailed(6)
+        assert (len(rows), len(open_blocks)) == (92, 12)
+        assert classification.count_line(rows, open_blocks, 6) == (
+            "92 rows: 32 to 92 isomorphism classes, 12 blocks open")
+        # only the number of rows is read; one open block of three rows
+        block = classification.Block((2, 3, 4), ())
+        assert classification.count_line(rows[:5], [block], 4) == (
+            "5 rows: 3 to 5 isomorphism classes, 1 block open")
+        assert classification.count_line(rows[:5], [], 4) == (
+            "5 isomorphism classes with q <= 4")
 
     def test_five_generators(self):
         rows = classify(5)

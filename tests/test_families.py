@@ -5,7 +5,8 @@ from itertools import combinations
 
 import pytest
 
-from unilie.algebra import from_graph, is_heisenberg_type
+from unilie.algebra import from_graph
+from unilie.analysis import is_heisenberg_type
 from unilie.families import (
     FiniteGroup,
     cayley,

@@ -40,14 +40,16 @@ def test_no_unused_imports():
 
 
 # module -> the library modules it imports at its top level; the census
-# (enumeration) stays on the graph layer, and only classification reaches
-# every layer at once.  cli imports what a verb uses when the verb runs.
+# (enumeration) stays on the graph layer, only `analyze` reads analysis, and
+# only classification reaches every layer at once.  cli imports what a verb
+# uses when the verb runs.
 LAYERS = {
     "record": set(),
     "graphs": {"record"},
     "enumeration": {"graphs", "record"},
     "exact": {"record"},
     "algebra": {"exact", "graphs", "record"},
+    "analysis": {"algebra", "exact", "graphs", "record"},
     "families": {"graphs", "record"},
     "serialize": {"algebra", "exact", "graphs"},
     "classification": {"algebra", "enumeration", "exact", "families", "graphs",
@@ -140,14 +142,16 @@ def test_parser_exits_load_only_the_cli(argv):
 
 
 UNUSED_BY_VERBS = {"unilie.classification", "unilie.enumeration", "unilie.families"}
+# the structure dossier: only `analyze` loads it
+UNUSED_OUTSIDE_ANALYZE = UNUSED_BY_VERBS | {"unilie.analysis"}
 
 
 @pytest.mark.parametrize("verb,absent", [
-    ("verify", UNUSED_BY_VERBS),
+    ("verify", UNUSED_OUTSIDE_ANALYZE),
     ("analyze", UNUSED_BY_VERBS),
-    ("export", UNUSED_BY_VERBS),
+    ("export", UNUSED_OUTSIDE_ANALYZE),
     # two graphs: coloring equivalence, with no certificate chain
-    ("iso", UNUSED_BY_VERBS),
+    ("iso", UNUSED_OUTSIDE_ANALYZE),
 ])
 def test_verbs_skip_modules_they_do_not_use(tmp_path, verb, absent):
     path = tmp_path / "quat.graph"
@@ -174,7 +178,7 @@ def test_sign_classes_skip_the_census_and_classification():
             "assert len(sign_class_report(g).classes) == 2")
     loaded = set(fresh_unilie_modules(code))
     assert "unilie.algebra" in loaded
-    assert not loaded & UNUSED_BY_VERBS
+    assert not loaded & UNUSED_OUTSIDE_ANALYZE
 
 
 def test_orbit_skips_the_census_and_classification(tmp_path):
@@ -182,18 +186,24 @@ def test_orbit_skips_the_census_and_classification(tmp_path):
     path.write_text(serialize.write_graph(quaternionic()))
     loaded = set(fresh_unilie_modules(run_cli(["orbit", "--input", str(path)])))
     assert "unilie.algebra" in loaded
-    assert not loaded & UNUSED_BY_VERBS
+    assert not loaded & UNUSED_OUTSIDE_ANALYZE
 
 
 def test_factorize_skips_families_and_classification():
-    loaded = set(fresh_unilie_modules(run_cli(["factorize", "6"])))
-    assert "unilie.enumeration" in loaded
-    assert not loaded & {"unilie.classification", "unilie.families"}
+    # the census alone: no parser, no algebra and no exact arithmetic
+    loaded = fresh_modules(run_cli(["factorize", "6"]))
+    assert [m for m in loaded if m.split(".")[0] == "unilie"] == [
+        "unilie", "unilie.cli", "unilie.enumeration", "unilie.graphs",
+        "unilie.record"]
+    assert "fractions" not in loaded
 
 
 def test_classify_loads_classification():
+    # every layer but the parsers and the structure dossier
     loaded = fresh_unilie_modules(run_cli(["classify", "--qmax", "3"]))
-    assert "unilie.classification" in loaded
+    assert loaded == ["unilie", "unilie.algebra", "unilie.classification",
+                      "unilie.cli", "unilie.enumeration", "unilie.exact",
+                      "unilie.families", "unilie.graphs", "unilie.record"]
 
 
 def test_iso_on_two_tensors_loads_classification(tmp_path):
@@ -219,6 +229,10 @@ def test_name_table_resolves_every_entry():
         mod = importlib.import_module(f"unilie.{module}")
         expected = mod if name == module else getattr(mod, name)
         assert getattr(unilie, name) is expected, name
+        # every export is a class or function defined where the table says,
+        # not a re-export left behind in another module
+        if name != module:
+            assert expected.__module__ == f"unilie.{module}", name
     assert sorted(unilie.__all__) == sorted(unilie._MODULE_OF)
     assert set(unilie.__all__) <= set(dir(unilie))
 

@@ -34,7 +34,8 @@ def test_reproduce_tables_six_generators_names_the_open_pair():
     assert proc.returncode == 4, proc.stderr
     assert proc.stderr == ""
     lines = proc.stdout.splitlines()
-    assert lines[0].startswith("Table A: 92 isomorphism classes with q <= 6")
+    assert lines[0].startswith(
+        "Table A: 92 rows: 32 to 92 isomorphism classes, 12 blocks open")
     assert ("  splits by invariant: 2 central-direction, "
             "5 derivation-dimension, 1 dimensions") in lines
     blocks = [line for line in lines if line.startswith("  open block: ")]

@@ -26,7 +26,6 @@ from unilie.serialize import (
     parse_graph,
     parse_tensor,
     parse_witness,
-    to_data,
     to_json,
     write_dot,
     write_graph,
@@ -264,15 +263,15 @@ class TestDot:
 class TestDataAndJson:
     @pytest.mark.parametrize("g", GRAPHS)
     def test_graph_data_round_trip(self, g):
-        assert from_data(to_data(g)) == g
+        assert from_data(g.to_data()) == g
 
     def test_tensor_data_round_trip(self):
         t = from_graph(quaternionic())
-        assert from_data(to_data(t)) == t
+        assert from_data(t.to_data()) == t
 
     def test_witness_data_round_trip(self):
         _, _, w = ring_sum_witness()
-        back = from_data(to_data(w))
+        back = from_data(w.to_data())
         assert back.to_matrix() == w.to_matrix()
 
     def test_json_is_deterministic_and_loadable(self):
@@ -289,7 +288,7 @@ class TestDataAndJson:
 
     def test_from_data_rejects_zero_denominator(self):
         _, _, w = ring_sum_witness()
-        payload = to_data(w)
+        payload = w.to_data()
         payload["matrix"][0][0] = "1/0"
         with pytest.raises(ParseError):
             from_data(payload)
@@ -298,7 +297,7 @@ class TestDataAndJson:
     @pytest.mark.parametrize("kind", ["graph", "algebra"])
     def test_from_data_rejects_non_integer_q(self, kind, q):
         obj = quaternionic() if kind == "graph" else from_graph(quaternionic())
-        payload = to_data(obj)
+        payload = obj.to_data()
         payload["q"] = q
         with pytest.raises(ParseError):
             from_data(payload)
@@ -347,4 +346,4 @@ def test_random_graph_round_trip(qa):
         return
     g = ColoredDigraph.from_arcs(q, 4, arcs)
     assert parse_graph(write_graph(g)) == g
-    assert from_data(to_data(g)) == g
+    assert from_data(g.to_data()) == g
