@@ -243,7 +243,7 @@ def check_witness(t1: StructureTensor, t2: StructureTensor, w: IsoWitness) -> Wi
     if m.nrows != n or m.ncols != n:
         raise ValueError("witness matrix has the wrong shape")
     # a signed permutation matrix is always invertible
-    if not isinstance(w, SignedPermWitness) and m.det() == 0:
+    if not isinstance(w, SignedPermWitness) and m.rank() < n:
         raise ValueError("witness matrix is singular")
     q, p = t1.q, t1.p
     cols = list(zip(*m.rows))  # column b = image of basis b

@@ -3,21 +3,20 @@
 Candidates are the sign classes of every uniform coloring of every regular
 graph from the census; named reference presentations locate the known
 families among them, stored general-linear identifications merge candidates
-after check_witness re-verifies them, and sound invariants split the rest
-into blocks, reporting each block of more than one class as open.  Exact
-and deterministic throughout; searches take explicit budgets and raise
-BudgetExceededError instead of degrading.
+after check_witness re-verifies them, and sound invariants, each decided
+exactly with no search, split the rest into blocks, reporting each block of
+more than one class as open.  Exact and deterministic throughout; searches
+take explicit budgets and raise BudgetExceededError instead of degrading.
 """
 
 from __future__ import annotations
 
-import itertools
 from functools import cached_property
 
 from . import exact
 from .algebra import (GeneralLinearWitness, SignedPermWitness, StructureTensor,
                       _heisenberg_identity, check_witness, compose_witnesses,
-                      derivation_dim, from_graph, invert_witness, j_map,
+                      derivation_dim, from_graph, invert_witness,
                       sign_class_report, signed_perm_isomorphic, to_graph)
 from .enumeration import regular_graphs, uniform_colorings
 from .families import (cyclic, free_two_step, heisenberg, quaternionic,
@@ -123,20 +122,6 @@ def _candidates(q_max: int, budget: int) -> list[StructureTensor]:
             for sc in sign_class_report(coloring, budget).classes]
 
 
-def _singular_central_direction(t: StructureTensor):
-    """Nonzero rational central direction with singular J map, if a small one
-    exists.  Existence of any real one is an isomorphism invariant.
-
-    The search visits the box of radius 2 while it has at most 400,000
-    points, else the box of radius 1 while that one does, else nothing."""
-    bound = next((b for b in (2, 1) if (2 * b + 1) ** t.p <= 400_000), 0)
-    for c in itertools.product(range(-bound, bound + 1), repeat=t.p):
-        # one of c and -c, nonzero: its first nonzero coordinate is positive
-        if next((x for x in c if x), 0) > 0 and exact.det(j_map(t, c).rows) == 0:
-            return c
-    return None
-
-
 class Invariants(Record):
     """The facts about one algebra, given by one or more presentations, that
     refine reads; each is computed on first use and kept."""
@@ -165,15 +150,39 @@ class Invariants(Record):
         return derivation_dim(self.presentations[0])
 
     @cached_property
-    def singular_direction(self) -> tuple[int, ...] | None:
-        """A small singular central direction of some presentation, if any."""
-        return next(filter(None, map(_singular_central_direction,
-                                     self.presentations)), None)
+    def nonsingular(self) -> bool | None:
+        """Whether J(c) is invertible for every real c != 0, decided without
+        search; None when a presentation is not uniform, and in the one case
+        the rules below leave open.
+
+        J(c) is the matrix of the form c.[x, y] on V = n/[n, n], and since a
+        uniform coloring uses every color, c runs over every nonzero
+        functional on [n, n].  So the answer is an isomorphism invariant, and
+        any one presentation may decide it:
+        - True when the square-norm identity holds: J(c)^2 = -|c|^2.
+        - False when 2r < q: J(z_k) kills each generator that color k
+          misses.  This covers every odd q.
+        - False when 2r = q = 2 (mod 4): p = 1 would satisfy the identity,
+          so p >= 2, and the Pfaffian of J(c), homogeneous of odd degree
+          q/2, has opposite signs at c and -c, which a path avoiding 0
+          joins; so it has a real zero, where det J(c) = Pf^2 vanishes.
+        - False when 2r = q = 4: J_k and J_l are signed perfect matchings of
+          four generators with det(J_k J_l) = 1, which forces them to
+          commute or to anticommute.  Without the identity some pair
+          commutes, and then (J_k + J_l)(J_k - J_l) = J_k^2 - J_l^2 = 0
+          makes J(z_k + z_l) or J(z_k - z_l) singular.
+        Open: q >= 8 with q = 0 (mod 4), every color a perfect matching and
+        no identity."""
+        if self.heisenberg is not False:
+            return self.heisenberg
+        if any(rep.q % 4 or rep.q == 4 or 2 * rep.r < rep.q for rep in self.reports):
+            return False
+        return None
 
 
 class Split(Record):
     """A block of classes that one invariant divides into parts."""
-    invariant: str                       # "dimensions" | "derivation-dimension" | "central-direction"
+    invariant: str                       # "dimensions" | "derivation-dimension" | "nonsingular"
     parts: tuple[tuple[int, ...], ...]   # the case ids in each part
     values: tuple                        # the invariant on each part, JSON-native
 
@@ -189,17 +198,16 @@ def refine(classes: list[Invariants]) -> tuple[list[Block], list[Split]]:
     them; classes[i] has case id i + 1.
 
     All classes are split by (p, q), then each block of more than one class
-    by derivation dimension, then by the square-norm flag: a class with the
-    identity has J(c) invertible for every real c != 0, so it differs from
-    one with an explicit singular central direction.  That split is made
-    only when a block's flags are exactly {True, False} and every member
-    without the identity has a direction, the value of its part.  Facts are
-    computed only for members of blocks of more than one class."""
+    by derivation dimension, then by whether J(c) is invertible for every
+    real c != 0.  A block whose members take several values, one of them
+    None (undecided), stays whole: an undecided member may be isomorphic to
+    any other.  Facts are computed only for members of blocks of more than
+    one class."""
     blocks, splits = [Block(tuple(range(1, len(classes) + 1)), ())], []
     # each step: (split kind, the Invariants field that keys the parts)
     for kind, field in (("dimensions", "dimensions"),
                         ("derivation-dimension", "derivation_dim"),
-                        ("central-direction", "heisenberg")):
+                        ("nonsingular", "nonsingular")):
         refined = []
         for block in blocks:
             if len(block.cases) == 1:
@@ -208,16 +216,11 @@ def refine(classes: list[Invariants]) -> tuple[list[Block], list[Split]]:
             parts: dict = {}
             for case in block.cases:
                 parts.setdefault(getattr(classes[case - 1], field), []).append(case)
-            values = tuple(parts)
-            if len(parts) > 1 and kind == "central-direction":
-                if set(parts) != {True, False} or None in (directions := tuple(
-                        classes[c - 1].singular_direction for c in parts[False])):
+            if len(parts) > 1:
+                if None in parts:
                     refined.append(block)
                     continue
-                values = tuple("square-norm identity" if flag else directions
-                               for flag in parts)
-            if len(parts) > 1:
-                splits.append(Split(kind, tuple(map(tuple, parts.values())), values))
+                splits.append(Split(kind, tuple(map(tuple, parts.values())), tuple(parts)))
             refined += [Block(tuple(cases), block.shared + ((field, key),))
                         for key, cases in parts.items()]
         blocks = refined

@@ -55,10 +55,13 @@ def _read_inputs(args, count=None):
     objs = []
     for path in paths:
         try:
-            with open(path) as fh:
+            with open(path, encoding="utf-8") as fh:
                 objs.append(serialize.parse_any(fh.read()))
         except OSError as exc:
             raise _Usage(f"cannot read {path}: {exc.strerror}")
+        except UnicodeDecodeError as exc:
+            raise _Usage(f"cannot read {path}: not UTF-8 text "
+                         f"(byte {exc.start} is {exc.object[exc.start]:#04x})")
         except serialize.ParseError as exc:
             raise _Usage(str(exc))
     return objs
@@ -310,17 +313,11 @@ def _cmd_iso(args) -> int:
     return EXIT_PROPERTY
 
 
-def _show(value) -> str:
-    """An invariant value as text; a tuple of directions as the directions."""
-    nested = isinstance(value, tuple) and value and isinstance(value[0], tuple)
-    return " ".join(map(str, value)) if nested else str(value)
-
-
 def _render_split(split) -> tuple[str, dict]:
     """Human line and machine entry for a Split of refine()."""
     return (" | ".join(",".join(map(str, part)) for part in split.parts)
             + f" by {split.invariant} "
-            + " | ".join(map(_show, split.values)),
+            + " | ".join(map(str, split.values)),
             {"kind": split.invariant, "cases": split.parts, "values": split.values})
 
 

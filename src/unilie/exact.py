@@ -1,9 +1,10 @@
 """Exact linear algebra over the integers, the rationals, and GF(2).
 
 Everything here is deterministic and allocation-light: matrices are tuples of
-tuples, ranks and determinants go through fraction-free (Bareiss) elimination
-once each row's denominators are cleared, and anything that genuinely needs
-division is done with fractions.Fraction.  GF(2) vectors are plain ints with
+tuples, ranks go through fraction-free (Bareiss) elimination once each row's
+denominators are cleared, and anything that genuinely needs division is done
+with fractions.Fraction; a square matrix is singular exactly when its rank
+falls short.  GF(2) vectors are plain ints with
 bit (width-1-j) holding coordinate j, so lexicographic order on coordinate
 tuples equals numeric order on the encodings.
 """
@@ -90,28 +91,22 @@ class IntMatrix(Record):
     def rank(self) -> int:
         return rank(self.rows)
 
-    def det(self) -> Scalar:
-        return det(self.rows)
-
     def is_zero(self) -> bool:
         return all(a == 0 for r in self.rows for a in r)
 
 
-def _integer_rows(rows: Sequence[Sequence[Scalar]]) -> tuple[list[list[int]], int]:
-    """Clear denominators row by row, and return the product of the row
-    scales; row scaling preserves rank and multiplies det by that product."""
+def _integer_rows(rows: Sequence[Sequence[Scalar]]) -> list[list[int]]:
+    """Clear denominators row by row; row scaling preserves rank."""
     scales = [math.lcm(*(a.denominator for a in row)) for row in rows]
-    return [[int(a * c) for a in row] for row, c in zip(rows, scales)], math.prod(scales)
+    return [[int(a * c) for a in row] for row, c in zip(rows, scales)]
 
 
-def _bareiss(m: list[list[int]]) -> tuple[int, int]:
+def _bareiss(m: list[list[int]]) -> int:
     """Fraction-free elimination of integer rows in place (Bareiss, Math.
-    Comp. 22, 1968).  Returns the rank and the last pivot signed by the row
-    swaps, which for square full-rank input is the determinant."""
+    Comp. 22, 1968); returns the rank."""
     nr = len(m)
     nc = len(m[0]) if nr else 0
     prev = 1
-    sign = 1
     r = 0
     for c in range(nc):
         if r == nr:
@@ -119,34 +114,19 @@ def _bareiss(m: list[list[int]]) -> tuple[int, int]:
         piv = next((i for i in range(r, nr) if m[i][c] != 0), None)
         if piv is None:
             continue
-        if piv != r:
-            m[r], m[piv] = m[piv], m[r]
-            sign = -sign
+        m[r], m[piv] = m[piv], m[r]
         for i in range(r + 1, nr):
             for j in range(c + 1, nc):
                 m[i][j] = (m[r][c] * m[i][j] - m[i][c] * m[r][j]) // prev
             m[i][c] = 0
         prev = m[r][c]
         r += 1
-    return r, sign * prev
+    return r
 
 
 def rank(rows: Sequence[Sequence[Scalar]]) -> int:
     """Rank via fraction-free (Bareiss) elimination on integer rows."""
-    return _bareiss(_integer_rows(rows)[0])[0]
-
-
-def det(rows: Sequence[Sequence[Scalar]]) -> Scalar:
-    """Determinant via fraction-free (Bareiss) elimination on integer rows,
-    divided by the scales that cleared the denominators."""
-    n = len(rows)
-    if n and len(rows[0]) != n:
-        raise ValueError("det of non-square matrix")
-    m, scales = _integer_rows(rows)
-    r, d = _bareiss(m)
-    if r < n:
-        return 0
-    return d if scales == 1 else Fraction(d, scales)
+    return _bareiss(_integer_rows(rows))
 
 
 def _rref(m: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:

@@ -59,6 +59,15 @@ def _ints(parts: list[str], line: str) -> tuple[int, ...]:
         raise ParseError(f"non-integer field in '{line}'")
 
 
+def _rational(x) -> Fraction:
+    """Fraction(x) for an int, a float or an exponent-free decimal or ratio
+    string.  Exponent notation is refused: Fraction("1e999999999") builds a
+    billion-digit integer before any budget applies."""
+    if isinstance(x, str) and "e" in x.lower():
+        raise ParseError(f"exponent notation is not accepted: '{x}'")
+    return Fraction(x)
+
+
 def _header_int(fields: dict[str, str], key: str) -> int:
     if key not in fields:
         raise ParseError(f"header is missing {key}=")
@@ -253,7 +262,9 @@ def parse_witness(text: str) -> tuple[IsoWitness, int, int]:
             if key != "row":
                 raise ParseError(f"expected 'row' line, got '{line}'")
             try:
-                rows.append(tuple(Fraction(x) for x in rest.split()))
+                rows.append(tuple(map(_rational, rest.split())))
+            except ParseError:
+                raise
             except (ValueError, ZeroDivisionError):
                 raise ParseError(f"row entries must be rationals: '{line}'")
         n = q + p
@@ -302,9 +313,9 @@ def from_data(data: dict):
                                          tuple(data["vertex_signs"]),
                                          tuple(data["color_signs"]))
             if wk == "general-linear":
-                rows = [tuple(Fraction(x) for x in row) for row in data["matrix"]]
+                rows = [tuple(map(_rational, row)) for row in data["matrix"]]
                 return GeneralLinearWitness(IntMatrix.from_rows(rows))
-    except (KeyError, TypeError, ValueError, ZeroDivisionError) as e:
+    except (KeyError, TypeError, ValueError, ArithmeticError) as e:
         raise ParseError(f"bad {kind} data: {e}") from e
     raise ParseError(f"unrecognized data object kind '{kind}'")
 

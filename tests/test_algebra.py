@@ -564,7 +564,7 @@ def oracle_check_witness(t1, t2, w):
     n = t1.dim()
     if m.nrows != n or m.ncols != n:
         raise ValueError("witness matrix has the wrong shape")
-    if m.det() == 0:
+    if m.rank() < n:
         raise ValueError("witness matrix is singular")
     cols = m.transpose().rows
 

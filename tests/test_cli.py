@@ -245,7 +245,9 @@ class TestIso:
         assert code == 1
         payload = machine_payload(out)
         assert payload["isomorphic"] is False
-        assert payload["certificate"]["kind"] == "central-direction"
+        assert payload["certificate"]["kind"] == "nonsingular"
+        assert payload["certificate"]["values"] == [True, False]
+        assert "distinct, inputs 1 | 2 by nonsingular True | False" in out
 
     def test_tensor_pair_isomorphic(self, capsys, tmp_path):
         from unilie.algebra import apply_signs
@@ -290,9 +292,22 @@ class TestIso:
         assert payload["ok"] is False
         assert payload["failures"]
 
+    def test_singular_witness_is_usage_error(self, capsys, tmp_path):
+        t = from_graph(heisenberg(1))
+        a, w = tmp_path / "a.alg", tmp_path / "w.wit"
+        a.write_text(write_tensor(t))
+        # rows 1 and 2 agree: rank 2 of 3
+        w.write_text(write_witness(GeneralLinearWitness(IntMatrix.from_rows(
+            [[1, 1, 0], [1, 1, 0], [0, 0, 1]])), 2, 1))
+        assert main(["iso", "--input", str(a), "--input", str(a),
+                     "--input", str(w)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "usage error: witness matrix is singular\n"
+
     def test_cross_support_certificate(self, capsys, tmp_path):
         # same dimensions, different supports: decided by the square-norm
-        # identity against an explicit singular central direction
+        # identity against r = 1, where J(z_1) kills v3 and v4
         from unilie.algebra import concatenate
 
         t1 = from_graph(ring_algebra(2))
@@ -304,7 +319,7 @@ class TestIso:
         assert code == 1
         payload = machine_payload(out)
         assert payload["isomorphic"] is False
-        assert payload["certificate"]["kind"] == "central-direction"
+        assert payload["certificate"]["kind"] == "nonsingular"
 
     def test_undetermined_pair(self, capsys, tmp_path):
         # three commuting blocks against a bipartite one-factorization
@@ -399,7 +414,8 @@ class TestClassify:
     def test_certificates_listed(self, capsys):
         _, out = run(capsys, "classify", "--qmax", "5")
         assert "derivation-dimension" in out
-        assert "central-direction" in out
+        assert "4 | 5 by nonsingular False | True" in out
+        assert "6 | 7 by nonsingular True | False" in out
 
     def test_byte_determinism(self, capsys):
         _, out1 = run(capsys, "classify", "--qmax", "5")
@@ -417,6 +433,28 @@ class TestClassify:
         assert sum(len(b["cases"]) * (len(b["cases"]) - 1) // 2 for b in blocks) == 417
         human = out.split("open blocks", 1)[1].split("```machine")[0]
         assert len(human.strip().splitlines()) == 1 + 12
+
+    @pytest.mark.slow
+    def test_every_split_rechecks_through_iso(self, capsys, tmp_path):
+        # iso on the first cases of the first two parts of each split
+        # certifies them distinct by the same invariant and values
+        from unilie.serialize import from_data
+
+        _, out = run(capsys, "classify", "--qmax", "6")
+        payload = machine_payload(out)
+        reps = {row["case"]: from_data(row["representative"])
+                for row in payload["classes"]}
+        assert len(payload["splits"]) == 8
+        for split in payload["splits"]:
+            paths = []
+            for part in split["cases"][:2]:
+                paths += ["--input", str(tmp_path / f"{part[0]}.alg")]
+                (tmp_path / f"{part[0]}.alg").write_text(write_tensor(reps[part[0]]))
+            code, iso_out = run(capsys, "iso", *paths)
+            assert code == 1, split
+            cert = machine_payload(iso_out)["certificate"]
+            assert cert["kind"] == split["kind"]
+            assert cert["values"] == split["values"][:2]
 
     @pytest.mark.parametrize("qmax,code", [("5", 0), ("6", 4)])
     def test_golden_output(self, qmax, code):
@@ -565,6 +603,17 @@ class TestUsage:
         assert captured.out == ""
         assert captured.err == "usage error: arc line needs 3 fields: '1 2'\n"
 
+    @pytest.mark.parametrize("verb", ["verify", "analyze", "iso", "orbit", "export"])
+    def test_non_utf8_input_is_usage_error(self, capsys, tmp_path, verb):
+        path = tmp_path / "bad.txt"
+        path.write_bytes(b"\xffunilie-graph v1 q=2 p=1\n1 2 1\n")
+        argv = [verb] + ["--input", str(path)] * (2 if verb == "iso" else 1)
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"usage error: cannot read {path}: "
+                                "not UTF-8 text (byte 0 is 0xff)\n")
+
     @pytest.mark.parametrize("body", [
         "unilie-graph v1 q=2 p=1\n1 2 x\n",
         "unilie-algebra v1 q=2 p=1\n1 2 x +1\n",
@@ -612,6 +661,26 @@ class TestUsage:
         captured = capsys.readouterr()
         assert code == 2 and captured.out == ""
         assert message in captured.err
+
+    def test_witness_exponent_is_refused_promptly(self, tmp_path):
+        # Fraction("1e999999999") would build a billion-digit integer; the
+        # timeout turns such a stall into a failure
+        g, w = tmp_path / "h.graph", tmp_path / "w.txt"
+        g.write_text(write_graph(heisenberg(1)))
+        w.write_text("unilie-witness v1 kind=general-linear q=2 p=1\n"
+                     "row 1e999999999 0 0\nrow 0 1 0\nrow 0 0 1\n")
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (os.path.join(root, "src"), env.get("PYTHONPATH")) if p)
+        proc = subprocess.run(
+            [sys.executable, "-m", "unilie.cli", "iso", "--input", str(g),
+             "--input", str(g), "--input", str(w)],
+            env=env, capture_output=True, text=True, timeout=30)
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr == ("usage error: exponent notation is not accepted: "
+                               "'1e999999999'\n")
 
     @pytest.mark.parametrize("entry", ["1/0", "abc"])
     def test_bad_witness_entry_is_usage_error(self, capsys, tmp_path, entry):

@@ -9,7 +9,7 @@ from collections import Counter
 
 import pytest
 
-from unilie import classification, enumeration
+from unilie import classification, enumeration, exact
 from unilie.algebra import (
     MAX_SIGN_ORBITS,
     StructureTensor,
@@ -19,6 +19,7 @@ from unilie.algebra import (
     diagonal_orbit_representatives,
     from_graph,
     invert_witness,
+    j_map,
     sign_class_report,
     signed_perm_isomorphic,
     to_graph,
@@ -663,7 +664,7 @@ class TestClassification:
         assert set(parted) == set(itertools.combinations(cases, 2))
         # the pairs each kind separates, as the pairwise certificates counted
         assert Counter(parted.values()) == {
-            "dimensions": 63, "derivation-dimension": 1, "central-direction": 2}
+            "dimensions": 63, "derivation-dimension": 1, "nonsingular": 2}
 
     def test_certificate_kinds(self):
         _, splits, _ = classify_detailed(5)
@@ -673,10 +674,8 @@ class TestClassification:
                   ((1, 2), (3, 3), (1, 4), (2, 4), (3, 4), (4, 4), (6, 4),
                    (5, 5), (10, 5))),
             Split("derivation-dimension", ((10,), (11,)), (30, 26)),
-            Split("central-direction", ((4,), (5,)),
-                  (((0, 1),), "square-norm identity")),
-            Split("central-direction", ((6,), (7,)),
-                  ("square-norm identity", ((0, 1, -1),))),
+            Split("nonsingular", ((4,), (5,)), (False, True)),
+            Split("nonsingular", ((6,), (7,)), (True, False)),
         ]
 
     def test_deterministic(self):
@@ -739,7 +738,7 @@ class TestClassification:
                 row = rows[case - 1]
                 t = row.representative
                 assert (t.p, t.q) == shared["dimensions"]
-                assert row.heisenberg is shared["heisenberg"] is False
+                assert row.heisenberg is shared["nonsingular"] is False
             # the members really are different sign classes
             first = rows[block.cases[0] - 1].representative
             assert signed_perm_isomorphic(
@@ -777,23 +776,41 @@ def _invariants(*names):
     return Invariants(tuple(known[n] for n in names))
 
 
+def singular_direction(t):
+    """The first of the central directions e_k, then e_k - e_l and e_k + e_l
+    for k < l, whose J map has rank below q, or None: the exact decision of
+    `Invariants.nonsingular` checked against a search."""
+    basis = [tuple(int(i == k) for i in range(t.p)) for k in range(t.p)]
+    pairs = [tuple(x + sign * y for x, y in zip(basis[k], basis[l]))
+             for sign in (-1, 1) for k, l in itertools.combinations(range(t.p), 2)]
+    return next((c for c in basis + pairs if exact.rank(j_map(t, c).rows) < t.q),
+                None)
+
+
+@functools.cache
+def oracle_nonsingular(a):
+    """True with the square-norm identity, False with a small singular
+    central direction on some presentation, None when neither is found or
+    a presentation is not uniform."""
+    if a.heisenberg is not False:
+        return a.heisenberg
+    return False if any(map(singular_direction, a.presentations)) else None
+
+
 def oracle_distinguish(a, b):
     """Pairwise reason that two algebras are non-isomorphic, or None: the
     first of (p, q), the derivation algebra dimension, and the square-norm
-    identity on one side against an explicit singular central direction on
-    the other, which needs both flags known."""
+    identity on one side against a singular central direction on the other,
+    from the searched oracle."""
     ta, tb = a.presentations[0], b.presentations[0]
     if (ta.p, ta.q) != (tb.p, tb.q):
         return ("dimensions", (ta.p, ta.q), (tb.p, tb.q))
     if a.derivation_dim != b.derivation_dim:
         return ("derivation-dimension", a.derivation_dim, b.derivation_dim)
-    if None in (a.heisenberg, b.heisenberg) or a.heisenberg == b.heisenberg:
+    na, nb = oracle_nonsingular(a), oracle_nonsingular(b)
+    if None in (na, nb) or na == nb:
         return None
-    d = (b if a.heisenberg else a).singular_direction
-    if d is None:
-        return None
-    return ("central-direction", "square-norm identity" if a.heisenberg else d,
-            d if a.heisenberg else "square-norm identity")
+    return ("nonsingular", na, nb)
 
 
 def parted_pairs(splits):
@@ -814,9 +831,6 @@ def only_split(a, b):
     return splits[0] if splits else None
 
 
-SQUARE_NORM = "square-norm identity"
-
-
 class TestDistinguish:
     """How `refine` tells two or more classes apart, and when it cannot."""
 
@@ -831,40 +845,39 @@ class TestDistinguish:
 
     def test_central_direction(self):
         a, b = _invariants("quaternionic"), _invariants("quaternionic-associate")
-        assert only_split(a, b) == Split("central-direction", ((1,), (2,)),
-                                         (SQUARE_NORM, ((1, -1, 0),)))
-        assert only_split(b, a) == Split("central-direction", ((1,), (2,)),
-                                         (((1, -1, 0),), SQUARE_NORM))
+        assert only_split(a, b) == Split("nonsingular", ((1,), (2,)), (True, False))
+        assert only_split(b, a) == Split("nonsingular", ((1,), (2,)), (False, True))
 
     def test_central_direction_from_some_presentation(self):
-        # the merged (2, 4) class: each presentation has its own direction,
-        # and the first one that has one is reported
+        # the merged (2, 4) class: r = 1 on one presentation, 2r = q = 4
+        # without the identity on the other; either decides
         ring = _invariants("ring(2)")
-        merged = _invariants("heisenberg(1)+heisenberg(1)", "ring(2,primed)")
-        assert only_split(merged, ring).values == (((0, 1),), SQUARE_NORM)
-        merged = _invariants("ring(2,primed)", "heisenberg(1)+heisenberg(1)")
-        assert only_split(merged, ring).values == (((1, -1),), SQUARE_NORM)
+        for names in (("heisenberg(1)+heisenberg(1)", "ring(2,primed)"),
+                      ("ring(2,primed)", "heisenberg(1)+heisenberg(1)")):
+            assert only_split(_invariants(*names), ring).values == (False, True)
+        for name in ("heisenberg(1)+heisenberg(1)", "ring(2,primed)"):
+            assert _invariants(name).nonsingular is False
 
     def test_member_without_direction_keeps_the_block_whole(self):
-        # a third (2, 4) record whose direction search found nothing: it may
-        # be isomorphic to either side, so the flags part nothing
+        # a (2, 4) record whose value is undecided: it may be isomorphic to
+        # a member on either side, so no value parts the block
         ring = _invariants("ring(2)")
         merged = _invariants("heisenberg(1)+heisenberg(1)", "ring(2,primed)")
         blind = _invariants("ring(2,primed)")
-        vars(blind)["singular_direction"] = None
-        assert [s.invariant for s in refine([ring, merged])[1]] == [
-            "central-direction"]
-        blocks, splits = refine([ring, merged, blind])
-        assert [b.cases for b in blocks] == [(1, 2, 3)]
-        assert blocks[0].shared == (("dimensions", (2, 4)), ("derivation_dim", 16))
-        assert splits == []
+        vars(blind)["nonsingular"] = None
+        assert [s.invariant for s in refine([ring, merged])[1]] == ["nonsingular"]
+        for classes in ([ring, blind], [ring, merged, blind]):
+            blocks, splits = refine(classes)
+            assert [b.cases for b in blocks] == [tuple(range(1, len(classes) + 1))]
+            assert blocks[0].shared == (("dimensions", (2, 4)), ("derivation_dim", 16))
+            assert splits == []
 
     def test_isomorphic_presentations_are_undetermined(self):
         a = _invariants("heisenberg(1)+heisenberg(1)")
         b = _invariants("ring(2,primed)")
         assert only_split(a, b) is None
         assert refine([a, b])[0][0].shared == (
-            ("dimensions", (2, 4)), ("derivation_dim", 16), ("heisenberg", False))
+            ("dimensions", (2, 4)), ("derivation_dim", 16), ("nonsingular", False))
 
     def test_non_uniform_pair_is_undetermined(self):
         # same shape and derivation dimension; the square-norm flag is None
@@ -877,13 +890,15 @@ class TestDistinguish:
     def test_one_unknown_flag_leaves_the_last_step_out(self):
         # ring(2) satisfies the square-norm identity; b is not uniform but
         # has the same shape and derivation dimension and a singular
-        # central direction, which alone is no certificate
+        # central direction, which alone is no certificate: the value is
+        # undefined off uniform presentations
         ring = _invariants("ring(2)")
         b = Invariants((StructureTensor.from_entries(4, 2, [
             (1, 2, 1, 1), (1, 3, 1, 1), (2, 4, 2, 1)]),))
         assert ring.heisenberg is True and b.heisenberg is None
         assert b.derivation_dim == ring.derivation_dim == 16
-        assert b.singular_direction == (0, 1)
+        assert b.nonsingular is None
+        assert singular_direction(b.presentations[0]) == (1, 0)
         assert only_split(ring, b) is None
         assert only_split(b, ring) is None
 
@@ -910,7 +925,7 @@ class TestDistinguish:
 
     def test_invariants_are_computed_once(self, monkeypatch):
         calls = []
-        for name in ("derivation_dim", "_singular_central_direction"):
+        for name in ("derivation_dim", "_heisenberg_identity"):
             real = getattr(classification, name)
             monkeypatch.setattr(classification, name,
                                 lambda t, real=real: calls.append(t) or real(t))
@@ -918,11 +933,10 @@ class TestDistinguish:
         first = only_split(a, b)
         assert only_split(a, b) == first
         assert only_split(b, a).values == first.values[::-1]
-        # a derivation dimension per side, a direction search on the side
-        # without the square-norm identity only
-        assert calls == [a.presentations[0], b.presentations[0], b.presentations[0]]
-        assert "singular_direction" not in vars(a)
-        assert vars(b)["singular_direction"] == (1, -1, 0)
+        # a derivation dimension and a square-norm test per side
+        assert calls == [a.presentations[0], b.presentations[0],
+                         a.presentations[0], b.presentations[0]]
+        assert (vars(a)["nonsingular"], vars(b)["nonsingular"]) == (True, False)
 
     def test_agrees_with_the_pairwise_oracle_up_to_six_generators(self, monkeypatch):
         # the records that classify_detailed hands to refine
@@ -947,26 +961,29 @@ class TestDistinguish:
                 assert parted_by[a, b] == cert[0], (a, b)
         assert open_pairs == len(pairs) - len(parted_by) == 417
 
-    @pytest.mark.parametrize("edges,calls", [
-        # C5, radius 2: half of the 5^5 - 1 nonzero points
-        ([(1, 2), (2, 3), (3, 4), (4, 5), (1, 5)], (5 ** 5 - 1) // 2),
-        # K_{3,3}, p = 9: 5^9 points exceed the box, 3^9 do not
-        ([(i, j) for i in (1, 2, 3) for j in (4, 5, 6)], (3 ** 9 - 1) // 2),
-        # the octahedron, p = 12: 3^12 points exceed the box, no search
-        ([pr for pr in itertools.combinations(range(1, 7), 2)
-          if pr not in ((1, 2), (3, 4), (5, 6))], 0),
-    ])
-    def test_central_direction_search_box(self, monkeypatch, edges, calls):
-        t = from_graph(trivial_coloring(SimpleGraph.from_edges(max(map(max, edges)),
-                                                               edges)))
-        count = 0
+    def test_nonsingular_matches_the_direction_search_up_to_six_generators(self):
+        values = Counter()
+        for t in classification._candidates(6, DEFAULT_SEARCH_BUDGET):
+            a = Invariants((t,))
+            assert a.nonsingular is oracle_nonsingular(a), t
+            assert a.nonsingular is (singular_direction(t) is None), t
+            assert a.nonsingular is is_heisenberg_type(t), t
+            values[a.nonsingular] += 1
+        assert values == {False: 88, True: 5}
 
-        def regular(rows):
-            nonlocal count
-            count += 1
-            assert count <= 10_000, "searched beyond the radius-1 box"
-            return 1
+    @pytest.mark.slow
+    def test_seven_generators_are_all_singular(self):
+        cands = [t for t in classification._candidates(7, DEFAULT_SEARCH_BUDGET)
+                 if t.q == 7]
+        assert len(cands) == 1687
+        assert {Invariants((t,)).nonsingular for t in cands} == {False}
 
-        monkeypatch.setattr(classification.exact, "det", regular)
-        assert classification._singular_central_direction(t) is None
-        assert count == calls
+    def test_eight_generators_leave_perfect_matchings_open(self):
+        assert Invariants((from_graph(heisenberg(4)),)).nonsingular is True
+        for primed in (False, True):
+            t = from_graph(ring_algebra(4, primed=primed))
+            rep = validate_uniform(to_graph(t))
+            assert (rep.is_uniform, rep.q, 2 * rep.r) == (True, 8, 8)
+            assert Invariants((t,)).nonsingular is None
+        # a singular direction exists on the primed one, but no rule reaches it
+        assert singular_direction(from_graph(ring_algebra(4, primed=True))) == (1, -1)

@@ -24,8 +24,8 @@ def test_reproduce_tables_five_generators():
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
     assert any(line.startswith("Table A: 12 isomorphism classes") for line in lines)
-    assert ("  splits by invariant: 2 central-direction, "
-            "1 derivation-dimension, 1 dimensions") in lines
+    assert ("  splits by invariant: 1 derivation-dimension, "
+            "1 dimensions, 2 nonsingular") in lines
     assert not any(line.startswith("  open block") for line in lines)
 
 
@@ -36,12 +36,12 @@ def test_reproduce_tables_six_generators_names_the_open_pair():
     lines = proc.stdout.splitlines()
     assert lines[0].startswith(
         "Table A: 92 rows: 32 to 92 isomorphism classes, 12 blocks open")
-    assert ("  splits by invariant: 2 central-direction, "
-            "5 derivation-dimension, 1 dimensions") in lines
+    assert ("  splits by invariant: 5 derivation-dimension, "
+            "1 dimensions, 2 nonsingular") in lines
     blocks = [line for line in lines if line.startswith("  open block: ")]
     assert len(blocks) == 12
     assert blocks[0] == ("  open block: cases 15, 25; shared dimensions (3, 6), "
-                         "derivation_dim 30, heisenberg False")
+                         "derivation_dim 30, nonsingular False")
     assert lines.index(blocks[-1]) < lines.index(
         next(line for line in lines if line.startswith("Table B:")))
 

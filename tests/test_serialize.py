@@ -161,6 +161,37 @@ class TestWitnessFormat:
         with pytest.raises(ParseError, match="rationals"):
             parse_witness(text)
 
+    @pytest.mark.parametrize("entry", ["1e9", "1E9", "-2.5e-3", "1e999999999"])
+    def test_rejects_exponent_notation(self, entry):
+        # Fraction(entry) costs time that grows with the exponent
+        text = ("unilie-witness v1 kind=general-linear q=1 p=1\n"
+                f"row {entry} 0\nrow 0 1\n")
+        with pytest.raises(ParseError, match="exponent notation"):
+            parse_witness(text)
+        payload = GeneralLinearWitness(IntMatrix.identity(2)).to_data()
+        payload["matrix"][0][0] = entry
+        with pytest.raises(ParseError, match="exponent notation"):
+            from_data(payload)
+
+    @pytest.mark.parametrize("entry", ["3", "-3", "+3", "1/2", "-4/6", "0.5",
+                                       ".5", "5.", "-0.125", "007"])
+    def test_exponent_free_entries_accepted(self, entry):
+        text = ("unilie-witness v1 kind=general-linear q=1 p=1\n"
+                f"row {entry} 0\nrow 0 1\n")
+        assert parse_witness(text)[0].to_matrix()[0, 0] == Fraction(entry)
+        payload = GeneralLinearWitness(IntMatrix.identity(2)).to_data()
+        payload["matrix"][0][0] = entry
+        assert from_data(payload).to_matrix()[0, 0] == Fraction(entry)
+
+    def test_data_form_accepts_json_numbers(self):
+        payload = GeneralLinearWitness(IntMatrix.identity(2)).to_data()
+        payload["matrix"][0] = [-3, 0.5]
+        assert from_data(payload).to_matrix().rows[0] == (-3, Fraction(1, 2))
+        # JSON reads 1e400 as an infinite float, which has no ratio
+        payload["matrix"][0] = [json.loads("1e400"), 0]
+        with pytest.raises(ParseError, match="Infinity"):
+            from_data(payload)
+
     @pytest.mark.parametrize("line", ["vertex-images 1 y", "vertex-cycles (1 y)"])
     def test_rejects_non_integer_image(self, line):
         text = f"unilie-witness v1 kind=signed-perm q=2 p=1\n{line}\n"
