@@ -353,6 +353,9 @@ def _bits_to_signs(bits) -> tuple[int, ...]:
 
 # the most diagonal orbits built at once; each one is a tensor in memory
 MAX_SIGN_ORBITS = 1 << 20
+# the most matrix cells derivation_dim builds; its exact rank takes about
+# 25 s at this size (heisenberg(18): 815,184 cells, 23 s on a 2-core VM)
+MAX_DERIVATION_CELLS = 10**6
 
 
 def diagonal_orbit_representatives(t: StructureTensor,
@@ -578,9 +581,14 @@ def derivation_dim(t: StructureTensor) -> int:
 
         dim Der = p*q + (p - u) * (dim rad + p) + q^2 - rank(rows).
 
-    The radical costs a rank of its own only when u < p.
+    The radical costs a rank of its own only when u < p.  The rows hold at
+    most p * (C(q, 2) - u) * q^2 cells; above MAX_DERIVATION_CELLS the call
+    raises BudgetExceededError before building any.
     """
     q, p = t.q, t.p
+    cells = p * (q * (q - 1) // 2 - len({k for _, _, k, _ in t.entries})) * q * q
+    if cells > MAX_DERIVATION_CELLS:
+        raise BudgetExceededError(MAX_DERIVATION_CELLS, cells)
     # touching[b]: (c, k, s) for each [v_c, v_b] = s z_k, 0-based c and k
     touching = [[] for _ in range(q)]
     by_color = {}  # used colors only

@@ -4,7 +4,7 @@ Verbs: verify, family, analyze, iso, orbit, classify, factorize, export.
 Reports are a human-readable section followed by a fenced ```machine block
 holding deterministic JSON, so scripted callers parse the fence and people
 read the prose.  Exit codes: 0 success, 1 property fails, 2 usage error,
-3 budget or search depth exceeded, 4 undetermined isomorphism question.
+3 budget exceeded, 4 undetermined isomorphism question.
 
 Parsing the command line loads no library module, so `--help` and usage
 errors stay cheap; each verb imports the modules it uses when it runs.
@@ -487,12 +487,6 @@ def main(argv=None) -> int:
     except BudgetExceededError as exc:
         sys.stderr.write(f"budget exceeded: visited {exc.visited} nodes "
                          f"with budget {exc.budget}\n")
-        return EXIT_BUDGET
-    except RecursionError:
-        # the mapping search nests one call per vertex, so about a thousand
-        # vertices exhaust the interpreter's stack long before any budget
-        sys.stderr.write("search too deep: the input needs more nested calls "
-                         f"than the recursion limit of {sys.getrecursionlimit()}\n")
         return EXIT_BUDGET
 
 

@@ -243,16 +243,6 @@ def _vertex_profiles(g: ColoredDigraph) -> list[tuple[int, ...]]:
     return [tuple(sorted(s)) for s in sizes]
 
 
-def _arcs_by_ordered_pair(g: ColoredDigraph) -> list[list[tuple[int, int, int] | None]]:
-    """Table of the arc joining u and v at both [u][v] and [v][u], None
-    where no arc joins them; vertices are 1-based."""
-    table: list[list[tuple[int, int, int] | None]] = [[None] * (g.q + 1)
-                                                      for _ in range(g.q + 1)]
-    for arc in g.arcs:
-        table[arc[0]][arc[1]] = table[arc[1]][arc[0]] = arc
-    return table
-
-
 def _mapping_search(g1: ColoredDigraph, g2: ColoredDigraph, strict: bool, budget: int):
     """Yield (vertex_images, color_images) mapping g1 onto g2, in lexicographic
     order of the vertex image word.
@@ -260,87 +250,102 @@ def _mapping_search(g1: ColoredDigraph, g2: ColoredDigraph, strict: bool, budget
     Non-strict mappings send each colored edge to a colored edge ignoring arc
     direction.  Colors unused on either side are paired off in increasing
     order, which keeps the automorphism set a group.
+
+    One loop places v1, v2, ... over a stack of candidate iterators.  A vertex
+    with arcs back to earlier ones draws from the neighbours of the smallest
+    one's image, others from all vertices, ascending.  A candidate fits when
+    each back arc has its match there (colors paired alike, directions too
+    when strict) and, by a count per g2 vertex, no other placed image is
+    adjacent.  A draw leaves out only vertices that fail, so the order holds.
     """
     q, p = g1.q, g1.p
     if len(g1.arcs) != len(g2.arcs):
         return
-    arc_at1 = _arcs_by_ordered_pair(g1)
-    arc_at2 = _arcs_by_ordered_pair(g2)
     # uniform colorings with equal (q, p) and arc count share their profiles,
-    # so this prunes only the non-uniform input `iso` also accepts
+    # so this prunes only the non-uniform input `iso` also accepts; equal
+    # profiles also use equally many colors, so the unused ones pair off
     prof1 = _vertex_profiles(g1)
     prof2 = _vertex_profiles(g2)
     if sorted(prof1) != sorted(prof2):
         return
-    used1 = sorted({k for _, _, k in g1.arcs})
-    used2 = sorted({k for _, _, k in g2.arcs})
-    if len(used1) != len(used2):
-        return
-    unused1 = [k for k in range(1, p + 1) if k not in set(used1)]
-    unused2 = [k for k in range(1, p + 1) if k not in set(used2)]
+    used1 = {k for _, _, k in g1.arcs}
+    used2 = {k for _, _, k in g2.arcs}
+    unused1 = [k for k in range(1, p + 1) if k not in used1]
+    unused2 = [k for k in range(1, p + 1) if k not in used2]
 
-    img = [0] * (q + 1)          # vertex image, 1-based, 0 = unassigned
+    # back[v]: (u, color, v is the tail) per arc joining v to an earlier u,
+    # by increasing u; at2[w]: neighbour of w in g2 -> (color, w is the tail)
+    back: list[list[tuple[int, int, bool]]] = [[] for _ in range(q + 1)]
+    for i, j, k in sorted(g1.arcs, key=lambda a: min(a[0], a[1])):
+        back[max(i, j)].append((min(i, j), k, i > j))
+    at2: list[dict[int, tuple[int, bool]]] = [{} for _ in range(q + 1)]
+    for i, j, k in g2.arcs:
+        at2[i][j] = (k, True)
+        at2[j][i] = (k, False)
+    nbrs2 = [sorted(at) for at in at2]
+
+    img = [0] * (q + 1)          # vertex image, 1-based
     taken = [False] * (q + 1)
-    cmap: dict[int, int] = {}
-    cmap_inv: dict[int, int] = {}
+    placed_nbrs = [0] * (q + 1)  # placed images adjacent to each g2 vertex
+    cmap = dict(zip(unused1, unused2))
+    cmap_inv = dict(zip(unused2, unused1))
     visited = 0
-
-    def place(v: int):
-        nonlocal visited
-        if v > q:
-            color_images = [0] * p
-            for k, l in cmap.items():
-                color_images[k - 1] = l
-            for k, l in zip(unused1, unused2):
-                color_images[k - 1] = l
-            yield tuple(img[1:]), tuple(color_images)
-            return
-        for w in range(1, q + 1):
+    # a frame per vertex reached: candidates, image (0 = none yet), new colors
+    stack = [[iter(range(1, q + 1)), 0, []]]
+    while stack:
+        v = len(stack)
+        cands, w, new_colors = frame = stack[-1]
+        if w:
+            taken[w] = False
+            for x in nbrs2[w]:
+                placed_nbrs[x] -= 1
+            for k1 in new_colors:
+                del cmap_inv[cmap.pop(k1)]
+        arcs = back[v]
+        for w in cands:
             if taken[w] or prof1[v] != prof2[w]:
                 continue
             visited += 1
             if visited > budget:
                 raise BudgetExceededError(budget, visited)
+            if placed_nbrs[w] != len(arcs):
+                continue
             new_colors = []
-            ok = True
-            at1, at2 = arc_at1[v], arc_at2[w]
-            for u in range(1, v):
-                a1 = at1[u]
-                a2 = at2[img[u]]
-                if (a1 is None) != (a2 is None):
-                    ok = False
+            at = at2[w]
+            for u, k1, tail1 in arcs:
+                hit = at.get(img[u])
+                if hit is None:
                     break
-                if a1 is None:
-                    continue
-                t1, _, k1 = a1
-                t2, _, k2 = a2
-                if strict and (t1 == v) != (t2 == w):
-                    # a1 joins u and v, a2 joins their images, and the tail
-                    # of a1 must map onto the tail of a2
-                    ok = False
+                k2, tail2 = hit
+                if strict and tail1 != tail2:
                     break
                 want = cmap.get(k1)
                 if want is None:
                     if k2 in cmap_inv:
-                        ok = False
                         break
-                    new_colors.append((k1, k2))
+                    new_colors.append(k1)
                     cmap[k1] = k2
                     cmap_inv[k2] = k1
                 elif want != k2:
-                    ok = False
                     break
-            if ok:
-                img[v] = w
-                taken[w] = True
-                yield from place(v + 1)
-                img[v] = 0
-                taken[w] = False
-            for k1, k2 in new_colors:
-                del cmap[k1]
-                del cmap_inv[k2]
-
-    yield from place(1)
+            else:
+                break
+            for k1 in new_colors:
+                del cmap_inv[cmap.pop(k1)]
+        else:
+            stack.pop()
+            continue
+        img[v] = w
+        taken[w] = True
+        for x in nbrs2[w]:
+            placed_nbrs[x] += 1
+        frame[1:] = w, new_colors
+        if v < q:
+            arcs = back[v + 1]
+            cands = nbrs2[img[arcs[0][0]]] if arcs else range(1, q + 1)
+            stack.append([iter(cands), 0, []])
+            continue
+        yield tuple(img[1:]), tuple(cmap[k] for k in range(1, p + 1))
 
 
 def automorphisms(g: ColoredDigraph, strict: bool = False,

@@ -10,6 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from unilie.algebra import (
+    MAX_DERIVATION_CELLS,
     GeneralLinearWitness,
     SignedPermWitness,
     StructureTensor,
@@ -57,6 +58,7 @@ from unilie.families import (
 )
 from unilie.graphs import (
     DEFAULT_SEARCH_BUDGET,
+    BudgetExceededError,
     ColorCountMismatch,
     NonProper,
     NotRegular,
@@ -879,6 +881,13 @@ class TestDerivations:
         # are both nonzero, so the E and free-B blocks appear
         t = StructureTensor.from_entries(4, 3, [(1, 2, 1, 1), (2, 3, 2, -1), (1, 3, 1, 1)])
         assert derivation_dim(t) == oracle_derivation_dim(t)
+
+    def test_refuses_rows_beyond_the_cell_cap(self):
+        # p * (C(q, 2) - u) * q^2 cells bound the rows; heisenberg(100) would
+        # need 795,960,000, several GB, and is refused before any is built
+        with pytest.raises(BudgetExceededError) as exc:
+            derivation_dim(from_graph(heisenberg(100)))
+        assert (exc.value.budget, exc.value.visited) == (MAX_DERIVATION_CELLS, 795_960_000)
 
     def test_invariant_under_signed_perm(self):
         moved = apply_signs(QUAT, (-1, -1, 1, 1, -1, 1))

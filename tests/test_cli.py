@@ -17,7 +17,7 @@ from unilie.algebra import GeneralLinearWitness, from_graph
 from unilie.cli import FAMILY_MAX_VERTICES, main
 from unilie.exact import IntMatrix
 from unilie.families import free_two_step, heisenberg, kneser, quaternionic, ring_algebra
-from unilie.graphs import DEFAULT_SEARCH_BUDGET
+from unilie.graphs import DEFAULT_SEARCH_BUDGET, ColoredDigraph
 from unilie.serialize import (
     parse_any,
     parse_graph,
@@ -40,13 +40,6 @@ def machine_payload(out):
     return json.loads(body)
 
 
-def assert_search_too_deep(captured):
-    assert captured.out == ""
-    assert captured.err.startswith("search too deep: ")
-    assert captured.err.count("\n") == 1
-    assert "budget" not in captured.err
-
-
 @pytest.fixture
 def quat_file(tmp_path):
     path = tmp_path / "quat.graph"
@@ -56,8 +49,6 @@ def quat_file(tmp_path):
 
 @pytest.fixture
 def bad_file(tmp_path):
-    from unilie.graphs import ColoredDigraph
-
     g = ColoredDigraph.from_arcs(3, 1, [(1, 2, 1), (2, 3, 1)])
     path = tmp_path / "path.graph"
     path.write_text(write_graph(g))
@@ -203,6 +194,17 @@ class TestAnalyze:
         code, out = run(capsys, "analyze", "--input", str(path))
         assert code == 0
         assert machine_payload(out)["derivation_dim"] == dim
+
+    def test_derivation_cells_capped(self, capsys, tmp_path):
+        # within the vertex limit of `family`, but the derivation rows would
+        # hold 795,960,000 cells
+        path = tmp_path / "h.graph"
+        assert main(["family", "heisenberg", "100", "--output", str(path)]) == 0
+        capsys.readouterr()
+        assert main(["analyze", "--input", str(path)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "budget exceeded: visited 795960000 nodes with budget 1000000\n"
 
     def test_tensor_input_accepted(self, capsys, tmp_path):
         path = tmp_path / "quat.alg"
@@ -360,13 +362,24 @@ class TestIso:
         )
         assert code == 3
 
+    def test_refine_respects_the_derivation_cap(self, capsys, tmp_path):
+        # equal (p, q) and no signed-permutation witness, so refine compares
+        # derivation dimensions, whose rows would hold 795,960,000 cells
+        a, b = tmp_path / "a.alg", tmp_path / "b.alg"
+        a.write_text(write_tensor(from_graph(heisenberg(100))))
+        b.write_text(write_tensor(from_graph(ColoredDigraph(200, 1, heisenberg(99).arcs))))
+        assert main(["iso", "--input", str(a), "--input", str(b)]) == 3
+        assert capsys.readouterr().out == ""
+
     def test_search_depth_exit(self, capsys, tmp_path):
-        # the mapping search nests one call per vertex; `family` refuses a
-        # graph this large, so the file is written through the library
+        # 1,000 vertices, more than the interpreter's recursion limit, place
+        # one by one in the mapping search; `family` refuses a graph this
+        # large, so the file is written through the library
         path = tmp_path / "h.graph"
         path.write_text(write_graph(heisenberg(500)))
-        assert main(["iso", "--input", str(path), "--input", str(path)]) == 3
-        assert_search_too_deep(capsys.readouterr())
+        code, out = run(capsys, "iso", "--input", str(path), "--input", str(path))
+        assert code == 0
+        assert machine_payload(out)["vertex_images"] == list(range(1, 1001))
 
 
 class TestOrbit:
@@ -396,8 +409,9 @@ class TestOrbit:
     def test_search_depth_exit(self, capsys, tmp_path):
         path = tmp_path / "r.graph"
         path.write_text(write_graph(ring_algebra(500)))
-        assert main(["orbit", "--input", str(path)]) == 3
-        assert_search_too_deep(capsys.readouterr())
+        code, out = run(capsys, "orbit", "--input", str(path))
+        assert code == 0
+        assert "2 diagonal sign orbit(s), 2 class(es)" in out
 
 
 class TestClassify:

@@ -8,7 +8,14 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from unilie.enumeration import regular_graphs, uniform_colorings
-from unilie.families import heisenberg, kneser, quaternionic, ring_algebra, trivial_coloring
+from unilie.families import (
+    cyclic,
+    heisenberg,
+    kneser,
+    quaternionic,
+    ring_algebra,
+    trivial_coloring,
+)
 from unilie.graphs import (
     DEFAULT_SEARCH_BUDGET,
     BudgetExceededError,
@@ -175,6 +182,16 @@ class TestAutomorphisms:
     def test_single_edge_counts(self):
         assert len(automorphisms(heisenberg(1))) == 2
         assert len(automorphisms(heisenberg(1), strict=True)) == 1
+
+    def test_group_orders_beyond_the_oracle(self):
+        # each vertex with an earlier neighbour draws its candidates from the
+        # neighbours of that neighbour's image: ring_algebra(60) takes 28,680
+        # nodes, where trying every vertex at each placement takes 1,699,440
+        assert len(automorphisms(ring_algebra(60), budget=50_000)) == 240
+        for r in range(2, 61):
+            assert len(automorphisms(ring_algebra(r))) == 4 * r, r
+        for q in range(3, 61):
+            assert len(automorphisms(cyclic(q))) == 2 * q, q
 
     @pytest.mark.parametrize("strict", [False, True])
     @pytest.mark.parametrize(
@@ -347,13 +364,13 @@ class TestMappingSearchOffUniform:
     def test_profiles_prune_each_placement(self):
         # equal profiles as multisets, so the root check passes; each vertex
         # is tried only against images with its profile, and the failing
-        # search visits 32 nodes (136 with that test dropped)
+        # search visits 12 nodes (28 with that test dropped)
         g = ColoredDigraph.from_arcs(8, 2, [(1, 2, 1), (2, 3, 1), (3, 4, 2),
                                             (5, 6, 1), (6, 7, 2), (7, 8, 2)])
         h = ColoredDigraph.from_arcs(8, 2, [(1, 2, 1), (2, 3, 2), (3, 4, 1),
                                             (5, 6, 2), (6, 7, 1), (7, 8, 2)])
         assert oracle_sorted_mappings(g, h, False) == []
-        assert colorings_equivalent(g, h, budget=40) is None
+        assert colorings_equivalent(g, h, budget=20) is None
 
 
 def oracle_coloring_form(g, strict):
