@@ -12,9 +12,8 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "graphs": ("BudgetExceededError", "ColorPermAutomorphism", "ColoredDigraph",
                "SimpleGraph", "UniformityReport", "automorphisms",
-               "canonical_graph", "colorings_equivalent",
-               "connected_components", "disjoint_union", "relabel",
-               "validate_uniform"),
+               "colorings_equivalent", "connected_components",
+               "disjoint_union", "relabel", "validate_uniform"),
     "algebra": ("GeneralLinearWitness", "SignClass", "SignClassReport",
                 "SignedPermWitness", "StructureTensor", "WitnessCheck",
                 "check_witness", "compose_witnesses", "concatenate",
@@ -25,14 +24,15 @@ _EXPORTS = {
     "analysis": ("NVector", "ad_matrix", "ad_rank", "bracket", "center",
                  "centralizer", "commutator", "is_heisenberg_type", "j_basis",
                  "j_gram", "totally_geodesic"),
-    "families": ("FiniteGroup", "cayley", "cyclic", "cyclic_group",
-                 "dihedral_bipartite", "dihedral_group",
-                 "elementary_abelian_group", "free_two_step",
-                 "from_factorization", "heisenberg", "kneser", "quaternionic",
-                 "ring_algebra", "symmetric_group", "trivial_coloring"),
-    "enumeration": ("FactorizationReport", "near_one_factorizations",
-                    "one_factorizations", "regular_graphs",
-                    "uniform_colorings"),
+    "families": ("cyclic", "free_two_step", "heisenberg", "kneser",
+                 "quaternionic", "ring_algebra"),
+    "constructions": ("FiniteGroup", "cayley", "cyclic_group",
+                      "dihedral_bipartite", "dihedral_group",
+                      "elementary_abelian_group", "from_factorization",
+                      "symmetric_group", "trivial_coloring"),
+    "enumeration": ("canonical_graph", "regular_graphs", "uniform_colorings"),
+    "factorizations": ("FactorizationReport", "near_one_factorizations",
+                       "one_factorizations"),
     "classification": ("Block", "ClassificationRow", "Invariants",
                        "KnownPresentation", "Split", "classify",
                        "classify_detailed", "known_presentations",
@@ -42,6 +42,7 @@ _EXPORTS = {
     "record": (),
     "serialize": (),
     "cli": (),
+    "fileverbs": (),
 }
 
 # every lazily importable name -> its module; a submodule maps to itself

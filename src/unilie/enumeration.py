@@ -1,10 +1,12 @@
 """The census: regular graphs and their uniform colorings, exhaustively.
 
-Regular simple graphs up to isomorphism, the uniform edge colorings of each
-up to equivalence, and the one- and near-one-factorizations of complete
-graphs.  It imports only the graph layer, so a census loads no algebra
-code.  Everything is exact and deterministic; searches take explicit
-budgets and raise BudgetExceededError instead of degrading.
+Regular simple graphs up to isomorphism, by the canonical labeling of
+simple graphs kept here, and the uniform edge colorings of each up to
+equivalence.  It imports only the graph layer, so a census loads no algebra
+code; the factorizations of complete graphs, which share its matching
+search and orbit walk, are in `factorizations`.  Everything is exact and
+deterministic; searches take explicit budgets and raise BudgetExceededError
+instead of degrading.
 """
 
 from __future__ import annotations
@@ -13,12 +15,132 @@ import itertools
 from collections.abc import Sequence
 
 from .graphs import (BudgetExceededError, ColoredDigraph, DEFAULT_SEARCH_BUDGET,
-                     SimpleGraph, _canonical_search, canonical_graph)
-from .record import Record
+                     SimpleGraph)
 
 
 def _divisors(n: int) -> list[int]:
     return [d for d in range(1, n + 1) if n % d == 0]
+
+
+# ---------------------------------------------------------------------------
+# canonical labeling of simple graphs by individualization and refinement
+#
+# After McKay & Piperno, "Practical graph isomorphism, II", J. Symbolic
+# Comput. 60 (2014).  Refinement splits the cells of an ordered vertex
+# partition by the multiset of cells of each vertex's neighbours until
+# nothing splits; the search individualizes each vertex of the first
+# non-singleton cell in turn.  Every leaf is a discrete partition, i.e. a
+# labeling, and the canonical form is the smallest relabeled edge list over
+# all leaves.  Two leaves with equal forms differ by an automorphism, which
+# prunes the tree: orbit pruning on the first path, and a backjump to the
+# node where the two leaves' paths part.
+
+def _refine(cells: list[list[int]], adj: list[list[int]]) -> list[list[int]]:
+    """Split cells by neighbour signatures until the partition is stable.
+
+    New cells replace the old one in the order of their signatures, so the
+    result commutes with relabeling the vertices."""
+    cell_of = [0] * len(adj)
+    while True:
+        for ci, cell in enumerate(cells):
+            for x in cell:
+                cell_of[x] = ci
+        out = []
+        for cell in cells:
+            if len(cell) == 1:
+                out.append(cell)
+                continue
+            groups: dict[tuple, list[int]] = {}
+            for x in cell:
+                sig = tuple(sorted([cell_of[y] for y in adj[x]]))
+                groups.setdefault(sig, []).append(x)
+            out.extend(groups[sig] for sig in sorted(groups))
+        if len(out) == len(cells):
+            return out
+        cells = out
+
+
+def _in_orbit(v: int, seen: list[int], gens: list[list[int]]) -> bool:
+    """Whether v shares an orbit with a point of seen under the group that
+    gens generate."""
+    orbit, stack = {v}, [v]
+    while stack:
+        x = stack.pop()
+        for g in gens:
+            y = g[x]
+            if y not in orbit:
+                orbit.add(y)
+                stack.append(y)
+    return any(u in orbit for u in seen)
+
+
+def _canonical_search(g: SimpleGraph, budget: int):
+    """Canonical edge list of g, 0-based pairs a < b in sorted order, and the
+    automorphisms met at pairs of leaves with equal forms, as lists of 0-based
+    vertex images; these generate Aut(g).  A leaf's labeling maps each vertex
+    to its position.  Each node visited counts against budget."""
+    n = g.q
+    edges = [(i - 1, j - 1) for i, j in g.edges]
+    adj: list[list[int]] = [[] for _ in range(n)]
+    for a, b in edges:
+        adj[a].append(b)
+        adj[b].append(a)
+    autos: list[list[int]] = []
+    first = best = None             # (form, labeling, path) of two leaves
+    nodes = 0
+
+    def search(cells, path) -> int:
+        """Explore below a node; return the depth to resume at."""
+        nonlocal first, best, nodes
+        nodes += 1
+        if nodes > budget:
+            raise BudgetExceededError(budget, nodes)
+        cells = _refine(cells, adj)
+        t = next((i for i, c in enumerate(cells) if len(c) > 1), None)
+        if t is None:
+            lab = [0] * n
+            for pos, (x,) in enumerate(cells):
+                lab[x] = pos
+            form = sorted((lab[a], lab[b]) if lab[a] < lab[b] else (lab[b], lab[a])
+                          for a, b in edges)
+            if first is None:
+                first = best = (form, lab, path)
+                return len(path) - 1
+            for ref_form, ref_lab, ref_path in (first, best):
+                if form == ref_form:
+                    at = [0] * n
+                    for x, pos in enumerate(ref_lab):
+                        at[pos] = x
+                    autos.append([at[pos] for pos in lab])
+                    d = 0
+                    while path[d] == ref_path[d]:
+                        d += 1
+                    return d
+            if form < best[0]:
+                best = (form, lab, path)
+            return len(path) - 1
+        on_first_path = first is None
+        done: list[int] = []
+        for v in cells[t]:
+            if on_first_path and done and _in_orbit(
+                    v, done, [a for a in autos if all(a[x] == x for x in path)]):
+                continue
+            child = cells[:t] + [[v], [x for x in cells[t] if x != v]] + cells[t + 1:]
+            resume = search(child, path + (v,))
+            if resume < len(path):
+                return resume
+            done.append(v)
+        return len(path) - 1
+
+    search([list(range(n))], ())
+    return best[0], autos
+
+
+def canonical_graph(g: SimpleGraph, budget: int = DEFAULT_SEARCH_BUDGET) -> SimpleGraph:
+    """Canonical relabeling of g: isomorphic graphs, and only they, give the
+    same result.  Its edge list is the smallest over the search leaves."""
+    form = _canonical_search(g, budget)[0]
+    return SimpleGraph(g.q, frozenset((a + 1, b + 1) for a, b in form))
 
 
 # ---------------------------------------------------------------------------
@@ -217,56 +339,3 @@ def uniform_colorings(g: SimpleGraph,
     reps, _ = _orbit_representatives(labeled, edges, _canonical_search(g, budget)[1])
     return sorted((_labels_to_coloring(g, labels) for labels in reps),
                   key=lambda c: (c.p, c.sorted_arcs()))
-
-
-# ---------------------------------------------------------------------------
-# factorizations of complete graphs
-
-class FactorizationReport(Record):
-    n: int
-    kind: str                      # "one-factorization" | "near-one-factorization"
-    labeled_count: int
-    classes: tuple[ColoredDigraph, ...]
-
-
-def _complete_graph(n: int) -> SimpleGraph:
-    return SimpleGraph.from_edges(n, itertools.combinations(range(1, n + 1), 2))
-
-
-def _factorization_report(n: int, kind: str, p: int, r: int,
-                          budget: int) -> FactorizationReport:
-    """Factorizations of K_n into p matchings of size r, one per class.
-
-    The matching search yields every such partition of E(K_n) once, colors
-    numbered by first appearance, so the labeled set is closed under vertex
-    permutations and its equivalence classes are the orbits of S_n.  Each
-    orbit is walked with the generators (1 2) and (1 2 ... n) from its first
-    labeled member, which represents the class."""
-    g = _complete_graph(n)
-    edges = [(i - 1, j - 1) for (i, j) in g.sorted_edges()]
-    reps, labeled = _orbit_representatives(
-        _matching_partitions(edges, p, r, budget), edges,
-        ([1, 0, *range(2, n)], [*range(1, n), 0]))
-    classes = [_labels_to_coloring(g, labels) for labels in reps]
-    classes.sort(key=lambda c: c.sorted_arcs())
-    return FactorizationReport(n, kind, labeled, tuple(classes))
-
-
-def one_factorizations(n: int, budget: int = DEFAULT_SEARCH_BUDGET) -> FactorizationReport:
-    """Partitions of E(K_n) into perfect matchings, up to equivalence plus the
-    raw count of distinct partitions."""
-    if n < 2 or n % 2 != 0:
-        raise ValueError(f"one-factorizations need an even n >= 2, got {n}")
-    if n > 8:
-        raise ValueError(f"one-factorizations are sized for n <= 8, got {n}")
-    return _factorization_report(n, "one-factorization", n - 1, n // 2, budget)
-
-
-def near_one_factorizations(n: int, budget: int = DEFAULT_SEARCH_BUDGET) -> FactorizationReport:
-    """Partitions of E(K_n) into near-perfect matchings (each missing one
-    vertex), up to equivalence plus the raw labeled count."""
-    if n < 3 or n % 2 != 1:
-        raise ValueError(f"near-one-factorizations need an odd n >= 3, got {n}")
-    if n > 7:
-        raise ValueError(f"near-one-factorizations are sized for n <= 7, got {n}")
-    return _factorization_report(n, "near-one-factorization", n, (n - 1) // 2, budget)

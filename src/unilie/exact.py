@@ -180,7 +180,9 @@ def nullspace(rows: Sequence[Sequence[Scalar]], ncols: int | None = None) -> lis
 
 
 def inverse(a: IntMatrix) -> IntMatrix | None:
-    """Exact inverse over the rationals, or None if singular."""
+    """Exact inverse over the rationals, or None if singular.  An integral
+    entry is an int, so products with the inverse of a unimodular matrix
+    stay in integer arithmetic; the others are Fractions."""
     n = a.nrows
     if n != a.ncols:
         raise ValueError("inverse of non-square matrix")
@@ -189,7 +191,8 @@ def inverse(a: IntMatrix) -> IntMatrix | None:
     red, pivots = _rref(aug)
     if pivots != list(range(n)):
         return None
-    return IntMatrix(tuple(tuple(red[i][n:]) for i in range(n)))
+    return IntMatrix(tuple(tuple(x.numerator if x.denominator == 1 else x
+                                 for x in red[i][n:]) for i in range(n)))
 
 
 # ---------------------------------------------------------------------------

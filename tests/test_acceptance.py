@@ -28,17 +28,19 @@ from unilie.analysis import (
     j_gram,
 )
 from unilie.exact import IntMatrix
-from unilie.families import (
+from unilie.constructions import (
     cayley,
-    cyclic,
     dihedral_bipartite,
     elementary_abelian_group,
+    symmetric_group,
+)
+from unilie.families import (
+    cyclic,
     free_two_step,
     heisenberg,
     kneser,
     quaternionic,
     ring_algebra,
-    symmetric_group,
 )
 from unilie.graphs import ColoredDigraph, disjoint_union, relabel, validate_uniform
 from unilie.graphs import ColorPermAutomorphism
@@ -49,12 +51,8 @@ from unilie.classification import (
     near_factorization_sign_witness,
     ring_sum_witness,
 )
-from unilie.enumeration import (
-    near_one_factorizations,
-    one_factorizations,
-    regular_graphs,
-    uniform_colorings,
-)
+from unilie.enumeration import regular_graphs, uniform_colorings
+from unilie.factorizations import near_one_factorizations, one_factorizations
 from unilie.serialize import from_data, parse_graph, write_graph
 
 pytestmark = pytest.mark.acceptance

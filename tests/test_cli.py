@@ -1,5 +1,6 @@
 """Command line interface: verbs, exit codes, output contracts."""
 
+import importlib
 import io
 import json
 import os
@@ -12,10 +13,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from unilie import cli, families
+from unilie import cli, families, fileverbs
 from unilie.algebra import GeneralLinearWitness, from_graph
-from unilie.cli import FAMILY_MAX_VERTICES, main
+from unilie.cli import main
 from unilie.exact import IntMatrix
+from unilie.fileverbs import FAMILY_MAX_VERTICES
 from unilie.families import free_two_step, heisenberg, kneser, quaternionic, ring_algebra
 from unilie.graphs import DEFAULT_SEARCH_BUDGET, ColoredDigraph
 from unilie.serialize import (
@@ -769,15 +771,15 @@ class TestParserEdges:
     ])
     def test_budget_default(self, monkeypatch, argv, budget):
         seen = []
-        monkeypatch.setitem(cli._VERBS, argv[0], (
-            cli._VERBS[argv[0]][0], lambda args: seen.append(args.budget) or 0))
+        module = importlib.import_module(f"unilie.{cli._VERBS[argv[0]][1]}")
+        monkeypatch.setattr(module, argv[0], lambda args: seen.append(args.budget) or 0)
         assert main(argv) == 0
         assert seen == [budget]
 
-    @pytest.mark.parametrize("name", sorted(cli._FAMILIES))
+    @pytest.mark.parametrize("name", sorted(fileverbs._FAMILIES))
     def test_family_builders_resolve_by_name(self, name):
-        builder, arity = cli._FAMILIES[name]
-        fn = getattr(families, builder)
+        module, builder, arity = fileverbs._FAMILIES[name]
+        fn = getattr(importlib.import_module(f"unilie.{module}"), builder)
         assert callable(fn) and fn.__name__ == builder
         params = {0: (), 1: (3,), 2: (5, 2)}[arity]
         assert families.vertex_count(builder, *params) == fn(*params).q

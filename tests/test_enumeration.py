@@ -9,7 +9,7 @@ from collections import Counter
 
 import pytest
 
-from unilie import classification, enumeration, exact
+from unilie import classification, enumeration, exact, factorizations
 from unilie.algebra import (
     MAX_SIGN_ORBITS,
     StructureTensor,
@@ -25,14 +25,13 @@ from unilie.algebra import (
     to_graph,
 )
 from unilie.analysis import is_heisenberg_type
-from unilie.families import (cyclic, heisenberg, kneser, quaternionic, ring_algebra,
-                             trivial_coloring)
+from unilie.constructions import trivial_coloring
+from unilie.families import cyclic, heisenberg, kneser, quaternionic, ring_algebra
 from unilie.graphs import (
     DEFAULT_SEARCH_BUDGET,
     BudgetExceededError,
     SimpleGraph,
     automorphisms,
-    canonical_graph,
     colorings_equivalent,
     connected_components,
     validate_uniform,
@@ -47,12 +46,8 @@ from unilie.classification import (
     refine,
     ring_sum_witness,
 )
-from unilie.enumeration import (
-    near_one_factorizations,
-    one_factorizations,
-    regular_graphs,
-    uniform_colorings,
-)
+from unilie.enumeration import canonical_graph, regular_graphs, uniform_colorings
+from unilie.factorizations import near_one_factorizations, one_factorizations
 
 
 def oracle_canonical_graph(g, budget=None):
@@ -187,7 +182,7 @@ def oracle_factorization_report(n):
     deduplicated by pairwise equivalence search within buckets of equal pair
     cycle signature, keeping the first labeled factorization of each class."""
     p, r = (n - 1, n // 2) if n % 2 == 0 else (n, (n - 1) // 2)
-    g = enumeration._complete_graph(n)
+    g = factorizations._complete_graph(n)
     edges = [(i - 1, j - 1) for (i, j) in g.sorted_edges()]
     labeled = 0
     buckets = {}

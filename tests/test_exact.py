@@ -150,6 +150,27 @@ class TestSolveInverse:
             product[i, j] == (1 if i == j else 0) for i in range(2) for j in range(2)
         )
 
+    @given(st.integers(min_value=1, max_value=5).flatmap(lambda n: st.tuples(
+        st.just(n), st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1),
+                                       entries), max_size=12))))
+    def test_unimodular_inverse_is_integral(self, case):
+        # a product of row additions is unimodular, so its inverse is integral
+        n, ops = case
+        rows = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+        for i, j, c in ops:
+            if i != j:
+                rows[i] = [a + c * b for a, b in zip(rows[i], rows[j])]
+        inv = inverse(IntMatrix.from_rows(rows))
+        assert all(type(x) is int for row in inv.rows for x in row)
+        # the Fraction Gauss-Jordan inverse: rref of [A | I]
+        aug = [row + [1 if i == j else 0 for j in range(n)] for i, row in enumerate(rows)]
+        assert inv.rows == tuple(tuple(row[n:]) for row in rref(aug)[0])
+
+    def test_non_integral_inverse_keeps_fractions(self):
+        inv = inverse(IntMatrix.from_rows([[2, 0], [1, 1]]))
+        assert inv.rows == ((Fraction(1, 2), 0), (Fraction(-1, 2), 1))
+        assert [type(x) for row in inv.rows for x in row] == [Fraction, int, Fraction, int]
+
     def test_inverse_singular_returns_none(self):
         assert inverse(IntMatrix.from_rows([[1, 2], [2, 4]])) is None
 

@@ -7,23 +7,25 @@ import pytest
 
 from unilie.algebra import from_graph
 from unilie.analysis import is_heisenberg_type
-from unilie.families import (
+from unilie.constructions import (
     FiniteGroup,
     cayley,
-    cyclic,
-    check_parameters,
     cyclic_group,
     dihedral_bipartite,
     dihedral_group,
     elementary_abelian_group,
-    free_two_step,
     from_factorization,
+    symmetric_group,
+    trivial_coloring,
+)
+from unilie.families import (
+    check_parameters,
+    cyclic,
+    free_two_step,
     heisenberg,
     kneser,
     quaternionic,
     ring_algebra,
-    symmetric_group,
-    trivial_coloring,
     vertex_count,
 )
 from unilie.graphs import ColoredDigraph, SimpleGraph, colorings_equivalent, validate_uniform

@@ -7,14 +7,19 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from unilie.enumeration import regular_graphs, uniform_colorings
+from unilie.constructions import trivial_coloring
+from unilie.enumeration import (
+    _canonical_search,
+    canonical_graph,
+    regular_graphs,
+    uniform_colorings,
+)
 from unilie.families import (
     cyclic,
     heisenberg,
     kneser,
     quaternionic,
     ring_algebra,
-    trivial_coloring,
 )
 from unilie.graphs import (
     DEFAULT_SEARCH_BUDGET,
@@ -26,9 +31,7 @@ from unilie.graphs import (
     NotRegular,
     NotSurjective,
     SimpleGraph,
-    _canonical_search,
     automorphisms,
-    canonical_graph,
     colorings_equivalent,
     connected_components,
     disjoint_union,

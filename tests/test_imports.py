@@ -40,21 +40,25 @@ def test_no_unused_imports():
 
 
 # module -> the library modules it imports at its top level; the census
-# (enumeration) stays on the graph layer, only `analyze` reads analysis, and
-# only classification reaches every layer at once.  cli imports what a verb
-# uses when the verb runs.
+# (enumeration) stays on the graph layer, only `factorize` reads
+# factorizations, only `analyze` reads analysis, and only classification
+# reaches every layer at once.  cli imports what a verb uses when the verb
+# runs, fileverbs included.
 LAYERS = {
     "record": set(),
     "graphs": {"record"},
-    "enumeration": {"graphs", "record"},
+    "enumeration": {"graphs"},
+    "factorizations": {"enumeration", "graphs", "record"},
     "exact": {"record"},
     "algebra": {"exact", "graphs", "record"},
     "analysis": {"algebra", "exact", "graphs", "record"},
-    "families": {"graphs", "record"},
+    "families": {"graphs"},
+    "constructions": {"families", "graphs", "record"},
     "serialize": {"algebra", "exact", "graphs"},
     "classification": {"algebra", "enumeration", "exact", "families", "graphs",
                        "record"},
     "cli": set(),
+    "fileverbs": {"cli"},
 }
 
 
@@ -100,17 +104,22 @@ def test_cli_import_skips_code_generation_modules():
     assert proc.stdout.strip() == "[]"
 
 
-def fresh_modules(code: str) -> list[str]:
+def fresh_value(code: str, expr: str):
     """Run code in a fresh interpreter with `src` on the path and return the
-    modules loaded at its end, sorted."""
+    value of the literal expression expr at its end."""
     src = str(Path(unilie.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
-    code += "\nimport sys; print(sorted(sys.modules))"
+    code += f"\nimport sys; print({expr})"
     proc = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     return ast.literal_eval(proc.stdout.strip().splitlines()[-1])
+
+
+def fresh_modules(code: str) -> list[str]:
+    """The modules loaded at the end of code in a fresh interpreter, sorted."""
+    return fresh_value(code, "sorted(sys.modules)")
 
 
 def fresh_unilie_modules(code: str) -> list[str]:
@@ -141,7 +150,8 @@ def test_parser_exits_load_only_the_cli(argv):
     assert fresh_unilie_modules(code) == ["unilie", "unilie.cli"]
 
 
-UNUSED_BY_VERBS = {"unilie.classification", "unilie.enumeration", "unilie.families"}
+UNUSED_BY_VERBS = {"unilie.classification", "unilie.constructions", "unilie.enumeration",
+                   "unilie.factorizations", "unilie.families"}
 # the structure dossier: only `analyze` loads it
 UNUSED_OUTSIDE_ANALYZE = UNUSED_BY_VERBS | {"unilie.analysis"}
 
@@ -158,7 +168,7 @@ def test_verbs_skip_modules_they_do_not_use(tmp_path, verb, absent):
     path.write_text(serialize.write_graph(quaternionic()))
     argv = [verb] + ["--input", str(path)] * (2 if verb == "iso" else 1)
     loaded = set(fresh_unilie_modules(run_cli(argv)))
-    assert "unilie.serialize" in loaded
+    assert {"unilie.fileverbs", "unilie.serialize"} <= loaded
     assert not loaded & absent
 
 
@@ -179,6 +189,7 @@ def test_sign_classes_skip_the_census_and_classification():
     loaded = set(fresh_unilie_modules(code))
     assert "unilie.algebra" in loaded
     assert not loaded & UNUSED_OUTSIDE_ANALYZE
+    assert "unilie.fileverbs" not in loaded
 
 
 def test_orbit_skips_the_census_and_classification(tmp_path):
@@ -190,16 +201,18 @@ def test_orbit_skips_the_census_and_classification(tmp_path):
 
 
 def test_factorize_skips_families_and_classification():
-    # the census alone: no parser, no algebra and no exact arithmetic
+    # the census and the factorizations: no parser, no file verbs, no
+    # algebra and no exact arithmetic
     loaded = fresh_modules(run_cli(["factorize", "6"]))
     assert [m for m in loaded if m.split(".")[0] == "unilie"] == [
-        "unilie", "unilie.cli", "unilie.enumeration", "unilie.graphs",
-        "unilie.record"]
+        "unilie", "unilie.cli", "unilie.enumeration", "unilie.factorizations",
+        "unilie.graphs", "unilie.record"]
     assert "fractions" not in loaded
 
 
 def test_classify_loads_classification():
-    # every layer but the parsers and the structure dossier
+    # every layer but the parsers, the file verbs, the group constructions,
+    # the factorizations and the structure dossier
     loaded = fresh_unilie_modules(run_cli(["classify", "--qmax", "3"]))
     assert loaded == ["unilie", "unilie.algebra", "unilie.classification",
                       "unilie.cli", "unilie.enumeration", "unilie.exact",
@@ -220,6 +233,49 @@ def test_iso_on_two_tensors_loads_classification(tmp_path):
 def test_family_skips_enumeration():
     loaded = fresh_unilie_modules(run_cli(["family", "kneser", "5", "2"]))
     assert "unilie.families" in loaded and "unilie.enumeration" not in loaded
+
+
+@pytest.mark.parametrize("argv,constructions", [
+    (["family", "heisenberg", "2"], False),
+    (["family", "dihedral-bipartite", "3"], True)])
+def test_family_loads_constructions_only_for_their_builders(argv, constructions):
+    loaded = fresh_unilie_modules(run_cli(argv))
+    assert {"unilie.families", "unilie.fileverbs"} <= set(loaded)
+    assert ("unilie.constructions" in loaded) == constructions
+
+
+def uncalled_functions(code: str, modules: list[str]) -> dict[str, list[str]]:
+    """The module-level functions of each module that code never calls, run
+    in a fresh interpreter under sys.setprofile with stdout muted."""
+    script = ("import contextlib, io, sys\n"
+              "called = set()\n"
+              "def profile(frame, event, arg):\n"
+              "    if event == 'call':\n"
+              "        called.add(frame.f_code)\n"
+              "sys.setprofile(profile)\n"
+              "with contextlib.redirect_stdout(io.StringIO()):\n"
+              + "".join(f"    {line}\n" for line in code.splitlines())
+              + "sys.setprofile(None)\nimport inspect")
+    return fresh_value(script, f"{{m: sorted(n for n, f in vars(sys.modules[m]).items() "
+                               f"if inspect.isfunction(f) and f.__module__ == m "
+                               f"and f.__code__ not in called) for m in {modules!r}}}")
+
+
+def test_classify_compiles_only_what_it_calls():
+    # each function left uncalled is compiled for nothing on every run
+    code = ("import unilie.cli\n"
+            "assert unilie.cli.main(['classify', '--qmax', '5']) == 0")
+    assert uncalled_functions(code, ["unilie.cli", "unilie.families"]) == {
+        "unilie.cli": ["factorize"],
+        "unilie.families": ["_colex_rank", "kneser", "vertex_count"]}
+
+
+def test_census_compiles_only_what_it_calls():
+    code = ("from unilie import regular_graphs, uniform_colorings\n"
+            "for g in regular_graphs(7):\n"
+            "    if g.q <= 6:\n"
+            "        uniform_colorings(g)")
+    assert uncalled_functions(code, ["unilie.enumeration"]) == {"unilie.enumeration": []}
 
 
 def test_name_table_resolves_every_entry():

@@ -5,7 +5,7 @@ import pytest
 from unilie.algebra import StructureTensor, derivation_dim
 from unilie.analysis import is_heisenberg_type
 from unilie.classification import Invariants
-from unilie.families import FiniteGroup, cyclic_group
+from unilie.constructions import FiniteGroup, cyclic_group
 from unilie.graphs import ColorPermAutomorphism, NonProper, NotRegular, UniformityReport
 
 
