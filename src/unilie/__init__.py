@@ -39,6 +39,7 @@ _EXPORTS = {
                        "near_factorization_sign_witness", "refine",
                        "ring_sum_witness"),
     "exact": (),
+    "gf2": (),
     "record": (),
     "serialize": (),
     "cli": (),

@@ -15,14 +15,18 @@ Conventions used throughout:
   product that makes v1..vq, z1..zp orthonormal; its matrix has entry (j, i)
   equal to the coefficient of v_j in J_z(v_i), which makes J_{z_k} the
   transpose (equivalently the negative) of the skew adjacency of color k.
+
+The sign classes work over GF(2) and on vertex and color maps alone, so
+`exact` is imported only inside the functions that build a matrix or a
+rational, and the sign path never loads rational arithmetic.
 """
 
 from __future__ import annotations
 
 import itertools
 
-from . import exact
-from .exact import IntMatrix, format_scalar
+from .gf2 import (gf2_echelon, gf2_from_bits, gf2_from_support, gf2_reduce,
+                  gf2_solve_min, gf2_to_bits)
 from .graphs import (BudgetExceededError, ColoredDigraph, ColorPermAutomorphism,
                      DEFAULT_SEARCH_BUDGET, _mapping_search, automorphisms,
                      disjoint_union, validate_uniform)
@@ -120,6 +124,7 @@ def _radical_rows(t: StructureTensor) -> list[list[int]]:
 def j_map(t: StructureTensor, coeffs) -> IntMatrix:
     """J map of the center element sum(coeffs[k-1] * z_k): each bracket
     [v_i, v_j] = s z_k puts s c_k at (j, i) and -s c_k at (i, j)."""
+    from .exact import IntMatrix
     coeffs = tuple(coeffs)
     if len(coeffs) != t.p:
         raise ValueError("need one coefficient per center direction")
@@ -181,6 +186,7 @@ class SignedPermWitness(Record):
             raise ValueError("bad color signs")
 
     def to_matrix(self) -> IntMatrix:
+        from .exact import IntMatrix
         q = len(self.vertex_images)
         p = len(self.color_images)
         n = q + p
@@ -211,6 +217,7 @@ class GeneralLinearWitness(Record):
 
     def to_data(self) -> dict:
         """JSON-ready form mirroring the text format; entries are rational strings."""
+        from .exact import format_scalar
         return {"kind": "witness", "witness_kind": "general-linear",
                 "matrix": [list(map(format_scalar, row)) for row in self.matrix.rows]}
 
@@ -230,26 +237,50 @@ def _basis_name(t: StructureTensor, idx: int) -> str:
 def check_witness(t1: StructureTensor, t2: StructureTensor, w: IsoWitness) -> WitnessCheck:
     """Verify that w intertwines brackets on every basis pair, exactly.
 
-    Both tensors must share (q, p); the witness matrix must be invertible.
-    The failure list names each offending basis pair.  Each pair is checked
-    on sparse data: the left side w[e_a, e_b] is s times the image column of
-    z_k when [e_a, e_b] = s z_k in t1, the right side the bracket in t2 of the
-    generator parts of the two image columns.
+    Both tensors must share (q, p), and a signed permutation must have q
+    vertex and p color images; a general-linear matrix must be invertible.
+    The failure list names each offending basis pair, in lexicographic order.
+
+    A signed permutation is checked on its maps, with no matrix.  It sends
+    each z_k to +-z_l, and z_l brackets to zero with everything, so both
+    [w e, w z_k] and w[e, z_k] vanish for every basis vector e: no pair that
+    involves a center vector can fail.  A generator pair (v_i, v_j) then
+    needs one look-up in each tensor.  A general-linear witness is checked
+    pair by pair on sparse data: the left side w[e_a, e_b] is s times the
+    image column of z_k when [e_a, e_b] = s z_k in t1, the right side the
+    bracket in t2 of the generator parts of the two image columns.
     """
     if (t1.q, t1.p) != (t2.q, t2.p):
         raise ValueError("witness checking needs matching q and p")
+    q, p = t1.q, t1.p
+    pm1, pm2 = t1.pair_map(), t2.pair_map()
+    failures = []
+    if isinstance(w, SignedPermWitness):
+        if (len(w.vertex_images), len(w.color_images)) != (q, p):
+            raise ValueError("witness matrix has the wrong shape")
+        vi, vs = w.vertex_images, w.vertex_signs
+        for i, j in itertools.combinations(range(q), 2):
+            x, y = vi[i], vi[j]
+            hit = pm2.get((x, y) if x < y else (y, x))
+            entry = pm1.get((i + 1, j + 1))
+            if entry is None:  # [v_i, v_j] = 0 in t1
+                ok = hit is None
+            else:  # [w v_i, w v_j] = w [v_i, v_j] = s w z_k
+                k, s = entry
+                ok = (hit is not None and hit[0] == w.color_images[k - 1]
+                      and hit[1] * vs[i] * vs[j] * (1 if x < y else -1)
+                      == s * w.color_signs[k - 1])
+            if not ok:
+                failures.append(f"[v{i + 1}, v{j + 1}]")
+        return WitnessCheck(ok=not failures, failures=tuple(failures))
     m = w.to_matrix()
     n = t1.dim()
     if m.nrows != n or m.ncols != n:
         raise ValueError("witness matrix has the wrong shape")
-    # a signed permutation matrix is always invertible
-    if not isinstance(w, SignedPermWitness) and m.rank() < n:
+    if m.rank() < n:
         raise ValueError("witness matrix is singular")
-    q, p = t1.q, t1.p
     cols = list(zip(*m.rows))  # column b = image of basis b
     gens = [[(i, x) for i, x in enumerate(col[:q]) if x] for col in cols]
-    pm1, pm2 = t1.pair_map(), t2.pair_map()
-    failures = []
     for a in range(n):
         for b in range(a + 1, n):
             rhs = [0] * p  # [w e_a, w e_b] in t2, a central vector
@@ -276,7 +307,8 @@ def compose_witnesses(second: IsoWitness, first: IsoWitness) -> GeneralLinearWit
 
 
 def invert_witness(w: IsoWitness) -> GeneralLinearWitness:
-    inv = exact.inverse(w.to_matrix())
+    from .exact import inverse
+    inv = inverse(w.to_matrix())
     if inv is None:
         raise ValueError("witness matrix is singular")
     return GeneralLinearWitness(inv)
@@ -340,7 +372,7 @@ def _flip_space(t: StructureTensor) -> list[int]:
         vectors[a - 1] |= bit
         vectors[b - 1] |= bit
         vectors[t.q + pm[(a, b)][0] - 1] |= bit
-    return exact.gf2_echelon(v for v in vectors if v)
+    return gf2_echelon(v for v in vectors if v)
 
 
 def _signs_to_bits(signs) -> list[int]:
@@ -414,12 +446,12 @@ def _signed_perm_witness(t1: StructureTensor, t2: StructureTensor,
         if hit is None or hit[0] != color_images[k - 1]:
             return None
         s2 = hit[1] if a < b else -hit[1]
-        mask = exact.gf2_from_support([i - 1, j - 1, t1.q + k - 1], width)
+        mask = gf2_from_support([i - 1, j - 1, t1.q + k - 1], width)
         equations.append((mask, 0 if s1 == s2 else 1))
-    sol = exact.gf2_solve_min(equations, width)
+    sol = gf2_solve_min(equations, width)
     if sol is None:
         return None
-    bits = exact.gf2_to_bits(sol, width)
+    bits = gf2_to_bits(sol, width)
     w = SignedPermWitness(tuple(vertex_images), tuple(color_images),
                           _bits_to_signs(bits[:t1.q]), _bits_to_signs(bits[t1.q:]))
     if not check_witness(t1, t2, w).ok:
@@ -488,7 +520,7 @@ def sign_class_report(g: ColoredDigraph | StructureTensor,
         moves.append((aut, targets, reversed_bits))
 
     # the representatives are exactly the reduced members of their cosets
-    rep_bits = [exact.gf2_from_bits(_signs_to_bits(sign_vector(r)), width) for r in reps]
+    rep_bits = [gf2_from_bits(_signs_to_bits(sign_vector(r)), width) for r in reps]
     index = {v: n for n, v in enumerate(rep_bits)}
 
     root = [-1] * len(reps)
@@ -503,7 +535,7 @@ def sign_class_report(g: ColoredDigraph | StructureTensor,
             for source, target in targets:
                 if rep_bits[a] & source:
                     moved ^= target
-            b = index[exact.gf2_reduce(moved, flips)]
+            b = index[gf2_reduce(moved, flips)]
             if root[b] >= 0:
                 continue
             w = _signed_perm_witness(ra, reps[b], aut.vertex_images, aut.color_images)
@@ -585,6 +617,7 @@ def derivation_dim(t: StructureTensor) -> int:
     most p * (C(q, 2) - u) * q^2 cells; above MAX_DERIVATION_CELLS the call
     raises BudgetExceededError before building any.
     """
+    from .exact import rank
     q, p = t.q, t.p
     cells = p * (q * (q - 1) // 2 - len({k for _, _, k, _ in t.entries})) * q * q
     if cells > MAX_DERIVATION_CELLS:
@@ -617,8 +650,8 @@ def derivation_dim(t: StructureTensor) -> int:
     for (a1, b1, s1), *rest in by_color.values():
         for a, b, s in rest:
             rows += gamma_rows([(s1, a1, b1), (-s, a, b)])
-    dim = p * q + q * q - exact.rank(rows)
+    dim = p * q + q * q - rank(rows)
     unused = p - len(by_color)
     if unused:
-        dim += unused * (q - exact.rank(_radical_rows(t)) + p)
+        dim += unused * (q - rank(_radical_rows(t)) + p)
     return dim

@@ -302,7 +302,8 @@ def count_line(rows: list[ClassificationRow], open_blocks: list[Block],
     row, so with open blocks the count is the range from
     rows - sum(block sizes) + blocks to rows."""
     if not open_blocks:
-        return f"{len(rows)} isomorphism classes with q <= {q_max}"
+        return (f"{len(rows)} isomorphism class{'' if len(rows) == 1 else 'es'} "
+                f"with q <= {q_max}")
     n = len(open_blocks)
     low = len(rows) - sum(len(b.cases) for b in open_blocks) + n
     return (f"{len(rows)} rows: {low} to {len(rows)} isomorphism classes, "

@@ -25,6 +25,7 @@ from unilie.algebra import (
     invert_witness,
     j_map,
     lift_automorphism,
+    sign_class_report,
     sign_vector,
     signed_perm_isomorphic,
     support_pairs,
@@ -46,8 +47,9 @@ from unilie.analysis import (
     totally_geodesic,
 )
 from unilie import classification, enumeration
-from unilie.exact import IntMatrix, gf2_from_bits, gf2_reduce, gf2_to_bits
+from unilie.exact import IntMatrix
 from unilie.exact import rank as exact_rank
+from unilie.gf2 import gf2_from_bits, gf2_reduce, gf2_to_bits
 from unilie.families import (
     cyclic,
     free_two_step,
@@ -532,6 +534,14 @@ class TestWitnesses:
         with pytest.raises(ValueError):
             check_witness(H3, QUAT, w)
 
+    def test_signed_perm_counts_must_be_q_and_p(self):
+        # 4 vertex images and 1 color image add up to q + p = 5, but the
+        # algebra has q = 3 and p = 2
+        t = StructureTensor.from_entries(3, 2, [(1, 2, 1, 1)])
+        w = SignedPermWitness((1, 2, 3, 4), (1,), (1, 1, 1, 1), (1,))
+        with pytest.raises(ValueError, match="witness matrix has the wrong shape"):
+            check_witness(t, t, w)
+
     def test_singular_matrix_rejected(self):
         from unilie.exact import IntMatrix
 
@@ -597,7 +607,9 @@ SMALL_TENSORS = [H3, from_graph(heisenberg(2)), QUAT, ASSOC, RING2, RING2P, H33,
 @st.composite
 def signed_perm_cases(draw):
     """(t1, t2, w) with w a random signed permutation and t2 its image of t1,
-    with one bracket sign of t2 flipped half of the time."""
+    with one bracket sign of t2 flipped half of the time.  Half of the time
+    each, the vertex or the color images of w are shuffled after t2 is built,
+    so that w may miss the support or the colors."""
     t1 = draw(st.sampled_from(SMALL_TENSORS))
     vp = tuple(draw(st.permutations(range(1, t1.q + 1))))
     cp = tuple(draw(st.permutations(range(1, t1.p + 1))))
@@ -610,6 +622,10 @@ def signed_perm_cases(draw):
         i, j, k, s = brackets[n]
         brackets[n] = (i, j, k, -s)
     t2 = StructureTensor.from_brackets(t1.q, t1.p, brackets)
+    if draw(st.booleans()):
+        vp = tuple(draw(st.permutations(vp)))
+    if draw(st.booleans()):
+        cp = tuple(draw(st.permutations(cp)))
     return t1, t2, SignedPermWitness(vp, cp, vs, cs)
 
 
@@ -653,6 +669,23 @@ class TestSparseWitnessCheck:
         bad = GeneralLinearWitness(IntMatrix.from_rows(rows))
         assert check_witness(t1, t2, bad) == oracle_check_witness(t1, t2, bad)
         assert not check_witness(t1, t2, bad).ok
+
+    def test_every_sign_class_witness_up_to_six_generators(self):
+        # each merge witness of the 37 uniform colorings with q <= 6, on the
+        # maps and on the dense matrix
+        checked = 0
+        for g in enumeration.regular_graphs(6):
+            for c in enumeration.uniform_colorings(g):
+                rep = sign_class_report(c)
+                reps = rep.orbit_representatives
+                for sc in rep.classes:
+                    for a, b, w in sc.witnesses:
+                        got = check_witness(reps[a], reps[b], w)
+                        assert got == oracle_check_witness(reps[a], reps[b], w)
+                        assert got.ok
+                        checked += 1
+        # 151 diagonal orbits in 93 sign classes
+        assert checked == 151 - 93
 
     def test_errors_match_dense_oracle(self):
         w = SignedPermWitness((1, 2), (1,), (1, 1), (1,))

@@ -309,6 +309,19 @@ class TestIso:
         assert captured.out == ""
         assert captured.err == "usage error: witness matrix is singular\n"
 
+    def test_witness_with_other_counts_is_usage_error(self, capsys, tmp_path):
+        # q + p = 5 on both sides, but the witness maps 4 generators and
+        # 1 center direction while the algebras have q = 3 and p = 2
+        a, w = tmp_path / "a.alg", tmp_path / "w.wit"
+        a.write_text("unilie-algebra v1 q=3 p=2\n1 2 1 +1\n")
+        w.write_text("unilie-witness v1 kind=signed-perm q=4 p=1\n"
+                     "vertex-images 1 2 3 4\ncolor-images 1\n")
+        assert main(["iso", "--input", str(a), "--input", str(a),
+                     "--input", str(w)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "usage error: witness matrix has the wrong shape\n"
+
     def test_cross_support_certificate(self, capsys, tmp_path):
         # same dimensions, different supports: decided by the square-norm
         # identity against r = 1, where J(z_1) kills v3 and v4

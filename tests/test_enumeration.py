@@ -602,6 +602,9 @@ class TestClassification:
             "5 rows: 3 to 5 isomorphism classes, 1 block open")
         assert classification.count_line(rows[:5], [], 4) == (
             "5 isomorphism classes with q <= 4")
+        # one row is one class: `classify --qmax 2` finds only h3
+        assert classification.count_line(rows[:1], [], 2) == (
+            "1 isomorphism class with q <= 2")
 
     def test_five_generators(self):
         rows = classify(5)

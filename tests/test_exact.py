@@ -1,4 +1,5 @@
-"""Exact linear algebra: cross-checked against Fraction elimination and brute force."""
+"""Exact linear algebra over Q and GF(2): cross-checked against Fraction
+elimination and brute force."""
 
 from fractions import Fraction
 
@@ -8,6 +9,12 @@ from hypothesis import strategies as st
 
 from unilie.exact import (
     IntMatrix,
+    inverse,
+    nullspace,
+    rank,
+    rref,
+)
+from unilie.gf2 import (
     gf2_echelon,
     gf2_from_bits,
     gf2_from_support,
@@ -15,10 +22,6 @@ from unilie.exact import (
     gf2_reduce,
     gf2_solve_min,
     gf2_to_bits,
-    inverse,
-    nullspace,
-    rank,
-    rref,
 )
 
 entries = st.integers(min_value=-6, max_value=6)

@@ -50,7 +50,8 @@ LAYERS = {
     "enumeration": {"graphs"},
     "factorizations": {"enumeration", "graphs", "record"},
     "exact": {"record"},
-    "algebra": {"exact", "graphs", "record"},
+    "gf2": set(),
+    "algebra": {"gf2", "graphs", "record"},
     "analysis": {"algebra", "exact", "graphs", "record"},
     "families": {"graphs"},
     "constructions": {"families", "graphs", "record"},
@@ -181,15 +182,27 @@ def test_census_loads_only_the_graph_layer():
 
 
 def test_sign_classes_skip_the_census_and_classification():
-    # the quaternionic support: the three perfect matchings of K4
-    code = ("from unilie import ColoredDigraph, sign_class_report\n"
+    # the quaternionic support: the three perfect matchings of K4.  Sign
+    # classes, their witness checks and the signed-permutation search stay
+    # on GF(2) and the maps: no rational arithmetic is loaded
+    code = ("from unilie import (ColoredDigraph, check_witness, sign_class_report,\n"
+            "                    signed_perm_isomorphic)\n"
             "g = ColoredDigraph.from_arcs(4, 3, [(1, 2, 1), (3, 4, 1), (1, 3, 2),"
             " (2, 4, 2), (1, 4, 3), (2, 3, 3)])\n"
-            "assert len(sign_class_report(g).classes) == 2")
-    loaded = set(fresh_unilie_modules(code))
+            "report = sign_class_report(g)\n"
+            "assert len(report.classes) == 2\n"
+            "reps = report.orbit_representatives\n"
+            "witnesses = [(a, b, w) for c in report.classes for a, b, w in c.witnesses]\n"
+            "assert witnesses\n"
+            "assert all(check_witness(reps[a], reps[b], w).ok for a, b, w in witnesses)\n"
+            "first, second = report.classes\n"
+            "assert signed_perm_isomorphic(reps[0], reps[first.members[-1]])\n"
+            "assert signed_perm_isomorphic(reps[0], second.representative) is None")
+    loaded = set(fresh_modules(code))
     assert "unilie.algebra" in loaded
     assert not loaded & UNUSED_OUTSIDE_ANALYZE
     assert "unilie.fileverbs" not in loaded
+    assert not loaded & {"unilie.exact", "fractions"}
 
 
 def test_orbit_skips_the_census_and_classification(tmp_path):
@@ -216,7 +229,8 @@ def test_classify_loads_classification():
     loaded = fresh_unilie_modules(run_cli(["classify", "--qmax", "3"]))
     assert loaded == ["unilie", "unilie.algebra", "unilie.classification",
                       "unilie.cli", "unilie.enumeration", "unilie.exact",
-                      "unilie.families", "unilie.graphs", "unilie.record"]
+                      "unilie.families", "unilie.gf2", "unilie.graphs",
+                      "unilie.record"]
 
 
 def test_iso_on_two_tensors_loads_classification(tmp_path):
