@@ -385,8 +385,8 @@ def _bits_to_signs(bits) -> tuple[int, ...]:
 
 # the most diagonal orbits built at once; each one is a tensor in memory
 MAX_SIGN_ORBITS = 1 << 20
-# the most matrix cells derivation_dim builds; its exact rank takes about
-# 25 s at this size (heisenberg(18): 815,184 cells, 23 s on a 2-core VM)
+# the most dense matrix cells derivation_dim builds; the whole call takes
+# 0.07 s near this size (heisenberg(18): 815,184 cells, on a 2-core VM)
 MAX_DERIVATION_CELLS = 10**6
 
 

@@ -109,14 +109,9 @@ def center(t: StructureTensor) -> list[NVector]:
 
 
 def commutator(t: StructureTensor) -> list[NVector]:
-    """Echelon basis of [n, n] inside the z-span."""
-    rows = []
-    for (_, _, k, s) in sorted(t.entries):
-        rows.append([s if c == k else 0 for c in range(1, t.p + 1)])
-    if not rows:
-        return []
-    red, pivots = exact.rref(rows)
-    return [NVector((Fraction(0),) * t.q, tuple(red[r])) for r in range(len(pivots))]
+    """Echelon basis of [n, n]: z_k for each color k in use, in increasing k,
+    since every nonzero bracket is +-z_k."""
+    return [NVector.basis_z(t.q, t.p, k) for k in sorted({k for _, _, k, _ in t.entries})]
 
 
 def centralizer(t: StructureTensor, i: int) -> list[NVector]:

@@ -1,11 +1,12 @@
 """Exact linear algebra over the integers and the rationals.
 
 Everything here is deterministic and allocation-light: matrices are tuples of
-tuples, ranks go through fraction-free (Bareiss) elimination once each row's
-denominators are cleared, and anything that genuinely needs division is done
-with fractions.Fraction; a square matrix is singular exactly when its rank
-falls short.  Linear algebra over GF(2) is in `gf2`, which needs no
-rational arithmetic.
+tuples, and rank, kernel and inverse all read one fraction-free Gauss-Jordan
+elimination over the integers on sparse rows, once each row's denominators
+are cleared.  Rational division happens only in the answers: kernel vectors
+hold fractions.Fraction, and so does each non-integral inverse entry.  A square
+matrix is singular exactly when its rank falls short.  Linear algebra over
+GF(2) is in `gf2`, which needs no rational arithmetic.
 """
 
 from __future__ import annotations
@@ -94,87 +95,77 @@ class IntMatrix(Record):
         return all(a == 0 for r in self.rows for a in r)
 
 
-def _integer_rows(rows: Sequence[Sequence[Scalar]]) -> list[list[int]]:
-    """Clear denominators row by row; row scaling preserves rank."""
-    scales = [math.lcm(*(a.denominator for a in row)) for row in rows]
-    return [[int(a * c) for a in row] for row, c in zip(rows, scales)]
+def _integer_rows(rows: Sequence[Sequence[Scalar]]) -> list[dict[int, int]]:
+    """Each row as {column: nonzero entry}, scaled to a primitive integer
+    row: denominators cleared, then the gcd of the entries divided out."""
+    sparse = []
+    for row in rows:
+        nonzero = {j: a for j, a in enumerate(row) if a}
+        scale = math.lcm(*(a.denominator for a in nonzero.values()))
+        ints = {j: int(a * scale) for j, a in nonzero.items()}
+        g = math.gcd(*ints.values())
+        sparse.append({j: a // g for j, a in ints.items()} if g > 1 else ints)
+    return sparse
 
 
-def _bareiss(m: list[list[int]]) -> int:
-    """Fraction-free elimination of integer rows in place (Bareiss, Math.
-    Comp. 22, 1968); returns the rank."""
-    nr = len(m)
-    nc = len(m[0]) if nr else 0
-    prev = 1
-    r = 0
-    for c in range(nc):
-        if r == nr:
-            break
-        piv = next((i for i in range(r, nr) if m[i][c] != 0), None)
-        if piv is None:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        for i in range(r + 1, nr):
-            for j in range(c + 1, nc):
-                m[i][j] = (m[r][c] * m[i][j] - m[i][c] * m[r][j]) // prev
-            m[i][c] = 0
-        prev = m[r][c]
-        r += 1
-    return r
+def _combine(row: dict[int, int], other: dict[int, int], c: int) -> dict[int, int]:
+    """The primitive integer row spanned by other[c] * row - row[c] * other,
+    which is zero in column c."""
+    g = math.gcd(row[c], other[c])
+    a, b = other[c] // g, row[c] // g
+    out = {j: a * x for j, x in row.items()}
+    for j, y in other.items():
+        x = out.get(j, 0) - b * y
+        if x:
+            out[j] = x
+        else:
+            del out[j]
+    g = math.gcd(*out.values())
+    return {j: x // g for j, x in out.items()} if g > 1 else out
+
+
+def _eliminate(rows: Sequence[Sequence[Scalar]]) -> dict[int, dict[int, int]]:
+    """Fraction-free Gauss-Jordan elimination over the integers on sparse
+    rows: the reduced row echelon form of their span, up to the scale of
+    each row, keyed by pivot column.
+
+    Each incoming row is cleared in every held pivot column, and its
+    smallest remaining column becomes a pivot, cleared from the held rows.
+    A held row is zero in every other pivot column, so clearing one column
+    never refills another, and a row's leading column never moves."""
+    held: dict[int, dict[int, int]] = {}
+    for row in _integer_rows(rows):
+        for c in [c for c in row if c in held]:
+            row = _combine(row, held[c], c)
+        if row:
+            lead = min(row)
+            for c, other in held.items():
+                if lead in other:
+                    held[c] = _combine(other, row, lead)
+            held[lead] = row
+    return held
 
 
 def rank(rows: Sequence[Sequence[Scalar]]) -> int:
-    """Rank via fraction-free (Bareiss) elimination on integer rows."""
-    return _bareiss(_integer_rows(rows))
-
-
-def _rref(m: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
-    """In-place reduced row echelon form; returns (rows, pivot columns)."""
-    nr = len(m)
-    nc = len(m[0]) if nr else 0
-    pivots: list[int] = []
-    r = 0
-    for c in range(nc):
-        if r == nr:
-            break
-        piv = next((i for i in range(r, nr) if m[i][c] != 0), None)
-        if piv is None:
-            continue
-        if piv != r:
-            m[r], m[piv] = m[piv], m[r]
-        inv = Fraction(1) / m[r][c]
-        m[r] = [a * inv for a in m[r]]
-        for i in range(nr):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-    return m, pivots
-
-
-def rref(rows: Sequence[Sequence[Scalar]]) -> tuple[list[list[Fraction]], list[int]]:
-    m = [[Fraction(a) for a in r] for r in rows]
-    if not m:
-        return [], []
-    return _rref(m)
+    """Rank of a matrix given as dense rows of ints or Fractions."""
+    return len(_eliminate(rows))
 
 
 def nullspace(rows: Sequence[Sequence[Scalar]], ncols: int | None = None) -> list[tuple[Fraction, ...]]:
-    """Basis of the right kernel, echelon-ordered, deterministic."""
-    if not rows:
-        n = ncols or 0
-        return [tuple(Fraction(1) if i == j else Fraction(0) for j in range(n)) for i in range(n)]
-    red, pivots = rref(rows)
-    nc = len(rows[0])
-    free = [c for c in range(nc) if c not in pivots]
+    """Basis of the right kernel, one vector per free column in increasing
+    order: 1 there, 0 at the other free columns (the reduced echelon basis).
+    ncols gives the width when there are no rows."""
+    nc = len(rows[0]) if rows else ncols or 0
+    held = _eliminate(rows)
     basis = []
-    for f in free:
-        vec = [Fraction(0)] * nc
-        vec[f] = Fraction(1)
-        for r, c in enumerate(pivots):
-            vec[c] = -red[r][f]
-        basis.append(tuple(vec))
+    for f in range(nc):
+        if f not in held:
+            vec = [Fraction(0)] * nc
+            vec[f] = Fraction(1)
+            for c, row in held.items():
+                if f in row:
+                    vec[c] = Fraction(-row[f], row[c])
+            basis.append(tuple(vec))
     return basis
 
 
@@ -185,10 +176,14 @@ def inverse(a: IntMatrix) -> IntMatrix | None:
     n = a.nrows
     if n != a.ncols:
         raise ValueError("inverse of non-square matrix")
-    aug = [list(map(Fraction, row)) + [Fraction(1) if i == j else Fraction(0) for j in range(n)]
-           for i, row in enumerate(a.rows)]
-    red, pivots = _rref(aug)
-    if pivots != list(range(n)):
+    # [A | I] has n pivots, all of them in A exactly when A is invertible
+    held = _eliminate([list(row) + [int(i == j) for j in range(n)]
+                       for i, row in enumerate(a.rows)])
+    if any(c >= n for c in held):
         return None
-    return IntMatrix(tuple(tuple(x.numerator if x.denominator == 1 else x
-                                 for x in red[i][n:]) for i in range(n)))
+    inv = []
+    for i in range(n):
+        row = held[i]
+        entries = (Fraction(row.get(n + j, 0), row[i]) for j in range(n))
+        inv.append(tuple(x.numerator if x.denominator == 1 else x for x in entries))
+    return IntMatrix(tuple(inv))

@@ -221,10 +221,14 @@ def iso(args) -> int:
             len(objs) == 2 and all(isinstance(o, ColoredDigraph) for o in objs)):
         raise _Usage("--strict-equivalence needs two graph files")
     if len(objs) == 3:
-        a, b, w = objs
-        if not hasattr(w, "to_matrix"):
+        a, b, wfile = objs
+        if not isinstance(wfile, tuple):
             raise _Usage("third --input must be a witness file")
         t1, t2 = _as_tensor(a), _as_tensor(b)
+        w, q, p = wfile
+        if (t1.q, t1.p) == (t2.q, t2.p) != (q, p):
+            raise _Usage(f"witness header says q={q} p={p}, but the algebras "
+                         f"have q={t1.q} p={t1.p}")
         try:
             res = check_witness(t1, t2, w)
         except ValueError as exc:
@@ -309,6 +313,8 @@ def orbit(args) -> int:
 
 def export(args) -> int:
     (obj,) = _read_inputs(args, 1)
+    if isinstance(obj, tuple):  # a witness file: (witness, q, p)
+        obj = obj[0]
     body = _format_object(obj, args.format)
     payload = obj.to_data()
     _emit(args, body, payload, file_body=body)

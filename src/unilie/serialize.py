@@ -325,7 +325,8 @@ def to_json(obj) -> str:
 
 
 def parse_any(text: str):
-    """Dispatch on the header line: graph, tensor, or witness file."""
+    """Dispatch on the header line: a graph, a tensor, or for a witness file
+    the witness with its header's q and p, as parse_witness returns them."""
     lines = _body_lines(text)
     if not lines:
         raise ParseError("empty input")
@@ -335,5 +336,5 @@ def parse_any(text: str):
     if head.startswith(TENSOR_HEADER):
         return parse_tensor(text)
     if head.startswith(WITNESS_HEADER):
-        return parse_witness(text)[0]
+        return parse_witness(text)
     raise ParseError(f"unrecognized header '{head}'")

@@ -71,6 +71,8 @@ from unilie.graphs import (
     validate_uniform,
 )
 
+from test_exact import fraction_rref
+
 H3 = from_graph(heisenberg(1))
 QUAT = from_graph(quaternionic())
 
@@ -874,6 +876,16 @@ def small_tensors(draw):
 
 def _candidate_tensors(q_max):
     return classification._candidates(q_max, DEFAULT_SEARCH_BUDGET)
+
+
+@given(small_tensors())
+def test_commutator_matches_fraction_rref(t):
+    # the reduced rows spanned by one z-coordinate row per nonzero bracket
+    rows = [[s if c == k else 0 for c in range(1, t.p + 1)]
+            for (_, _, k, s) in sorted(t.entries)]
+    red, pivots = fraction_rref(rows)
+    assert commutator(t) == [NVector.from_coords(t.q, t.p, (0,) * t.q + tuple(row))
+                             for row in red[:len(pivots)]]
 
 
 class TestDerivations:

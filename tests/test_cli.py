@@ -320,7 +320,25 @@ class TestIso:
                      "--input", str(w)]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == "usage error: witness matrix has the wrong shape\n"
+        assert captured.err == ("usage error: witness header says q=4 p=1, but "
+                                "the algebras have q=3 p=2\n")
+
+    def test_general_linear_witness_with_other_counts_is_usage_error(
+            self, capsys, tmp_path):
+        # the 5 x 5 identity fits q + p = 5, but the header splits it into
+        # 4 generators and 1 center direction, the algebras into 3 and 2
+        a, w = tmp_path / "a.alg", tmp_path / "w.wit"
+        a.write_text("unilie-algebra v1 q=3 p=2\n1 2 1 +1\n")
+        w.write_text(write_witness(GeneralLinearWitness(IntMatrix.identity(5)), 4, 1))
+        assert main(["iso", "--input", str(a), "--input", str(a),
+                     "--input", str(w)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("usage error: witness header says q=4 p=1, but "
+                                "the algebras have q=3 p=2\n")
+        w.write_text(write_witness(GeneralLinearWitness(IntMatrix.identity(5)), 3, 2))
+        assert run(capsys, "iso", "--input", str(a), "--input", str(a),
+                   "--input", str(w))[0] == 0
 
     def test_cross_support_certificate(self, capsys, tmp_path):
         # same dimensions, different supports: decided by the square-norm

@@ -1,18 +1,20 @@
-"""Exact linear algebra over Q and GF(2): cross-checked against Fraction
-elimination and brute force."""
+"""Exact linear algebra over Q and GF(2): cross-checked against dense
+Bareiss elimination, Fraction Gauss-Jordan elimination and brute force."""
 
+import math
 from fractions import Fraction
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from unilie import classification, exact
+from unilie.algebra import derivation_dim
 from unilie.exact import (
     IntMatrix,
     inverse,
     nullspace,
     rank,
-    rref,
 )
 from unilie.gf2 import (
     gf2_echelon,
@@ -23,6 +25,7 @@ from unilie.gf2 import (
     gf2_solve_min,
     gf2_to_bits,
 )
+from unilie.graphs import DEFAULT_SEARCH_BUDGET
 
 entries = st.integers(min_value=-6, max_value=6)
 
@@ -41,26 +44,111 @@ def trace(a):
     return sum(a[i, i] for i in range(min(a.nrows, a.ncols)))
 
 
-def rank_fraction(rows):
-    # rank by plain Fraction elimination through rref(); cross-check for rank()
-    return len(rref(rows)[1])
-
-
-def naive_rank(rows):
-    # textbook Gaussian elimination over Fraction, used only as an oracle
-    work = [[Fraction(x) for x in row] for row in rows]
-    r = 0
-    for col in range(len(rows[0]) if rows else 0):
-        pivot = next((i for i in range(r, len(work)) if work[i][col]), None)
-        if pivot is None:
+def bareiss_rank(rows):
+    # dense fraction-free elimination (Bareiss, Math. Comp. 22, 1968) of the
+    # rows cleared of denominators; the oracle for rank()
+    m = []
+    for row in rows:
+        scale = math.lcm(*(Fraction(a).denominator for a in row))
+        m.append([int(a * scale) for a in row])
+    nr, nc = len(m), len(m[0]) if m else 0
+    prev, r = 1, 0
+    for c in range(nc):
+        piv = next((i for i in range(r, nr) if m[i][c]), None)
+        if piv is None:
             continue
-        work[r], work[pivot] = work[pivot], work[r]
-        for i in range(len(work)):
-            if i != r and work[i][col]:
-                factor = work[i][col] / work[r][col]
-                work[i] = [a - factor * b for a, b in zip(work[i], work[r])]
+        m[r], m[piv] = m[piv], m[r]
+        for i in range(r + 1, nr):
+            for j in range(c + 1, nc):
+                m[i][j] = (m[r][c] * m[i][j] - m[i][c] * m[r][j]) // prev
+            m[i][c] = 0
+        prev = m[r][c]
         r += 1
     return r
+
+
+def fraction_rref(rows):
+    # reduced row echelon form by Gauss-Jordan elimination over Fraction:
+    # (rows, pivot columns); the oracle for nullspace() and inverse()
+    m = [[Fraction(a) for a in row] for row in rows]
+    pivots = []
+    for c in range(len(m[0]) if m else 0):
+        r = len(pivots)
+        piv = next((i for i in range(r, len(m)) if m[i][c]), None)
+        if piv is None:
+            continue
+        m[r], m[piv] = m[piv], m[r]
+        inv = 1 / m[r][c]
+        m[r] = [a * inv for a in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][c]:
+                f = m[i][c]
+                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+        pivots.append(c)
+    return m, pivots
+
+
+def rank_fraction(rows):
+    return len(fraction_rref(rows)[1])
+
+
+def oracle_nullspace(rows, ncols=0):
+    # one vector per free column: 1 there, minus its column of the reduced
+    # rows at the pivots
+    red, pivots = fraction_rref(rows)
+    nc = len(rows[0]) if rows else ncols
+    basis = []
+    for f in range(nc):
+        if f not in pivots:
+            vec = [Fraction(0)] * nc
+            vec[f] = Fraction(1)
+            for r, c in enumerate(pivots):
+                vec[c] = -red[r][f]
+            basis.append(tuple(vec))
+    return basis
+
+
+def oracle_inverse(rows):
+    # the right half of the reduced [A | I], integral entries as ints
+    n = len(rows)
+    red, pivots = fraction_rref([list(row) + [int(i == j) for j in range(n)]
+                                 for i, row in enumerate(rows)])
+    if pivots != list(range(n)):
+        return None
+    return tuple(tuple(x.numerator if x.denominator == 1 else x for x in row[n:])
+                 for row in red)
+
+
+def assert_matches_oracles(rows):
+    assert rank(rows) == bareiss_rank(rows) == rank_fraction(rows)
+    assert nullspace(rows) == oracle_nullspace(rows)
+    k = min(len(rows), len(rows[0]))
+    square = [row[:k] for row in rows[:k]]
+    got, want = inverse(IntMatrix.from_rows(square)), oracle_inverse(square)
+    if want is None:
+        assert got is None
+    else:
+        assert got.rows == want
+        assert [type(x) for row in got.rows for x in row] == \
+            [type(x) for row in want for x in row]
+
+
+@st.composite
+def derivation_shaped(draw):
+    """Sparse matrices like derivation_dim's rows: up to 4 entries of +-1
+    or +-2 (or none) in a row of width q^2, q <= 4, and some rows negated
+    copies of earlier ones."""
+    q = draw(st.integers(1, 4))
+    rows = []
+    for _ in range(draw(st.integers(1, 2 * q * q))):
+        if rows and draw(st.integers(0, 3)) == 0:
+            rows.append([-x for x in draw(st.sampled_from(rows))])
+            continue
+        row = [0] * (q * q)
+        for j in draw(st.lists(st.integers(0, q * q - 1), min_size=1, max_size=4)):
+            row[j] += draw(st.sampled_from((1, -1)))
+        rows.append(row)
+    return rows
 
 
 @st.composite
@@ -122,12 +210,12 @@ class TestIntMatrix:
 class TestRankDet:
     @given(matrices())
     def test_rank_matches_fraction_elimination(self, rows):
-        assert rank(rows) == naive_rank(rows)
+        assert rank(rows) == rank_fraction(rows)
 
     @given(matrices())
     def test_rank_fraction_agrees(self, rows):
         frac_rows = [[Fraction(x, 3) for x in row] for row in rows]
-        assert rank_fraction(frac_rows) == naive_rank(rows)
+        assert rank(frac_rows) == rank_fraction(frac_rows) == bareiss_rank(rows)
 
     @given(matrices(4))
     def test_singular_iff_rank_deficient(self, rows):
@@ -140,6 +228,46 @@ class TestRankDet:
     @given(rational_matrices())
     def test_rank_on_rationals_matches_fraction_rank(self, rows):
         assert rank(rows) == rank_fraction(rows)
+
+
+class TestOracles:
+    """rank, nullspace and inverse (on the leading square block) against
+    dense Bareiss and Fraction Gauss-Jordan elimination."""
+
+    @given(matrices(6))
+    def test_integer_matrices(self, rows):
+        assert_matches_oracles(rows)
+
+    @given(rational_matrices(6))
+    def test_rational_matrices(self, rows):
+        assert_matches_oracles(rows)
+
+    @given(derivation_shaped())
+    def test_sparse_derivation_shaped_matrices(self, rows):
+        assert_matches_oracles(rows)
+
+    def test_empty_and_zero_width(self):
+        assert rank([]) == 0 and rank([[]]) == 0
+        assert nullspace([], 2) == oracle_nullspace([], 2)
+        assert nullspace([[]], 3) == []
+        assert inverse(IntMatrix(())) == IntMatrix(())
+
+    def test_derivation_ranks_match_bareiss(self, monkeypatch):
+        # every matrix derivation_dim ranks on the candidates with q <= 6
+        seen = []
+        real = exact.rank
+
+        def spy(rows):
+            seen.append((rows, real(rows)))
+            return seen[-1][1]
+
+        monkeypatch.setattr(exact, "rank", spy)
+        for t in classification._candidates(6, DEFAULT_SEARCH_BUDGET):
+            derivation_dim(t)
+        assert len(seen) == 93
+        assert max(len(rows) for rows, _ in seen) == 54
+        for rows, r in seen:
+            assert r == bareiss_rank(rows)
 
 
 class TestSolveInverse:
@@ -165,9 +293,7 @@ class TestSolveInverse:
                 rows[i] = [a + c * b for a, b in zip(rows[i], rows[j])]
         inv = inverse(IntMatrix.from_rows(rows))
         assert all(type(x) is int for row in inv.rows for x in row)
-        # the Fraction Gauss-Jordan inverse: rref of [A | I]
-        aug = [row + [1 if i == j else 0 for j in range(n)] for i, row in enumerate(rows)]
-        assert inv.rows == tuple(tuple(row[n:]) for row in rref(aug)[0])
+        assert inv.rows == oracle_inverse(rows)
 
     def test_non_integral_inverse_keeps_fractions(self):
         inv = inverse(IntMatrix.from_rows([[2, 0], [1, 1]]))
@@ -194,12 +320,6 @@ class TestSolveInverse:
         assert len(basis) == m.ncols - m.rank()
         for vec in basis:
             assert all(x == 0 for x in m.apply(vec))
-
-    def test_rref_idempotent(self):
-        rows = [[Fraction(2), Fraction(4)], [Fraction(1), Fraction(2)]]
-        once, pivots = rref(rows)
-        again, pivots2 = rref(once)
-        assert again == once and pivots2 == pivots == [0]
 
 
 class TestGF2:

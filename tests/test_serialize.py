@@ -341,8 +341,8 @@ class TestParseAny:
         assert parse_any(write_graph(g)) == g
         assert parse_any(write_tensor(t)) == t
         w = SignedPermWitness((1, 2), (1,), (1, 1), (1,))
-        # witness files dispatch to the bare witness, dropping the q/p header
-        assert parse_any(write_witness(w, 2, 1)) == w
+        # witness files dispatch to the witness with its header's q and p
+        assert parse_any(write_witness(w, 2, 1)) == (w, 2, 1)
 
     def test_rejects_garbage(self):
         with pytest.raises(ParseError):
