@@ -28,8 +28,8 @@ import itertools
 from .gf2 import (gf2_echelon, gf2_from_bits, gf2_from_support, gf2_reduce,
                   gf2_solve_min, gf2_to_bits)
 from .graphs import (BudgetExceededError, ColoredDigraph, ColorPermAutomorphism,
-                     DEFAULT_SEARCH_BUDGET, _mapping_search, automorphisms,
-                     disjoint_union, validate_uniform)
+                     DEFAULT_SEARCH_BUDGET, _mapping_search, disjoint_union,
+                     validate_uniform)
 from .record import Record
 
 
@@ -482,13 +482,15 @@ def sign_class_report(g: ColoredDigraph | StructureTensor,
     The diagonal orbits count against budget, capped at MAX_SIGN_ORBITS
     since each one is built.  Every orbit representative has the same colored
     support, so the maps a signed-permutation search could try between two of
-    them are exactly the color-permuting automorphisms of that support.  They
-    are enumerated once, against budget, and the sign classes are the orbits
-    of this group on the diagonal orbits: an automorphism permutes a sign
-    vector along the support pairs and negates each pair whose order it
-    reverses.  Each class holds its orbit indices in increasing order and one
-    witness (members[0], b, w) per other member b, verified by check_witness,
-    from the first automorphism carrying members[0] onto b.
+    them are exactly the color-permuting automorphisms of that support, and
+    the sign classes are the orbits of this group on the diagonal orbits: an
+    automorphism permutes a sign vector along the support pairs and negates
+    each pair whose order it reverses.  The mapping search yields at most
+    q - 1 generators of the group, its node visits counting against budget,
+    and each class is the breadth-first closure of its least orbit under
+    them.  Each class holds its orbit indices in increasing order and one
+    witness (members[0], b, w) per other member b: the signs completing the
+    product of generators that first reached b, verified by check_witness.
     """
     if isinstance(g, ColoredDigraph):
         t = from_graph(g)
@@ -498,18 +500,17 @@ def sign_class_report(g: ColoredDigraph | StructureTensor,
         raise ValueError("sign class analysis needs a uniform tensor")
     reps = diagonal_orbit_representatives(t, min(budget, MAX_SIGN_ORBITS))
     # with a single orbit there is nothing to merge
-    auts = automorphisms(g, budget=budget) if len(reps) > 1 else []
+    gens = list(_mapping_search(g, g, False, budget, generators=True)) if len(reps) > 1 else []
     pairs = support_pairs(t)
     width = len(pairs)
     flips = _flip_space(t)
     # sign bit of each pair, in the gf2 encoding of sign vectors
     bit_of = {pr: 1 << (width - 1 - n) for n, pr in enumerate(pairs)}
 
-    # Per automorphism, the bit each pair's sign moves to, and the moved
-    # bits of the pairs whose order it reverses, which change sign.
+    # Per generator, the bit each pair's sign moves to, and the moved bits
+    # of the pairs whose order it reverses, which change sign.
     moves = []
-    for aut in auts:
-        vi = aut.vertex_images
+    for vi, ci in gens:
         targets, reversed_bits = [], 0
         for pr in pairs:
             x, y = vi[pr[0] - 1], vi[pr[1] - 1]
@@ -517,7 +518,7 @@ def sign_class_report(g: ColoredDigraph | StructureTensor,
             targets.append((bit_of[pr], target))
             if x > y:
                 reversed_bits |= target
-        moves.append((aut, targets, reversed_bits))
+        moves.append((vi, ci, targets, reversed_bits))
 
     # the representatives are exactly the reduced members of their cosets
     rep_bits = [gf2_from_bits(_signs_to_bits(sign_vector(r)), width) for r in reps]
@@ -530,19 +531,24 @@ def sign_class_report(g: ColoredDigraph | StructureTensor,
             continue
         root[a] = a
         found: dict[int, SignedPermWitness] = {}
-        for aut, targets, reversed_bits in moves:
-            moved = reversed_bits
-            for source, target in targets:
-                if rep_bits[a] & source:
-                    moved ^= target
-            b = index[gf2_reduce(moved, flips)]
-            if root[b] >= 0:
-                continue
-            w = _signed_perm_witness(ra, reps[b], aut.vertex_images, aut.color_images)
-            if w is None:
-                raise AssertionError("automorphism image has no sign witness")
-            root[b] = a
-            found[b] = w
+        # each orbit reached, with the vertex/color map carrying orbit a onto it
+        queue = [(a, tuple(range(1, t.q + 1)), tuple(range(1, t.p + 1)))]
+        for x, xv, xc in queue:
+            for vi, ci, targets, reversed_bits in moves:
+                moved = reversed_bits
+                for source, target in targets:
+                    if rep_bits[x] & source:
+                        moved ^= target
+                b = index[gf2_reduce(moved, flips)]
+                if root[b] >= 0:
+                    continue
+                bv, bc = tuple(vi[i - 1] for i in xv), tuple(ci[k - 1] for k in xc)
+                w = _signed_perm_witness(ra, reps[b], bv, bc)
+                if w is None:
+                    raise AssertionError("automorphism image has no sign witness")
+                root[b] = a
+                found[b] = w
+                queue.append((b, bv, bc))
         members = (a,) + tuple(sorted(found))
         classes.append(SignClass(
             members=members,

@@ -10,6 +10,7 @@ into a usage error (exit 2).
 from __future__ import annotations
 
 import importlib
+import json
 
 from .cli import (EXIT_OK, EXIT_PROPERTY, EXIT_UNDETERMINED, _VARIANTS, _Usage,
                   _emit, _render_split)
@@ -313,9 +314,13 @@ def orbit(args) -> int:
 
 def export(args) -> int:
     (obj,) = _read_inputs(args, 1)
-    if isinstance(obj, tuple):  # a witness file: (witness, q, p)
-        obj = obj[0]
-    body = _format_object(obj, args.format)
-    payload = obj.to_data()
+    if isinstance(obj, tuple) and args.format == "data":  # a witness file: (witness, q, p)
+        witness, q, p = obj
+        payload = {**witness.to_data(), "q": q, "p": p}
+        body = json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    else:
+        # a witness file in any other format is a usage error
+        body = _format_object(obj, args.format)
+        payload = obj.to_data()
     _emit(args, body, payload, file_body=body)
     return EXIT_OK

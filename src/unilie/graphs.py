@@ -243,7 +243,8 @@ def _vertex_profiles(g: ColoredDigraph) -> list[tuple[int, ...]]:
     return [tuple(sorted(s)) for s in sizes]
 
 
-def _mapping_search(g1: ColoredDigraph, g2: ColoredDigraph, strict: bool, budget: int):
+def _mapping_search(g1: ColoredDigraph, g2: ColoredDigraph, strict: bool, budget: int,
+                    generators: bool = False):
     """Yield (vertex_images, color_images) mapping g1 onto g2, in lexicographic
     order of the vertex image word.
 
@@ -257,6 +258,11 @@ def _mapping_search(g1: ColoredDigraph, g2: ColoredDigraph, strict: bool, budget
     each back arc has its match there (colors paired alike, directions too
     when strict) and, by a count per g2 vertex, no other placed image is
     adjacent.  A draw leaves out only vertices that fail, so the order holds.
+
+    generators=True, on g1 = g2, yields at most q - 1 generators of the group
+    instead (McKay & Piperno 2014).  The identity is the first leaf; back on
+    its path, the frame at v_i skips v_i's orbit under the maps found so far,
+    which all fix v_1..v_{i-1}, and each other subtree ends at its first leaf.
     """
     q, p = g1.q, g1.p
     if len(g1.arcs) != len(g2.arcs):
@@ -290,6 +296,8 @@ def _mapping_search(g1: ColoredDigraph, g2: ColoredDigraph, strict: bool, budget
     cmap = dict(zip(unused1, unused2))
     cmap_inv = dict(zip(unused2, unused1))
     visited = 0
+    low = q + 1                         # generators: branching identity-path frame
+    cell = [{x} for x in range(q + 1)]  # generators: each vertex's orbit so far
     # a frame per vertex reached: candidates, image (0 = none yet), new colors
     stack = [[iter(range(1, q + 1)), 0, []]]
     while stack:
@@ -304,6 +312,8 @@ def _mapping_search(g1: ColoredDigraph, g2: ColoredDigraph, strict: bool, budget
         arcs = back[v]
         for w in cands:
             if taken[w] or prof1[v] != prof2[w]:
+                continue
+            if v == low and w in cell[v]:
                 continue
             visited += 1
             if visited > budget:
@@ -333,6 +343,8 @@ def _mapping_search(g1: ColoredDigraph, g2: ColoredDigraph, strict: bool, budget
             for k1 in new_colors:
                 del cmap_inv[cmap.pop(k1)]
         else:
+            if v == low:
+                low -= 1
             stack.pop()
             continue
         img[v] = w
@@ -345,6 +357,18 @@ def _mapping_search(g1: ColoredDigraph, g2: ColoredDigraph, strict: bool, budget
             cands = nbrs2[img[arcs[0][0]]] if arcs else range(1, q + 1)
             stack.append([iter(cands), 0, []])
             continue
+        if generators:
+            if low > q:
+                low = q
+                continue
+            for x in range(1, q + 1):
+                a, b = sorted((cell[x], cell[img[x]]), key=len)
+                if a is not b:
+                    b |= a
+                    for y in a:
+                        cell[y] = b
+            for f in stack[low:]:  # the loop unwinds the emptied frames
+                f[0] = iter(())
         yield tuple(img[1:]), tuple(cmap[k] for k in range(1, p + 1))
 
 

@@ -598,6 +598,21 @@ class TestExport:
         payload = json.loads(dest.read_text())
         assert payload["kind"] == "graph"
 
+    def test_witness_data_keeps_the_header(self, capsys, tmp_path):
+        # the header's q and p say how the basis splits into generators and
+        # center, which a general-linear matrix alone does not
+        from unilie.classification import ring_sum_witness
+        _, _, gl = ring_sum_witness()
+        sp = SignedPermWitness((2, 1, 3, 4), (3, 1, 2), (1, -1, 1, 1), (1, 1, -1))
+        for w, q, p, kind in ((gl, 4, 2, "general-linear"), (sp, 4, 3, "signed-perm")):
+            path = tmp_path / f"{kind}.wit"
+            path.write_text(write_witness(w, q, p))
+            code, out = run(capsys, "export", "--input", str(path), "--format", "data")
+            assert code == 0
+            body = json.loads(out.split("```machine", 1)[0])
+            assert body == machine_payload(out) == {**w.to_data(), "q": q, "p": p}
+            assert body["witness_kind"] == kind
+
     def test_text_format_round_trips(self, capsys, quat_file, tmp_path):
         dest = tmp_path / "copy.graph"
         code, _ = run(

@@ -496,19 +496,27 @@ class TestSignClassReport:
         assert rep.orbit_representatives == tuple(reps)
         got = [(c.members, c.representative, c.heisenberg) for c in rep.classes]
         assert got == [w[:3] for w in want]
+        group = {(a.vertex_images, a.color_images) for a in automorphisms(coloring)}
         for sc, (_, _, _, oracle_witnesses) in zip(rep.classes, want):
             first = sc.members[0]
             assert [(a, b) for a, b, _ in sc.witnesses] == [
-                (first, b) for b in sc.members[1:]]
+                (first, b) for b in sc.members[1:]] == [
+                (a, b) for a, b, _ in oracle_witnesses]
+            # which automorphism carries a witness is not a reported fact,
+            # only that it is one and that the signs complete it
             for a, b, w in sc.witnesses:
+                assert (w.vertex_images, w.color_images) in group
                 assert check_witness(reps[a], reps[b], w).ok
-            # the first automorphism reaching b is the first mapping the
-            # pairwise search would succeed with
-            assert sc.witnesses == oracle_witnesses
 
     def test_budget_bounds_the_automorphism_search(self):
         with pytest.raises(BudgetExceededError):
             sign_class_report(quaternionic(), budget=3)
+
+    def test_generators_scale_past_the_whole_group(self):
+        # the support's 2,000 automorphisms take over 10^6 node visits to
+        # list; its generators take 2,999
+        rep = sign_class_report(ring_algebra(500), budget=10_000)
+        assert (len(rep.orbit_representatives), len(rep.classes)) == (2, 2)
 
     @pytest.mark.parametrize("budget,reported", [
         (50, 50), (DEFAULT_SEARCH_BUDGET, MAX_SIGN_ORBITS)])

@@ -1,6 +1,7 @@
 """Colored digraphs, uniformity validation, and equivalence search."""
 
 import functools
+import random
 from itertools import permutations
 
 import pytest
@@ -31,6 +32,7 @@ from unilie.graphs import (
     NotRegular,
     NotSurjective,
     SimpleGraph,
+    _mapping_search,
     automorphisms,
     colorings_equivalent,
     connected_components,
@@ -374,6 +376,59 @@ class TestMappingSearchOffUniform:
                                             (5, 6, 2), (6, 7, 1), (7, 8, 2)])
         assert oracle_sorted_mappings(g, h, False) == []
         assert colorings_equivalent(g, h, budget=20) is None
+
+
+def generated_maps(gens, q, p):
+    """Every (vertex_images, color_images) composed from gens, the identity
+    included."""
+    group = {(tuple(range(1, q + 1)), tuple(range(1, p + 1)))}
+    stack = list(group)
+    while stack:
+        xv, xc = stack.pop()
+        for vi, ci in gens:
+            y = (tuple(vi[i - 1] for i in xv), tuple(ci[k - 1] for k in xc))
+            if y not in group:
+                group.add(y)
+                stack.append(y)
+    return group
+
+
+class TestGeneratorMode:
+    """The mapping search on g -> g with generators=True: the maps it yields
+    generate the group that automorphisms lists, without the identity and
+    with at most one map per merged vertex orbit."""
+
+    @staticmethod
+    def check(g, strict):
+        gens = list(_mapping_search(g, g, strict, DEFAULT_SEARCH_BUDGET, generators=True))
+        group = {(a.vertex_images, a.color_images) for a in automorphisms(g, strict)}
+        assert generated_maps(gens, g.q, g.p) == group
+        assert (tuple(range(1, g.q + 1)), tuple(range(1, g.p + 1))) not in gens
+        assert len(gens) <= g.q - 1
+
+    @pytest.mark.parametrize("strict", [False, True])
+    def test_small_colorings_and_relabelings(self, strict):
+        rnd = random.Random(6)
+        for g in small_colorings():
+            self.check(g, strict)
+            vp, cp = list(range(1, g.q + 1)), list(range(1, g.p + 1))
+            rnd.shuffle(vp)
+            rnd.shuffle(cp)
+            self.check(relabel(g, ColorPermAutomorphism(tuple(vp), tuple(cp))), strict)
+
+    @pytest.mark.parametrize("strict", [False, True])
+    @given(pair=colorings(max_q=6, max_p=4))
+    @settings(max_examples=60, deadline=None)
+    def test_off_uniform(self, strict, pair):
+        self.check(pair[0], strict)
+
+    def test_far_fewer_visits_than_the_group(self):
+        # ring_algebra(60): its 240 automorphisms take 28,680 node visits,
+        # two generators 359
+        g = ring_algebra(60)
+        gens = list(_mapping_search(g, g, False, 400, generators=True))
+        assert generated_maps(gens, g.q, g.p) == {
+            (a.vertex_images, a.color_images) for a in automorphisms(g)}
 
 
 def oracle_coloring_form(g, strict):
