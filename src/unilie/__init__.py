@@ -30,7 +30,7 @@ _EXPORTS = {
                       "dihedral_bipartite", "dihedral_group",
                       "elementary_abelian_group", "from_factorization",
                       "symmetric_group", "trivial_coloring"),
-    "enumeration": ("canonical_graph", "regular_graphs", "uniform_colorings"),
+    "enumeration": ("regular_graphs", "uniform_colorings"),
     "factorizations": ("FactorizationReport", "near_one_factorizations",
                        "one_factorizations"),
     "classification": ("Block", "ClassificationRow", "Invariants",

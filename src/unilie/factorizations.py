@@ -37,10 +37,10 @@ def _factorization_report(n: int, kind: str, p: int, r: int,
     orbit is walked with the generators (1 2) and (1 2 ... n) from its first
     labeled member, which represents the class."""
     g = _complete_graph(n)
-    edges = [(i - 1, j - 1) for (i, j) in g.sorted_edges()]
+    edges = g.sorted_edges()
     reps, labeled = _orbit_representatives(
         _matching_partitions(edges, p, r, budget), edges,
-        ([1, 0, *range(2, n)], [*range(1, n), 0]))
+        ((2, 1, *range(3, n + 1)), (*range(2, n + 1), 1)), budget)
     classes = [_labels_to_coloring(g, labels) for labels in reps]
     classes.sort(key=lambda c: c.sorted_arcs())
     return FactorizationReport(n, kind, labeled, tuple(classes))

@@ -46,7 +46,7 @@ from unilie.classification import (
     refine,
     ring_sum_witness,
 )
-from unilie.enumeration import canonical_graph, regular_graphs, uniform_colorings
+from unilie.enumeration import regular_graphs, uniform_colorings
 from unilie.factorizations import near_one_factorizations, one_factorizations
 
 
@@ -63,17 +63,39 @@ def oracle_canonical_graph(g, budget=None):
     return SimpleGraph.from_edges(g.q, best[1])
 
 
-def oracle_regular_graphs_qs(q, s):
+def oracle_isomorphic(g, h):
+    """Plain backtracking isomorphism test: map v1, v2, ... in turn, each to
+    a vertex that agrees on adjacency with every vertex already mapped."""
+    if g.q != h.q or len(g.edges) != len(h.edges):
+        return False
+    img = []
+
+    def extend(v):
+        if v > g.q:
+            return True
+        for w in range(1, h.q + 1):
+            if w not in img and all(
+                    ((u, v) in g.edges) == ((min(x, w), max(x, w)) in h.edges)
+                    for u, x in enumerate(img, start=1)):
+                img.append(w)
+                if extend(v + 1):
+                    return True
+                img.pop()
+        return False
+
+    return extend(1)
+
+
+def oracle_labeled_regular_graphs(q, s):
     """The labeled census search without the twin rule: every s-regular
-    labeling with vertex 0 adjacent to 1..s is canonically labeled, and the
-    first labeled graph met in each class is kept."""
-    found = {}
+    labeling with vertex 0 adjacent to 1..s, in the order the search meets
+    them."""
+    out = []
 
     def extend(i, edges, residual):
         if i == q:
             if all(d == 0 for d in residual):
-                g = SimpleGraph.from_edges(q, [(a + 1, b + 1) for a, b in edges])
-                found.setdefault(canonical_graph(g), g)
+                out.append(SimpleGraph.from_edges(q, [(a + 1, b + 1) for a, b in edges]))
             return
         need = residual[i]
         candidates = [j for j in range(i + 1, q) if residual[j] > 0]
@@ -95,7 +117,13 @@ def oracle_regular_graphs_qs(q, s):
         residual[j] -= 1
     residual[0] = 0
     extend(1, [(0, j) for j in range(1, s + 1)], residual)
-    return [found[c] for c in sorted(found, key=lambda c: sorted(c.edges, reverse=True))]
+    return out
+
+
+def oracle_regular_graphs(q_max):
+    """Every labeled graph of the unpruned search, by (q, s) block."""
+    return [oracle_labeled_regular_graphs(q, s) for q in range(2, q_max + 1)
+            for s in range(1, q) if q * s % 2 == 0]
 
 
 def oracle_uniform_colorings(g):
@@ -210,29 +238,39 @@ def small_colorings(q_max):
 
 
 class TestRegularGraphs:
-    def test_matches_brute_force_dedup(self, monkeypatch):
-        got = regular_graphs(6)
-        monkeypatch.setattr(enumeration, "canonical_graph", oracle_canonical_graph)
-        want = regular_graphs(6)
-        # the same labeled representatives, and through q = 6 in the same order
-        assert got == want
+    def test_matches_brute_force_dedup(self):
+        want = []
+        for block in oracle_regular_graphs(6):
+            first = {}
+            for g in block:
+                first.setdefault(oracle_canonical_graph(g), g)
+            want += first.values()
+        # the same labeled representatives, each block in first-met order
+        assert regular_graphs(6) == want
 
     def test_matches_unpruned_search(self):
-        want = [g for q in range(2, 9) for s in range(1, q) if q * s % 2 == 0
-                for g in oracle_regular_graphs_qs(q, s)]
+        want = []
+        for block in oracle_regular_graphs(8):
+            reps = []
+            for g in block:
+                if not any(oracle_isomorphic(g, h) for h in reps):
+                    reps.append(g)
+            want += reps
         # the same labeled representatives in the same order
         assert regular_graphs(8) == want
 
     @pytest.mark.parametrize("q_max,labeled", [(7, 25), (8, 105)])
     def test_canonical_labelings_counted(self, monkeypatch, q_max, labeled):
-        # the unpruned search labels 92 graphs at q <= 7 and 1,563 at q <= 8
+        # the labeled graphs that reach the dedup, each as one one-color
+        # digraph; the unpruned search labels 92 at q <= 7 and 1,563 at q <= 8
         calls = []
 
-        def counting(g, budget):
+        def counting(g):
             calls.append(g)
-            return canonical_graph(g, budget)
+            return one_color(g)
 
-        monkeypatch.setattr(enumeration, "canonical_graph", counting)
+        one_color = enumeration._one_color
+        monkeypatch.setattr(enumeration, "_one_color", counting)
         regular_graphs(q_max)
         assert len(calls) == labeled
 
@@ -347,6 +385,30 @@ class TestUniformColorings:
         (k4,) = [g for g in regular_graphs(4) if g.degrees()[0] == 3]
         with pytest.raises(BudgetExceededError):
             uniform_colorings(k4, budget=3)
+
+    @pytest.mark.parametrize("n", [40, 100])
+    def test_budget_bounds_the_orbit_walk(self, n):
+        # the first 2-coloring of a perfect matching on n vertices has an
+        # orbit of C(n/2, n/4)/2 labeled colorings
+        matching = SimpleGraph.from_edges(n, [(i, i + 1) for i in range(1, n, 2)])
+        with pytest.raises(BudgetExceededError) as exc:
+            uniform_colorings(matching, budget=1000)
+        assert exc.value.budget == 1000
+
+    def test_orbit_walk_counts_each_member_it_adds(self):
+        # 8 disjoint edges split 4 + 4: an orbit of C(8, 4)/2 = 35 members,
+        # 34 of them added by the walk from the first
+        g = SimpleGraph.from_edges(16, [(i, i + 1) for i in range(1, 16, 2)])
+        one = enumeration._one_color(g)
+        gens = [vi for vi, _ in enumeration._mapping_search(
+            one, one, False, DEFAULT_SEARCH_BUDGET, generators=True)]
+        labels = (0, 0, 0, 0, 1, 1, 1, 1)
+        edges = g.sorted_edges()
+        assert enumeration._orbit_representatives(
+            iter([labels]), edges, gens, 34) == ([labels], 1)
+        with pytest.raises(BudgetExceededError) as exc:
+            enumeration._orbit_representatives(iter([labels]), edges, gens, 33)
+        assert exc.value.visited == 34
 
     def test_no_equivalent_duplicates(self):
         for g in regular_graphs(4):

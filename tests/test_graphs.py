@@ -9,12 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from unilie.constructions import trivial_coloring
-from unilie.enumeration import (
-    _canonical_search,
-    canonical_graph,
-    regular_graphs,
-    uniform_colorings,
-)
+from unilie.enumeration import _one_color, regular_graphs, uniform_colorings
 from unilie.families import (
     cyclic,
     heisenberg,
@@ -444,18 +439,6 @@ def oracle_coloring_form(g, strict):
 
 
 class TestCanonicalForms:
-    @given(simple_graphs(), st.randoms(use_true_random=False))
-    @settings(max_examples=80)
-    def test_graph_form_ignores_vertex_labels(self, g, rnd):
-        perm = list(range(1, g.q + 1))
-        rnd.shuffle(perm)
-        moved = SimpleGraph.from_edges(g.q, [(perm[i - 1], perm[j - 1])
-                                             for i, j in g.edges])
-        canon = canonical_graph(g)
-        assert canonical_graph(moved) == canon
-        assert canonical_graph(canon) == canon
-        assert sorted(canon.degrees()) == sorted(g.degrees())
-
     @pytest.mark.parametrize("strict", [False, True])
     @given(pair=colorings(max_q=5, max_p=3))
     @settings(max_examples=60)
@@ -463,30 +446,6 @@ class TestCanonicalForms:
         a, b = pair
         same = oracle_coloring_form(a, strict) == oracle_coloring_form(b, strict)
         assert same == (colorings_equivalent(a, b, strict=strict) is not None)
-
-    def test_forms_keep_shape(self):
-        canon = canonical_graph(quaternionic().support())
-        assert (canon.q, len(canon.edges)) == (4, 6)
-        assert canonical_graph(SimpleGraph(3, frozenset())).edges == frozenset()
-
-    def test_budget_enforced(self):
-        with pytest.raises(BudgetExceededError) as exc:
-            canonical_graph(quaternionic().support(), budget=1)
-        assert exc.value.budget == 1
-
-
-def generated_order(generators, q):
-    """Order of the permutation group on range(q) that generators generate."""
-    group = {tuple(range(q))}
-    stack = list(group)
-    while stack:
-        x = stack.pop()
-        for g in generators:
-            y = tuple(g[v] for v in x)
-            if y not in group:
-                group.add(y)
-                stack.append(y)
-    return len(group)
 
 
 def union_of_graphs(*parts):
@@ -509,16 +468,22 @@ def complete_bipartite(a, b):
 
 
 class TestAutomorphismGenerators:
-    """The automorphisms met by the canonical labeling search generate the
-    whole group: its order is the number of maps the exhaustive mapping
-    search finds on the trivial coloring, where every edge has its own
-    color."""
+    """Generator mode on a graph's one-color digraph, the generators
+    `uniform_colorings` walks with, yields at most q - 1 maps that generate
+    Aut(g): the group they generate is as large as the list the exhaustive
+    mapping search finds on the trivial coloring, where every edge has its
+    own color."""
 
     @staticmethod
-    def check(g):
-        gens = _canonical_search(g, DEFAULT_SEARCH_BUDGET)[1]
-        assert all(sorted(x) == list(range(g.q)) for x in gens)
-        assert generated_order(gens, g.q) == len(automorphisms(trivial_coloring(g)))
+    def generators(g, budget=DEFAULT_SEARCH_BUDGET):
+        one = _one_color(g)
+        return list(_mapping_search(one, one, False, budget, generators=True))
+
+    def check(self, g):
+        gens = self.generators(g)
+        assert len(gens) < g.q
+        assert all(sorted(vi) == list(range(1, g.q + 1)) for vi, _ in gens)
+        assert len(generated_maps(gens, g.q, 1)) == len(automorphisms(trivial_coloring(g)))
 
     def test_regular_graphs_through_eight_vertices(self):
         for g in regular_graphs(8):
@@ -543,11 +508,11 @@ class TestAutomorphismGenerators:
 
     def test_triangle_has_the_full_symmetric_group(self):
         (triangle,) = [g for g in regular_graphs(3) if g.q == 3]
-        assert generated_order(_canonical_search(triangle, DEFAULT_SEARCH_BUDGET)[1], 3) == 6
+        assert len(generated_maps(self.generators(triangle), 3, 1)) == 6
 
     def test_budget_enforced(self):
         with pytest.raises(BudgetExceededError):
-            _canonical_search(complete_graph(5), budget=2)
+            self.generators(complete_graph(5), budget=2)
 
 
 class TestCompositeGraphs:
