@@ -16,17 +16,19 @@ Conventions used throughout:
   equal to the coefficient of v_j in J_z(v_i), which makes J_{z_k} the
   transpose (equivalently the negative) of the skew adjacency of color k.
 
-The sign classes work over GF(2) and on vertex and color maps alone, so
-`exact` is imported only inside the functions that build a matrix or a
-rational, and the sign path never loads rational arithmetic.
+A sign pattern over the support is one GF(2) word: the sorted entries from
+the top bit down, each bit set for a sign -1.  Diagonal orbits are indexed
+by their reduced words, and a witness reads its signs off the least
+solution of its sign system.  The sign path works over GF(2) and on vertex
+and color maps alone, so `exact` is imported only inside the functions that
+build a matrix or a rational, and it never loads rational arithmetic.
 """
 
 from __future__ import annotations
 
 import itertools
 
-from .gf2 import (gf2_echelon, gf2_from_bits, gf2_from_support, gf2_reduce,
-                  gf2_solve_min, gf2_to_bits)
+from .gf2 import gf2_echelon, gf2_reduce, gf2_solve_min
 from .graphs import (BudgetExceededError, ColoredDigraph, ColorPermAutomorphism,
                      DEFAULT_SEARCH_BUDGET, _mapping_search, disjoint_union,
                      validate_uniform)
@@ -340,19 +342,17 @@ def support_pairs(t: StructureTensor) -> list[tuple[int, int]]:
 
 
 def sign_vector(t: StructureTensor) -> tuple[int, ...]:
-    pm = t.pair_map()
-    return tuple(pm[pr][1] for pr in support_pairs(t))
+    return tuple(s for _, _, _, s in t.sorted_entries())
 
 
 def apply_signs(t: StructureTensor, signs) -> StructureTensor:
     """Same support and colors, with the given signs along support_pairs order."""
-    pairs = support_pairs(t)
+    pairs = t.sorted_entries()
     signs = tuple(signs)
     if len(signs) != len(pairs) or any(s not in (1, -1) for s in signs):
         raise ValueError("need one sign of +-1 per bracketed pair")
-    pm = t.pair_map()
-    entries = [(i, j, pm[(i, j)][0], s) for (i, j), s in zip(pairs, signs)]
-    return StructureTensor.from_entries(t.q, t.p, entries)
+    return StructureTensor.from_entries(t.q, t.p, [
+        (i, j, k, s) for (i, j, k, _), s in zip(pairs, signs)])
 
 
 def _flip_space(t: StructureTensor) -> list[int]:
@@ -362,25 +362,15 @@ def _flip_space(t: StructureTensor) -> list[int]:
     reachable flips form the column space of the pair/variable incidence,
     encoded over support_pairs positions.
     """
-    pairs = support_pairs(t)
-    width = len(pairs)
-    pm = t.pair_map()
+    pairs = t.sorted_entries()
     # one vector per generator v_1..v_q, then per color z_1..z_p
     vectors = [0] * (t.q + t.p)
-    for idx, (a, b) in enumerate(pairs):
-        bit = 1 << (width - 1 - idx)
+    for idx, (a, b, k, _) in enumerate(pairs):
+        bit = 1 << (len(pairs) - 1 - idx)
         vectors[a - 1] |= bit
         vectors[b - 1] |= bit
-        vectors[t.q + pm[(a, b)][0] - 1] |= bit
+        vectors[t.q + k - 1] |= bit
     return gf2_echelon(v for v in vectors if v)
-
-
-def _signs_to_bits(signs) -> list[int]:
-    return [0 if s > 0 else 1 for s in signs]
-
-
-def _bits_to_signs(bits) -> tuple[int, ...]:
-    return tuple(1 if b == 0 else -1 for b in bits)
 
 
 # the most diagonal orbits built at once; each one is a tensor in memory
@@ -390,27 +380,42 @@ MAX_SIGN_ORBITS = 1 << 20
 MAX_DERIVATION_CELLS = 10**6
 
 
+def _orbit_words(width: int, flips: list[int], budget: int) -> list[int]:
+    """Reduced word of each diagonal orbit, in increasing order.
+
+    flips is the reduced basis from _flip_space, so each coset of its span
+    holds exactly one word with none of its leading bits set: one word per
+    combination of the other bits.  The orbits count against budget, capped
+    at MAX_SIGN_ORBITS since each one is built.
+    """
+    budget = min(budget, MAX_SIGN_ORBITS)
+    if 1 << (width - len(flips)) > budget:
+        raise BudgetExceededError(budget, 1 << (width - len(flips)))
+    pivots = sum(1 << (b.bit_length() - 1) for b in flips)
+    words = [0]
+    for n in range(width):  # lowest bit first, so the words stay increasing
+        if not pivots >> n & 1:
+            words += [w | 1 << n for w in words]
+    return words
+
+
+def _signs(word: int, width: int) -> tuple[int, ...]:
+    """Sign of each coordinate of a word: -1 where its bit is set."""
+    return tuple(-1 if word >> n & 1 else 1 for n in range(width - 1, -1, -1))
+
+
+def _with_signs(t: StructureTensor, pairs, word: int) -> StructureTensor:
+    """t's colored support, pairs being its sorted entries, with the signs of word."""
+    return StructureTensor.from_entries(t.q, t.p, [
+        (i, j, k, s) for (i, j, k, _), s in zip(pairs, _signs(word, len(pairs)))])
+
+
 def diagonal_orbit_representatives(t: StructureTensor,
                                    budget: int = MAX_SIGN_ORBITS) -> list[StructureTensor]:
-    """One canonical representative per diagonal orbit, lexicographic order."""
-    pairs = support_pairs(t)
-    width = len(pairs)
-    basis = _flip_space(t)
-    pivots = {width - b.bit_length() for b in basis}
-    free = [i for i in range(width) if i not in pivots]
-    if 2 ** len(free) > budget:
-        raise BudgetExceededError(budget, 2 ** len(free))
-    assignments = []
-    for assignment in itertools.product((0, 1), repeat=len(free)):
-        bits = [0] * width
-        for pos, b in zip(free, assignment):
-            bits[pos] = b
-        assignments.append(bits)
-    assignments.sort()
-    pm = t.pair_map()
-    return [StructureTensor.from_entries(t.q, t.p, [
-                (i, j, pm[(i, j)][0], s) for (i, j), s in zip(pairs, _bits_to_signs(bits))])
-            for bits in assignments]
+    """One canonical representative per diagonal orbit, lexicographic order;
+    the orbits count against budget, capped at MAX_SIGN_ORBITS."""
+    pairs = t.sorted_entries()
+    return [_with_signs(t, pairs, w) for w in _orbit_words(len(pairs), _flip_space(t), budget)]
 
 
 def diagonal_witness(t1: StructureTensor, t2: StructureTensor) -> SignedPermWitness | None:
@@ -438,7 +443,7 @@ def _signed_perm_witness(t1: StructureTensor, t2: StructureTensor,
     pm1, pm2 = t1.pair_map(), t2.pair_map()
     if len(pm1) != len(pm2):
         return None
-    width = t1.q + t1.p
+    q, p = t1.q, t1.p
     equations = []
     for (i, j), (k, s1) in pm1.items():
         a, b = vertex_images[i - 1], vertex_images[j - 1]
@@ -446,14 +451,14 @@ def _signed_perm_witness(t1: StructureTensor, t2: StructureTensor,
         if hit is None or hit[0] != color_images[k - 1]:
             return None
         s2 = hit[1] if a < b else -hit[1]
-        mask = gf2_from_support([i - 1, j - 1, t1.q + k - 1], width)
-        equations.append((mask, 0 if s1 == s2 else 1))
-    sol = gf2_solve_min(equations, width)
+        # v_i, v_j and z_k at coordinates i - 1, j - 1 and q + k - 1
+        equations.append((1 << (q + p - i) | 1 << (q + p - j) | 1 << (p - k),
+                          0 if s1 == s2 else 1))
+    sol = gf2_solve_min(equations, q + p)
     if sol is None:
         return None
-    bits = gf2_to_bits(sol, width)
     w = SignedPermWitness(tuple(vertex_images), tuple(color_images),
-                          _bits_to_signs(bits[:t1.q]), _bits_to_signs(bits[t1.q:]))
+                          _signs(sol >> p, q), _signs(sol, p))
     if not check_witness(t1, t2, w).ok:
         raise AssertionError("sign solve produced a bad witness")
     return w
@@ -480,15 +485,15 @@ def sign_class_report(g: ColoredDigraph | StructureTensor,
     """Diagonal sign orbits of a uniform support, merged into sign classes.
 
     The diagonal orbits count against budget, capped at MAX_SIGN_ORBITS
-    since each one is built.  Every orbit representative has the same colored
-    support, so the maps a signed-permutation search could try between two of
-    them are exactly the color-permuting automorphisms of that support, and
-    the sign classes are the orbits of this group on the diagonal orbits: an
-    automorphism permutes a sign vector along the support pairs and negates
-    each pair whose order it reverses.  The mapping search yields at most
-    q - 1 generators of the group, its node visits counting against budget,
-    and each class is the breadth-first closure of its least orbit under
-    them.  Each class holds its orbit indices in increasing order and one
+    since each one is built, and are indexed by their reduced sign words.
+    Every orbit representative has the same colored support, so the maps a
+    signed-permutation search could try between two of them are exactly the
+    color-permuting automorphisms of that support, and the sign classes are
+    the orbits of this group on the diagonal orbits: an automorphism
+    permutes a sign word along the support pairs and negates each pair whose
+    order it reverses.  The mapping search yields at most q - 1 generators
+    of the group, its node visits counting against budget, and each class
+    is the breadth-first closure of its least orbit under them.  Each class holds its orbit indices in increasing order and one
     witness (members[0], b, w) per other member b: the signs completing the
     product of generators that first reached b, verified by check_witness.
     """
@@ -498,31 +503,28 @@ def sign_class_report(g: ColoredDigraph | StructureTensor,
         t, g = g, to_graph(g)
     if not validate_uniform(g).is_uniform:
         raise ValueError("sign class analysis needs a uniform tensor")
-    reps = diagonal_orbit_representatives(t, min(budget, MAX_SIGN_ORBITS))
+    pairs = t.sorted_entries()
+    flips = _flip_space(t)
+    words = _orbit_words(len(pairs), flips, budget)
+    reps = [_with_signs(t, pairs, w) for w in words]
+    index = {w: n for n, w in enumerate(words)}
     # with a single orbit there is nothing to merge
     gens = list(_mapping_search(g, g, False, budget, generators=True)) if len(reps) > 1 else []
-    pairs = support_pairs(t)
-    width = len(pairs)
-    flips = _flip_space(t)
-    # sign bit of each pair, in the gf2 encoding of sign vectors
-    bit_of = {pr: 1 << (width - 1 - n) for n, pr in enumerate(pairs)}
+    # sign bit of each pair in the words
+    bit_of = {(i, j): 1 << (len(pairs) - 1 - n) for n, (i, j, _, _) in enumerate(pairs)}
 
     # Per generator, the bit each pair's sign moves to, and the moved bits
     # of the pairs whose order it reverses, which change sign.
     moves = []
     for vi, ci in gens:
         targets, reversed_bits = [], 0
-        for pr in pairs:
-            x, y = vi[pr[0] - 1], vi[pr[1] - 1]
+        for (i, j), bit in bit_of.items():
+            x, y = vi[i - 1], vi[j - 1]
             target = bit_of[(x, y) if x < y else (y, x)]
-            targets.append((bit_of[pr], target))
+            targets.append((bit, target))
             if x > y:
                 reversed_bits |= target
         moves.append((vi, ci, targets, reversed_bits))
-
-    # the representatives are exactly the reduced members of their cosets
-    rep_bits = [gf2_from_bits(_signs_to_bits(sign_vector(r)), width) for r in reps]
-    index = {v: n for n, v in enumerate(rep_bits)}
 
     root = [-1] * len(reps)
     classes = []
@@ -537,7 +539,7 @@ def sign_class_report(g: ColoredDigraph | StructureTensor,
             for vi, ci, targets, reversed_bits in moves:
                 moved = reversed_bits
                 for source, target in targets:
-                    if rep_bits[x] & source:
+                    if words[x] & source:
                         moved ^= target
                 b = index[gf2_reduce(moved, flips)]
                 if root[b] >= 0:

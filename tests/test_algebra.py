@@ -46,10 +46,10 @@ from unilie.analysis import (
     j_gram,
     totally_geodesic,
 )
-from unilie import classification, enumeration
+from unilie import algebra, classification, enumeration
 from unilie.exact import IntMatrix
 from unilie.exact import rank as exact_rank
-from unilie.gf2 import gf2_from_bits, gf2_reduce, gf2_to_bits
+from unilie.gf2 import gf2_reduce
 from unilie.families import (
     cyclic,
     free_two_step,
@@ -703,9 +703,9 @@ def oracle_sign_canonical(t):
     sign bits reduced by the flip space that `diagonal_orbit_representatives`
     enumerates the complement of."""
     width = len(support_pairs(t))
-    bits = gf2_from_bits([0 if s > 0 else 1 for s in sign_vector(t)], width)
-    reduced = gf2_to_bits(gf2_reduce(bits, _flip_space(t)), width)
-    return tuple(1 if b == 0 else -1 for b in reduced)
+    word = sum(1 << (width - 1 - n) for n, s in enumerate(sign_vector(t)) if s < 0)
+    reduced = gf2_reduce(word, _flip_space(t))
+    return tuple(-1 if reduced >> (width - 1 - n) & 1 else 1 for n in range(width))
 
 
 def oracle_orbit_count(t):
@@ -760,6 +760,14 @@ class TestSignOrbits:
             assert all(oracle_sign_canonical(r) == sign_vector(r) for r in reps)
             assert len(reps) == oracle_orbit_count(reps[0])
 
+    def test_orbit_cap_holds_for_any_budget(self, monkeypatch):
+        # each orbit is built as a tensor, so MAX_SIGN_ORBITS caps a budget
+        # given here as well as one given to sign_class_report
+        monkeypatch.setattr(algebra, "MAX_SIGN_ORBITS", 2)
+        with pytest.raises(BudgetExceededError) as exc:
+            diagonal_orbit_representatives(QUAT, budget=10**6)
+        assert (exc.value.budget, exc.value.visited) == (2, 4)
+
     def test_diagonal_witness_none_across_orbits(self):
         reps = diagonal_orbit_representatives(QUAT)
         assert diagonal_witness(reps[0], reps[1]) is None
@@ -771,6 +779,19 @@ class TestSignOrbits:
             for signs in product((1, -1), repeat=len(pairs)):
                 canon.add(oracle_sign_canonical(apply_signs(t, signs)))
             assert len(canon) == oracle_orbit_count(t)
+
+
+def earlier_completing_signs(t1, t2, w):
+    """Sign vectors before w's, vertex signs then color signs with +1 before
+    -1, that complete w's vertex and color maps t1 -> t2."""
+    earlier = []
+    for signs in product((1, -1), repeat=t1.q + t1.p):
+        if signs == w.vertex_signs + w.color_signs:
+            return earlier
+        if check_witness(t1, t2, SignedPermWitness(
+                w.vertex_images, w.color_images, signs[:t1.q], signs[t1.q:])).ok:
+            earlier.append(signs)
+    raise AssertionError("witness signs out of range")
 
 
 def oracle_signed_perm(t1, t2):
@@ -804,6 +825,27 @@ class TestSignedPermSearch:
     def test_shape_mismatch_raises(self):
         with pytest.raises(ValueError):
             signed_perm_isomorphic(H3, QUAT)
+
+    def test_witnesses_carry_the_least_signs(self):
+        # the signs `iso` prints: every witness of a sign class, and every
+        # one the search finds between two orbit representatives of one
+        # coloring, over the uniform colorings with q <= 6 and q + p <= 10
+        cases = []
+        for g in enumeration.regular_graphs(6):
+            for c in enumeration.uniform_colorings(g):
+                if c.q + c.p > 10:
+                    continue
+                report = sign_class_report(c)
+                reps = report.orbit_representatives
+                cases += [(reps[a], reps[b], w)
+                          for sc in report.classes for a, b, w in sc.witnesses]
+                cases += [(ra, rb, signed_perm_isomorphic(ra, rb))
+                          for ra, rb in product(reps, repeat=2)]
+        cases = [(t1, t2, w) for t1, t2, w in cases if w is not None]
+        assert len(cases) == 92
+        for t1, t2, w in cases:
+            assert check_witness(t1, t2, w).ok
+            assert earlier_completing_signs(t1, t2, w) == []
 
     @pytest.mark.parametrize(
         "t1,t2",

@@ -5,7 +5,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from unilie import classification, exact
@@ -16,15 +16,7 @@ from unilie.exact import (
     nullspace,
     rank,
 )
-from unilie.gf2 import (
-    gf2_echelon,
-    gf2_from_bits,
-    gf2_from_support,
-    gf2_nullspace,
-    gf2_reduce,
-    gf2_solve_min,
-    gf2_to_bits,
-)
+from unilie.gf2 import gf2_echelon, gf2_reduce, gf2_solve_min
 from unilie.graphs import DEFAULT_SEARCH_BUDGET
 
 entries = st.integers(min_value=-6, max_value=6)
@@ -322,44 +314,58 @@ class TestSolveInverse:
             assert all(x == 0 for x in m.apply(vec))
 
 
-class TestGF2:
-    def test_bits_roundtrip(self):
-        assert gf2_to_bits(gf2_from_bits((1, 0, 1), 3), 3) == (1, 0, 1)
-        assert gf2_from_support([0, 2], 3) == gf2_from_bits((1, 0, 1), 3)
+def gf2_span(vectors) -> set[int]:
+    span = {0}
+    for g in vectors:
+        span |= {x ^ g for x in span}
+    return span
 
+
+@st.composite
+def gf2_systems(draw):
+    """A width from 1 to 8 and up to 8 equations (mask, rhs) of that width."""
+    width = draw(st.integers(min_value=1, max_value=8))
+    masks = st.integers(min_value=0, max_value=(1 << width) - 1)
+    return width, draw(st.lists(st.tuples(masks, st.integers(min_value=0, max_value=1)),
+                                max_size=8))
+
+
+class TestGF2:
     def test_lex_order_matches_numeric(self):
-        # coordinate 0 occupies the most significant bit by design
-        a = gf2_from_bits((0, 1, 1), 3)
-        b = gf2_from_bits((1, 0, 0), 3)
-        assert a < b
+        # coordinate 0 occupies the most significant bit by design, so
+        # (0, 1, 1) sorts before (1, 0, 0), and the least solution of
+        # x0 + x1 = 1 in width 3 is (0, 1, 0)
+        assert 0b011 < 0b100
+        assert gf2_solve_min([(0b110, 1)], 3) == 0b010
 
     @given(
         st.lists(st.integers(min_value=0, max_value=15), min_size=1, max_size=6),
         st.integers(min_value=0, max_value=15),
     )
     def test_reduce_is_minimum_of_coset(self, gens, target):
-        width = 4
         basis = gf2_echelon(gens)
         reduced = gf2_reduce(target, basis)
-        span = {0}
-        for g in gens:
-            span |= {x ^ g for x in span}
-        coset = {target ^ x for x in span}
+        coset = {target ^ x for x in gf2_span(gens)}
         assert reduced == min(coset)
         assert reduced in coset
 
-    @given(
-        st.lists(
-            st.tuples(
-                st.integers(min_value=0, max_value=15),
-                st.integers(min_value=0, max_value=1),
-            ),
-            min_size=1,
-            max_size=5,
-        )
-    )
-    def test_solve_min_matches_exhaustion(self, equations):
-        width = 4
+    @given(st.lists(st.integers(min_value=0, max_value=255), max_size=10),
+           st.integers(min_value=0, max_value=255))
+    def test_echelon_is_a_reduced_basis(self, vectors, target):
+        basis = gf2_echelon(vectors)
+        assert gf2_span(basis) == gf2_span(vectors)
+        tops = [1 << (b.bit_length() - 1) for b in basis]
+        assert tops == sorted(set(tops), reverse=True)
+        assert all(not b & top for b in basis for top in tops
+                   if top != 1 << (b.bit_length() - 1))
+        assert gf2_reduce(target, basis) == min(target ^ x for x in gf2_span(vectors))
+
+    @given(gf2_systems())
+    @example((1, [(0, 1)]))
+    @example((3, [(0b110, 1), (0b011, 1), (0b101, 1)]))
+    @example((8, []))
+    def test_solve_min_matches_exhaustion(self, system):
+        width, equations = system
         solutions = [
             x
             for x in range(1 << width)
@@ -370,16 +376,3 @@ class TestGF2:
             assert got == min(solutions)
         else:
             assert got is None
-
-    def test_nullspace_spans_kernel(self):
-        rows = [0b110, 0b011]
-        basis = gf2_nullspace(rows, 3)
-        span = {0}
-        for g in basis:
-            span |= {x ^ g for x in span}
-        kernel = {
-            x
-            for x in range(8)
-            if all(bin(x & row).count("1") % 2 == 0 for row in rows)
-        }
-        assert span == kernel

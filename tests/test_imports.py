@@ -292,6 +292,16 @@ def test_census_compiles_only_what_it_calls():
     assert uncalled_functions(code, ["unilie.enumeration"]) == {"unilie.enumeration": []}
 
 
+def test_sign_classes_call_every_gf2_routine():
+    # a GF(2) routine the sign path no longer needs fails here instead of
+    # lingering
+    code = ("from unilie import regular_graphs, sign_class_report, uniform_colorings\n"
+            "for g in regular_graphs(5):\n"
+            "    for c in uniform_colorings(g):\n"
+            "        sign_class_report(c)")
+    assert uncalled_functions(code, ["unilie.gf2"]) == {"unilie.gf2": []}
+
+
 def test_name_table_resolves_every_entry():
     modules = set(unilie._EXPORTS)
     assert modules == {p.stem for p in MODULES}
