@@ -375,8 +375,8 @@ def _flip_space(t: StructureTensor) -> list[int]:
 
 # the most diagonal orbits built at once; each one is a tensor in memory
 MAX_SIGN_ORBITS = 1 << 20
-# the most dense matrix cells derivation_dim builds; the whole call takes
-# 0.07 s near this size (heisenberg(18): 815,184 cells, on a 2-core VM)
+# the most cells, rows times q^2 columns, that derivation_dim eliminates;
+# its rows are sparse, so this bounds the elimination's work, not memory
 MAX_DERIVATION_CELLS = 10**6
 
 
@@ -621,9 +621,11 @@ def derivation_dim(t: StructureTensor) -> int:
 
         dim Der = p*q + (p - u) * (dim rad + p) + q^2 - rank(rows).
 
-    The radical costs a rank of its own only when u < p.  The rows hold at
-    most p * (C(q, 2) - u) * q^2 cells; above MAX_DERIVATION_CELLS the call
-    raises BudgetExceededError before building any.
+    The radical costs a rank of its own only when u < p.  Each row is built
+    sparse, as the {column: coefficient} dict the elimination holds.  There
+    are at most p * (C(q, 2) - u) rows of q^2 columns; above
+    MAX_DERIVATION_CELLS cells the call raises BudgetExceededError before
+    building any.
     """
     from .exact import rank
     q, p = t.q, t.p
@@ -638,17 +640,17 @@ def derivation_dim(t: StructureTensor) -> int:
         touching[i - 1].append((j - 1, k - 1, -s))
         by_color.setdefault(k, []).append((i - 1, j - 1, s))
 
-    def gamma_rows(terms) -> list[list[int]]:
+    def gamma_rows(terms) -> list[dict[int, int]]:
         # z_k coordinate of gamma_A(sum coef e_a ^ e_b) in the unknowns
-        # A[c, a] at column c*q + a: A e_a contributes [v_c, e_b] and
-        # A e_b contributes [e_a, v_c] = -[v_c, e_a]
-        rows = [[0] * (q * q) for _ in range(p)]
+        # A[c, a] at column c*q + a, as {column: coefficient}: A e_a
+        # contributes [v_c, e_b] and A e_b contributes [e_a, v_c] = -[v_c, e_a]
+        rows = [{} for _ in range(p)]
         for coef, a, b in terms:
             for c, k, s in touching[b]:
-                rows[k][c * q + a] += coef * s
+                rows[k][c * q + a] = rows[k].get(c * q + a, 0) + coef * s
             for c, k, s in touching[a]:
-                rows[k][c * q + b] -= coef * s
-        return [row for row in rows if any(row)]
+                rows[k][c * q + b] = rows[k].get(c * q + b, 0) - coef * s
+        return [row for row in rows if any(row.values())]
 
     pairs = t.pair_map()
     rows = []

@@ -13,9 +13,11 @@ from fractions import Fraction
 
 from . import exact
 from .algebra import StructureTensor, _heisenberg_identity, _radical_rows, j_map, to_graph
-from .exact import IntMatrix, Scalar
+from .exact import IntMatrix
 from .graphs import validate_uniform
 from .record import Record
+
+Scalar = int | Fraction
 
 
 # ---------------------------------------------------------------------------

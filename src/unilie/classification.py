@@ -246,10 +246,19 @@ def classify_detailed(q_max: int = 5, budget: int = DEFAULT_SEARCH_BUDGET
     # from inequivalent colorings or from distinct sign classes of one
     # coloring.  So each named presentation lies in at most one candidate:
     # located[name] = (candidate index, signed witness name -> candidate).
+    # A signed permutation is orthogonal on V and on Z, so it preserves the
+    # square-norm identity J_z^2 = -|z|^2: a candidate that differs from the
+    # presentation there is passed over without a search.
     located: dict[str, tuple[int, SignedPermWitness]] = {}
+    identity: dict[int, bool] = {}   # candidate index -> its identity, on first use
     for kp in known_presentations():
+        want = _heisenberg_identity(kp.tensor)
         for idx, cand in enumerate(cands):
             if (cand.p, cand.q) != (kp.tensor.p, kp.tensor.q):
+                continue
+            if idx not in identity:
+                identity[idx] = _heisenberg_identity(cand)
+            if identity[idx] != want:
                 continue
             w = signed_perm_isomorphic(kp.tensor, cand, budget=budget)
             if w is not None:

@@ -3,8 +3,11 @@
 Everything here is deterministic and allocation-light: matrices are tuples of
 tuples, and rank, kernel and inverse all read one fraction-free Gauss-Jordan
 elimination over the integers on sparse rows, once each row's denominators
-are cleared.  Rational division happens only in the answers: kernel vectors
-hold fractions.Fraction, and so does each non-integral inverse entry.  A square
+are cleared.  `rank` takes each row dense, as a sequence of entries, or
+sparse, as a {column: entry} dict.  Rational values appear only in answers:
+kernel vectors hold fractions.Fraction, and so does each non-integral
+inverse entry; `fractions` is imported only where such a value is made, so
+a caller whose inputs and answers are integral never loads it.  A square
 matrix is singular exactly when its rank falls short.  Linear algebra over
 GF(2) is in `gf2`, which needs no rational arithmetic.
 """
@@ -13,14 +16,11 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterable, Sequence
-from fractions import Fraction
 
 from .record import Record
 
-Scalar = int | Fraction
 
-
-def format_scalar(x: Scalar) -> str:
+def format_scalar(x: int | Fraction) -> str:
     """An int or Fraction in lowest terms as text: '3' or '-1/2'."""
     return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
 
@@ -28,7 +28,7 @@ def format_scalar(x: Scalar) -> str:
 class IntMatrix(Record):
     """Immutable matrix with int or Fraction entries."""
 
-    rows: tuple[tuple[Scalar, ...], ...]
+    rows: tuple[tuple[int | Fraction, ...], ...]
 
     def __post_init__(self):
         if self.rows:
@@ -37,7 +37,7 @@ class IntMatrix(Record):
                 raise ValueError("ragged matrix")
 
     @staticmethod
-    def from_rows(rows: Iterable[Sequence[Scalar]]) -> "IntMatrix":
+    def from_rows(rows: Iterable[Sequence[int | Fraction]]) -> "IntMatrix":
         return IntMatrix(tuple(tuple(r) for r in rows))
 
     @staticmethod
@@ -56,7 +56,7 @@ class IntMatrix(Record):
     def ncols(self) -> int:
         return len(self.rows[0]) if self.rows else 0
 
-    def __getitem__(self, ij: tuple[int, int]) -> Scalar:
+    def __getitem__(self, ij: tuple[int, int]) -> int | Fraction:
         return self.rows[ij[0]][ij[1]]
 
     def transpose(self) -> "IntMatrix":
@@ -73,7 +73,7 @@ class IntMatrix(Record):
     def __neg__(self) -> "IntMatrix":
         return IntMatrix(tuple(tuple(-a for a in r) for r in self.rows))
 
-    def scale(self, c: Scalar) -> "IntMatrix":
+    def scale(self, c: int | Fraction) -> "IntMatrix":
         return IntMatrix(tuple(tuple(c * a for a in r) for r in self.rows))
 
     def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
@@ -83,7 +83,7 @@ class IntMatrix(Record):
         return IntMatrix(tuple(tuple(sum(a * b for a, b in zip(row, col)) for col in cols)
                                for row in self.rows))
 
-    def apply(self, vec: Sequence[Scalar]) -> tuple[Scalar, ...]:
+    def apply(self, vec: Sequence[int | Fraction]) -> tuple[int | Fraction, ...]:
         if self.ncols != len(vec):
             raise ValueError("shape mismatch")
         return tuple(sum(a * x for a, x in zip(row, vec)) for row in self.rows)
@@ -95,14 +95,18 @@ class IntMatrix(Record):
         return all(a == 0 for r in self.rows for a in r)
 
 
-def _integer_rows(rows: Sequence[Sequence[Scalar]]) -> list[dict[int, int]]:
-    """Each row as {column: nonzero entry}, scaled to a primitive integer
-    row: denominators cleared, then the gcd of the entries divided out."""
+def _integer_rows(rows: Sequence[Sequence[int | Fraction] | dict[int, int | Fraction]]
+                  ) -> list[dict[int, int]]:
+    """Each row, dense or a {column: entry} dict, as {column: nonzero
+    entry}, scaled to a primitive integer row: denominators cleared, then the
+    gcd of the entries divided out."""
     sparse = []
     for row in rows:
-        nonzero = {j: a for j, a in enumerate(row) if a}
-        scale = math.lcm(*(a.denominator for a in nonzero.values()))
-        ints = {j: int(a * scale) for j, a in nonzero.items()}
+        ints = {j: a for j, a in (row.items() if isinstance(row, dict)
+                                  else enumerate(row)) if a}
+        if not all(type(a) is int for a in ints.values()):
+            scale = math.lcm(*(a.denominator for a in ints.values()))
+            ints = {j: int(a * scale) for j, a in ints.items()}
         g = math.gcd(*ints.values())
         sparse.append({j: a // g for j, a in ints.items()} if g > 1 else ints)
     return sparse
@@ -124,7 +128,8 @@ def _combine(row: dict[int, int], other: dict[int, int], c: int) -> dict[int, in
     return {j: x // g for j, x in out.items()} if g > 1 else out
 
 
-def _eliminate(rows: Sequence[Sequence[Scalar]]) -> dict[int, dict[int, int]]:
+def _eliminate(rows: Sequence[Sequence[int | Fraction] | dict[int, int | Fraction]]
+               ) -> dict[int, dict[int, int]]:
     """Fraction-free Gauss-Jordan elimination over the integers on sparse
     rows: the reduced row echelon form of their span, up to the scale of
     each row, keyed by pivot column.
@@ -146,15 +151,18 @@ def _eliminate(rows: Sequence[Sequence[Scalar]]) -> dict[int, dict[int, int]]:
     return held
 
 
-def rank(rows: Sequence[Sequence[Scalar]]) -> int:
-    """Rank of a matrix given as dense rows of ints or Fractions."""
+def rank(rows: Sequence[Sequence[int | Fraction] | dict[int, int | Fraction]]) -> int:
+    """Rank of a matrix given as rows of ints or Fractions, each dense or a
+    {column: entry} dict."""
     return len(_eliminate(rows))
 
 
-def nullspace(rows: Sequence[Sequence[Scalar]], ncols: int | None = None) -> list[tuple[Fraction, ...]]:
-    """Basis of the right kernel, one vector per free column in increasing
-    order: 1 there, 0 at the other free columns (the reduced echelon basis).
-    ncols gives the width when there are no rows."""
+def nullspace(rows: Sequence[Sequence[int | Fraction]], ncols: int | None = None
+              ) -> list[tuple[Fraction, ...]]:
+    """Basis of the right kernel of dense rows, one vector per free column in
+    increasing order: 1 there, 0 at the other free columns (the reduced
+    echelon basis).  ncols gives the width when there are no rows."""
+    from fractions import Fraction
     nc = len(rows[0]) if rows else ncols or 0
     held = _eliminate(rows)
     basis = []
@@ -172,7 +180,8 @@ def nullspace(rows: Sequence[Sequence[Scalar]], ncols: int | None = None) -> lis
 def inverse(a: IntMatrix) -> IntMatrix | None:
     """Exact inverse over the rationals, or None if singular.  An integral
     entry is an int, so products with the inverse of a unimodular matrix
-    stay in integer arithmetic; the others are Fractions."""
+    stay in integer arithmetic, and `fractions` is loaded only for a
+    non-integral entry, which is a Fraction."""
     n = a.nrows
     if n != a.ncols:
         raise ValueError("inverse of non-square matrix")
@@ -181,9 +190,13 @@ def inverse(a: IntMatrix) -> IntMatrix | None:
                        for i, row in enumerate(a.rows)])
     if any(c >= n for c in held):
         return None
-    inv = []
-    for i in range(n):
-        row = held[i]
-        entries = (Fraction(row.get(n + j, 0), row[i]) for j in range(n))
-        inv.append(tuple(x.numerator if x.denominator == 1 else x for x in entries))
-    return IntMatrix(tuple(inv))
+    return IntMatrix(tuple(tuple(_quotient(held[i].get(n + j, 0), held[i][i])
+                                 for j in range(n)) for i in range(n)))
+
+
+def _quotient(x: int, d: int) -> int | Fraction:
+    """x / d as an int when d divides x, else as a Fraction."""
+    if x % d:
+        from fractions import Fraction
+        return Fraction(x, d)
+    return x // d

@@ -13,6 +13,7 @@ from unilie import classification, enumeration, exact, factorizations
 from unilie.algebra import (
     MAX_SIGN_ORBITS,
     StructureTensor,
+    _heisenberg_identity,
     check_witness,
     compose_witnesses,
     derivation_dim,
@@ -788,6 +789,24 @@ class TestClassification:
         assert [name for row in rows for name in row.family] == [
             kp.name for kp in sorted(known, key=lambda kp: next(
                 row.case for row in rows if kp.name in row.family))]
+
+    def test_identity_skip_only_passes_over_failing_searches(self):
+        # classify_detailed's lookup skips a candidate whose square-norm
+        # identity differs from the named presentation's; a signed
+        # permutation preserves the identity, so no skipped pair has a witness
+        cands = classification._candidates(6, DEFAULT_SEARCH_BUDGET)
+        skipped = [(kp.name, idx) for kp in known_presentations()
+                   for idx, cand in enumerate(cands)
+                   if (cand.p, cand.q) == (kp.tensor.p, kp.tensor.q)
+                   and _heisenberg_identity(cand) != _heisenberg_identity(kp.tensor)]
+        # the three (2, 4) candidates: ring(2) has the identity and the other
+        # two lack it; quaternionic and its associate differ in it
+        assert sorted(name for name, _ in skipped) == [
+            "heisenberg(1)+heisenberg(1)", "quaternionic", "quaternionic-associate",
+            "ring(2)", "ring(2)", "ring(2,primed)"]
+        known = {kp.name: kp.tensor for kp in known_presentations()}
+        for name, idx in skipped:
+            assert signed_perm_isomorphic(known[name], cands[idx]) is None, (name, idx)
 
     @pytest.mark.slow
     def test_six_generators_hits_open_pair(self):

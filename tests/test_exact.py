@@ -236,7 +236,10 @@ class TestOracles:
 
     @given(derivation_shaped())
     def test_sparse_derivation_shaped_matrices(self, rows):
+        # rank reads each row dense or as the {column: entry} dict that
+        # derivation_dim builds
         assert_matches_oracles(rows)
+        assert rank([{j: a for j, a in enumerate(row) if a} for row in rows]) == rank(rows)
 
     def test_empty_and_zero_width(self):
         assert rank([]) == 0 and rank([[]]) == 0
@@ -254,12 +257,16 @@ class TestOracles:
             return seen[-1][1]
 
         monkeypatch.setattr(exact, "rank", spy)
+        widths = []
         for t in classification._candidates(6, DEFAULT_SEARCH_BUDGET):
             derivation_dim(t)
+            widths += [t.q * t.q] * (len(seen) - len(widths))
         assert len(seen) == 93
         assert max(len(rows) for rows, _ in seen) == 54
-        for rows, r in seen:
-            assert r == bareiss_rank(rows)
+        for (rows, r), width in zip(seen, widths):
+            # the gamma_A rows come as {column: entry} dicts over q^2 columns
+            assert all(isinstance(row, dict) for row in rows)
+            assert r == bareiss_rank([[row.get(j, 0) for j in range(width)] for row in rows])
 
 
 class TestSolveInverse:

@@ -233,6 +233,23 @@ def test_classify_loads_classification():
                       "unilie.record"]
 
 
+@pytest.mark.parametrize("qmax,code", [("5", 0), ("6", 4)])
+def test_classify_loads_no_rational_arithmetic(qmax, code):
+    # every rank, witness check and inverse on classify's path is integral,
+    # the inverse of the signed permutation in the ring(2, primed) merge too
+    loaded = set(fresh_modules(run_cli(["classify", "--qmax", qmax], code=code)))
+    assert "unilie.exact" in loaded
+    assert not loaded & {"fractions", "decimal", "numbers"}
+
+
+def test_integral_inverse_loads_no_fractions():
+    code = ("from unilie.exact import IntMatrix, inverse\n"
+            "inv = inverse(IntMatrix.from_rows([[2, 1], [1, 1]]))\n"
+            "assert inv.rows == ((1, -1), (-1, 2))\n"
+            "assert all(type(x) is int for row in inv.rows for x in row)")
+    assert "fractions" not in fresh_modules(code)
+
+
 def test_iso_on_two_tensors_loads_classification(tmp_path):
     # distinct algebras on one support: no signed-permutation witness, so
     # the verdict comes from refine()
