@@ -30,8 +30,8 @@ import itertools
 
 from .gf2 import gf2_echelon, gf2_reduce, gf2_solve_min
 from .graphs import (BudgetExceededError, ColoredDigraph, ColorPermAutomorphism,
-                     DEFAULT_SEARCH_BUDGET, _mapping_search, disjoint_union,
-                     validate_uniform)
+                     DEFAULT_SEARCH_BUDGET, _mapping_search, _orbits,
+                     disjoint_union, validate_uniform)
 from .record import Record
 
 
@@ -493,9 +493,12 @@ def sign_class_report(g: ColoredDigraph | StructureTensor,
     permutes a sign word along the support pairs and negates each pair whose
     order it reverses.  The mapping search yields at most q - 1 generators
     of the group, its node visits counting against budget, and each class
-    is the breadth-first closure of its least orbit under them.  Each class holds its orbit indices in increasing order and one
-    witness (members[0], b, w) per other member b: the signs completing the
-    product of generators that first reached b, verified by check_witness.
+    is the orbit of its least diagonal orbit under them, walked by the graph
+    layer's one orbit walk, each member it adds counting against budget.
+    Each class holds its orbit indices in increasing order and one witness
+    (members[0], b, w) per other member b: the signs completing the product
+    of generators along the walk's tree path to b, composed in the order the
+    walk reaches the members and verified by check_witness.
     """
     if isinstance(g, ColoredDigraph):
         t = from_graph(g)
@@ -513,8 +516,8 @@ def sign_class_report(g: ColoredDigraph | StructureTensor,
     # sign bit of each pair in the words
     bit_of = {(i, j): 1 << (len(pairs) - 1 - n) for n, (i, j, _, _) in enumerate(pairs)}
 
-    # Per generator, the bit each pair's sign moves to, and the moved bits
-    # of the pairs whose order it reverses, which change sign.
+    # Per generator, the orbit each orbit moves to: sign bits follow their
+    # pairs, and the pairs whose order it reverses change sign.
     moves = []
     for vi, ci in gens:
         targets, reversed_bits = [], 0
@@ -524,33 +527,26 @@ def sign_class_report(g: ColoredDigraph | StructureTensor,
             targets.append((bit, target))
             if x > y:
                 reversed_bits |= target
-        moves.append((vi, ci, targets, reversed_bits))
 
-    root = [-1] * len(reps)
+        def move(a, targets=targets, moved=reversed_bits):
+            for source, target in targets:
+                if words[a] & source:
+                    moved ^= target
+            return index[gf2_reduce(moved, flips)]
+        moves.append(move)
+
     classes = []
-    for a, ra in enumerate(reps):
-        if root[a] >= 0:
-            continue
-        root[a] = a
+    for a, tree in _orbits(range(len(reps)), moves, budget):
+        ra = reps[a]
+        # the vertex/color map carrying orbit a onto each member
+        maps = {a: (tuple(range(1, t.q + 1)), tuple(range(1, t.p + 1)))}
         found: dict[int, SignedPermWitness] = {}
-        # each orbit reached, with the vertex/color map carrying orbit a onto it
-        queue = [(a, tuple(range(1, t.q + 1)), tuple(range(1, t.p + 1)))]
-        for x, xv, xc in queue:
-            for vi, ci, targets, reversed_bits in moves:
-                moved = reversed_bits
-                for source, target in targets:
-                    if words[x] & source:
-                        moved ^= target
-                b = index[gf2_reduce(moved, flips)]
-                if root[b] >= 0:
-                    continue
-                bv, bc = tuple(vi[i - 1] for i in xv), tuple(ci[k - 1] for k in xc)
-                w = _signed_perm_witness(ra, reps[b], bv, bc)
-                if w is None:
-                    raise AssertionError("automorphism image has no sign witness")
-                root[b] = a
-                found[b] = w
-                queue.append((b, bv, bc))
+        for b, (x, n) in itertools.islice(tree.items(), 1, None):
+            (xv, xc), (vi, ci) = maps[x], gens[n]
+            maps[b] = bv, bc = tuple(vi[i - 1] for i in xv), tuple(ci[k - 1] for k in xc)
+            found[b] = _signed_perm_witness(ra, reps[b], bv, bc)
+            if found[b] is None:
+                raise AssertionError("automorphism image has no sign witness")
         members = (a,) + tuple(sorted(found))
         classes.append(SignClass(
             members=members,

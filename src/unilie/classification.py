@@ -21,7 +21,8 @@ from .algebra import (GeneralLinearWitness, SignedPermWitness, StructureTensor,
 from .enumeration import regular_graphs, uniform_colorings
 from .families import (cyclic, free_two_step, heisenberg, quaternionic,
                        ring_algebra)
-from .graphs import DEFAULT_SEARCH_BUDGET, UniformityReport, validate_uniform
+from .graphs import (DEFAULT_SEARCH_BUDGET, UniformityReport, _find,
+                     validate_uniform)
 from .record import Record
 
 
@@ -234,13 +235,6 @@ def classify_detailed(q_max: int = 5, budget: int = DEFAULT_SEARCH_BUDGET
     row that no verified witness merges and no invariant splits."""
     cands = _candidates(q_max, budget)
     parent = list(range(len(cands)))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
     # No two candidates are signed-permutation isomorphic: such a witness
     # induces an equivalence of the underlying colorings, and candidates come
     # from inequivalent colorings or from distinct sign classes of one
@@ -271,17 +265,17 @@ def classify_detailed(q_max: int = 5, budget: int = DEFAULT_SEARCH_BUDGET
         if src not in located or dst not in located:
             continue
         (ia, wa), (ib, wb) = located[src], located[dst]
-        if find(ia) == find(ib):
+        if _find(parent, ia) == _find(parent, ib):
             continue
         full = compose_witnesses(wb, compose_witnesses(glw, invert_witness(wa)))
         res = check_witness(cands[ia], cands[ib], full)
         if not res.ok:
             raise AssertionError("stored identification failed verification")
-        parent[find(ib)] = find(ia)
+        parent[_find(parent, ib)] = _find(parent, ia)
 
     groups: dict[int, list[int]] = {}
     for i in range(len(cands)):
-        groups.setdefault(find(i), []).append(i)
+        groups.setdefault(_find(parent, i), []).append(i)
     classes = [(Invariants(tuple(cands[i] for i in members)), members)
                for members in groups.values()]
 

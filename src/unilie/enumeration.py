@@ -6,9 +6,9 @@ the graph layer's mapping search, run on one-color digraphs, both tells a
 new labeled graph from the classes already found and yields generators of
 Aut(g).  It imports only the graph layer, so a census loads no algebra
 code; the factorizations of complete graphs, which share its matching
-search and orbit walk, are in `factorizations`.  Everything is exact and
-deterministic; searches take explicit budgets and raise BudgetExceededError
-instead of degrading.
+search and the graph layer's orbit walk, are in `factorizations`.
+Everything is exact and deterministic; searches take explicit budgets and
+raise BudgetExceededError instead of degrading.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import itertools
 from collections.abc import Sequence
 
 from .graphs import (BudgetExceededError, ColoredDigraph, DEFAULT_SEARCH_BUDGET,
-                     SimpleGraph, _mapping_search, colorings_equivalent)
+                     SimpleGraph, _mapping_search, _orbits, colorings_equivalent)
 
 
 def _divisors(n: int) -> list[int]:
@@ -162,51 +162,27 @@ def _matching_partitions(edges: list[tuple[int, int]], p: int, r: int,
 def _labels_to_coloring(g: SimpleGraph, labels) -> ColoredDigraph:
     edges = g.sorted_edges()
     arcs = [(i, j, labels[n] + 1) for n, (i, j) in enumerate(edges)]
-    return ColoredDigraph.from_arcs(g.q, max(labels) + 1, arcs, undirected=True)
+    return ColoredDigraph.from_arcs(g.q, max(labels) + 1, arcs)
 
 
-def _orbit_representatives(labeled, edges: list[tuple[int, int]],
-                           generators: Sequence[Sequence[int]], budget: int
-                           ) -> tuple[list[tuple[int, ...]], int]:
-    """First member of each orbit of a set of labeled edge partitions, in the
-    order they come, and the size of the set.
-
-    labeled yields color labels per edge, colors numbered by first
-    appearance, and must be closed under the vertex permutations in
-    generators (1-based image tuples, like the edges).  Each orbit is walked
-    from its first member: a generator carries every label to its edge's
-    image, and the colors are renumbered by first appearance.  Each member
-    the walk adds counts against budget."""
+def _edge_moves(edges: list[tuple[int, int]],
+                generators: Sequence[Sequence[int]]) -> list:
+    """Per vertex permutation in generators (1-based image tuples, like the
+    edges), its move on labeled edge partitions: each label goes to its
+    edge's image, and the colors are renumbered by first appearance."""
     index = {e: k for k, e in enumerate(edges)}
-    # per generator, the edge whose label each position takes
-    sources = []
+    moves = []
     for sg in generators:
+        # the edge whose label each position takes
         source = [0] * len(edges)
         for k, (a, b) in enumerate(edges):
             source[index[min(sg[a - 1], sg[b - 1]), max(sg[a - 1], sg[b - 1])]] = k
-        sources.append(source)
-    count = added = 0
-    seen: set[tuple[int, ...]] = set()
-    reps = []
-    for labels in labeled:
-        count += 1
-        if labels in seen:
-            continue
-        reps.append(labels)
-        seen.add(labels)
-        stack = [labels]
-        while stack:
-            cur = stack.pop()
-            for source in sources:
-                renamed: dict[int, int] = {}
-                image = tuple(renamed.setdefault(cur[k], len(renamed)) for k in source)
-                if image not in seen:
-                    added += 1
-                    if added > budget:
-                        raise BudgetExceededError(budget, added)
-                    seen.add(image)
-                    stack.append(image)
-    return reps, count
+
+        def move(labels, source=source):
+            renamed: dict[int, int] = {}
+            return tuple(renamed.setdefault(labels[k], len(renamed)) for k in source)
+        moves.append(move)
+    return moves
 
 
 def uniform_colorings(g: SimpleGraph,
@@ -232,6 +208,6 @@ def uniform_colorings(g: SimpleGraph,
         _matching_partitions(edges, p, m // p, budget) for p in _divisors(m) if p >= s)
     one = _one_color(g)
     generators = [vi for vi, _ in _mapping_search(one, one, False, budget, generators=True)]
-    reps, _ = _orbit_representatives(labeled, edges, generators, budget)
-    return sorted((_labels_to_coloring(g, labels) for labels in reps),
+    orbits = _orbits(labeled, _edge_moves(edges, generators), budget)
+    return sorted((_labels_to_coloring(g, labels) for labels, _ in orbits),
                   key=lambda c: (c.p, c.sorted_arcs()))

@@ -2,17 +2,16 @@
 classified up to equivalence.
 
 The partitions of E(K_n) come from the census's matching search and their
-classes from its orbit walk; this module holds only what `factorize` runs,
-so the census compiles none of it.
+classes from the graph layer's orbit walk; this module holds only what
+`factorize` runs, so the census compiles none of it.
 """
 
 from __future__ import annotations
 
 import itertools
 
-from .enumeration import (_labels_to_coloring, _matching_partitions,
-                          _orbit_representatives)
-from .graphs import ColoredDigraph, DEFAULT_SEARCH_BUDGET, SimpleGraph
+from .enumeration import _edge_moves, _labels_to_coloring, _matching_partitions
+from .graphs import ColoredDigraph, DEFAULT_SEARCH_BUDGET, SimpleGraph, _orbits
 from .record import Record
 
 
@@ -35,13 +34,15 @@ def _factorization_report(n: int, kind: str, p: int, r: int,
     numbered by first appearance, so the labeled set is closed under vertex
     permutations and its equivalence classes are the orbits of S_n.  Each
     orbit is walked with the generators (1 2) and (1 2 ... n) from its first
-    labeled member, which represents the class."""
+    labeled member, which represents the class, and the labeled count is
+    the sum of the orbit sizes."""
     g = _complete_graph(n)
     edges = g.sorted_edges()
-    reps, labeled = _orbit_representatives(
-        _matching_partitions(edges, p, r, budget), edges,
-        ((2, 1, *range(3, n + 1)), (*range(2, n + 1), 1)), budget)
-    classes = [_labels_to_coloring(g, labels) for labels in reps]
+    moves = _edge_moves(edges, ((2, 1, *range(3, n + 1)), (*range(2, n + 1), 1)))
+    labeled, classes = 0, []
+    for labels, tree in _orbits(_matching_partitions(edges, p, r, budget), moves, budget):
+        labeled += len(tree)
+        classes.append(_labels_to_coloring(g, labels))
     classes.sort(key=lambda c: c.sorted_arcs())
     return FactorizationReport(n, kind, labeled, tuple(classes))
 

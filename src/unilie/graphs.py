@@ -9,6 +9,9 @@ A coloring is *uniform* when the graph is s-regular for some s >= 1, the
 coloring is proper (edges sharing a vertex get distinct colors), every color
 is used, and every color class has the same size r.  validate_uniform reports
 every violation of these conditions rather than stopping at the first.
+
+Orbits under generators have one walk here, `_orbits`, shared by the census,
+the factorizations and the sign classes, and classes one union-find, `_find`.
 """
 
 from __future__ import annotations
@@ -92,11 +95,8 @@ class ColoredDigraph(Record):
             seen_pairs.add(pair)
 
     @staticmethod
-    def from_arcs(q: int, p: int, arcs, undirected: bool = False) -> "ColoredDigraph":
-        """Build from an iterable of (tail, head, color); undirected input is
-        canonicalized to tail < head."""
-        if undirected:
-            arcs = [(min(i, j), max(i, j), k) for i, j, k in arcs]
+    def from_arcs(q: int, p: int, arcs) -> "ColoredDigraph":
+        """Build from an iterable of (tail, head, color)."""
         return ColoredDigraph(q, p, frozenset(tuple(a) for a in arcs))
 
     def sorted_arcs(self) -> list[tuple[int, int, int]]:
@@ -296,8 +296,8 @@ def _mapping_search(g1: ColoredDigraph, g2: ColoredDigraph, strict: bool, budget
     cmap = dict(zip(unused1, unused2))
     cmap_inv = dict(zip(unused2, unused1))
     visited = 0
-    low = q + 1                         # generators: branching identity-path frame
-    cell = [{x} for x in range(q + 1)]  # generators: each vertex's orbit so far
+    low = q + 1                  # generators: branching identity-path frame
+    orbit = list(range(q + 1))   # generators: union-find of the orbits so far
     # a frame per vertex reached: candidates, image (0 = none yet), new colors
     stack = [[iter(range(1, q + 1)), 0, []]]
     while stack:
@@ -313,7 +313,7 @@ def _mapping_search(g1: ColoredDigraph, g2: ColoredDigraph, strict: bool, budget
         for w in cands:
             if taken[w] or prof1[v] != prof2[w]:
                 continue
-            if v == low and w in cell[v]:
+            if v == low and _find(orbit, w) == _find(orbit, v):
                 continue
             visited += 1
             if visited > budget:
@@ -362,14 +362,44 @@ def _mapping_search(g1: ColoredDigraph, g2: ColoredDigraph, strict: bool, budget
                 low = q
                 continue
             for x in range(1, q + 1):
-                a, b = sorted((cell[x], cell[img[x]]), key=len)
-                if a is not b:
-                    b |= a
-                    for y in a:
-                        cell[y] = b
+                orbit[_find(orbit, x)] = _find(orbit, img[x])
             for f in stack[low:]:  # the loop unwinds the emptied frames
                 f[0] = iter(())
         yield tuple(img[1:]), tuple(cmap[k] for k in range(1, p + 1))
+
+
+def _find(parent: list[int], x: int) -> int:
+    """Root of x in the union-find forest parent, halving its path."""
+    while parent[x] != x:
+        parent[x] = x = parent[parent[x]]
+    return x
+
+
+def _orbits(points, moves, budget: int):
+    """Yield (first, tree) per orbit of the moves, permutations of the
+    points, in the order points meets them (Seress 2003, section 4.1).
+
+    points is read once; each one no earlier orbit holds starts a
+    breadth-first walk.  tree maps each member, in the order reached, to the
+    member and move index it was first reached by, and first to None.  Each
+    member the walk adds, over all orbits, counts against budget."""
+    seen: set = set()
+    added = 0
+    for first in points:
+        if first in seen:
+            continue
+        tree, queue = {first: None}, [first]
+        for x in queue:
+            for n, move in enumerate(moves):
+                y = move(x)
+                if y not in tree:
+                    added += 1
+                    if added > budget:
+                        raise BudgetExceededError(budget, added)
+                    tree[y] = (x, n)
+                    queue.append(y)
+        seen.update(tree)
+        yield first, tree
 
 
 def automorphisms(g: ColoredDigraph, strict: bool = False,
@@ -427,18 +457,9 @@ def disjoint_union(g1: ColoredDigraph, g2: ColoredDigraph,
 def connected_components(g: ColoredDigraph) -> list[tuple[int, ...]]:
     """Vertex sets of the underlying undirected components, each sorted."""
     parent = list(range(g.q + 1))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
     for (i, j, _) in g.arcs:
-        ri, rj = find(i), find(j)
-        if ri != rj:
-            parent[ri] = rj
+        parent[_find(parent, i)] = _find(parent, j)
     comps: dict[int, list[int]] = {}
     for v in range(1, g.q + 1):
-        comps.setdefault(find(v), []).append(v)
+        comps.setdefault(_find(parent, v), []).append(v)
     return sorted((tuple(sorted(vs)) for vs in comps.values()), key=lambda t: t[0])

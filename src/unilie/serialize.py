@@ -68,6 +68,15 @@ def _rational(x) -> Fraction:
     return Fraction(x)
 
 
+def _data_ints(values) -> tuple[int, ...]:
+    """values as a tuple of plain ints; a float, bool or string in structured
+    data would build an object whose text form does not parse back."""
+    values = tuple(values)
+    if any(type(x) is not int for x in values):
+        raise ParseError(f"expected integers, got {values}")
+    return values
+
+
 def _header_int(fields: dict[str, str], key: str) -> int:
     if key not in fields:
         raise ParseError(f"header is missing {key}=")
@@ -299,24 +308,24 @@ def from_data(data: dict):
     """The object whose `to_data()` is data."""
     kind = data.get("kind")
     try:
+        if kind in ("graph", "algebra"):
+            q, p = _data_ints((data["q"], data["p"]))
         if kind == "graph":
-            return ColoredDigraph.from_arcs(data["q"], data["p"],
-                                            [tuple(a) for a in data["arcs"]])
+            return ColoredDigraph.from_arcs(q, p, map(_data_ints, data["arcs"]))
         if kind == "algebra":
-            return StructureTensor.from_entries(data["q"], data["p"],
-                                                [tuple(e) for e in data["entries"]])
+            return StructureTensor.from_entries(q, p, map(_data_ints, data["entries"]))
         if kind == "witness":
             wk = data.get("witness_kind")
             if wk == "signed-perm":
-                return SignedPermWitness(tuple(data["vertex_images"]),
-                                         tuple(data["color_images"]),
-                                         tuple(data["vertex_signs"]),
-                                         tuple(data["color_signs"]))
+                return SignedPermWitness(*(_data_ints(data[key]) for key in (
+                    "vertex_images", "color_images", "vertex_signs", "color_signs")))
             if wk == "general-linear":
                 rows = [tuple(map(_rational, row)) for row in data["matrix"]]
                 return GeneralLinearWitness(IntMatrix.from_rows(rows))
     except (KeyError, TypeError, ValueError, ArithmeticError) as e:
         raise ParseError(f"bad {kind} data: {e}") from e
+    if kind == "witness":
+        raise ParseError(f"unrecognized witness kind {data.get('witness_kind')!r}")
     raise ParseError(f"unrecognized data object kind '{kind}'")
 
 

@@ -32,6 +32,7 @@ from unilie.graphs import (
     DEFAULT_SEARCH_BUDGET,
     BudgetExceededError,
     SimpleGraph,
+    _orbits,
     automorphisms,
     colorings_equivalent,
     connected_components,
@@ -404,11 +405,11 @@ class TestUniformColorings:
         gens = [vi for vi, _ in enumeration._mapping_search(
             one, one, False, DEFAULT_SEARCH_BUDGET, generators=True)]
         labels = (0, 0, 0, 0, 1, 1, 1, 1)
-        edges = g.sorted_edges()
-        assert enumeration._orbit_representatives(
-            iter([labels]), edges, gens, 34) == ([labels], 1)
+        moves = enumeration._edge_moves(g.sorted_edges(), gens)
+        ((first, tree),) = _orbits([labels], moves, 34)
+        assert first == labels and len(tree) == 35
         with pytest.raises(BudgetExceededError) as exc:
-            enumeration._orbit_representatives(iter([labels]), edges, gens, 33)
+            list(_orbits([labels], moves, 33))
         assert exc.value.visited == 34
 
     def test_no_equivalent_duplicates(self):

@@ -27,7 +27,9 @@ from unilie.graphs import (
     NotRegular,
     NotSurjective,
     SimpleGraph,
+    _find,
     _mapping_search,
+    _orbits,
     automorphisms,
     colorings_equivalent,
     connected_components,
@@ -111,10 +113,6 @@ class TestColoredDigraph:
     def test_rejects_bad_color(self):
         with pytest.raises(ValueError):
             ColoredDigraph.from_arcs(3, 1, [(1, 2, 2)])
-
-    def test_undirected_input_canonicalized(self):
-        g = ColoredDigraph.from_arcs(3, 1, [(2, 1, 1)], undirected=True)
-        assert g.sorted_arcs() == [(1, 2, 1)]
 
     def test_support_and_pair_color(self):
         g = quaternionic()
@@ -424,6 +422,57 @@ class TestGeneratorMode:
         gens = list(_mapping_search(g, g, False, 400, generators=True))
         assert generated_maps(gens, g.q, g.p) == {
             (a.vertex_images, a.color_images) for a in automorphisms(g)}
+
+
+def oracle_orbit(x, perms):
+    """The orbit of x under perms, by set closure."""
+    orbit, frontier = {x}, {x}
+    while frontier:
+        frontier = {perm[y] for y in frontier for perm in perms} - orbit
+        orbit |= frontier
+    return orbit
+
+
+class TestOrbitWalk:
+    """`_orbits` and `_find` on random permutations of at most 12 points,
+    against the set closure."""
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_orbits_and_find_match_the_closure(self, seed):
+        rnd = random.Random(seed)
+        n = rnd.randint(1, 12)
+        perms = [rnd.sample(range(n), n) for _ in range(rnd.randint(0, 3))]
+        moves = [perm.__getitem__ for perm in perms]
+        points = rnd.sample(range(n), n) + rnd.choices(range(n), k=3)
+        walked = list(_orbits(points, moves, n))
+        seen = set()
+        for first, tree in walked:
+            # first is the first point of `points` no earlier orbit holds
+            assert first == next(x for x in points if x not in seen)
+            assert set(tree) == oracle_orbit(first, perms)
+            assert tree[first] is None
+            order = list(tree)
+            assert order[0] == first
+            for child, reached in list(tree.items())[1:]:
+                parent, k = reached
+                assert order.index(parent) < order.index(child)
+                assert moves[k](parent) == child
+            seen |= set(tree)
+        assert sum(len(tree) for _, tree in walked) == len(seen) == n
+        # every member past each orbit's first counts against the budget
+        added = n - len(walked)
+        if added:
+            with pytest.raises(BudgetExceededError) as exc:
+                list(_orbits(points, moves, added - 1))
+            assert exc.value.visited == added
+        parent = list(range(n))
+        for perm in perms:
+            for x in range(n):
+                parent[_find(parent, x)] = _find(parent, perm[x])
+        for x in range(n):
+            orbit = oracle_orbit(x, perms)
+            assert all((_find(parent, x) == _find(parent, y)) == (y in orbit)
+                       for y in range(n))
 
 
 def oracle_coloring_form(g, strict):

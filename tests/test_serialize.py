@@ -333,6 +333,41 @@ class TestDataAndJson:
         with pytest.raises(ParseError):
             from_data(payload)
 
+    @pytest.mark.parametrize("field, value", [
+        ("q", 2.5), ("p", 1.0), ("q", True), ("arc", 1.0), ("arc", True)])
+    def test_from_data_graph_needs_plain_ints(self, field, value):
+        # a float q would build a graph whose text form `parse_graph` refuses
+        payload = {"kind": "graph", "q": 2, "p": 1, "arcs": [[1, 2, 1]]}
+        assert from_data(payload) == ColoredDigraph.from_arcs(2, 1, [(1, 2, 1)])
+        if field == "arc":
+            payload["arcs"][0][2] = value
+        else:
+            payload[field] = value
+        with pytest.raises(ParseError, match="expected integers"):
+            from_data(payload)
+
+    @pytest.mark.parametrize("index, value", [(3, 1.0), (3, True), (0, 1.0), (2, 3.0)])
+    def test_from_data_entries_need_plain_ints(self, index, value):
+        payload = from_graph(quaternionic()).to_data()
+        payload["entries"][0][index] = value
+        with pytest.raises(ParseError, match="expected integers"):
+            from_data(payload)
+
+    @pytest.mark.parametrize("key, value", [
+        ("vertex_images", [1.0, 2]), ("color_images", [True]),
+        ("vertex_signs", [1, 1.0]), ("color_signs", [True])])
+    def test_from_data_signed_perm_needs_plain_ints(self, key, value):
+        w = SignedPermWitness((1, 2), (1,), (1, 1), (1,))
+        payload = w.to_data()
+        assert from_data(payload) == w
+        payload[key] = value
+        with pytest.raises(ParseError, match="expected integers"):
+            from_data(payload)
+
+    def test_from_data_names_unknown_witness_kind(self):
+        with pytest.raises(ParseError, match="unrecognized witness kind 'bogus'"):
+            from_data({"kind": "witness", "witness_kind": "bogus"})
+
 
 class TestParseAny:
     def test_dispatch(self):
