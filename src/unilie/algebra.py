@@ -316,17 +316,14 @@ def invert_witness(w: IsoWitness) -> GeneralLinearWitness:
     return GeneralLinearWitness(inv)
 
 
-def lift_automorphism(t: StructureTensor, a: ColorPermAutomorphism,
-                      vertex_signs=None, color_signs=None) -> SignedPermWitness:
-    """Lift a direction-preserving colored-graph automorphism to the algebra.
-
-    Optional sign tuples extend the lift to signed maps.  Raises ValueError
-    naming the first failing bracket when a does not actually preserve the
-    tensor (for example when it reverses an arc and no signs compensate).
+def lift_automorphism(t: StructureTensor, a: ColorPermAutomorphism) -> SignedPermWitness:
+    """Lift a direction-preserving colored-graph automorphism to the algebra
+    with every sign +1.  Raises ValueError naming the first failing bracket
+    when a does not actually preserve the tensor (for example when it
+    reverses an arc).
     """
     w = SignedPermWitness(tuple(a.vertex_images), tuple(a.color_images),
-                          tuple(vertex_signs or (1,) * t.q),
-                          tuple(color_signs or (1,) * t.p))
+                          (1,) * t.q, (1,) * t.p)
     res = check_witness(t, t, w)
     if not res.ok:
         raise ValueError(f"not an algebra automorphism; first failure at {res.failures[0]}")

@@ -140,9 +140,6 @@ _VERBS = {
     "export": ("rewrite an object in a format", "fileverbs"),
 }
 
-# the one variant a family accepts, passed to its builder as a keyword flag
-_VARIANTS = {"ring": "primed", "quaternionic": "associate"}
-
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -171,7 +168,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="make graph equivalence respect arc directions")
     verbs["family"].add_argument("name")
     verbs["family"].add_argument("params", nargs="*")
-    verbs["family"].add_argument("--variant", choices=tuple(_VARIANTS.values()))
+    verbs["family"].add_argument("--variant")
     verbs["classify"].add_argument("--qmax", type=_positive_int, default=5)
     verbs["factorize"].add_argument("n", type=int)
     return parser

@@ -2,9 +2,8 @@
 graphs of finite groups on involutions, the dihedral coloring of K_{p,p},
 and colorings of a simple graph from an edge partition.
 
-The named families that `classify` builds are in `families`, which keeps
-the parameter table of every builder, this module's `dihedral_bipartite`
-included.
+The named families are in `families`, whose table of `unilie family` names
+holds the check and vertex count of `dihedral_bipartite` too.
 """
 
 from __future__ import annotations
@@ -144,7 +143,7 @@ def cayley(group: FiniteGroup, generators) -> ColoredDigraph:
 def dihedral_bipartite(p: int) -> ColoredDigraph:
     """Cayley coloring of K_{p,p} by the p reflections of the dihedral group
     of order 2p, for odd p >= 3; type (p, 2p, p)."""
-    check_parameters("dihedral_bipartite", p)
+    check_parameters("dihedral-bipartite", p)
     g = dihedral_group(p)
     return cayley(g, range(p, 2 * p))
 

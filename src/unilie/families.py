@@ -3,8 +3,10 @@
 Every builder returns a ColoredDigraph whose uniformity report passes, with
 the type (p, q, r) stated in its docstring.  Vertex and color numbering are
 1-based and deterministic, so repeated calls give identical objects.  The
-group and edge-partition constructions are in `constructions`; the
-parameter table here sizes its `dihedral_bipartite` too.
+group and edge-partition constructions are in `constructions`.  One table
+here, keyed by the names that `unilie family` takes, holds each family's
+builder, variant flag, parameter check and vertex count, `constructions`'
+`dihedral_bipartite` included.
 """
 
 from __future__ import annotations
@@ -15,33 +17,36 @@ from math import comb
 from .graphs import ColoredDigraph
 
 
-# each sized family's parameter check, as its builder makes it, and its
-# vertex count from the builder's docstring, so a family can be sized
-# without being built
-_SIZES = {
-    "heisenberg": (lambda n: n >= 1, "need n >= 1", lambda n: 2 * n),
-    "free_two_step": (lambda n: n >= 2, "need n >= 2", lambda n: n),
-    "ring_algebra": (lambda r: r >= 2, "need r >= 2", lambda r: 2 * r),
-    "quaternionic": (lambda: True, "", lambda: 4),
-    "cyclic": (lambda q: q >= 3, "need q >= 3", lambda q: q),
-    "kneser": (lambda n, m: 1 <= m and n >= 2 * m + 1, "need 1 <= m and n >= 2m + 1", comb),
-    "dihedral_bipartite": (lambda p: p >= 3 and p % 2 == 1, "need odd p >= 3",
-                           lambda p: 2 * p),
+# `unilie family` name -> (module and name of its builder, the builder's one
+# variant flag or None, its parameter check and that check's message, and
+# the vertex count from its docstring, so a family is sized without building)
+_FAMILIES = {
+    "heisenberg": ("families", "heisenberg", None,
+                   lambda n: n >= 1, "need n >= 1", lambda n: 2 * n),
+    "free": ("families", "free_two_step", None, lambda n: n >= 2, "need n >= 2", lambda n: n),
+    "ring": ("families", "ring_algebra", "primed",
+             lambda r: r >= 2, "need r >= 2", lambda r: 2 * r),
+    "quaternionic": ("families", "quaternionic", "associate", lambda: True, "", lambda: 4),
+    "cyclic": ("families", "cyclic", None, lambda q: q >= 3, "need q >= 3", lambda q: q),
+    "kneser": ("families", "kneser", None, lambda n, m: 1 <= m and n >= 2 * m + 1,
+               "need 1 <= m and n >= 2m + 1", comb),
+    "dihedral-bipartite": ("constructions", "dihedral_bipartite", None,
+                           lambda p: p >= 3 and p % 2 == 1, "need odd p >= 3", lambda p: 2 * p),
 }
 
 
 def check_parameters(family: str, *params: int) -> None:
-    """Raise the ValueError that the builder named `family` raises for params."""
-    accepts, need, _ = _SIZES[family]
+    """Raise the ValueError that the builder of family `family` raises."""
+    *_, accepts, need, _ = _FAMILIES[family]
     if not accepts(*params):
         raise ValueError(need)
 
 
 def vertex_count(family: str, *params: int) -> int:
-    """Vertex count of the builder named `family` at params, without building.
+    """Vertex count of the family named `family` at params, without building.
     Every parameter it accepts is at most the count."""
     check_parameters(family, *params)
-    return _SIZES[family][2](*params)
+    return _FAMILIES[family][-1](*params)
 
 
 def heisenberg(n: int) -> ColoredDigraph:
@@ -53,7 +58,7 @@ def heisenberg(n: int) -> ColoredDigraph:
 def free_two_step(n: int) -> ColoredDigraph:
     """Free two-step algebra on n generators: K_n with every edge its own color.
     Type (n(n-1)/2, n, 1)."""
-    check_parameters("free_two_step", n)
+    check_parameters("free", n)
     arcs = [(i, j, k) for k, (i, j) in
             enumerate(itertools.combinations(range(1, n + 1), 2), start=1)]
     return ColoredDigraph.from_arcs(n, comb(n, 2), arcs)
@@ -66,7 +71,7 @@ def ring_algebra(r: int, primed: bool = False) -> ColoredDigraph:
     closing arc is (1, 2r) unprimed and (2r, 1) primed; for even r the two
     variants lie in different diagonal sign classes.
     """
-    check_parameters("ring_algebra", r)
+    check_parameters("ring", r)
     arcs = [(2 * i - 1, 2 * i, 1) for i in range(1, r + 1)]
     arcs += [(2 * i, 2 * i + 1, 2) for i in range(1, r)]
     arcs.append((2 * r, 1, 2) if primed else (1, 2 * r, 2))

@@ -4,7 +4,8 @@ iso, orbit and export.
 `cli.main` imports this module only when one of these verbs runs, so
 `classify`, `factorize`, `--help` and usage errors never compile it.  Input
 files are parsed in one place, `_read_inputs`, which turns a parse error
-into a usage error (exit 2).
+into a usage error (exit 2).  `family` takes each family's builder, variant
+flag, parameter check and vertex count from the one table in `families`.
 """
 
 from __future__ import annotations
@@ -12,8 +13,8 @@ from __future__ import annotations
 import importlib
 import json
 
-from .cli import (EXIT_OK, EXIT_PROPERTY, EXIT_UNDETERMINED, _VARIANTS, _Usage,
-                  _emit, _render_split)
+from .cli import (EXIT_OK, EXIT_PROPERTY, EXIT_UNDETERMINED, _Usage, _emit,
+                  _render_split)
 
 
 def _read_inputs(args, count=None):
@@ -82,18 +83,6 @@ def verify(args) -> int:
     return EXIT_OK if rep.is_uniform else EXIT_PROPERTY
 
 
-# verb name -> (module of its builder, builder, parameter count); the
-# parameter table of every builder is in `families`
-_FAMILIES = {
-    "heisenberg": ("families", "heisenberg", 1),
-    "free": ("families", "free_two_step", 1),
-    "ring": ("families", "ring_algebra", 1),
-    "quaternionic": ("families", "quaternionic", 0),
-    "cyclic": ("families", "cyclic", 1),
-    "kneser": ("families", "kneser", 2),
-    "dihedral-bipartite": ("constructions", "dihedral_bipartite", 1),
-}
-
 # the largest vertex count `family` builds; kneser(n, 1) stores C(n, 2)
 # colors of n - 2 elements each, about 80 MiB at this size
 FAMILY_MAX_VERTICES = 200
@@ -103,10 +92,11 @@ def family(args) -> int:
     from . import families
     from .graphs import validate_uniform
     name = args.name
-    if name not in _FAMILIES:
+    if name not in families._FAMILIES:
         raise _Usage(f"unknown family '{name}'; choose from "
-                     + ", ".join(sorted(_FAMILIES)))
-    module, builder, arity = _FAMILIES[name]
+                     + ", ".join(sorted(families._FAMILIES)))
+    module, builder, variant, accepts, _, _ = families._FAMILIES[name]
+    arity = accepts.__code__.co_argcount
     params = args.params
     if len(params) != arity:
         raise _Usage(f"family '{name}' takes {arity} integer parameter(s)")
@@ -116,16 +106,16 @@ def family(args) -> int:
         raise _Usage("family parameters must be integers")
     kwargs = {}
     if args.variant:
-        if _VARIANTS.get(name) != args.variant:
+        if args.variant != variant:
             raise _Usage(f"family '{name}' has no variant '{args.variant}'")
         kwargs[args.variant] = True
     try:
-        families.check_parameters(builder, *fargs)
+        families.check_parameters(name, *fargs)
         # a parameter above the limit is refused before a count that may be
         # huge is computed, since no accepted parameter exceeds the count
         q = max(fargs, default=0)
         if q <= FAMILY_MAX_VERTICES:
-            q = families.vertex_count(builder, *fargs)
+            q = families.vertex_count(name, *fargs)
         if q > FAMILY_MAX_VERTICES:
             raise _Usage(f"family '{name}' would have at least {q} vertices; "
                          f"the limit is {FAMILY_MAX_VERTICES}")

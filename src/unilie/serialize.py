@@ -34,11 +34,16 @@ def _body_lines(text: str) -> list[str]:
     return out
 
 
-def _parse_header(line: str, expected: str,
-                  allowed: tuple[str, ...] = ("q", "p")) -> dict[str, str]:
-    parts = line.split()
+def _read(text: str, expected: str, allowed: tuple[str, ...] = ("q", "p")
+          ) -> tuple[dict[str, str], int, int, list[str]]:
+    """The header fields, q, p and body lines of a file whose header is
+    `expected` with fields from `allowed`."""
+    lines = _body_lines(text)
+    if not lines:
+        raise ParseError("empty input")
+    parts = lines[0].split()
     if parts[:2] != expected.split():
-        raise ParseError(f"expected header '{expected}', got '{line}'")
+        raise ParseError(f"expected header '{expected}', got '{lines[0]}'")
     fields = {}
     for tok in parts[2:]:
         if "=" not in tok:
@@ -49,7 +54,15 @@ def _parse_header(line: str, expected: str,
         if key in fields:
             raise ParseError(f"repeated header field '{key}'")
         fields[key] = val
-    return fields
+    return fields, _header_int(fields, "q"), _header_int(fields, "p"), lines[1:]
+
+
+def _build(make, *args):
+    """make(*args), its ValueError raised as a ParseError."""
+    try:
+        return make(*args)
+    except ValueError as e:
+        raise ParseError(str(e)) from e
 
 
 def _ints(parts: list[str], line: str) -> tuple[int, ...]:
@@ -96,21 +109,14 @@ def write_graph(g: ColoredDigraph) -> str:
 
 
 def parse_graph(text: str) -> ColoredDigraph:
-    lines = _body_lines(text)
-    if not lines:
-        raise ParseError("empty input")
-    fields = _parse_header(lines[0], GRAPH_HEADER)
-    q, p = _header_int(fields, "q"), _header_int(fields, "p")
+    _, q, p, lines = _read(text, GRAPH_HEADER)
     arcs = []
-    for line in lines[1:]:
+    for line in lines:
         parts = line.split()
         if len(parts) != 3:
             raise ParseError(f"arc line needs 3 fields: '{line}'")
         arcs.append(_ints(parts, line))
-    try:
-        return ColoredDigraph.from_arcs(q, p, arcs)
-    except ValueError as e:
-        raise ParseError(str(e)) from e
+    return _build(ColoredDigraph.from_arcs, q, p, arcs)
 
 
 # ---------------------------------------------------------------------------
@@ -127,13 +133,9 @@ def write_tensor(t: StructureTensor) -> str:
 
 
 def parse_tensor(text: str) -> StructureTensor:
-    lines = _body_lines(text)
-    if not lines:
-        raise ParseError("empty input")
-    fields = _parse_header(lines[0], TENSOR_HEADER)
-    q, p = _header_int(fields, "q"), _header_int(fields, "p")
+    _, q, p, lines = _read(text, TENSOR_HEADER)
     entries = []
-    for line in lines[1:]:
+    for line in lines:
         parts = line.split()
         if len(parts) != 4:
             raise ParseError(f"entry line needs 4 fields: '{line}'")
@@ -141,10 +143,7 @@ def parse_tensor(text: str) -> StructureTensor:
         if parts[3] not in ("+1", "-1", "1"):
             raise ParseError(f"sign must be +1 or -1, got '{parts[3]}'")
         entries.append((i, j, k, 1 if parts[3] in ("+1", "1") else -1))
-    try:
-        return StructureTensor.from_entries(q, p, entries)
-    except ValueError as e:
-        raise ParseError(str(e)) from e
+    return _build(StructureTensor.from_entries, q, p, entries)
 
 
 def bracket_table(t: StructureTensor) -> str:
@@ -161,6 +160,8 @@ def bracket_table(t: StructureTensor) -> str:
 
 def write_witness(w: IsoWitness, q: int, p: int) -> str:
     if isinstance(w, SignedPermWitness):
+        if (len(w.vertex_images), len(w.color_images)) != (q, p):
+            raise ValueError("permutation sizes do not match q and p")
         lines = [f"{WITNESS_HEADER} kind=signed-perm q={q} p={p}"]
         lines.append("vertex-images " + " ".join(str(i) for i in w.vertex_images))
         lines.append("vertex-signs " + " ".join(_fmt_sign(s) for s in w.vertex_signs))
@@ -227,15 +228,11 @@ _SIGNED_PERM_KEYS = ("vertex-images", "vertex-cycles", "vertex-signs",
 
 
 def parse_witness(text: str) -> tuple[IsoWitness, int, int]:
-    lines = _body_lines(text)
-    if not lines:
-        raise ParseError("empty input")
-    fields = _parse_header(lines[0], WITNESS_HEADER, ("kind", "q", "p"))
-    q, p = _header_int(fields, "q"), _header_int(fields, "p")
+    fields, q, p, lines = _read(text, WITNESS_HEADER, ("kind", "q", "p"))
     kind = fields.get("kind")
     if kind == "signed-perm":
         data: dict[str, list[str]] = {}
-        for line in lines[1:]:
+        for line in lines:
             key, _, rest = line.partition(" ")
             if key not in _SIGNED_PERM_KEYS:
                 raise ParseError(f"unknown witness line '{key}'")
@@ -260,13 +257,10 @@ def parse_witness(text: str) -> tuple[IsoWitness, int, int]:
         ci = perm("color", "p", p)
         vs = _parse_signs(data.get("vertex-signs", ["+1"] * q), q)
         cs = _parse_signs(data.get("color-signs", ["+1"] * p), p)
-        try:
-            return SignedPermWitness(vi, ci, vs, cs), q, p
-        except ValueError as e:
-            raise ParseError(str(e)) from e
+        return _build(SignedPermWitness, vi, ci, vs, cs), q, p
     if kind == "general-linear":
         rows = []
-        for line in lines[1:]:
+        for line in lines:
             key, _, rest = line.partition(" ")
             if key != "row":
                 raise ParseError(f"expected 'row' line, got '{line}'")
@@ -291,10 +285,10 @@ _PALETTE = ("red", "blue", "forestgreen", "darkorange", "purple",
             "crimson", "darkcyan")
 
 
-def write_dot(g: ColoredDigraph, name: str = "unilie") -> str:
-    """Graphviz output: undirected layout, arc direction kept as an arrowhead,
-    colors drawn from a fixed 12-entry palette cycling past 12."""
-    lines = [f"graph {name} {{"]
+def write_dot(g: ColoredDigraph) -> str:
+    """Graphviz graph `unilie`: undirected layout, arc direction kept as an
+    arrowhead, colors drawn from a fixed 12-entry palette cycling past 12."""
+    lines = ["graph unilie {"]
     for v in range(1, g.q + 1):
         lines.append(f'  v{v};')
     for (t, h, k) in g.sorted_arcs():
@@ -304,8 +298,10 @@ def write_dot(g: ColoredDigraph, name: str = "unilie") -> str:
     return "\n".join(lines) + "\n"
 
 
-def from_data(data: dict):
+def from_data(data):
     """The object whose `to_data()` is data."""
+    if not isinstance(data, dict):
+        raise ParseError(f"expected a data object, got {type(data).__name__}")
     kind = data.get("kind")
     try:
         if kind in ("graph", "algebra"):

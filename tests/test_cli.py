@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from unilie import cli, families, fileverbs
+from unilie import cli, families
 from unilie.algebra import GeneralLinearWitness, from_graph
 from unilie.cli import main
 from unilie.exact import IntMatrix
@@ -166,7 +166,8 @@ class TestFamily:
     def test_bad_variant_is_usage_error(self, capsys):
         for args in (("heisenberg", "2", "--variant", "primed"),
                      ("quaternionic", "--variant", "primed"),
-                     ("ring", "2", "--variant", "associate")):
+                     ("ring", "2", "--variant", "associate"),
+                     ("ring", "2", "--variant", "bogus")):
             code, _ = run(capsys, "family", *args)
             assert code == 2, args
 
@@ -822,13 +823,15 @@ class TestParserEdges:
         assert main(argv) == 0
         assert seen == [budget]
 
-    @pytest.mark.parametrize("name", sorted(fileverbs._FAMILIES))
+    @pytest.mark.parametrize("name", sorted(families._FAMILIES))
     def test_family_builders_resolve_by_name(self, name):
-        module, builder, arity = fileverbs._FAMILIES[name]
+        module, builder, variant, accepts, _, _ = families._FAMILIES[name]
         fn = getattr(importlib.import_module(f"unilie.{module}"), builder)
         assert callable(fn) and fn.__name__ == builder
-        params = {0: (), 1: (3,), 2: (5, 2)}[arity]
-        assert families.vertex_count(builder, *params) == fn(*params).q
+        params = {0: (), 1: (3,), 2: (5, 2)}[accepts.__code__.co_argcount]
+        assert families.vertex_count(name, *params) == fn(*params).q
+        if variant is not None:
+            assert fn(*params, **{variant: True}).q == fn(*params).q
 
 
 # every verb with arguments that succeed, and the flags the verb does not read

@@ -104,6 +104,13 @@ class TestWitnessFormat:
         assert (q, p) == (4, 3)
         assert parsed == w
 
+    def test_signed_perm_sizes_must_match_the_header(self):
+        # a file whose header disagrees with the images would not parse back
+        w = SignedPermWitness((2, 1, 3, 4), (1, 3, 2), (1, -1, 1, 1), (1, 1, -1))
+        for q, p in ((3, 2), (4, 2), (3, 3), (5, 3)):
+            with pytest.raises(ValueError, match="do not match q and p"):
+                write_witness(w, q, p)
+
     def test_general_linear_round_trip(self):
         _, _, w = ring_sum_witness()
         parsed, q, p = parse_witness(write_witness(w, 4, 2))
@@ -312,6 +319,12 @@ class TestDataAndJson:
         payload = json.loads(one)
         assert payload["kind"] == "algebra"
         assert from_data(payload) == t
+
+    @pytest.mark.parametrize("data,name", [([1], "list"), ("x", "str"), (None, "NoneType"),
+                                           (3, "int")])
+    def test_from_data_refuses_a_value_that_is_not_an_object(self, data, name):
+        with pytest.raises(ParseError, match=f"expected a data object, got {name}$"):
+            from_data(data)
 
     def test_from_data_rejects_unknown_kind(self):
         with pytest.raises(ParseError):
