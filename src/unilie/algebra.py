@@ -27,6 +27,7 @@ build a matrix or a rational, and it never loads rational arithmetic.
 from __future__ import annotations
 
 import itertools
+from functools import cached_property
 
 from .gf2 import gf2_echelon, gf2_reduce, gf2_solve_min
 from .graphs import (BudgetExceededError, ColoredDigraph, ColorPermAutomorphism,
@@ -39,7 +40,8 @@ class StructureTensor(Record):
     """Bracket data: entries (i, j, k, sign) with i < j mean [v_i, v_j] = sign * z_k.
 
     All indices are 1-based.  Each generator pair carries at most one entry,
-    mirroring the one-arc-per-pair rule for colored digraphs.
+    mirroring the one-arc-per-pair rule for colored digraphs.  The one view
+    of the brackets in both orders is `brackets`, built once per tensor.
     """
 
     q: int
@@ -79,9 +81,15 @@ class StructureTensor(Record):
     def sorted_entries(self) -> list[tuple[int, int, int, int]]:
         return sorted(self.entries)
 
-    def pair_map(self) -> dict[tuple[int, int], tuple[int, int]]:
-        """(i, j) with i < j -> (k, sign)."""
-        return {(i, j): (k, s) for i, j, k, s in self.entries}
+    @cached_property
+    def brackets(self) -> dict[tuple[int, int], tuple[int, int]]:
+        """(i, j) -> (k, s) and (j, i) -> (k, -s) for each [v_i, v_j] = s z_k,
+        in sorted entry order; built once, ignored by equality and hashing."""
+        view = {}
+        for i, j, k, s in sorted(self.entries):
+            view[i, j] = (k, s)
+            view[j, i] = (k, -s)
+        return view
 
     def dim(self) -> int:
         return self.q + self.p
@@ -94,13 +102,7 @@ class StructureTensor(Record):
 
 def from_graph(g: ColoredDigraph) -> StructureTensor:
     """Structure tensor of a colored digraph: arc (i, j, k) gives [v_i, v_j] = z_k."""
-    entries = []
-    for (i, j, k) in g.arcs:
-        if i < j:
-            entries.append((i, j, k, 1))
-        else:
-            entries.append((j, i, k, -1))
-    return StructureTensor.from_entries(g.q, g.p, entries)
+    return StructureTensor.from_brackets(g.q, g.p, ((i, j, k, 1) for i, j, k in g.arcs))
 
 
 def to_graph(t: StructureTensor) -> ColoredDigraph:
@@ -114,9 +116,8 @@ def _radical_rows(t: StructureTensor) -> list[list[int]]:
     in column i the z_k coordinate of [v_i, v_j].  Its kernel is the radical
     {x in V : [x, V] = 0}."""
     rows = [[0] * t.q for _ in range(t.q * t.p)]
-    for (i, j, k, s) in t.entries:
+    for (i, j), (k, s) in t.brackets.items():
         rows[(j - 1) * t.p + k - 1][i - 1] = s   # [v_i, v_j] = s z_k
-        rows[(i - 1) * t.p + k - 1][j - 1] = -s  # [v_j, v_i] = -s z_k
     return rows
 
 
@@ -125,15 +126,14 @@ def _radical_rows(t: StructureTensor) -> list[list[int]]:
 
 def j_map(t: StructureTensor, coeffs) -> IntMatrix:
     """J map of the center element sum(coeffs[k-1] * z_k): each bracket
-    [v_i, v_j] = s z_k puts s c_k at (j, i) and -s c_k at (i, j)."""
+    [v_i, v_j] = s z_k, in either order, puts s c_k at (j, i)."""
     from .exact import IntMatrix
     coeffs = tuple(coeffs)
     if len(coeffs) != t.p:
         raise ValueError("need one coefficient per center direction")
     m = [[0] * t.q for _ in range(t.q)]
-    for (i, j, k, s) in t.entries:
+    for (i, j), (k, s) in t.brackets.items():
         m[j - 1][i - 1] = s * coeffs[k - 1]     # coeff of v_j in J(v_i)
-        m[i - 1][j - 1] = -s * coeffs[k - 1]
     return IntMatrix.from_rows(m)
 
 
@@ -145,9 +145,8 @@ def _heisenberg_identity(t: StructureTensor) -> bool:
     of the generators: js[k][i] = (j, c) when J_k v_i = c v_j.  The identity
     is checked on one generator at a time with O(p^2 q) lookups."""
     js: list[dict[int, tuple[int, int]]] = [{} for _ in range(t.p)]
-    for (i, j, k, s) in t.entries:
+    for (i, j), (k, s) in t.brackets.items():
         js[k - 1][i] = (j, s)     # J_k v_i = s v_j
-        js[k - 1][j] = (i, -s)    # J_k v_j = -s v_i
     for k in range(t.p):
         for l in range(k, t.p):
             for i in range(1, t.q + 1):
@@ -214,6 +213,10 @@ class GeneralLinearWitness(Record):
 
     matrix: IntMatrix
 
+    def __post_init__(self):
+        if not self.matrix.rows or self.matrix.nrows != self.matrix.ncols:
+            raise ValueError("witness matrix must be square and nonempty")
+
     def to_matrix(self) -> IntMatrix:
         return self.matrix
 
@@ -255,29 +258,27 @@ def check_witness(t1: StructureTensor, t2: StructureTensor, w: IsoWitness) -> Wi
     if (t1.q, t1.p) != (t2.q, t2.p):
         raise ValueError("witness checking needs matching q and p")
     q, p = t1.q, t1.p
-    pm1, pm2 = t1.pair_map(), t2.pair_map()
+    b1, b2 = t1.brackets, t2.brackets
     failures = []
     if isinstance(w, SignedPermWitness):
         if (len(w.vertex_images), len(w.color_images)) != (q, p):
             raise ValueError("witness matrix has the wrong shape")
         vi, vs = w.vertex_images, w.vertex_signs
         for i, j in itertools.combinations(range(q), 2):
-            x, y = vi[i], vi[j]
-            hit = pm2.get((x, y) if x < y else (y, x))
-            entry = pm1.get((i + 1, j + 1))
+            hit = b2.get((vi[i], vi[j]))
+            entry = b1.get((i + 1, j + 1))
             if entry is None:  # [v_i, v_j] = 0 in t1
                 ok = hit is None
             else:  # [w v_i, w v_j] = w [v_i, v_j] = s w z_k
                 k, s = entry
                 ok = (hit is not None and hit[0] == w.color_images[k - 1]
-                      and hit[1] * vs[i] * vs[j] * (1 if x < y else -1)
-                      == s * w.color_signs[k - 1])
+                      and hit[1] * vs[i] * vs[j] == s * w.color_signs[k - 1])
             if not ok:
                 failures.append(f"[v{i + 1}, v{j + 1}]")
         return WitnessCheck(ok=not failures, failures=tuple(failures))
     m = w.to_matrix()
     n = t1.dim()
-    if m.nrows != n or m.ncols != n:
+    if m.nrows != n:  # a GeneralLinearWitness matrix is square
         raise ValueError("witness matrix has the wrong shape")
     if m.rank() < n:
         raise ValueError("witness matrix is singular")
@@ -288,10 +289,10 @@ def check_witness(t1: StructureTensor, t2: StructureTensor, w: IsoWitness) -> Wi
             rhs = [0] * p  # [w e_a, w e_b] in t2, a central vector
             for i, x in gens[a]:
                 for j, y in gens[b]:
-                    hit = pm2.get((min(i, j) + 1, max(i, j) + 1))
+                    hit = b2.get((i + 1, j + 1))
                     if hit is not None:
-                        rhs[hit[0] - 1] += hit[1] * (x * y if i < j else -x * y)
-            entry = pm1.get((a + 1, b + 1)) if b < q else None
+                        rhs[hit[0] - 1] += hit[1] * x * y
+            entry = b1.get((a + 1, b + 1)) if b < q else None
             if entry is None:  # [e_a, e_b] = 0 in t1
                 ok = not any(rhs)
             else:  # w [e_a, e_b] = s w z_k
@@ -437,20 +438,18 @@ def _signed_perm_witness(t1: StructureTensor, t2: StructureTensor,
     the least solution is returned after check_witness accepts it, and None
     when the system has no solution.
     """
-    pm1, pm2 = t1.pair_map(), t2.pair_map()
-    if len(pm1) != len(pm2):
+    if len(t1.entries) != len(t2.entries):
         return None
+    b2 = t2.brackets
     q, p = t1.q, t1.p
     equations = []
-    for (i, j), (k, s1) in pm1.items():
-        a, b = vertex_images[i - 1], vertex_images[j - 1]
-        hit = pm2.get((min(a, b), max(a, b)))
+    for (i, j, k, s) in t1.entries:
+        hit = b2.get((vertex_images[i - 1], vertex_images[j - 1]))
         if hit is None or hit[0] != color_images[k - 1]:
             return None
-        s2 = hit[1] if a < b else -hit[1]
         # v_i, v_j and z_k at coordinates i - 1, j - 1 and q + k - 1
         equations.append((1 << (q + p - i) | 1 << (q + p - j) | 1 << (p - k),
-                          0 if s1 == s2 else 1))
+                          0 if s == hit[1] else 1))
     sol = gf2_solve_min(equations, q + p)
     if sol is None:
         return None
@@ -627,10 +626,10 @@ def derivation_dim(t: StructureTensor) -> int:
         raise BudgetExceededError(MAX_DERIVATION_CELLS, cells)
     # touching[b]: (c, k, s) for each [v_c, v_b] = s z_k, 0-based c and k
     touching = [[] for _ in range(q)]
+    for (c, b), (k, s) in t.brackets.items():
+        touching[b - 1].append((c - 1, k - 1, s))
     by_color = {}  # used colors only
     for (i, j, k, s) in t.sorted_entries():
-        touching[j - 1].append((i - 1, k - 1, s))
-        touching[i - 1].append((j - 1, k - 1, -s))
         by_color.setdefault(k, []).append((i - 1, j - 1, s))
 
     def gamma_rows(terms) -> list[dict[int, int]]:
@@ -645,10 +644,9 @@ def derivation_dim(t: StructureTensor) -> int:
                 rows[k][c * q + b] = rows[k].get(c * q + b, 0) - coef * s
         return [row for row in rows if any(row.values())]
 
-    pairs = t.pair_map()
     rows = []
     for a, b in itertools.combinations(range(q), 2):
-        if (a + 1, b + 1) not in pairs:
+        if (a + 1, b + 1) not in t.brackets:
             rows += gamma_rows([(1, a, b)])
     for (a1, b1, s1), *rest in by_color.values():
         for a, b, s in rest:

@@ -88,11 +88,9 @@ def ad_matrix(t: StructureTensor, i: int) -> IntMatrix:
     if not (1 <= i <= t.q):
         raise ValueError(f"generator index {i} out of range")
     m = [[0] * t.q for _ in range(t.p)]
-    for (a, b, k, s) in t.entries:
+    for (a, b), (k, s) in t.brackets.items():
         if a == i:
             m[k - 1][b - 1] = s
-        elif b == i:
-            m[k - 1][a - 1] = -s
     return IntMatrix.from_rows(m)
 
 

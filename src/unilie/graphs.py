@@ -202,9 +202,6 @@ def validate_uniform(g: ColoredDigraph) -> UniformityReport:
         if color_counts[k] == 0:
             violations.append(NotSurjective(color=k))
 
-    if not g.arcs:
-        s = 0
-        r = 0
     is_uniform = not violations and s >= 1
     return UniformityReport(is_uniform=is_uniform, p=g.p, q=g.q, r=r, s=s,
                             violations=tuple(violations))

@@ -74,8 +74,11 @@ def _ints(parts: list[str], line: str) -> tuple[int, ...]:
 
 def _rational(x) -> Fraction:
     """Fraction(x) for an int, a float or an exponent-free decimal or ratio
-    string.  Exponent notation is refused: Fraction("1e999999999") builds a
-    billion-digit integer before any budget applies."""
+    string.  A bool is refused, as _data_ints refuses it.  Exponent notation
+    is refused: Fraction("1e999999999") builds a billion-digit integer before
+    any budget applies."""
+    if isinstance(x, bool):
+        raise ParseError(f"expected a rational, got {x!r}")
     if isinstance(x, str) and "e" in x.lower():
         raise ParseError(f"exponent notation is not accepted: '{x}'")
     return Fraction(x)
@@ -273,7 +276,7 @@ def parse_witness(text: str) -> tuple[IsoWitness, int, int]:
         n = q + p
         if len(rows) != n or any(len(r) != n for r in rows):
             raise ParseError(f"matrix must be {n}x{n}")
-        return GeneralLinearWitness(IntMatrix.from_rows(rows)), q, p
+        return _build(GeneralLinearWitness, IntMatrix.from_rows(rows)), q, p
     raise ParseError(f"unknown witness kind '{kind}'")
 
 

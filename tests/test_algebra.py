@@ -81,7 +81,7 @@ def alpha(t, i, j, k):
     """Structure constant of z_k in [v_i, v_j], any order of i, j."""
     if i > j:
         return -alpha(t, j, i, k)
-    hit = t.pair_map().get((i, j))
+    hit = t.brackets.get((i, j))
     return hit[1] if hit is not None and hit[0] == k else 0
 ASSOC = from_graph(quaternionic(associate=True))
 RING2 = from_graph(ring_algebra(2))
@@ -477,10 +477,9 @@ class TestTotallyGeodesic:
                         for cs in combinations(colors, nc):
                             rep = totally_geodesic(t, vs, cs)
                             inside = all(
-                                t.pair_map().get((min(i, j), max(i, j)), (0, 0))[0]
-                                in cs
+                                t.brackets[(i, j)][0] in cs
                                 for i, j in combinations(vs, 2)
-                                if (min(i, j), max(i, j)) in t.pair_map()
+                                if (i, j) in t.brackets
                             )
                             assert rep.is_subalgebra == inside
                             if inside:
@@ -723,7 +722,7 @@ class TestSignOrbits:
             for zbits in product((0, 1), repeat=t.p):
                 vec = []
                 for (i, j), s in zip(pairs, base):
-                    k = t.pair_map()[(i, j)][0]
+                    k = t.brackets[(i, j)][0]
                     flip = vbits[i - 1] ^ vbits[j - 1] ^ zbits[k - 1]
                     vec.append(-s if flip else s)
                 orbit.add(tuple(vec))
@@ -928,6 +927,46 @@ def test_commutator_matches_fraction_rref(t):
     red, pivots = fraction_rref(rows)
     assert commutator(t) == [NVector.from_coords(t.q, t.p, (0,) * t.q + tuple(row))
                              for row in red[:len(pivots)]]
+
+
+def old_from_graph(g):
+    """The arc-by-arc loop from_graph once ran: the oracle for its call of
+    from_brackets."""
+    entries = []
+    for (i, j, k) in g.arcs:
+        if i < j:
+            entries.append((i, j, k, 1))
+        else:
+            entries.append((j, i, k, -1))
+    return StructureTensor.from_entries(g.q, g.p, entries)
+
+
+class TestBracketView:
+    @given(small_tensors())
+    def test_both_orders_of_each_entry(self, t):
+        view = t.brackets
+        want = {}
+        for i, j, k, s in t.entries:
+            want[(i, j)] = (k, s)
+            want[(j, i)] = (k, -s)
+        assert view == want and len(view) == 2 * len(t.entries)
+        assert list(view) == [key for i, j, _, _ in sorted(t.entries)
+                              for key in ((i, j), (j, i))]
+        assert t.brackets is view
+
+    @given(small_tensors())
+    def test_equality_and_hash_ignore_the_view(self, t):
+        warm = StructureTensor.from_entries(t.q, t.p, t.entries)
+        cold = StructureTensor.from_entries(t.q, t.p, t.entries)
+        warm.brackets  # builds and caches the view
+        assert "brackets" in vars(warm) and "brackets" not in vars(cold)
+        assert warm == cold and hash(warm) == hash(cold) and repr(warm) == repr(cold)
+        assert len({warm, cold}) == 1
+
+    @given(small_tensors())
+    def test_from_graph_matches_arc_loop(self, t):
+        g = to_graph(t)
+        assert from_graph(g) == old_from_graph(g) == t
 
 
 class TestDerivations:

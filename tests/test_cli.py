@@ -341,6 +341,17 @@ class TestIso:
         assert run(capsys, "iso", "--input", str(a), "--input", str(a),
                    "--input", str(w))[0] == 0
 
+    def test_empty_general_linear_witness_is_usage_error(self, capsys, tmp_path):
+        # q + p = 0 rows pass the row count, but a witness matrix is nonempty
+        a, w = tmp_path / "a.alg", tmp_path / "w.wit"
+        a.write_text("unilie-algebra v1 q=3 p=2\n1 2 1 +1\n")
+        w.write_text("unilie-witness v1 kind=general-linear q=0 p=0\n")
+        assert main(["iso", "--input", str(a), "--input", str(a),
+                     "--input", str(w)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "usage error: witness matrix must be square and nonempty\n"
+
     def test_cross_support_certificate(self, capsys, tmp_path):
         # same dimensions, different supports: decided by the square-norm
         # identity against r = 1, where J(z_1) kills v3 and v4

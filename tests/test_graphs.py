@@ -167,6 +167,13 @@ class TestValidateUniform:
         r2 = validate_uniform(g)
         assert r1.violations == r2.violations
 
+    def test_arcless_graph(self):
+        # no arcs: every degree and every color count is 0
+        report = validate_uniform(ColoredDigraph(3, 2, frozenset()))
+        assert not report.is_uniform
+        assert (report.r, report.s) == (0, 0)
+        assert report.violations == (NotSurjective(1), NotSurjective(2))
+
 
 class TestAutomorphisms:
     def test_quaternionic_counts(self):

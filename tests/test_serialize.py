@@ -190,6 +190,26 @@ class TestWitnessFormat:
         payload["matrix"][0][0] = entry
         assert from_data(payload).to_matrix()[0, 0] == Fraction(entry)
 
+    def test_non_square_witness_is_refused(self):
+        # a 2x3 matrix once wrote a file that parse_witness refused
+        with pytest.raises(ValueError, match="square"):
+            GeneralLinearWitness(IntMatrix.from_rows([[1, 0, 0], [0, 1, 0]]))
+
+    @pytest.mark.parametrize("matrix", [[["1", "0", "0"]], []])
+    def test_data_form_refuses_non_square_and_empty_matrices(self, matrix):
+        with pytest.raises(ParseError, match="square and nonempty"):
+            from_data({"kind": "witness", "witness_kind": "general-linear",
+                       "matrix": matrix})
+
+    def test_empty_witness_text_is_a_parse_error(self):
+        with pytest.raises(ParseError, match="square and nonempty"):
+            parse_witness("unilie-witness v1 kind=general-linear q=0 p=0\n")
+
+    def test_data_form_refuses_booleans(self):
+        with pytest.raises(ParseError, match="expected a rational, got True"):
+            from_data({"kind": "witness", "witness_kind": "general-linear",
+                       "matrix": [[True]]})
+
     def test_data_form_accepts_json_numbers(self):
         payload = GeneralLinearWitness(IntMatrix.identity(2)).to_data()
         payload["matrix"][0] = [-3, 0.5]
@@ -395,6 +415,23 @@ class TestParseAny:
     def test_rejects_garbage(self):
         with pytest.raises(ParseError):
             parse_any("once upon a time\n")
+
+    @pytest.mark.parametrize("text,message", [
+        ("", "empty input"),
+        ("# only a comment\n\n", "empty input"),
+        ("once upon a time\n", "unrecognized header 'once upon a time'"),
+        ("unilie-graph v10 q=2 p=1\n",
+         "expected header 'unilie-graph v1', got 'unilie-graph v10 q=2 p=1'"),
+        ("unilie-algebra v1x q=2 p=1\n",
+         "expected header 'unilie-algebra v1', got 'unilie-algebra v1x q=2 p=1'"),
+        ("unilie-witness v12 kind=signed-perm q=2 p=1\n",
+         "expected header 'unilie-witness v1', "
+         "got 'unilie-witness v12 kind=signed-perm q=2 p=1'"),
+    ])
+    def test_messages(self, text, message):
+        with pytest.raises(ParseError) as info:
+            parse_any(text)
+        assert str(info.value) == message
 
 
 @given(
