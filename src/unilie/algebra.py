@@ -174,9 +174,16 @@ class SignedPermWitness(Record):
     vertex_signs: tuple[int, ...]
     color_signs: tuple[int, ...]
 
+    @property
+    def q(self) -> int:
+        return len(self.vertex_images)
+
+    @property
+    def p(self) -> int:
+        return len(self.color_images)
+
     def __post_init__(self):
-        q = len(self.vertex_images)
-        p = len(self.color_images)
+        q, p = self.q, self.p
         if sorted(self.vertex_images) != list(range(1, q + 1)):
             raise ValueError("vertex images are not a permutation")
         if sorted(self.color_images) != list(range(1, p + 1)):
@@ -188,9 +195,7 @@ class SignedPermWitness(Record):
 
     def to_matrix(self) -> IntMatrix:
         from .exact import IntMatrix
-        q = len(self.vertex_images)
-        p = len(self.color_images)
-        n = q + p
+        q, n = self.q, self.q + self.p
         m = [[0] * n for _ in range(n)]
         for i, (im, s) in enumerate(zip(self.vertex_images, self.vertex_signs)):
             m[im - 1][i] = s
@@ -201,21 +206,26 @@ class SignedPermWitness(Record):
     def to_data(self) -> dict:
         """JSON-ready form mirroring the text format."""
         return {"kind": "witness", "witness_kind": "signed-perm",
-                "vertex_images": list(self.vertex_images),
+                "q": self.q, "p": self.p, "vertex_images": list(self.vertex_images),
                 "vertex_signs": list(self.vertex_signs),
                 "color_images": list(self.color_images),
                 "color_signs": list(self.color_signs)}
 
 
 class GeneralLinearWitness(Record):
-    """Arbitrary invertible rational map in the v1..vq, z1..zp coordinate order;
-    column b holds the image of basis vector b."""
+    """Invertible rational map in the v1..vq, z1..zp coordinate order, whose
+    split q + p the matrix alone does not tell; column b is the image of e_b."""
 
     matrix: IntMatrix
+    q: int
+    p: int
 
     def __post_init__(self):
-        if not self.matrix.rows or self.matrix.nrows != self.matrix.ncols:
+        m, n = self.matrix, self.q + self.p
+        if not m.rows or m.nrows != m.ncols:
             raise ValueError("witness matrix must be square and nonempty")
+        if m.nrows != n:
+            raise ValueError(f"matrix must be {n}x{n}")
 
     def to_matrix(self) -> IntMatrix:
         return self.matrix
@@ -224,6 +234,7 @@ class GeneralLinearWitness(Record):
         """JSON-ready form mirroring the text format; entries are rational strings."""
         from .exact import format_scalar
         return {"kind": "witness", "witness_kind": "general-linear",
+                "q": self.q, "p": self.p,
                 "matrix": [list(map(format_scalar, row)) for row in self.matrix.rows]}
 
 
@@ -242,8 +253,8 @@ def _basis_name(t: StructureTensor, idx: int) -> str:
 def check_witness(t1: StructureTensor, t2: StructureTensor, w: IsoWitness) -> WitnessCheck:
     """Verify that w intertwines brackets on every basis pair, exactly.
 
-    Both tensors must share (q, p), and a signed permutation must have q
-    vertex and p color images; a general-linear matrix must be invertible.
+    Both tensors and the witness must share (q, p), and a general-linear
+    matrix must be invertible.
     The failure list names each offending basis pair, in lexicographic order.
 
     A signed permutation is checked on its maps, with no matrix.  It sends
@@ -258,11 +269,11 @@ def check_witness(t1: StructureTensor, t2: StructureTensor, w: IsoWitness) -> Wi
     if (t1.q, t1.p) != (t2.q, t2.p):
         raise ValueError("witness checking needs matching q and p")
     q, p = t1.q, t1.p
+    if (w.q, w.p) != (q, p):
+        raise ValueError("witness matrix has the wrong shape")
     b1, b2 = t1.brackets, t2.brackets
     failures = []
     if isinstance(w, SignedPermWitness):
-        if (len(w.vertex_images), len(w.color_images)) != (q, p):
-            raise ValueError("witness matrix has the wrong shape")
         vi, vs = w.vertex_images, w.vertex_signs
         for i, j in itertools.combinations(range(q), 2):
             hit = b2.get((vi[i], vi[j]))
@@ -278,8 +289,6 @@ def check_witness(t1: StructureTensor, t2: StructureTensor, w: IsoWitness) -> Wi
         return WitnessCheck(ok=not failures, failures=tuple(failures))
     m = w.to_matrix()
     n = t1.dim()
-    if m.nrows != n:  # a GeneralLinearWitness matrix is square
-        raise ValueError("witness matrix has the wrong shape")
     if m.rank() < n:
         raise ValueError("witness matrix is singular")
     cols = list(zip(*m.rows))  # column b = image of basis b
@@ -306,7 +315,7 @@ def check_witness(t1: StructureTensor, t2: StructureTensor, w: IsoWitness) -> Wi
 
 def compose_witnesses(second: IsoWitness, first: IsoWitness) -> GeneralLinearWitness:
     """Witness for the composition second after first."""
-    return GeneralLinearWitness(second.to_matrix() @ first.to_matrix())
+    return GeneralLinearWitness(second.to_matrix() @ first.to_matrix(), first.q, first.p)
 
 
 def invert_witness(w: IsoWitness) -> GeneralLinearWitness:
@@ -314,7 +323,7 @@ def invert_witness(w: IsoWitness) -> GeneralLinearWitness:
     inv = inverse(w.to_matrix())
     if inv is None:
         raise ValueError("witness matrix is singular")
-    return GeneralLinearWitness(inv)
+    return GeneralLinearWitness(inv, w.q, w.p)
 
 
 def lift_automorphism(t: StructureTensor, a: ColorPermAutomorphism) -> SignedPermWitness:

@@ -44,7 +44,7 @@ def ring_sum_witness() -> tuple[StructureTensor, StructureTensor, GeneralLinearW
         (0, 0, 0, 0, -1, 1),  # w2 -> z2 - z1
     ]
     m = exact.IntMatrix.from_rows(list(zip(*cols)))
-    return t1, t2, GeneralLinearWitness(m)
+    return t1, t2, GeneralLinearWitness(m, t1.q, t1.p)
 
 
 def _heisenberg_sum() -> StructureTensor:

@@ -3,15 +3,16 @@ iso, orbit and export.
 
 `cli.main` imports this module only when one of these verbs runs, so
 `classify`, `factorize`, `--help` and usage errors never compile it.  Input
-files are parsed in one place, `_read_inputs`, which turns a parse error
-into a usage error (exit 2).  `family` takes each family's builder, variant
-flag, parameter check and vertex count from the one table in `families`.
+files, text or data, are parsed in one place, `_read_inputs`, which reads
+each through `serialize.parse_any` and turns a parse error into a usage error
+(exit 2); a witness file gives the witness, which carries its own q and p.
+`family` takes each family's builder, variant flag, parameter check and
+vertex count from the one table in `families`.
 """
 
 from __future__ import annotations
 
 import importlib
-import json
 
 from .cli import (EXIT_OK, EXIT_PROPERTY, EXIT_UNDETERMINED, _Usage, _emit,
                   _render_split)
@@ -205,20 +206,19 @@ def analyze(args) -> int:
 
 def iso(args) -> int:
     from . import serialize
-    from .algebra import check_witness, signed_perm_isomorphic
+    from .algebra import IsoWitness, check_witness, signed_perm_isomorphic
     from .graphs import ColoredDigraph, colorings_equivalent
     objs = _read_inputs(args)
     if args.strict_equivalence and not (
             len(objs) == 2 and all(isinstance(o, ColoredDigraph) for o in objs)):
         raise _Usage("--strict-equivalence needs two graph files")
     if len(objs) == 3:
-        a, b, wfile = objs
-        if not isinstance(wfile, tuple):
+        a, b, w = objs
+        if not isinstance(w, IsoWitness):
             raise _Usage("third --input must be a witness file")
         t1, t2 = _as_tensor(a), _as_tensor(b)
-        w, q, p = wfile
-        if (t1.q, t1.p) == (t2.q, t2.p) != (q, p):
-            raise _Usage(f"witness header says q={q} p={p}, but the algebras "
+        if (t1.q, t1.p) == (t2.q, t2.p) != (w.q, w.p):
+            raise _Usage(f"witness header says q={w.q} p={w.p}, but the algebras "
                          f"have q={t1.q} p={t1.p}")
         try:
             res = check_witness(t1, t2, w)
@@ -260,7 +260,7 @@ def iso(args) -> int:
             payload = {"mode": "signed-perm", "isomorphic": True,
                        "witness": w.to_data()}
             _emit(args, "isomorphic via signed permutation\n\n"
-                  + serialize.write_witness(w, t1.q, t1.p), payload)
+                  + serialize.write_witness(w), payload)
             return EXIT_OK
     from .classification import Invariants, refine
     _, splits = refine([Invariants((t1,)), Invariants((t2,))])
@@ -304,13 +304,7 @@ def orbit(args) -> int:
 
 def export(args) -> int:
     (obj,) = _read_inputs(args, 1)
-    if isinstance(obj, tuple) and args.format == "data":  # a witness file: (witness, q, p)
-        witness, q, p = obj
-        payload = {**witness.to_data(), "q": q, "p": p}
-        body = json.dumps(payload, sort_keys=True, indent=2) + "\n"
-    else:
-        # a witness file in any other format is a usage error
-        body = _format_object(obj, args.format)
-        payload = obj.to_data()
-    _emit(args, body, payload, file_body=body)
+    # a witness file in any format but data is a usage error
+    body = _format_object(obj, args.format)
+    _emit(args, body, obj.to_data(), file_body=body)
     return EXIT_OK

@@ -1,9 +1,11 @@
 """Versioned text and DOT serialization, and the reading of the structured
 data form that each object's `to_data()` writes.
 
-One object per file.  Headers name the format and carry q and p; body lines
-hold one arc, entry, or witness component each.  Blank lines and `#` comments
-are ignored everywhere.  All indices are 1-based on disk.
+One object per file, in either form; `parse_any` reads both.  Text headers
+name the format and carry q and p; body lines hold one arc, entry, or witness
+component each.  Blank lines and `#` comments are ignored everywhere.  All
+indices are 1-based on disk.  A witness carries its own q and p, so a written
+witness file always agrees with its header.
 """
 
 from __future__ import annotations
@@ -161,22 +163,16 @@ def bracket_table(t: StructureTensor) -> str:
 # ---------------------------------------------------------------------------
 # witnesses
 
-def write_witness(w: IsoWitness, q: int, p: int) -> str:
+def write_witness(w: IsoWitness) -> str:
     if isinstance(w, SignedPermWitness):
-        if (len(w.vertex_images), len(w.color_images)) != (q, p):
-            raise ValueError("permutation sizes do not match q and p")
-        lines = [f"{WITNESS_HEADER} kind=signed-perm q={q} p={p}"]
+        lines = [f"{WITNESS_HEADER} kind=signed-perm q={w.q} p={w.p}"]
         lines.append("vertex-images " + " ".join(str(i) for i in w.vertex_images))
         lines.append("vertex-signs " + " ".join(_fmt_sign(s) for s in w.vertex_signs))
         lines.append("color-images " + " ".join(str(i) for i in w.color_images))
         lines.append("color-signs " + " ".join(_fmt_sign(s) for s in w.color_signs))
         return "\n".join(lines) + "\n"
-    m = w.to_matrix()
-    if m.nrows != q + p:
-        raise ValueError("matrix size does not match q + p")
-    lines = [f"{WITNESS_HEADER} kind=general-linear q={q} p={p}"]
-    for row in m.rows:
-        lines.append("row " + " ".join(format_scalar(x) for x in row))
+    lines = [f"{WITNESS_HEADER} kind=general-linear q={w.q} p={w.p}"]
+    lines += ["row " + " ".join(map(format_scalar, row)) for row in w.matrix.rows]
     return "\n".join(lines) + "\n"
 
 
@@ -230,7 +226,7 @@ _SIGNED_PERM_KEYS = ("vertex-images", "vertex-cycles", "vertex-signs",
                      "color-images", "color-cycles", "color-signs")
 
 
-def parse_witness(text: str) -> tuple[IsoWitness, int, int]:
+def parse_witness(text: str) -> IsoWitness:
     fields, q, p, lines = _read(text, WITNESS_HEADER, ("kind", "q", "p"))
     kind = fields.get("kind")
     if kind == "signed-perm":
@@ -260,7 +256,7 @@ def parse_witness(text: str) -> tuple[IsoWitness, int, int]:
         ci = perm("color", "p", p)
         vs = _parse_signs(data.get("vertex-signs", ["+1"] * q), q)
         cs = _parse_signs(data.get("color-signs", ["+1"] * p), p)
-        return _build(SignedPermWitness, vi, ci, vs, cs), q, p
+        return _build(SignedPermWitness, vi, ci, vs, cs)
     if kind == "general-linear":
         rows = []
         for line in lines:
@@ -276,7 +272,7 @@ def parse_witness(text: str) -> tuple[IsoWitness, int, int]:
         n = q + p
         if len(rows) != n or any(len(r) != n for r in rows):
             raise ParseError(f"matrix must be {n}x{n}")
-        return _build(GeneralLinearWitness, IntMatrix.from_rows(rows)), q, p
+        return _build(GeneralLinearWitness, IntMatrix.from_rows(rows), q, p)
     raise ParseError(f"unknown witness kind '{kind}'")
 
 
@@ -306,26 +302,32 @@ def from_data(data):
     if not isinstance(data, dict):
         raise ParseError(f"expected a data object, got {type(data).__name__}")
     kind = data.get("kind")
+    if kind == "witness":
+        kind = data.get("witness_kind")
+        if kind not in ("signed-perm", "general-linear"):
+            raise ParseError(f"unrecognized witness kind {kind!r}")
+    elif kind not in ("graph", "algebra"):
+        raise ParseError(f"unrecognized data object kind '{kind}'")
     try:
-        if kind in ("graph", "algebra"):
-            q, p = _data_ints((data["q"], data["p"]))
+        q, p = _data_ints((data["q"], data["p"]))
         if kind == "graph":
             return ColoredDigraph.from_arcs(q, p, map(_data_ints, data["arcs"]))
         if kind == "algebra":
             return StructureTensor.from_entries(q, p, map(_data_ints, data["entries"]))
-        if kind == "witness":
-            wk = data.get("witness_kind")
-            if wk == "signed-perm":
-                return SignedPermWitness(*(_data_ints(data[key]) for key in (
-                    "vertex_images", "color_images", "vertex_signs", "color_signs")))
-            if wk == "general-linear":
-                rows = [tuple(map(_rational, row)) for row in data["matrix"]]
-                return GeneralLinearWitness(IntMatrix.from_rows(rows))
+        if kind == "general-linear":
+            rows = data["matrix"]
+            # a string or object row would be read as its characters or keys
+            if type(rows) is not list or any(type(row) is not list for row in rows):
+                raise TypeError("the matrix and each of its rows must be lists")
+            rows = [tuple(map(_rational, row)) for row in rows]
+            return GeneralLinearWitness(IntMatrix.from_rows(rows), q, p)
+        w = SignedPermWitness(*(_data_ints(data[key]) for key in (
+            "vertex_images", "color_images", "vertex_signs", "color_signs")))
+        if (w.q, w.p) != (q, p):
+            raise ValueError(f"images give q={w.q} p={w.p}, not q={q} p={p}")
+        return w
     except (KeyError, TypeError, ValueError, ArithmeticError) as e:
         raise ParseError(f"bad {kind} data: {e}") from e
-    if kind == "witness":
-        raise ParseError(f"unrecognized witness kind {data.get('witness_kind')!r}")
-    raise ParseError(f"unrecognized data object kind '{kind}'")
 
 
 def to_json(obj) -> str:
@@ -333,8 +335,15 @@ def to_json(obj) -> str:
 
 
 def parse_any(text: str):
-    """Dispatch on the header line: a graph, a tensor, or for a witness file
-    the witness with its header's q and p, as parse_witness returns them."""
+    """The object in a text file, by its header line, or in a data file, whose
+    first non-blank character is '{'.  Data decimals are read as written:
+    0.1 is Fraction(1, 10), not the nearest double."""
+    if text.lstrip().startswith("{"):
+        try:
+            data = json.loads(text, parse_float=str)
+        except (ValueError, RecursionError) as e:
+            raise ParseError(f"malformed data: {e}") from e
+        return from_data(data)
     lines = _body_lines(text)
     if not lines:
         raise ParseError("empty input")

@@ -195,7 +195,7 @@ def _gl_perturbations(w: GeneralLinearWitness):
             if x != 0:
                 out = [list(r) for r in rows]
                 out[i][j] = -x
-                yield GeneralLinearWitness(IntMatrix.from_rows(out))
+                yield GeneralLinearWitness(IntMatrix.from_rows(out), w.q, w.p)
 
 
 def _sp_perturbations(w: SignedPermWitness):

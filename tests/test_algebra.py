@@ -547,7 +547,25 @@ class TestWitnesses:
         from unilie.exact import IntMatrix
 
         with pytest.raises(ValueError):
-            check_witness(H3, H3, GeneralLinearWitness(IntMatrix.zero(3, 3)))
+            check_witness(H3, H3, GeneralLinearWitness(IntMatrix.zero(3, 3), 2, 1))
+
+    def test_general_linear_split_must_match(self):
+        # the 3x3 identity fits q + p = 3, but splits it as q = 1, p = 2
+        from unilie.exact import IntMatrix
+
+        assert check_witness(H3, H3, GeneralLinearWitness(IntMatrix.identity(3), 2, 1)).ok
+        with pytest.raises(ValueError, match="witness matrix has the wrong shape"):
+            check_witness(H3, H3, GeneralLinearWitness(IntMatrix.identity(3), 1, 2))
+
+    def test_compose_and_invert_keep_the_split(self):
+        from unilie.classification import ring_sum_witness
+
+        t1, t2, w = ring_sum_witness()
+        inv = invert_witness(w)
+        assert (inv.q, inv.p) == (w.q, w.p) == (4, 2)
+        assert check_witness(t2, t1, inv).ok
+        assert compose_witnesses(inv, w) == GeneralLinearWitness(
+            w.matrix.identity(6), 4, 2)
 
     def test_compose_and_invert(self):
         auts = automorphisms(quaternionic(), strict=True)
@@ -566,6 +584,17 @@ class TestWitnesses:
         for row in m.rows:
             assert sum(1 for x in row if x != 0) == 1
             assert all(x in (-1, 0, 1) for x in row)
+
+    def test_signed_perm_split_is_its_image_lengths(self):
+        w = SignedPermWitness((2, 1, 3, 4), (1, 3, 2), (1, -1, 1, 1), (1, 1, -1))
+        assert (w.q, w.p) == (4, 3)
+        assert w.to_matrix().nrows == 7
+        assert w.to_matrix()[4, 4] == 1 and w.to_matrix()[6, 5] == 1
+        assert (w.to_data()["q"], w.to_data()["p"]) == (4, 3)
+        # the split is no field: equality, hashing and repr read the images
+        assert "q=" not in repr(w)
+        with pytest.raises(AttributeError):
+            w.q = 5
 
 
 def oracle_check_witness(t1, t2, w):
@@ -655,7 +684,7 @@ class TestSparseWitnessCheck:
         n = len(rows)
         for r, c, d in deltas:
             rows[r % n][c % n] += d
-        glw = GeneralLinearWitness(IntMatrix.from_rows(rows))
+        glw = GeneralLinearWitness(IntMatrix.from_rows(rows), w.q, w.p)
         assert _outcome(check_witness, t1, t2, glw) == _outcome(
             oracle_check_witness, t1, t2, glw)
 
@@ -667,7 +696,7 @@ class TestSparseWitnessCheck:
         assert check_witness(t1, t2, w).ok
         rows = [list(r) for r in w.to_matrix().rows]
         rows[0][4] += 1  # z1 picks up a generator component
-        bad = GeneralLinearWitness(IntMatrix.from_rows(rows))
+        bad = GeneralLinearWitness(IntMatrix.from_rows(rows), w.q, w.p)
         assert check_witness(t1, t2, bad) == oracle_check_witness(t1, t2, bad)
         assert not check_witness(t1, t2, bad).ok
 
@@ -690,8 +719,8 @@ class TestSparseWitnessCheck:
 
     def test_errors_match_dense_oracle(self):
         w = SignedPermWitness((1, 2), (1,), (1, 1), (1,))
-        singular = GeneralLinearWitness(IntMatrix.zero(3, 3))
-        wrong = GeneralLinearWitness(IntMatrix.identity(4))
+        singular = GeneralLinearWitness(IntMatrix.zero(3, 3), 2, 1)
+        wrong = GeneralLinearWitness(IntMatrix.identity(4), 3, 1)
         for t1, t2, wit in [(H3, QUAT, w), (H3, H3, singular), (H3, H3, wrong)]:
             assert _outcome(check_witness, t1, t2, wit) == _outcome(
                 oracle_check_witness, t1, t2, wit)

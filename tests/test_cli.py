@@ -23,6 +23,7 @@ from unilie.graphs import DEFAULT_SEARCH_BUDGET, ColoredDigraph
 from unilie.serialize import (
     parse_any,
     parse_graph,
+    to_json,
     write_graph,
     write_tensor,
     write_witness,
@@ -273,7 +274,7 @@ class TestIso:
         a.write_text(write_tensor(t))
         b.write_text(write_tensor(t))
         w.write_text(
-            write_witness(SignedPermWitness((1, 2), (1,), (1, 1), (1,)), 2, 1)
+            write_witness(SignedPermWitness((1, 2), (1,), (1, 1), (1,)))
         )
         code, out = run(
             capsys, "iso", "--input", str(a), "--input", str(b), "--input", str(w)
@@ -287,7 +288,7 @@ class TestIso:
         a.write_text(write_tensor(t))
         b.write_text(write_tensor(t))
         w.write_text(
-            write_witness(SignedPermWitness((1, 2), (1,), (-1, 1), (1,)), 2, 1)
+            write_witness(SignedPermWitness((1, 2), (1,), (-1, 1), (1,)))
         )
         code, out = run(
             capsys, "iso", "--input", str(a), "--input", str(b), "--input", str(w)
@@ -303,7 +304,7 @@ class TestIso:
         a.write_text(write_tensor(t))
         # rows 1 and 2 agree: rank 2 of 3
         w.write_text(write_witness(GeneralLinearWitness(IntMatrix.from_rows(
-            [[1, 1, 0], [1, 1, 0], [0, 0, 1]])), 2, 1))
+            [[1, 1, 0], [1, 1, 0], [0, 0, 1]]), 2, 1)))
         assert main(["iso", "--input", str(a), "--input", str(a),
                      "--input", str(w)]) == 2
         captured = capsys.readouterr()
@@ -330,14 +331,14 @@ class TestIso:
         # 4 generators and 1 center direction, the algebras into 3 and 2
         a, w = tmp_path / "a.alg", tmp_path / "w.wit"
         a.write_text("unilie-algebra v1 q=3 p=2\n1 2 1 +1\n")
-        w.write_text(write_witness(GeneralLinearWitness(IntMatrix.identity(5)), 4, 1))
+        w.write_text(write_witness(GeneralLinearWitness(IntMatrix.identity(5), 4, 1)))
         assert main(["iso", "--input", str(a), "--input", str(a),
                      "--input", str(w)]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == ("usage error: witness header says q=4 p=1, but "
                                 "the algebras have q=3 p=2\n")
-        w.write_text(write_witness(GeneralLinearWitness(IntMatrix.identity(5)), 3, 2))
+        w.write_text(write_witness(GeneralLinearWitness(IntMatrix.identity(5), 3, 2)))
         assert run(capsys, "iso", "--input", str(a), "--input", str(a),
                    "--input", str(w))[0] == 0
 
@@ -496,19 +497,17 @@ class TestClassify:
     @pytest.mark.slow
     def test_every_split_rechecks_through_iso(self, capsys, tmp_path):
         # iso on the first cases of the first two parts of each split
-        # certifies them distinct by the same invariant and values
-        from unilie.serialize import from_data
-
+        # certifies them distinct by the same invariant and values; each
+        # representative is read from the machine block as it stands
         _, out = run(capsys, "classify", "--qmax", "6")
         payload = machine_payload(out)
-        reps = {row["case"]: from_data(row["representative"])
-                for row in payload["classes"]}
+        reps = {row["case"]: row["representative"] for row in payload["classes"]}
         assert len(payload["splits"]) == 8
         for split in payload["splits"]:
             paths = []
             for part in split["cases"][:2]:
-                paths += ["--input", str(tmp_path / f"{part[0]}.alg")]
-                (tmp_path / f"{part[0]}.alg").write_text(write_tensor(reps[part[0]]))
+                paths += ["--input", str(tmp_path / f"{part[0]}.json")]
+                (tmp_path / f"{part[0]}.json").write_text(json.dumps(reps[part[0]]))
             code, iso_out = run(capsys, "iso", *paths)
             assert code == 1, split
             cert = machine_payload(iso_out)["certificate"]
@@ -618,12 +617,12 @@ class TestExport:
         sp = SignedPermWitness((2, 1, 3, 4), (3, 1, 2), (1, -1, 1, 1), (1, 1, -1))
         for w, q, p, kind in ((gl, 4, 2, "general-linear"), (sp, 4, 3, "signed-perm")):
             path = tmp_path / f"{kind}.wit"
-            path.write_text(write_witness(w, q, p))
+            path.write_text(write_witness(w))
             code, out = run(capsys, "export", "--input", str(path), "--format", "data")
             assert code == 0
             body = json.loads(out.split("```machine", 1)[0])
-            assert body == machine_payload(out) == {**w.to_data(), "q": q, "p": p}
-            assert body["witness_kind"] == kind
+            assert body == machine_payload(out) == w.to_data()
+            assert (body["q"], body["p"], body["witness_kind"]) == (q, p, kind)
 
     def test_text_format_round_trips(self, capsys, quat_file, tmp_path):
         dest = tmp_path / "copy.graph"
@@ -639,6 +638,115 @@ class TestExport:
         )
         assert code == 0
         assert parse_any(dest.read_text()) == quaternionic()
+
+
+class TestDataInput:
+    """`--input` reads the data form that `export --format data` writes."""
+
+    OBJECTS = {
+        "graph": quaternionic(),
+        "algebra": from_graph(quaternionic()),
+        "signed-perm": SignedPermWitness((2, 1, 3, 4), (3, 1, 2), (1, -1, 1, 1),
+                                         (1, 1, -1)),
+        "general-linear": GeneralLinearWitness(IntMatrix.identity(5), 3, 2),
+    }
+
+    @pytest.mark.parametrize("kind", sorted(OBJECTS))
+    def test_data_export_reads_back_as_the_same_object(self, capsys, tmp_path, kind):
+        obj = self.OBJECTS[kind]
+        data = tmp_path / "obj.json"
+        data.write_text(to_json(obj))
+        again = tmp_path / "again.json"
+        code, _ = run(capsys, "export", "--input", str(data), "--format", "data",
+                      "--output", str(again))
+        assert code == 0
+        assert again.read_text() == data.read_text()
+        back = parse_any(again.read_text())
+        assert back == obj
+        assert (back.q, back.p) == (obj.q, obj.p)
+
+    @pytest.mark.parametrize("kind", ["graph", "algebra"])
+    def test_text_export_of_a_data_file_is_the_text_file(self, capsys, tmp_path, kind):
+        obj = self.OBJECTS[kind]
+        text = write_graph(obj) if kind == "graph" else write_tensor(obj)
+        src, data, back = (tmp_path / name for name in ("obj.txt", "obj.json", "back.txt"))
+        src.write_text(text)
+        assert run(capsys, "export", "--input", str(src), "--format", "data",
+                   "--output", str(data))[0] == 0
+        assert run(capsys, "export", "--input", str(data), "--format", "text",
+                   "--output", str(back))[0] == 0
+        assert back.read_bytes() == src.read_bytes()
+
+    def test_iso_checks_data_files(self, capsys, tmp_path):
+        from unilie.classification import ring_sum_witness
+
+        paths = []
+        for name, obj in zip(("a", "b", "w"), ring_sum_witness()):
+            (tmp_path / f"{name}.json").write_text(to_json(obj))
+            paths += ["--input", str(tmp_path / f"{name}.json")]
+        code, out = run(capsys, "iso", *paths)
+        assert code == 0
+        assert machine_payload(out) == {"mode": "check-witness", "ok": True,
+                                        "failures": []}
+
+    def test_iso_witness_rechecks_from_its_machine_block(self, capsys, tmp_path):
+        from unilie.algebra import apply_signs
+
+        t = from_graph(quaternionic())
+        a, b, w = tmp_path / "a.alg", tmp_path / "b.alg", tmp_path / "w.json"
+        a.write_text(write_tensor(t))
+        b.write_text(write_tensor(apply_signs(t, (-1, 1, 1, -1, 1, 1))))
+        code, out = run(capsys, "iso", "--input", str(a), "--input", str(b))
+        assert code == 0
+        witness = machine_payload(out)["witness"]
+        assert (witness["q"], witness["p"]) == (4, 3)
+        w.write_text(json.dumps(witness))
+        code, out = run(capsys, "iso", "--input", str(a), "--input", str(b),
+                        "--input", str(w))
+        assert code == 0
+        assert machine_payload(out)["ok"] is True
+
+    def test_data_witness_with_other_counts_is_usage_error(self, capsys, tmp_path):
+        a, w = tmp_path / "a.alg", tmp_path / "w.json"
+        a.write_text("unilie-algebra v1 q=3 p=2\n1 2 1 +1\n")
+        w.write_text(to_json(GeneralLinearWitness(IntMatrix.identity(5), 4, 1)))
+        assert main(["iso", "--input", str(a), "--input", str(a),
+                     "--input", str(w)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("usage error: witness header says q=4 p=1, but "
+                                "the algebras have q=3 p=2\n")
+
+    @pytest.mark.parametrize("text", [
+        '{"kind": ' + "[" * 100000,
+        '{"kind": "graph", "q": ' + "7" * 5000 + ', "p": 1, "arcs": []}',
+        '{"kind": "algebra", "q": 2, "p": 1, "entries": [[1, 2, 1,',
+        '{"kind": "witness", "witness_kind": "general-linear", "q": 1, "p": 0, '
+        '"matrix": [[NaN]]}',
+        # the 7x7 identity, once read from strings of digits
+        '{"kind": "witness", "witness_kind": "general-linear", "q": 4, "p": 3, '
+        '"matrix": ' + json.dumps([f"{10 ** (6 - i):07d}" for i in range(7)]) + "}",
+        '{"kind": "witness", "witness_kind": "general-linear", "q": 1, "p": 1, '
+        '"matrix": [[1e400, 0], [0, 1]]}',
+        '{"kind": "witness", "witness_kind": "signed-perm", "q": 2, "p": 1, '
+        '"vertex_images": [1], "color_images": [1], "vertex_signs": [1], '
+        '"color_signs": [1]}',
+    ], ids=["deep-nesting", "long-integer", "truncated", "nan-entry",
+            "string-rows", "exponent", "images-against-q"])
+    @pytest.mark.parametrize("verb", ["verify", "export", "iso"])
+    def test_bad_data_is_usage_error(self, capsys, tmp_path, quat_file, text, verb):
+        bad = tmp_path / "bad.json"
+        bad.write_text(text)
+        argv = [verb, "--input", str(bad)]
+        if verb == "export":
+            argv += ["--format", "data"]
+        if verb == "iso":
+            argv = [verb, "--input", quat_file, "--input", quat_file, "--input", str(bad)]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("usage error: ")
+        assert captured.err.count("\n") == 1 and captured.err.endswith("\n")
 
 
 class TestUsage:
@@ -899,7 +1007,7 @@ class TestPerVerbFlags:
                                                quat_file, argv):
         wit = tmp_path / "w.wit"
         wit.write_text(write_witness(
-            SignedPermWitness((1, 2, 3, 4), (1, 2, 3), (1, 1, 1, 1), (1, 1, 1)), 4, 3))
+            SignedPermWitness((1, 2, 3, 4), (1, 2, 3), (1, 1, 1, 1), (1, 1, 1))))
         code, out = run(capsys, *fill(argv, {"QUAT": quat_file, "WIT": str(wit)}))
         assert code == 2
         assert out == ""
@@ -914,7 +1022,7 @@ class TestPerVerbFlags:
         alg, wit = tmp_path / "quat.alg", tmp_path / "id.wit"
         alg.write_text(write_tensor(from_graph(quaternionic())))
         wit.write_text(write_witness(
-            SignedPermWitness((1, 2, 3, 4), (1, 2, 3), (1, 1, 1, 1), (1, 1, 1)), 4, 3))
+            SignedPermWitness((1, 2, 3, 4), (1, 2, 3), (1, 1, 1, 1), (1, 1, 1))))
         argv = ["iso"] + fill(argv, {"QUAT": quat_file, "ALG": str(alg),
                                      "WIT": str(wit)})
         assert run(capsys, *argv)[0] == 0
@@ -927,16 +1035,23 @@ class TestPerVerbFlags:
 # ---------------------------------------------------------------------------
 # exit-code contract under mutated input files
 
+FUZZ_OBJECTS = {
+    "graph": quaternionic(),
+    "algebra": from_graph(quaternionic()),
+    "signed-perm": SignedPermWitness((2, 1, 3, 4), (1, 3, 2), (1, -1, 1, 1), (1, 1, -1)),
+    "general-linear": GeneralLinearWitness(IntMatrix.identity(7), 4, 3),
+}
+# each object in its text form and, under "<kind>-data", in its data form
 FUZZ_FILES = {
-    "graph": write_graph(quaternionic()),
-    "algebra": write_tensor(from_graph(quaternionic())),
-    "signed-perm": write_witness(
-        SignedPermWitness((2, 1, 3, 4), (1, 3, 2), (1, -1, 1, 1), (1, 1, -1)), 4, 3),
-    "general-linear": write_witness(GeneralLinearWitness(IntMatrix.identity(7)), 4, 3),
+    "graph": write_graph(FUZZ_OBJECTS["graph"]),
+    "algebra": write_tensor(FUZZ_OBJECTS["algebra"]),
+    "signed-perm": write_witness(FUZZ_OBJECTS["signed-perm"]),
+    "general-linear": write_witness(FUZZ_OBJECTS["general-linear"]),
+    **{f"{kind}-data": to_json(obj) for kind, obj in FUZZ_OBJECTS.items()},
 }
 FUZZ_TOKENS = ["0", "1", "-1", "+1", "4", "x", "1/0", "1/2", "q=3", "p=0",
                "kind=general-linear", "kind=signed-perm", "vertex-images", "row",
-               "(1 2)", "#"]
+               "(1 2)", "#", "{", "[", "]", "NaN", "1e400", "0.5", "null", '"x"']
 MUTATION = st.tuples(
     st.sampled_from(["digit", "token", "delete", "duplicate", "append"]),
     st.integers(0, 63), st.integers(0, 63), st.sampled_from(FUZZ_TOKENS))
@@ -966,7 +1081,7 @@ def mutate(text, ops):
     return "\n".join(lines) + "\n"
 
 
-@settings(max_examples=80)
+@settings(max_examples=160)
 @given(kind=st.sampled_from(sorted(FUZZ_FILES)),
        ops=st.lists(MUTATION, min_size=1, max_size=3))
 def test_mutated_files_keep_exit_contract(kind, ops):
@@ -976,11 +1091,15 @@ def test_mutated_files_keep_exit_contract(kind, ops):
             paths[name] = os.path.join(tmp, name)
             with open(paths[name], "w") as fh:
                 fh.write(mutate(text, ops) if name == kind else text)
-        witness = "signed-perm" if kind in ("graph", "algebra") else kind
+        # iso reads the mutated file in the place of its kind
+        iso_inputs = {"graph": paths["graph"], "algebra": paths["algebra"],
+                      "witness": paths["signed-perm"]}
+        base = kind.removesuffix("-data")
+        iso_inputs[base if base in iso_inputs else "witness"] = paths[kind]
         runs = [[verb, "--input", paths[kind]]
                 for verb in ("verify", "analyze", "orbit", "export")]
-        runs.append(["iso", "--input", paths["graph"], "--input", paths["algebra"],
-                     "--input", paths[witness]])
+        runs.append(["iso", "--input", iso_inputs["graph"], "--input",
+                     iso_inputs["algebra"], "--input", iso_inputs["witness"]])
         for argv in runs:
             with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
                 code = main(argv)

@@ -100,27 +100,20 @@ class TestTensorFormat:
 class TestWitnessFormat:
     def test_signed_perm_round_trip(self):
         w = SignedPermWitness((2, 1, 3, 4), (1, 3, 2), (1, -1, 1, 1), (1, 1, -1))
-        parsed, q, p = parse_witness(write_witness(w, 4, 3))
-        assert (q, p) == (4, 3)
+        parsed = parse_witness(write_witness(w))
+        assert (parsed.q, parsed.p) == (4, 3)
         assert parsed == w
-
-    def test_signed_perm_sizes_must_match_the_header(self):
-        # a file whose header disagrees with the images would not parse back
-        w = SignedPermWitness((2, 1, 3, 4), (1, 3, 2), (1, -1, 1, 1), (1, 1, -1))
-        for q, p in ((3, 2), (4, 2), (3, 3), (5, 3)):
-            with pytest.raises(ValueError, match="do not match q and p"):
-                write_witness(w, q, p)
 
     def test_general_linear_round_trip(self):
         _, _, w = ring_sum_witness()
-        parsed, q, p = parse_witness(write_witness(w, 4, 2))
-        assert (q, p) == (4, 2)
-        assert parsed.to_matrix() == w.to_matrix()
+        parsed = parse_witness(write_witness(w))
+        assert (parsed.q, parsed.p) == (4, 2)
+        assert parsed == w
 
     def test_fraction_entries_survive(self):
         m = IntMatrix.from_rows([[Fraction(1, 2), 0, 0], [0, 1, 0], [0, 0, 1]])
-        w = GeneralLinearWitness(m)
-        parsed, _, _ = parse_witness(write_witness(w, 2, 1))
+        w = GeneralLinearWitness(m, 2, 1)
+        parsed = parse_witness(write_witness(w))
         assert parsed.to_matrix()[0, 0] == Fraction(1, 2)
 
     def test_cycle_notation_accepted(self):
@@ -129,7 +122,7 @@ class TestWitnessFormat:
             "vertex-cycles (1 2)(3 4)\n"
             "color-cycles (2 3)\n"
         )
-        w, q, p = parse_witness(text)
+        w = parse_witness(text)
         assert w.vertex_images == (2, 1, 4, 3)
         assert w.color_images == (1, 3, 2)
         # omitted sign lines default to all plus
@@ -144,7 +137,7 @@ class TestWitnessFormat:
             "color-images 1\n"
             "color-signs -1\n"
         )
-        w, _, _ = parse_witness(text)
+        w = parse_witness(text)
         assert w.vertex_signs == (1, -1)
         assert w.color_signs == (-1,)
 
@@ -175,7 +168,7 @@ class TestWitnessFormat:
                 f"row {entry} 0\nrow 0 1\n")
         with pytest.raises(ParseError, match="exponent notation"):
             parse_witness(text)
-        payload = GeneralLinearWitness(IntMatrix.identity(2)).to_data()
+        payload = GeneralLinearWitness(IntMatrix.identity(2), 1, 1).to_data()
         payload["matrix"][0][0] = entry
         with pytest.raises(ParseError, match="exponent notation"):
             from_data(payload)
@@ -185,21 +178,26 @@ class TestWitnessFormat:
     def test_exponent_free_entries_accepted(self, entry):
         text = ("unilie-witness v1 kind=general-linear q=1 p=1\n"
                 f"row {entry} 0\nrow 0 1\n")
-        assert parse_witness(text)[0].to_matrix()[0, 0] == Fraction(entry)
-        payload = GeneralLinearWitness(IntMatrix.identity(2)).to_data()
+        assert parse_witness(text).to_matrix()[0, 0] == Fraction(entry)
+        payload = GeneralLinearWitness(IntMatrix.identity(2), 1, 1).to_data()
         payload["matrix"][0][0] = entry
         assert from_data(payload).to_matrix()[0, 0] == Fraction(entry)
 
     def test_non_square_witness_is_refused(self):
         # a 2x3 matrix once wrote a file that parse_witness refused
         with pytest.raises(ValueError, match="square"):
-            GeneralLinearWitness(IntMatrix.from_rows([[1, 0, 0], [0, 1, 0]]))
+            GeneralLinearWitness(IntMatrix.from_rows([[1, 0, 0], [0, 1, 0]]), 1, 1)
+
+    @pytest.mark.parametrize("q,p", [(2, 2), (1, 0), (0, 0), (5, 1)])
+    def test_witness_size_must_be_q_plus_p(self, q, p):
+        with pytest.raises(ValueError, match=f"^matrix must be {q + p}x{q + p}$"):
+            GeneralLinearWitness(IntMatrix.identity(3), q, p)
 
     @pytest.mark.parametrize("matrix", [[["1", "0", "0"]], []])
     def test_data_form_refuses_non_square_and_empty_matrices(self, matrix):
         with pytest.raises(ParseError, match="square and nonempty"):
             from_data({"kind": "witness", "witness_kind": "general-linear",
-                       "matrix": matrix})
+                       "q": 2, "p": 1, "matrix": matrix})
 
     def test_empty_witness_text_is_a_parse_error(self):
         with pytest.raises(ParseError, match="square and nonempty"):
@@ -208,10 +206,10 @@ class TestWitnessFormat:
     def test_data_form_refuses_booleans(self):
         with pytest.raises(ParseError, match="expected a rational, got True"):
             from_data({"kind": "witness", "witness_kind": "general-linear",
-                       "matrix": [[True]]})
+                       "q": 1, "p": 0, "matrix": [[True]]})
 
     def test_data_form_accepts_json_numbers(self):
-        payload = GeneralLinearWitness(IntMatrix.identity(2)).to_data()
+        payload = GeneralLinearWitness(IntMatrix.identity(2), 1, 1).to_data()
         payload["matrix"][0] = [-3, 0.5]
         assert from_data(payload).to_matrix().rows[0] == (-3, Fraction(1, 2))
         # JSON reads 1e400 as an infinite float, which has no ratio
@@ -239,7 +237,7 @@ class TestWitnessFormat:
         t = from_graph(quaternionic())
         for a in automorphisms(quaternionic(), strict=True):
             w = lift_automorphism(t, a)
-            parsed, _, _ = parse_witness(write_witness(w, 4, 3))
+            parsed = parse_witness(write_witness(w))
             assert check_witness(t, t, parsed).ok
 
 
@@ -296,9 +294,9 @@ class TestStrictFields:
             parse_witness(f"unilie-witness v1 kind=signed-perm q=2 p=1\n{body}")
 
     def test_fields_in_any_order(self):
-        w, q, p = parse_witness("unilie-witness v1 p=1 q=2 kind=signed-perm\n"
-                                "color-signs -1\nvertex-cycles (1 2)\n")
-        assert (q, p) == (2, 1)
+        w = parse_witness("unilie-witness v1 p=1 q=2 kind=signed-perm\n"
+                          "color-signs -1\nvertex-cycles (1 2)\n")
+        assert (w.q, w.p) == (2, 1)
         assert w == SignedPermWitness((2, 1), (1,), (1, 1), (-1,))
         assert parse_graph("unilie-graph v1 p=1 q=2\n1 2 1\n") == heisenberg(1)
 
@@ -328,9 +326,11 @@ class TestDataAndJson:
         assert from_data(t.to_data()) == t
 
     def test_witness_data_round_trip(self):
-        _, _, w = ring_sum_witness()
-        back = from_data(w.to_data())
-        assert back.to_matrix() == w.to_matrix()
+        _, _, gl = ring_sum_witness()
+        sp = SignedPermWitness((2, 1, 3, 4), (3, 1, 2), (1, -1, 1, 1), (1, 1, -1))
+        for w, q, p in ((gl, 4, 2), (sp, 4, 3)):
+            assert (w.to_data()["q"], w.to_data()["p"]) == (q, p)
+            assert from_data(w.to_data()) == w
 
     def test_json_is_deterministic_and_loadable(self):
         t = from_graph(quaternionic())
@@ -397,6 +397,46 @@ class TestDataAndJson:
         with pytest.raises(ParseError, match="expected integers"):
             from_data(payload)
 
+    @pytest.mark.parametrize("matrix", [
+        ["10", "01"], [[1, 0], {"0": 1, "1": 1}], "10", {"0": [1, 0], "1": [0, 1]}],
+        ids=["string-rows", "object-row", "string-matrix", "object-matrix"])
+    def test_from_data_matrix_rows_must_be_lists(self, matrix):
+        # a string or object was once read as its characters or keys, so
+        # the first two became the 2x2 identity
+        payload = GeneralLinearWitness(IntMatrix.identity(2), 1, 1).to_data()
+        payload["matrix"] = matrix
+        with pytest.raises(ParseError, match="must be lists"):
+            from_data(payload)
+
+    @pytest.mark.parametrize("key", ["q", "p"])
+    @pytest.mark.parametrize("kind", ["signed-perm", "general-linear"])
+    def test_from_data_witness_needs_q_and_p(self, kind, key):
+        w = (SignedPermWitness((2, 1), (1,), (1, -1), (1,)) if kind == "signed-perm"
+             else GeneralLinearWitness(IntMatrix.identity(3), 2, 1))
+        payload = w.to_data()
+        del payload[key]
+        with pytest.raises(ParseError, match=f"bad {kind} data: '{key}'"):
+            from_data(payload)
+        payload[key] = 1.0
+        with pytest.raises(ParseError, match="expected integers"):
+            from_data(payload)
+
+    @pytest.mark.parametrize("q,p", [(3, 1), (2, 2), (1, 1)])
+    def test_from_data_signed_perm_sizes_must_match_q_and_p(self, q, p):
+        payload = SignedPermWitness((2, 1), (1,), (1, -1), (1,)).to_data()
+        payload.update(q=q, p=p)
+        with pytest.raises(ParseError, match=f"images give q=2 p=1, not q={q} p={p}"):
+            from_data(payload)
+
+    def test_from_data_general_linear_split_is_kept(self):
+        for q, p in ((2, 1), (1, 2), (3, 0)):
+            w = from_data({**GeneralLinearWitness(IntMatrix.identity(3), 2, 1).to_data(),
+                           "q": q, "p": p})
+            assert (w.q, w.p) == (q, p)
+        with pytest.raises(ParseError, match="matrix must be 4x4"):
+            from_data({**GeneralLinearWitness(IntMatrix.identity(3), 2, 1).to_data(),
+                       "q": 3, "p": 1})
+
     def test_from_data_names_unknown_witness_kind(self):
         with pytest.raises(ParseError, match="unrecognized witness kind 'bogus'"):
             from_data({"kind": "witness", "witness_kind": "bogus"})
@@ -409,12 +449,47 @@ class TestParseAny:
         assert parse_any(write_graph(g)) == g
         assert parse_any(write_tensor(t)) == t
         w = SignedPermWitness((1, 2), (1,), (1, 1), (1,))
-        # witness files dispatch to the witness with its header's q and p
-        assert parse_any(write_witness(w, 2, 1)) == (w, 2, 1)
+        assert parse_any(write_witness(w)) == w
+        gl = GeneralLinearWitness(IntMatrix.identity(3), 2, 1)
+        for obj in (g, t, w, gl):
+            assert parse_any(to_json(obj)) == obj
 
     def test_rejects_garbage(self):
         with pytest.raises(ParseError):
             parse_any("once upon a time\n")
+
+    def test_data_decimals_are_read_as_written(self):
+        w = GeneralLinearWitness(IntMatrix.identity(2), 1, 1)
+        text = to_json(w).replace('"1"', "0.1", 1)
+        assert parse_any(text).to_matrix()[0, 0] == Fraction(1, 10)
+        # a library caller's float is read as the float it is
+        payload = w.to_data()
+        payload["matrix"][0][0] = 0.1
+        assert from_data(payload).to_matrix()[0, 0] == Fraction(0.1) != Fraction(1, 10)
+        with pytest.raises(ParseError, match="exponent notation is not accepted: '1e400'"):
+            parse_any(text.replace("0.1", "1e400"))
+        # a decimal where an integer belongs is refused, not rounded
+        with pytest.raises(ParseError, match="expected integers"):
+            parse_any(to_json(heisenberg(1)).replace('"q": 2', '"q": 2.0'))
+
+    @pytest.mark.parametrize("text,message", [
+        ('{"kind": ' + "[" * 100000, "malformed data: maximum recursion depth"),
+        ('{"kind": "graph", "q": ' + "9" * 5000 + ', "p": 1, "arcs": []}',
+         "malformed data: Exceeds the limit"),
+        ('{"kind": "graph", "q": 2, "p": 1, "arcs": [[1, 2, 1]]', "malformed data: Expecting"),
+        ("{", "malformed data: Expecting"),
+        ('{"kind": "witness", "witness_kind": "general-linear", "q": 1, "p": 0, '
+         '"matrix": [[NaN]]}', "cannot convert NaN"),
+        ('{"kind": "witness", "witness_kind": "general-linear", "q": 1, "p": 0, '
+         '"matrix": [[-Infinity]]}', "cannot convert Infinity"),
+        ('{"kind": "graph", "q": NaN, "p": 1, "arcs": []}', "expected integers"),
+        ('  \n{"kind": "graph"} trailing', "malformed data: Extra data"),
+        ('["not", "an", "object"]', "unrecognized header"),
+    ], ids=["deep-nesting", "long-integer", "truncated", "brace-only", "nan-entry",
+            "infinite-entry", "nan-q", "trailing-text", "array"])
+    def test_malformed_data_is_a_parse_error(self, text, message):
+        with pytest.raises(ParseError, match=message):
+            parse_any(text)
 
     @pytest.mark.parametrize("text,message", [
         ("", "empty input"),
