@@ -224,6 +224,8 @@ class GeneralLinearWitness(Record):
         m, n = self.matrix, self.q + self.p
         if not m.rows or m.nrows != m.ncols:
             raise ValueError("witness matrix must be square and nonempty")
+        if self.q < 0 or self.p < 0:
+            raise ValueError("q and p must be nonnegative")
         if m.nrows != n:
             raise ValueError(f"matrix must be {n}x{n}")
 

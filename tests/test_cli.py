@@ -353,6 +353,24 @@ class TestIso:
         assert captured.out == ""
         assert captured.err == "usage error: witness matrix must be square and nonempty\n"
 
+    @pytest.mark.parametrize("form", ["text", "data"])
+    def test_negative_split_is_usage_error(self, capsys, tmp_path, form):
+        # q + p = 2 fits the 2 x 2 identity, but no basis has -1 generators
+        a, w = tmp_path / "a.alg", tmp_path / "w.wit"
+        a.write_text("unilie-algebra v1 q=1 p=1\n")
+        if form == "text":
+            w.write_text("unilie-witness v1 kind=general-linear q=-1 p=3\n"
+                         "row 1 0\nrow 0 1\n")
+        else:
+            w.write_text(json.dumps({"kind": "witness", "witness_kind": "general-linear",
+                                     "q": -1, "p": 3, "matrix": [[1, 0], [0, 1]]}))
+        assert main(["iso", "--input", str(a), "--input", str(a),
+                     "--input", str(w)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("usage error: ")
+        assert captured.err.endswith("q and p must be nonnegative\n")
+
     def test_cross_support_certificate(self, capsys, tmp_path):
         # same dimensions, different supports: decided by the square-norm
         # identity against r = 1, where J(z_1) kills v3 and v4
@@ -717,24 +735,18 @@ class TestDataInput:
         assert captured.err == ("usage error: witness header says q=4 p=1, but "
                                 "the algebras have q=3 p=2\n")
 
-    @pytest.mark.parametrize("text", [
-        '{"kind": ' + "[" * 100000,
-        '{"kind": "graph", "q": ' + "7" * 5000 + ', "p": 1, "arcs": []}',
-        '{"kind": "algebra", "q": 2, "p": 1, "entries": [[1, 2, 1,',
-        '{"kind": "witness", "witness_kind": "general-linear", "q": 1, "p": 0, '
-        '"matrix": [[NaN]]}',
-        # the 7x7 identity, once read from strings of digits
-        '{"kind": "witness", "witness_kind": "general-linear", "q": 4, "p": 3, '
-        '"matrix": ' + json.dumps([f"{10 ** (6 - i):07d}" for i in range(7)]) + "}",
-        '{"kind": "witness", "witness_kind": "general-linear", "q": 1, "p": 1, '
-        '"matrix": [[1e400, 0], [0, 1]]}',
-        '{"kind": "witness", "witness_kind": "signed-perm", "q": 2, "p": 1, '
-        '"vertex_images": [1], "color_images": [1], "vertex_signs": [1], '
-        '"color_signs": [1]}',
-    ], ids=["deep-nesting", "long-integer", "truncated", "nan-entry",
-            "string-rows", "exponent", "images-against-q"])
-    @pytest.mark.parametrize("verb", ["verify", "export", "iso"])
-    def test_bad_data_is_usage_error(self, capsys, tmp_path, quat_file, text, verb):
+    # which malformed data each message names is pinned in test_serialize; here
+    # one input per verb pins that a ParseError is exit 2 with one usage line
+    @pytest.mark.parametrize("verb,text", [
+        ("verify", '{"kind": ' + "[" * 100000),
+        ("export", '{"kind": "witness", "witness_kind": "general-linear", "q": 1, '
+                   '"p": 0, "matrix": [[NaN]]}'),
+        ("iso", '{"kind": "witness", "witness_kind": "general-linear", "q": 2, '
+                '"p": 1, "matrix": [[1, 0, 0], [0, 1], [0, 0, 1]]}'),
+        ("iso", '{"kind": "witness", "witness_kind": "general-linear", "q": 2, '
+                '"p": 1, "matrix": [[1, 0, 0], [0, 1, 0, 9], [0, 0, 1]]}'),
+    ], ids=["deep-nesting", "nan-entry", "ragged-short", "ragged-long"])
+    def test_bad_data_is_usage_error(self, capsys, tmp_path, quat_file, verb, text):
         bad = tmp_path / "bad.json"
         bad.write_text(text)
         argv = [verb, "--input", str(bad)]

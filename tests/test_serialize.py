@@ -233,6 +233,12 @@ class TestWitnessFormat:
         with pytest.raises(ParseError, match=f"header says {size}"):
             parse_witness(text)
 
+    @pytest.mark.parametrize("q,p", [(-1, 3), (3, -1)])
+    def test_rejects_negative_general_linear_split(self, q, p):
+        text = f"unilie-witness v1 kind=general-linear q={q} p={p}\nrow 1 0\nrow 0 1\n"
+        with pytest.raises(ParseError, match="q and p must be nonnegative"):
+            parse_witness(text)
+
     def test_parsed_witness_still_checks(self):
         t = from_graph(quaternionic())
         for a in automorphisms(quaternionic(), strict=True):
@@ -436,6 +442,20 @@ class TestDataAndJson:
         with pytest.raises(ParseError, match="matrix must be 4x4"):
             from_data({**GeneralLinearWitness(IntMatrix.identity(3), 2, 1).to_data(),
                        "q": 3, "p": 1})
+
+    @pytest.mark.parametrize("q,p,matrix,message", [
+        (2, 1, [[1, 0, 0], [0, 1], [0, 0, 1]], "ragged matrix"),
+        (2, 1, [[1, 0, 0], [0, 1, 0, 9], [0, 0, 1]], "ragged matrix"),
+        (-1, 3, [[1, 0], [0, 1]], "q and p must be nonnegative"),
+        (3, -1, [[1, 0], [0, 1]], "q and p must be nonnegative"),
+    ], ids=["ragged-short", "ragged-long", "negative-q", "negative-p"])
+    def test_from_data_general_linear_shape_is_checked(self, q, p, matrix, message):
+        payload = {"kind": "witness", "witness_kind": "general-linear",
+                   "q": q, "p": p, "matrix": matrix}
+        with pytest.raises(ParseError, match=f"bad general-linear data: {message}"):
+            from_data(payload)
+        with pytest.raises(ParseError, match=message):
+            parse_any(json.dumps(payload))
 
     def test_from_data_names_unknown_witness_kind(self):
         with pytest.raises(ParseError, match="unrecognized witness kind 'bogus'"):
