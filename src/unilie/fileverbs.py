@@ -6,6 +6,7 @@ iso, orbit and export.
 files, text or data, are parsed in one place, `_read_inputs`, which reads
 each through `serialize.parse_any` and turns a parse error into a usage error
 (exit 2); a witness file gives the witness, which carries its own q and p.
+Every object written as text goes through the one writer, `serialize.write_text`.
 `family` takes each family's builder, variant flag, parameter check and
 vertex count from the one table in `families`.
 """
@@ -143,9 +144,7 @@ def _format_object(obj, fmt: str) -> str:
         return serialize.write_dot(_as_graph(obj))
     if fmt == "data":
         return serialize.to_json(obj)
-    if isinstance(obj, ColoredDigraph):
-        return serialize.write_graph(obj)
-    return serialize.write_tensor(_as_tensor(obj))
+    return serialize.write_text(obj if isinstance(obj, ColoredDigraph) else _as_tensor(obj))
 
 
 def analyze(args) -> int:
@@ -260,7 +259,7 @@ def iso(args) -> int:
             payload = {"mode": "signed-perm", "isomorphic": True,
                        "witness": w.to_data()}
             _emit(args, "isomorphic via signed permutation\n\n"
-                  + serialize.write_witness(w), payload)
+                  + serialize.write_text(w), payload)
             return EXIT_OK
     from .classification import Invariants, refine
     _, splits = refine([Invariants((t1,)), Invariants((t2,))])

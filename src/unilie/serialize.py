@@ -1,11 +1,15 @@
-"""Versioned text and DOT serialization, and the reading of the structured
-data form that each object's `to_data()` writes.
+"""Versioned text and DOT serialization over one schema: the data form that
+each object's `to_data()` writes.
 
-One object per file, in either form; `parse_any` reads both.  Text headers
-name the format and carry q and p; body lines hold one arc, entry, or witness
-component each.  Blank lines and `#` comments are ignored everywhere.  All
-indices are 1-based on disk.  A witness carries its own q and p, so a written
-witness file always agrees with its header.
+One object per file.  `write_text` renders `to_data()` as text and `to_json`
+as JSON; `parse_any` reads either form back into that data and `from_data`
+builds the object, so each structural check (ranges, permutations, image
+counts against q and p, matrix shape, the q/p split, `MAX_SIZE`) is made once,
+by `from_data` or the record's constructor, with one message for both forms.
+Reading text checks only what is lexical: the header, each line's field
+count, integer and sign tokens, `-cycles` notation, and the defaults of
+omitted witness lines.  Blank lines and `#` comments are ignored everywhere.
+All indices are 1-based on disk.
 """
 
 from __future__ import annotations
@@ -13,65 +17,21 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 
-from .algebra import (GeneralLinearWitness, IsoWitness, SignedPermWitness,
-                      StructureTensor)
-from .exact import IntMatrix, format_scalar
+from .algebra import GeneralLinearWitness, SignedPermWitness, StructureTensor
+from .exact import IntMatrix
 from .graphs import ColoredDigraph
 
-GRAPH_HEADER = "unilie-graph v1"
-TENSOR_HEADER = "unilie-algebra v1"
-WITNESS_HEADER = "unilie-witness v1"
+_HEADERS = {"graph": "unilie-graph v1", "algebra": "unilie-algebra v1",
+            "witness": "unilie-witness v1"}
+
+# the largest q or p an input may give.  `family free 200` and `family kneser
+# 200 1` write p = C(200, 2) = 19,900, the most of anything unilie writes; a
+# larger value would have later steps build tables of that size unchecked
+MAX_SIZE = 20_000
 
 
 class ParseError(ValueError):
     pass
-
-
-def _body_lines(text: str) -> list[str]:
-    out = []
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            out.append(line)
-    return out
-
-
-def _read(text: str, expected: str, allowed: tuple[str, ...] = ("q", "p")
-          ) -> tuple[dict[str, str], int, int, list[str]]:
-    """The header fields, q, p and body lines of a file whose header is
-    `expected` with fields from `allowed`."""
-    lines = _body_lines(text)
-    if not lines:
-        raise ParseError("empty input")
-    parts = lines[0].split()
-    if parts[:2] != expected.split():
-        raise ParseError(f"expected header '{expected}', got '{lines[0]}'")
-    fields = {}
-    for tok in parts[2:]:
-        if "=" not in tok:
-            raise ParseError(f"malformed header field '{tok}'")
-        key, val = tok.split("=", 1)
-        if key not in allowed:
-            raise ParseError(f"unknown header field '{key}'")
-        if key in fields:
-            raise ParseError(f"repeated header field '{key}'")
-        fields[key] = val
-    return fields, _header_int(fields, "q"), _header_int(fields, "p"), lines[1:]
-
-
-def _build(make, *args):
-    """make(*args), its ValueError raised as a ParseError."""
-    try:
-        return make(*args)
-    except ValueError as e:
-        raise ParseError(str(e)) from e
-
-
-def _ints(parts: list[str], line: str) -> tuple[int, ...]:
-    try:
-        return tuple(int(x) for x in parts)
-    except ValueError:
-        raise ParseError(f"non-integer field in '{line}'")
 
 
 def _rational(x) -> Fraction:
@@ -81,9 +41,14 @@ def _rational(x) -> Fraction:
     any budget applies."""
     if isinstance(x, bool):
         raise ParseError(f"expected a rational, got {x!r}")
-    if isinstance(x, str) and "e" in x.lower():
+    if not isinstance(x, str):
+        return Fraction(x)
+    if "e" in x.lower():
         raise ParseError(f"exponent notation is not accepted: '{x}'")
-    return Fraction(x)
+    try:
+        return Fraction(x)
+    except (ValueError, ZeroDivisionError):
+        raise ParseError(f"matrix entries must be rationals, got '{x}'") from None
 
 
 def _data_ints(values) -> tuple[int, ...]:
@@ -95,189 +60,231 @@ def _data_ints(values) -> tuple[int, ...]:
     return values
 
 
-def _header_int(fields: dict[str, str], key: str) -> int:
-    if key not in fields:
-        raise ParseError(f"header is missing {key}=")
+def _head(data) -> tuple[str, int, int]:
+    """The kind of a data object (a witness's is its witness kind), q and p,
+    checked before anything of their size is built."""
+    if not isinstance(data, dict):
+        raise ParseError(f"expected a data object, got {type(data).__name__}")
+    kind = data.get("kind")
+    if kind == "witness":
+        kind = data.get("witness_kind")
+        if kind not in ("signed-perm", "general-linear"):
+            raise ParseError(f"unrecognized witness kind {kind!r}")
+    elif kind not in ("graph", "algebra"):
+        raise ParseError(f"unrecognized data object kind '{kind}'")
     try:
-        return int(fields[key])
-    except ValueError:
-        raise ParseError(f"header field {key}={fields[key]} is not an integer")
+        q, p = _data_ints((data["q"], data["p"]))
+    except KeyError as e:
+        raise ParseError(f"bad {kind} data: {e}") from e
+    if max(q, p) > MAX_SIZE:
+        raise ParseError(f"q and p may be at most {MAX_SIZE}, got q={q} p={p}")
+    return kind, q, p
+
+
+def from_data(data):
+    """The object whose `to_data()` is data.  A constructor's refusal reads
+    'bad <kind> data: <reason>' whichever form the data was read from."""
+    kind, q, p = _head(data)
+    try:
+        if kind == "graph":
+            return ColoredDigraph.from_arcs(q, p, map(_data_ints, data["arcs"]))
+        if kind == "algebra":
+            return StructureTensor.from_entries(q, p, map(_data_ints, data["entries"]))
+        if kind == "general-linear":
+            rows = data["matrix"]
+            # a string or object row would be read as its characters or keys
+            if type(rows) is not list or any(type(row) is not list for row in rows):
+                raise TypeError("the matrix and each of its rows must be lists")
+            rows = [tuple(map(_rational, row)) for row in rows]
+            return GeneralLinearWitness(IntMatrix.from_rows(rows), q, p)
+        w = SignedPermWitness(*(_data_ints(data[key]) for key in (
+            "vertex_images", "color_images", "vertex_signs", "color_signs")))
+        if (w.q, w.p) != (q, p):
+            raise ValueError(f"images give q={w.q} p={w.p}, not q={q} p={p}")
+        return w
+    except ParseError:  # a reader's own refusal keeps its wording
+        raise
+    except (KeyError, TypeError, ValueError, ArithmeticError) as e:
+        raise ParseError(f"bad {kind} data: {e}") from e
+
+
+def to_json(obj) -> str:
+    return json.dumps(obj.to_data(), sort_keys=True, indent=2) + "\n"
+
+
+def parse_any(text: str):
+    """The object in a text file, by its header line, or in a data file, whose
+    first non-blank character is '{'.  Data decimals are read as written:
+    0.1 is Fraction(1, 10), not the nearest double."""
+    if not text.lstrip().startswith("{"):
+        return from_data(_lex(text))
+    try:
+        data = json.loads(text, parse_float=str)
+    except (ValueError, RecursionError) as e:
+        raise ParseError(f"malformed data: {e}") from e
+    return from_data(data)
 
 
 # ---------------------------------------------------------------------------
-# colored digraphs
-
-def write_graph(g: ColoredDigraph) -> str:
-    lines = [f"{GRAPH_HEADER} q={g.q} p={g.p}"]
-    lines += [f"{t} {h} {k}" for (t, h, k) in g.sorted_arcs()]
-    return "\n".join(lines) + "\n"
-
-
-def parse_graph(text: str) -> ColoredDigraph:
-    _, q, p, lines = _read(text, GRAPH_HEADER)
-    arcs = []
-    for line in lines:
-        parts = line.split()
-        if len(parts) != 3:
-            raise ParseError(f"arc line needs 3 fields: '{line}'")
-        arcs.append(_ints(parts, line))
-    return _build(ColoredDigraph.from_arcs, q, p, arcs)
-
-
-# ---------------------------------------------------------------------------
-# structure tensors
+# the text form
 
 def _fmt_sign(s: int) -> str:
     return "+1" if s > 0 else "-1"
 
 
-def write_tensor(t: StructureTensor) -> str:
-    lines = [f"{TENSOR_HEADER} q={t.q} p={t.p}"]
-    lines += [f"{i} {j} {k} {_fmt_sign(s)}" for (i, j, k, s) in t.sorted_entries()]
+def write_text(obj) -> str:
+    """obj's `to_data()` as a header line, then one line per arc, entry,
+    witness component or matrix row."""
+    data = obj.to_data()
+    kind = data.get("witness_kind", data["kind"])
+    head = _HEADERS[data["kind"]] + (f" kind={kind}" if "witness_kind" in data else "")
+    lines = [f"{head} q={data['q']} p={data['p']}"]
+    if kind == "graph":
+        lines += [" ".join(map(str, arc)) for arc in data["arcs"]]
+    elif kind == "algebra":
+        lines += [f"{i} {j} {k} {_fmt_sign(s)}" for (i, j, k, s) in data["entries"]]
+    elif kind == "general-linear":
+        lines += ["row " + " ".join(row) for row in data["matrix"]]
+    else:
+        for side in ("vertex", "color"):
+            lines.append(f"{side}-images " + " ".join(map(str, data[f"{side}_images"])))
+            lines.append(f"{side}-signs " + " ".join(map(_fmt_sign, data[f"{side}_signs"])))
     return "\n".join(lines) + "\n"
 
 
-def parse_tensor(text: str) -> StructureTensor:
-    _, q, p, lines = _read(text, TENSOR_HEADER)
-    entries = []
-    for line in lines:
-        parts = line.split()
-        if len(parts) != 4:
-            raise ParseError(f"entry line needs 4 fields: '{line}'")
-        i, j, k = _ints(parts[:3], line)
-        if parts[3] not in ("+1", "-1", "1"):
-            raise ParseError(f"sign must be +1 or -1, got '{parts[3]}'")
-        entries.append((i, j, k, 1 if parts[3] in ("+1", "1") else -1))
-    return _build(StructureTensor.from_entries, q, p, entries)
-
-
-def bracket_table(t: StructureTensor) -> str:
-    """One bracket per line in basis notation, e.g. '[v1, v2] = -z3'."""
-    lines = []
-    for (i, j, k, s) in t.sorted_entries():
-        rhs = f"z{k}" if s > 0 else f"-z{k}"
-        lines.append(f"[v{i}, v{j}] = {rhs}")
-    return "\n".join(lines) + ("\n" if lines else "")
-
-
-# ---------------------------------------------------------------------------
-# witnesses
-
-def write_witness(w: IsoWitness) -> str:
-    if isinstance(w, SignedPermWitness):
-        lines = [f"{WITNESS_HEADER} kind=signed-perm q={w.q} p={w.p}"]
-        lines.append("vertex-images " + " ".join(str(i) for i in w.vertex_images))
-        lines.append("vertex-signs " + " ".join(_fmt_sign(s) for s in w.vertex_signs))
-        lines.append("color-images " + " ".join(str(i) for i in w.color_images))
-        lines.append("color-signs " + " ".join(_fmt_sign(s) for s in w.color_signs))
-        return "\n".join(lines) + "\n"
-    lines = [f"{WITNESS_HEADER} kind=general-linear q={w.q} p={w.p}"]
-    lines += ["row " + " ".join(map(format_scalar, row)) for row in w.matrix.rows]
-    return "\n".join(lines) + "\n"
+def _ints(parts: list[str], line: str) -> tuple[int, ...]:
+    try:
+        return tuple(int(x) for x in parts)
+    except ValueError:
+        raise ParseError(f"non-integer field in '{line}'")
 
 
 def _parse_cycles(text: str, n: int) -> tuple[int, ...]:
-    """Permutation images from disjoint cycle notation like '(1 2 3)(4 5)'."""
-    images = list(range(1, n + 1))
-    depth = 0
-    cycles, cur = [], []
+    """Permutation images from disjoint cycle notation like '(1 2 3)(4 5)';
+    the identity on 1..n for an empty text."""
+    cycles, cur = [], None
     for tok in text.replace("(", " ( ").replace(")", " ) ").split():
         if tok == "(":
-            if depth:
+            if cur is not None:
                 raise ParseError("nested cycle parenthesis")
-            depth, cur = 1, []
+            cur = []
         elif tok == ")":
-            if not depth:
+            if cur is None:
                 raise ParseError("unbalanced cycle parenthesis")
-            depth = 0
             cycles.append(cur)
+            cur = None
+        elif cur is None:
+            raise ParseError(f"stray token '{tok}' in cycle notation")
         else:
-            if not depth:
-                raise ParseError(f"stray token '{tok}' in cycle notation")
             cur.extend(_ints([tok], text))
-    if depth:
+    if cur is not None:
         raise ParseError("unbalanced cycle parenthesis")
-    seen = set()
+    images, seen = list(range(1, n + 1)), set()
     for cyc in cycles:
-        for x in cyc:
-            if not (1 <= x <= n) or x in seen:
-                raise ParseError(f"bad cycle element {x}")
-            seen.add(x)
         for a, b in zip(cyc, cyc[1:] + cyc[:1]):
+            if not (1 <= a <= n) or a in seen:
+                raise ParseError(f"bad cycle element {a}")
+            seen.add(a)
             images[a - 1] = b
     return tuple(images)
 
 
-def _parse_signs(parts: list[str], n: int) -> tuple[int, ...]:
-    if len(parts) != n:
-        raise ParseError(f"expected {n} signs, got {len(parts)}")
-    out = []
-    for s in parts:
-        if s in ("+1", "+", "1"):
-            out.append(1)
-        elif s in ("-1", "-"):
-            out.append(-1)
-        else:
-            raise ParseError(f"bad sign token '{s}'")
-    return tuple(out)
-
-
+# sign tokens: an algebra entry takes these, a witness also '+' and '-'
+_ENTRY_SIGNS = {"+1": 1, "1": 1, "-1": -1}
+_WITNESS_SIGNS = {**_ENTRY_SIGNS, "+": 1, "-": -1}
 _SIGNED_PERM_KEYS = ("vertex-images", "vertex-cycles", "vertex-signs",
                      "color-images", "color-cycles", "color-signs")
 
 
-def parse_witness(text: str) -> IsoWitness:
-    fields, q, p, lines = _read(text, WITNESS_HEADER, ("kind", "q", "p"))
-    kind = fields.get("kind")
-    if kind == "signed-perm":
-        data: dict[str, list[str]] = {}
-        for line in lines:
-            key, _, rest = line.partition(" ")
-            if key not in _SIGNED_PERM_KEYS:
-                raise ParseError(f"unknown witness line '{key}'")
-            if key in data:
-                raise ParseError(f"repeated witness line '{key}'")
-            data[key] = rest.split()
-        def perm(key: str, size: str, n: int) -> tuple[int, ...]:
-            if key + "-images" in data and key + "-cycles" in data:
-                raise ParseError(f"give {key}-images or {key}-cycles, not both")
-            if key + "-images" in data:
-                words = data[key + "-images"]
-                imgs = _ints(words, " ".join([key + "-images"] + words))
-                if len(imgs) != n:
-                    raise ParseError(f"header says {size}={n}, but {key}-images "
-                                     f"lists {len(imgs)} images")
-            elif key + "-cycles" in data:
-                imgs = _parse_cycles(" ".join(data[key + "-cycles"]), n)
-            else:
-                imgs = tuple(range(1, n + 1))
-            return imgs
-        vi = perm("vertex", "q", q)
-        ci = perm("color", "p", p)
-        vs = _parse_signs(data.get("vertex-signs", ["+1"] * q), q)
-        cs = _parse_signs(data.get("color-signs", ["+1"] * p), p)
-        return _build(SignedPermWitness, vi, ci, vs, cs)
-    if kind == "general-linear":
-        rows = []
-        for line in lines:
+def _signed_perm_lines(body: list[str], q: int, p: int) -> dict:
+    """The images and signs of a signed-permutation witness body.  An omitted
+    permutation is the identity on the header's q or p; omitted signs are all
+    plus, one per image given."""
+    given: dict[str, list[str]] = {}
+    for line in body:
+        key, _, rest = line.partition(" ")
+        if key not in _SIGNED_PERM_KEYS:
+            raise ParseError(f"unknown witness line '{key}'")
+        if key in given:
+            raise ParseError(f"repeated witness line '{key}'")
+        given[key] = rest.split()
+    data = {}
+    for side, n in (("vertex", q), ("color", p)):
+        images, cycles = given.get(f"{side}-images"), given.get(f"{side}-cycles")
+        if images is not None and cycles is not None:
+            raise ParseError(f"give {side}-images or {side}-cycles, not both")
+        if images is not None:
+            images = _ints(images, " ".join([f"{side}-images"] + images))
+        else:
+            images = _parse_cycles(" ".join(cycles or []), n)
+        signs = given.get(f"{side}-signs", ["+1"] * len(images))
+        for s in signs:
+            if s not in _WITNESS_SIGNS:
+                raise ParseError(f"bad sign token '{s}'")
+        data[f"{side}_images"] = images
+        data[f"{side}_signs"] = [_WITNESS_SIGNS[s] for s in signs]
+    return data
+
+
+def _lex(text: str) -> dict:
+    """The data form of a text file, read in one pass over its lines; its
+    structure is left to from_data."""
+    lines = [line for raw in text.splitlines()
+             if (line := raw.split("#", 1)[0].strip())]
+    if not lines:
+        raise ParseError("empty input")
+    head, body = lines[0], lines[1:]
+    kind = next((k for k, h in _HEADERS.items() if head.startswith(h)), None)
+    if kind is None:
+        raise ParseError(f"unrecognized header '{head}'")
+    parts = head.split()
+    if parts[:2] != _HEADERS[kind].split():
+        raise ParseError(f"expected header '{_HEADERS[kind]}', got '{head}'")
+    allowed = ("kind", "q", "p") if kind == "witness" else ("q", "p")
+    fields = {}
+    for tok in parts[2:]:
+        key, eq, val = tok.partition("=")
+        if not eq:
+            raise ParseError(f"malformed header field '{tok}'")
+        if key not in allowed:
+            raise ParseError(f"unknown header field '{key}'")
+        if key in fields:
+            raise ParseError(f"repeated header field '{key}'")
+        fields[key] = val
+    data = {"kind": kind, "witness_kind": fields.pop("kind", None)}
+    for key in ("q", "p"):
+        if key not in fields:
+            raise ParseError(f"header is missing {key}=")
+        try:
+            data[key] = int(fields[key])
+        except ValueError:
+            raise ParseError(f"header field {key}={fields[key]} is not an integer")
+    kind, q, p = _head(data)
+    if kind in ("graph", "algebra"):
+        # an arc is three indices, an algebra entry adds a sign
+        name, n = ("arc", 3) if kind == "graph" else ("entry", 4)
+        rows = data["arcs" if kind == "graph" else "entries"] = []
+        for line in body:
+            parts = line.split()
+            if len(parts) != n:
+                raise ParseError(f"{name} line needs {n} fields: '{line}'")
+            if parts[3:] and parts[3] not in _ENTRY_SIGNS:
+                raise ParseError(f"sign must be +1 or -1, got '{parts[3]}'")
+            rows.append(_ints(parts[:3], line) + tuple(_ENTRY_SIGNS[s] for s in parts[3:]))
+    elif kind == "general-linear":
+        data["matrix"] = []
+        for line in body:
             key, _, rest = line.partition(" ")
             if key != "row":
                 raise ParseError(f"expected 'row' line, got '{line}'")
-            try:
-                rows.append(tuple(map(_rational, rest.split())))
-            except ParseError:
-                raise
-            except (ValueError, ZeroDivisionError):
-                raise ParseError(f"row entries must be rationals: '{line}'")
-        n = q + p
-        if len(rows) != n or any(len(r) != n for r in rows):
-            raise ParseError(f"matrix must be {n}x{n}")
-        return _build(GeneralLinearWitness, IntMatrix.from_rows(rows), q, p)
-    raise ParseError(f"unknown witness kind '{kind}'")
+            data["matrix"].append(rest.split())
+    else:
+        data.update(_signed_perm_lines(body, q, p))
+    return data
 
 
 # ---------------------------------------------------------------------------
-# DOT and structured data
+# DOT and bracket tables
 
 _PALETTE = ("red", "blue", "forestgreen", "darkorange", "purple",
             "saddlebrown", "deeppink", "teal", "goldenrod", "navy",
@@ -297,61 +304,10 @@ def write_dot(g: ColoredDigraph) -> str:
     return "\n".join(lines) + "\n"
 
 
-def from_data(data):
-    """The object whose `to_data()` is data."""
-    if not isinstance(data, dict):
-        raise ParseError(f"expected a data object, got {type(data).__name__}")
-    kind = data.get("kind")
-    if kind == "witness":
-        kind = data.get("witness_kind")
-        if kind not in ("signed-perm", "general-linear"):
-            raise ParseError(f"unrecognized witness kind {kind!r}")
-    elif kind not in ("graph", "algebra"):
-        raise ParseError(f"unrecognized data object kind '{kind}'")
-    try:
-        q, p = _data_ints((data["q"], data["p"]))
-        if kind == "graph":
-            return ColoredDigraph.from_arcs(q, p, map(_data_ints, data["arcs"]))
-        if kind == "algebra":
-            return StructureTensor.from_entries(q, p, map(_data_ints, data["entries"]))
-        if kind == "general-linear":
-            rows = data["matrix"]
-            # a string or object row would be read as its characters or keys
-            if type(rows) is not list or any(type(row) is not list for row in rows):
-                raise TypeError("the matrix and each of its rows must be lists")
-            rows = [tuple(map(_rational, row)) for row in rows]
-            return GeneralLinearWitness(IntMatrix.from_rows(rows), q, p)
-        w = SignedPermWitness(*(_data_ints(data[key]) for key in (
-            "vertex_images", "color_images", "vertex_signs", "color_signs")))
-        if (w.q, w.p) != (q, p):
-            raise ValueError(f"images give q={w.q} p={w.p}, not q={q} p={p}")
-        return w
-    except (KeyError, TypeError, ValueError, ArithmeticError) as e:
-        raise ParseError(f"bad {kind} data: {e}") from e
-
-
-def to_json(obj) -> str:
-    return json.dumps(obj.to_data(), sort_keys=True, indent=2) + "\n"
-
-
-def parse_any(text: str):
-    """The object in a text file, by its header line, or in a data file, whose
-    first non-blank character is '{'.  Data decimals are read as written:
-    0.1 is Fraction(1, 10), not the nearest double."""
-    if text.lstrip().startswith("{"):
-        try:
-            data = json.loads(text, parse_float=str)
-        except (ValueError, RecursionError) as e:
-            raise ParseError(f"malformed data: {e}") from e
-        return from_data(data)
-    lines = _body_lines(text)
-    if not lines:
-        raise ParseError("empty input")
-    head = lines[0]
-    if head.startswith(GRAPH_HEADER):
-        return parse_graph(text)
-    if head.startswith(TENSOR_HEADER):
-        return parse_tensor(text)
-    if head.startswith(WITNESS_HEADER):
-        return parse_witness(text)
-    raise ParseError(f"unrecognized header '{head}'")
+def bracket_table(t: StructureTensor) -> str:
+    """One bracket per line in basis notation, e.g. '[v1, v2] = -z3'."""
+    lines = []
+    for (i, j, k, s) in t.sorted_entries():
+        rhs = f"z{k}" if s > 0 else f"-z{k}"
+        lines.append(f"[v{i}, v{j}] = {rhs}")
+    return "\n".join(lines) + ("\n" if lines else "")

@@ -4,6 +4,7 @@ import importlib
 import io
 import json
 import os
+import resource
 import subprocess
 import sys
 import tempfile
@@ -20,14 +21,7 @@ from unilie.exact import IntMatrix
 from unilie.fileverbs import FAMILY_MAX_VERTICES
 from unilie.families import free_two_step, heisenberg, kneser, quaternionic, ring_algebra
 from unilie.graphs import DEFAULT_SEARCH_BUDGET, ColoredDigraph
-from unilie.serialize import (
-    parse_any,
-    parse_graph,
-    to_json,
-    write_graph,
-    write_tensor,
-    write_witness,
-)
+from unilie.serialize import MAX_SIZE, parse_any, to_json, write_text
 from unilie.algebra import SignedPermWitness
 
 
@@ -35,6 +29,16 @@ def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr().out
     return code, out
+
+
+def spawn(*argv, **kwargs):
+    """`python -m unilie.cli *argv` in a fresh interpreter on this tree's src."""
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (os.path.join(root, "src"), env.get("PYTHONPATH")) if p)
+    return subprocess.run([sys.executable, "-m", "unilie.cli", *argv], env=env,
+                          capture_output=True, **kwargs)
 
 
 def machine_payload(out):
@@ -46,7 +50,7 @@ def machine_payload(out):
 @pytest.fixture
 def quat_file(tmp_path):
     path = tmp_path / "quat.graph"
-    path.write_text(write_graph(quaternionic()))
+    path.write_text(write_text(quaternionic()))
     return str(path)
 
 
@@ -54,7 +58,7 @@ def quat_file(tmp_path):
 def bad_file(tmp_path):
     g = ColoredDigraph.from_arcs(3, 1, [(1, 2, 1), (2, 3, 1)])
     path = tmp_path / "path.graph"
-    path.write_text(write_graph(g))
+    path.write_text(write_text(g))
     return str(path)
 
 
@@ -114,8 +118,15 @@ class TestFamily:
         dest = tmp_path / "ring.graph"
         code, _ = run(capsys, "family", "ring", "2", "--output", str(dest))
         assert code == 0
-        g = parse_graph(dest.read_text())
+        g = parse_any(dest.read_text())
         assert g == ring_algebra(2)
+
+    def test_largest_family_reads_back(self, capsys, tmp_path):
+        # free(200) has p = C(200, 2) = 19,900 colors, the most of anything
+        # unilie writes, so an input at that size must still be read
+        dest = tmp_path / "free.graph"
+        assert run(capsys, "family", "free", "200", "--output", str(dest))[0] == 0
+        assert run(capsys, "verify", "--input", str(dest))[0] == 0
 
     def test_unknown_family_is_usage_error(self, capsys):
         code, _ = run(capsys, "family", "octonion")
@@ -194,7 +205,7 @@ class TestAnalyze:
     @pytest.mark.parametrize("graph,dim", [(kneser(5, 2), 57), (free_two_step(6), 126)])
     def test_derivation_dim_of_larger_families(self, capsys, tmp_path, graph, dim):
         path = tmp_path / "family.graph"
-        path.write_text(write_graph(graph))
+        path.write_text(write_text(graph))
         code, out = run(capsys, "analyze", "--input", str(path))
         assert code == 0
         assert machine_payload(out)["derivation_dim"] == dim
@@ -212,7 +223,7 @@ class TestAnalyze:
 
     def test_tensor_input_accepted(self, capsys, tmp_path):
         path = tmp_path / "quat.alg"
-        path.write_text(write_tensor(from_graph(quaternionic())))
+        path.write_text(write_text(from_graph(quaternionic())))
         code, out = run(capsys, "analyze", "--input", str(path))
         assert code == 0
         assert machine_payload(out)["heisenberg_type"] is True
@@ -221,16 +232,16 @@ class TestAnalyze:
 class TestIso:
     def test_equivalent_graphs(self, capsys, tmp_path):
         a, b = tmp_path / "a.graph", tmp_path / "b.graph"
-        a.write_text(write_graph(ring_algebra(2)))
-        b.write_text(write_graph(ring_algebra(2, primed=True)))
+        a.write_text(write_text(ring_algebra(2)))
+        b.write_text(write_text(ring_algebra(2, primed=True)))
         code, out = run(capsys, "iso", "--input", str(a), "--input", str(b))
         assert code == 0
         assert machine_payload(out)["equivalent"] is True
 
     def test_strict_orientation_distinguishes(self, capsys, tmp_path):
         a, b = tmp_path / "a.graph", tmp_path / "b.graph"
-        a.write_text(write_graph(ring_algebra(2)))
-        b.write_text(write_graph(ring_algebra(2, primed=True)))
+        a.write_text(write_text(ring_algebra(2)))
+        b.write_text(write_text(ring_algebra(2, primed=True)))
         code, out = run(
             capsys,
             "iso",
@@ -245,8 +256,8 @@ class TestIso:
 
     def test_tensor_pair_with_certificate(self, capsys, tmp_path):
         a, b = tmp_path / "a.alg", tmp_path / "b.alg"
-        a.write_text(write_tensor(from_graph(quaternionic())))
-        b.write_text(write_tensor(from_graph(quaternionic(associate=True))))
+        a.write_text(write_text(from_graph(quaternionic())))
+        b.write_text(write_text(from_graph(quaternionic(associate=True))))
         code, out = run(capsys, "iso", "--input", str(a), "--input", str(b))
         assert code == 1
         payload = machine_payload(out)
@@ -260,8 +271,8 @@ class TestIso:
 
         a, b = tmp_path / "a.alg", tmp_path / "b.alg"
         t = from_graph(quaternionic())
-        a.write_text(write_tensor(t))
-        b.write_text(write_tensor(apply_signs(t, (-1, 1, 1, -1, 1, 1))))
+        a.write_text(write_text(t))
+        b.write_text(write_text(apply_signs(t, (-1, 1, 1, -1, 1, 1))))
         code, out = run(capsys, "iso", "--input", str(a), "--input", str(b))
         assert code == 0
         payload = machine_payload(out)
@@ -271,10 +282,10 @@ class TestIso:
     def test_witness_check_passes(self, capsys, tmp_path):
         t = from_graph(heisenberg(1))
         a, b, w = tmp_path / "a.alg", tmp_path / "b.alg", tmp_path / "w.wit"
-        a.write_text(write_tensor(t))
-        b.write_text(write_tensor(t))
+        a.write_text(write_text(t))
+        b.write_text(write_text(t))
         w.write_text(
-            write_witness(SignedPermWitness((1, 2), (1,), (1, 1), (1,)))
+            write_text(SignedPermWitness((1, 2), (1,), (1, 1), (1,)))
         )
         code, out = run(
             capsys, "iso", "--input", str(a), "--input", str(b), "--input", str(w)
@@ -285,10 +296,10 @@ class TestIso:
     def test_witness_check_fails(self, capsys, tmp_path):
         t = from_graph(heisenberg(1))
         a, b, w = tmp_path / "a.alg", tmp_path / "b.alg", tmp_path / "w.wit"
-        a.write_text(write_tensor(t))
-        b.write_text(write_tensor(t))
+        a.write_text(write_text(t))
+        b.write_text(write_text(t))
         w.write_text(
-            write_witness(SignedPermWitness((1, 2), (1,), (-1, 1), (1,)))
+            write_text(SignedPermWitness((1, 2), (1,), (-1, 1), (1,)))
         )
         code, out = run(
             capsys, "iso", "--input", str(a), "--input", str(b), "--input", str(w)
@@ -301,9 +312,9 @@ class TestIso:
     def test_singular_witness_is_usage_error(self, capsys, tmp_path):
         t = from_graph(heisenberg(1))
         a, w = tmp_path / "a.alg", tmp_path / "w.wit"
-        a.write_text(write_tensor(t))
+        a.write_text(write_text(t))
         # rows 1 and 2 agree: rank 2 of 3
-        w.write_text(write_witness(GeneralLinearWitness(IntMatrix.from_rows(
+        w.write_text(write_text(GeneralLinearWitness(IntMatrix.from_rows(
             [[1, 1, 0], [1, 1, 0], [0, 0, 1]]), 2, 1)))
         assert main(["iso", "--input", str(a), "--input", str(a),
                      "--input", str(w)]) == 2
@@ -331,14 +342,14 @@ class TestIso:
         # 4 generators and 1 center direction, the algebras into 3 and 2
         a, w = tmp_path / "a.alg", tmp_path / "w.wit"
         a.write_text("unilie-algebra v1 q=3 p=2\n1 2 1 +1\n")
-        w.write_text(write_witness(GeneralLinearWitness(IntMatrix.identity(5), 4, 1)))
+        w.write_text(write_text(GeneralLinearWitness(IntMatrix.identity(5), 4, 1)))
         assert main(["iso", "--input", str(a), "--input", str(a),
                      "--input", str(w)]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == ("usage error: witness header says q=4 p=1, but "
                                 "the algebras have q=3 p=2\n")
-        w.write_text(write_witness(GeneralLinearWitness(IntMatrix.identity(5), 3, 2)))
+        w.write_text(write_text(GeneralLinearWitness(IntMatrix.identity(5), 3, 2)))
         assert run(capsys, "iso", "--input", str(a), "--input", str(a),
                    "--input", str(w))[0] == 0
 
@@ -351,7 +362,8 @@ class TestIso:
                      "--input", str(w)]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == "usage error: witness matrix must be square and nonempty\n"
+        assert captured.err == ("usage error: bad general-linear data: witness matrix "
+                                "must be square and nonempty\n")
 
     @pytest.mark.parametrize("form", ["text", "data"])
     def test_negative_split_is_usage_error(self, capsys, tmp_path, form):
@@ -379,8 +391,8 @@ class TestIso:
         t1 = from_graph(ring_algebra(2))
         h33 = concatenate(from_graph(heisenberg(1)), from_graph(heisenberg(1)))
         a, b = tmp_path / "a.alg", tmp_path / "b.alg"
-        a.write_text(write_tensor(t1))
-        b.write_text(write_tensor(h33))
+        a.write_text(write_text(t1))
+        b.write_text(write_text(h33))
         code, out = run(capsys, "iso", "--input", str(a), "--input", str(b))
         assert code == 1
         payload = machine_payload(out)
@@ -400,8 +412,8 @@ class TestIso:
                 arcs.append((i, 4 + (i + k - 2) % 3, k, 1))
         k33 = StructureTensor.from_entries(6, 3, arcs)
         a, b = tmp_path / "a.alg", tmp_path / "b.alg"
-        a.write_text(write_tensor(h333))
-        b.write_text(write_tensor(k33))
+        a.write_text(write_text(h333))
+        b.write_text(write_text(k33))
         code, out = run(capsys, "iso", "--input", str(a), "--input", str(b))
         assert code == 4
         assert "undetermined" in out
@@ -419,8 +431,8 @@ class TestIso:
 
     def test_budget_exit(self, capsys, tmp_path):
         a, b = tmp_path / "a.graph", tmp_path / "b.graph"
-        a.write_text(write_graph(ring_algebra(2)))
-        b.write_text(write_graph(ring_algebra(2, primed=True)))
+        a.write_text(write_text(ring_algebra(2)))
+        b.write_text(write_text(ring_algebra(2, primed=True)))
         code, _ = run(
             capsys, "iso", "--input", str(a), "--input", str(b), "--budget", "1"
         )
@@ -430,8 +442,8 @@ class TestIso:
         # equal (p, q) and no signed-permutation witness, so refine compares
         # derivation dimensions, whose rows would hold 795,960,000 cells
         a, b = tmp_path / "a.alg", tmp_path / "b.alg"
-        a.write_text(write_tensor(from_graph(heisenberg(100))))
-        b.write_text(write_tensor(from_graph(ColoredDigraph(200, 1, heisenberg(99).arcs))))
+        a.write_text(write_text(from_graph(heisenberg(100))))
+        b.write_text(write_text(from_graph(ColoredDigraph(200, 1, heisenberg(99).arcs))))
         assert main(["iso", "--input", str(a), "--input", str(b)]) == 3
         assert capsys.readouterr().out == ""
 
@@ -440,7 +452,7 @@ class TestIso:
         # one by one in the mapping search; `family` refuses a graph this
         # large, so the file is written through the library
         path = tmp_path / "h.graph"
-        path.write_text(write_graph(heisenberg(500)))
+        path.write_text(write_text(heisenberg(500)))
         code, out = run(capsys, "iso", "--input", str(path), "--input", str(path))
         assert code == 0
         assert machine_payload(out)["vertex_images"] == list(range(1, 1001))
@@ -464,7 +476,7 @@ class TestOrbit:
     def test_budget_bounds_the_sign_orbits(self, capsys, tmp_path):
         # kneser(6, 2) has 2^21 diagonal sign orbits
         path = tmp_path / "k.graph"
-        path.write_text(write_graph(kneser(6, 2)))
+        path.write_text(write_text(kneser(6, 2)))
         assert main(["orbit", "--input", str(path), "--budget", "50"]) == 3
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -472,7 +484,7 @@ class TestOrbit:
 
     def test_search_depth_exit(self, capsys, tmp_path):
         path = tmp_path / "r.graph"
-        path.write_text(write_graph(ring_algebra(500)))
+        path.write_text(write_text(ring_algebra(500)))
         code, out = run(capsys, "orbit", "--input", str(path))
         assert code == 0
         assert "2 diagonal sign orbit(s), 2 class(es)" in out
@@ -536,14 +548,8 @@ class TestClassify:
     def test_golden_output(self, qmax, code):
         # the stdout of a fresh `unilie classify`, byte for byte; an
         # intentional change of the report rewrites the file
-        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            p for p in (os.path.join(root, "src"), env.get("PYTHONPATH")) if p)
-        proc = subprocess.run(
-            [sys.executable, "-m", "unilie.cli", "classify", "--qmax", qmax],
-            env=env, capture_output=True, timeout=300)
-        with open(os.path.join(root, "tests", "golden",
+        proc = spawn("classify", "--qmax", qmax, timeout=300)
+        with open(os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden",
                                f"classify_qmax{qmax}.txt"), "rb") as fh:
             assert proc.stdout == fh.read()
         assert proc.returncode == code, proc.stderr
@@ -635,7 +641,7 @@ class TestExport:
         sp = SignedPermWitness((2, 1, 3, 4), (3, 1, 2), (1, -1, 1, 1), (1, 1, -1))
         for w, q, p, kind in ((gl, 4, 2, "general-linear"), (sp, 4, 3, "signed-perm")):
             path = tmp_path / f"{kind}.wit"
-            path.write_text(write_witness(w))
+            path.write_text(write_text(w))
             code, out = run(capsys, "export", "--input", str(path), "--format", "data")
             assert code == 0
             body = json.loads(out.split("```machine", 1)[0])
@@ -686,7 +692,7 @@ class TestDataInput:
     @pytest.mark.parametrize("kind", ["graph", "algebra"])
     def test_text_export_of_a_data_file_is_the_text_file(self, capsys, tmp_path, kind):
         obj = self.OBJECTS[kind]
-        text = write_graph(obj) if kind == "graph" else write_tensor(obj)
+        text = write_text(obj)
         src, data, back = (tmp_path / name for name in ("obj.txt", "obj.json", "back.txt"))
         src.write_text(text)
         assert run(capsys, "export", "--input", str(src), "--format", "data",
@@ -712,8 +718,8 @@ class TestDataInput:
 
         t = from_graph(quaternionic())
         a, b, w = tmp_path / "a.alg", tmp_path / "b.alg", tmp_path / "w.json"
-        a.write_text(write_tensor(t))
-        b.write_text(write_tensor(apply_signs(t, (-1, 1, 1, -1, 1, 1))))
+        a.write_text(write_text(t))
+        b.write_text(write_text(apply_signs(t, (-1, 1, 1, -1, 1, 1))))
         code, out = run(capsys, "iso", "--input", str(a), "--input", str(b))
         assert code == 0
         witness = machine_payload(out)["witness"]
@@ -825,13 +831,15 @@ class TestUsage:
     def test_witness_image_count_names_header(self, capsys, tmp_path, line,
                                               size, count):
         g, w = tmp_path / "h.graph", tmp_path / "w.txt"
-        g.write_text(write_graph(heisenberg(1)))
+        g.write_text(write_text(heisenberg(1)))
         w.write_text(f"unilie-witness v1 kind=signed-perm q=2 p=1\n{line}\n")
         code = main(["iso", "--input", str(g), "--input", str(g),
                      "--input", str(w)])
         err = capsys.readouterr().err
+        q, p = (count, 1) if size == "q=2" else (2, count)
         assert code == 2
-        assert f"header says {size}" in err and f"lists {count} images" in err
+        assert err == (f"usage error: bad signed-perm data: images give q={q} p={p}, "
+                       "not q=2 p=1\n")
         assert "signs" not in err
 
     @pytest.mark.parametrize("body,message", [
@@ -860,26 +868,36 @@ class TestUsage:
         # Fraction("1e999999999") would build a billion-digit integer; the
         # timeout turns such a stall into a failure
         g, w = tmp_path / "h.graph", tmp_path / "w.txt"
-        g.write_text(write_graph(heisenberg(1)))
+        g.write_text(write_text(heisenberg(1)))
         w.write_text("unilie-witness v1 kind=general-linear q=2 p=1\n"
                      "row 1e999999999 0 0\nrow 0 1 0\nrow 0 0 1\n")
-        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            p for p in (os.path.join(root, "src"), env.get("PYTHONPATH")) if p)
-        proc = subprocess.run(
-            [sys.executable, "-m", "unilie.cli", "iso", "--input", str(g),
-             "--input", str(g), "--input", str(w)],
-            env=env, capture_output=True, text=True, timeout=30)
+        proc = spawn("iso", "--input", str(g), "--input", str(g), "--input", str(w),
+                     text=True, timeout=30)
         assert proc.returncode == 2
         assert proc.stdout == ""
         assert proc.stderr == ("usage error: exponent notation is not accepted: "
                                "'1e999999999'\n")
 
+    @pytest.mark.parametrize("form", ["text", "data"])
+    @pytest.mark.parametrize("q,p", [(100_000_000, 1), (2, 100_000_000)])
+    def test_size_above_the_limit_is_usage_error(self, tmp_path, form, q, p):
+        # later steps build tables of q or p entries; the cap on the address
+        # space turns an attempt to build them into a fast failure
+        path = tmp_path / "big.graph"
+        path.write_text(f"unilie-graph v1 q={q} p={p}\n1 2 1\n" if form == "text" else
+                        json.dumps({"kind": "graph", "q": q, "p": p, "arcs": [[1, 2, 1]]}))
+        cap = 1 << 30
+        proc = spawn("verify", "--input", str(path), text=True, timeout=60,
+                     preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)))
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr == (f"usage error: q and p may be at most {MAX_SIZE}, "
+                               f"got q={q} p={p}\n")
+
     @pytest.mark.parametrize("entry", ["1/0", "abc"])
     def test_bad_witness_entry_is_usage_error(self, capsys, tmp_path, entry):
         g, w = tmp_path / "h.graph", tmp_path / "w.txt"
-        g.write_text(write_graph(heisenberg(1)))
+        g.write_text(write_text(heisenberg(1)))
         w.write_text("unilie-witness v1 kind=general-linear q=2 p=1\n"
                      f"row {entry} 0 0\nrow 0 1 0\nrow 0 0 1\n")
         code, _ = run(capsys, "iso", "--input", str(g), "--input", str(g),
@@ -1018,7 +1036,7 @@ class TestPerVerbFlags:
     def test_witness_is_not_a_graph_or_algebra(self, capsys, tmp_path,
                                                quat_file, argv):
         wit = tmp_path / "w.wit"
-        wit.write_text(write_witness(
+        wit.write_text(write_text(
             SignedPermWitness((1, 2, 3, 4), (1, 2, 3), (1, 1, 1, 1), (1, 1, 1))))
         code, out = run(capsys, *fill(argv, {"QUAT": quat_file, "WIT": str(wit)}))
         assert code == 2
@@ -1032,8 +1050,8 @@ class TestPerVerbFlags:
     def test_strict_equivalence_needs_two_graphs(self, capsys, tmp_path,
                                                  quat_file, argv):
         alg, wit = tmp_path / "quat.alg", tmp_path / "id.wit"
-        alg.write_text(write_tensor(from_graph(quaternionic())))
-        wit.write_text(write_witness(
+        alg.write_text(write_text(from_graph(quaternionic())))
+        wit.write_text(write_text(
             SignedPermWitness((1, 2, 3, 4), (1, 2, 3), (1, 1, 1, 1), (1, 1, 1))))
         argv = ["iso"] + fill(argv, {"QUAT": quat_file, "ALG": str(alg),
                                      "WIT": str(wit)})
@@ -1055,10 +1073,10 @@ FUZZ_OBJECTS = {
 }
 # each object in its text form and, under "<kind>-data", in its data form
 FUZZ_FILES = {
-    "graph": write_graph(FUZZ_OBJECTS["graph"]),
-    "algebra": write_tensor(FUZZ_OBJECTS["algebra"]),
-    "signed-perm": write_witness(FUZZ_OBJECTS["signed-perm"]),
-    "general-linear": write_witness(FUZZ_OBJECTS["general-linear"]),
+    "graph": write_text(FUZZ_OBJECTS["graph"]),
+    "algebra": write_text(FUZZ_OBJECTS["algebra"]),
+    "signed-perm": write_text(FUZZ_OBJECTS["signed-perm"]),
+    "general-linear": write_text(FUZZ_OBJECTS["general-linear"]),
     **{f"{kind}-data": to_json(obj) for kind, obj in FUZZ_OBJECTS.items()},
 }
 FUZZ_TOKENS = ["0", "1", "-1", "+1", "4", "x", "1/0", "1/2", "q=3", "p=0",

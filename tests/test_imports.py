@@ -166,7 +166,7 @@ UNUSED_OUTSIDE_ANALYZE = UNUSED_BY_VERBS | {"unilie.analysis"}
 ])
 def test_verbs_skip_modules_they_do_not_use(tmp_path, verb, absent):
     path = tmp_path / "quat.graph"
-    path.write_text(serialize.write_graph(quaternionic()))
+    path.write_text(serialize.write_text(quaternionic()))
     argv = [verb] + ["--input", str(path)] * (2 if verb == "iso" else 1)
     loaded = set(fresh_unilie_modules(run_cli(argv)))
     assert {"unilie.fileverbs", "unilie.serialize"} <= loaded
@@ -207,7 +207,7 @@ def test_sign_classes_skip_the_census_and_classification():
 
 def test_orbit_skips_the_census_and_classification(tmp_path):
     path = tmp_path / "quat.graph"
-    path.write_text(serialize.write_graph(quaternionic()))
+    path.write_text(serialize.write_text(quaternionic()))
     loaded = set(fresh_unilie_modules(run_cli(["orbit", "--input", str(path)])))
     assert "unilie.algebra" in loaded
     assert not loaded & UNUSED_OUTSIDE_ANALYZE
@@ -256,7 +256,7 @@ def test_iso_on_two_tensors_loads_classification(tmp_path):
     paths = []
     for n, t in enumerate((quaternionic(), quaternionic(True))):
         paths += ["--input", str(tmp_path / f"{n}.alg")]
-        (tmp_path / f"{n}.alg").write_text(serialize.write_tensor(from_graph(t)))
+        (tmp_path / f"{n}.alg").write_text(serialize.write_text(from_graph(t)))
     loaded = fresh_unilie_modules(run_cli(["iso", *paths], code=1))
     assert "unilie.classification" in loaded
 

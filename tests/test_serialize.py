@@ -1,7 +1,9 @@
 """Text formats: round trips, comment handling, and parse failure modes."""
 
 import json
+import re
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -10,6 +12,7 @@ from hypothesis import strategies as st
 from unilie.algebra import (
     GeneralLinearWitness,
     SignedPermWitness,
+    apply_signs,
     check_witness,
     from_graph,
     lift_automorphism,
@@ -23,14 +26,9 @@ from unilie.serialize import (
     bracket_table,
     from_data,
     parse_any,
-    parse_graph,
-    parse_tensor,
-    parse_witness,
     to_json,
     write_dot,
-    write_graph,
-    write_tensor,
-    write_witness,
+    write_text,
 )
 
 GRAPHS = [heisenberg(1), heisenberg(3), quaternionic(), ring_algebra(3, primed=True)]
@@ -39,56 +37,56 @@ GRAPHS = [heisenberg(1), heisenberg(3), quaternionic(), ring_algebra(3, primed=T
 class TestGraphFormat:
     @pytest.mark.parametrize("g", GRAPHS)
     def test_round_trip(self, g):
-        assert parse_graph(write_graph(g)) == g
+        assert parse_any(write_text(g)) == g
 
     def test_header_first_line(self):
-        text = write_graph(quaternionic())
+        text = write_text(quaternionic())
         assert text.splitlines()[0] == "unilie-graph v1 q=4 p=3"
 
     def test_comments_and_blanks_ignored(self):
         text = "# a note\nunilie-graph v1 q=2 p=1\n\n# body\n1 2 1\n"
-        assert parse_graph(text) == heisenberg(1)
+        assert parse_any(text) == heisenberg(1)
 
     def test_rejects_missing_header(self):
         with pytest.raises(ParseError):
-            parse_graph("1 2 1\n")
+            parse_any("1 2 1\n")
 
     def test_rejects_bad_arity(self):
         with pytest.raises(ParseError):
-            parse_graph("unilie-graph v1 q=2 p=1\n1 2\n")
+            parse_any("unilie-graph v1 q=2 p=1\n1 2\n")
 
     def test_rejects_out_of_range(self):
         with pytest.raises(ParseError):
-            parse_graph("unilie-graph v1 q=2 p=1\n1 3 1\n")
+            parse_any("unilie-graph v1 q=2 p=1\n1 3 1\n")
 
     def test_rejects_non_integer_field(self):
         with pytest.raises(ParseError, match="non-integer"):
-            parse_graph("unilie-graph v1 q=2 p=1\n1 2 x\n")
+            parse_any("unilie-graph v1 q=2 p=1\n1 2 x\n")
 
 
 class TestTensorFormat:
     @pytest.mark.parametrize("g", GRAPHS)
     def test_round_trip(self, g):
         t = from_graph(g)
-        assert parse_tensor(write_tensor(t)) == t
+        assert parse_any(write_text(t)) == t
 
     def test_signs_in_text(self):
         t = from_graph(quaternionic())
-        text = write_tensor(t)
+        text = write_text(t)
         assert "2 4 2 -1" in text
         assert "1 2 1 +1" in text
 
     def test_bare_one_accepted_as_sign(self):
         text = "unilie-algebra v1 q=2 p=1\n1 2 1 1\n"
-        assert parse_tensor(text) == from_graph(heisenberg(1))
+        assert parse_any(text) == from_graph(heisenberg(1))
 
     def test_rejects_zero_sign(self):
         with pytest.raises(ParseError):
-            parse_tensor("unilie-algebra v1 q=2 p=1\n1 2 1 0\n")
+            parse_any("unilie-algebra v1 q=2 p=1\n1 2 1 0\n")
 
     def test_rejects_non_integer_field(self):
         with pytest.raises(ParseError, match="non-integer"):
-            parse_tensor("unilie-algebra v1 q=2 p=1\n1 x 1 +1\n")
+            parse_any("unilie-algebra v1 q=2 p=1\n1 x 1 +1\n")
 
     def test_bracket_table_content(self):
         table = bracket_table(from_graph(heisenberg(2)))
@@ -100,20 +98,20 @@ class TestTensorFormat:
 class TestWitnessFormat:
     def test_signed_perm_round_trip(self):
         w = SignedPermWitness((2, 1, 3, 4), (1, 3, 2), (1, -1, 1, 1), (1, 1, -1))
-        parsed = parse_witness(write_witness(w))
+        parsed = parse_any(write_text(w))
         assert (parsed.q, parsed.p) == (4, 3)
         assert parsed == w
 
     def test_general_linear_round_trip(self):
         _, _, w = ring_sum_witness()
-        parsed = parse_witness(write_witness(w))
+        parsed = parse_any(write_text(w))
         assert (parsed.q, parsed.p) == (4, 2)
         assert parsed == w
 
     def test_fraction_entries_survive(self):
         m = IntMatrix.from_rows([[Fraction(1, 2), 0, 0], [0, 1, 0], [0, 0, 1]])
         w = GeneralLinearWitness(m, 2, 1)
-        parsed = parse_witness(write_witness(w))
+        parsed = parse_any(write_text(w))
         assert parsed.to_matrix()[0, 0] == Fraction(1, 2)
 
     def test_cycle_notation_accepted(self):
@@ -122,7 +120,7 @@ class TestWitnessFormat:
             "vertex-cycles (1 2)(3 4)\n"
             "color-cycles (2 3)\n"
         )
-        w = parse_witness(text)
+        w = parse_any(text)
         assert w.vertex_images == (2, 1, 4, 3)
         assert w.color_images == (1, 3, 2)
         # omitted sign lines default to all plus
@@ -137,7 +135,7 @@ class TestWitnessFormat:
             "color-images 1\n"
             "color-signs -1\n"
         )
-        w = parse_witness(text)
+        w = parse_any(text)
         assert w.vertex_signs == (1, -1)
         assert w.color_signs == (-1,)
 
@@ -148,18 +146,19 @@ class TestWitnessFormat:
             "color-images 1\n"
         )
         with pytest.raises(ParseError):
-            parse_witness(text)
+            parse_any(text)
 
     def test_rejects_unknown_kind(self):
         with pytest.raises(ParseError):
-            parse_witness("unilie-witness v1 kind=mystery q=2 p=1\n")
+            parse_any("unilie-witness v1 kind=mystery q=2 p=1\n")
 
     @pytest.mark.parametrize("entry", ["1/0", "abc"])
     def test_rejects_bad_matrix_entry(self, entry):
         text = ("unilie-witness v1 kind=general-linear q=1 p=1\n"
                 f"row {entry} 0\nrow 0 1\n")
-        with pytest.raises(ParseError, match="rationals"):
-            parse_witness(text)
+        with pytest.raises(ParseError) as info:
+            parse_any(text)
+        assert str(info.value) == f"matrix entries must be rationals, got '{entry}'"
 
     @pytest.mark.parametrize("entry", ["1e9", "1E9", "-2.5e-3", "1e999999999"])
     def test_rejects_exponent_notation(self, entry):
@@ -167,7 +166,7 @@ class TestWitnessFormat:
         text = ("unilie-witness v1 kind=general-linear q=1 p=1\n"
                 f"row {entry} 0\nrow 0 1\n")
         with pytest.raises(ParseError, match="exponent notation"):
-            parse_witness(text)
+            parse_any(text)
         payload = GeneralLinearWitness(IntMatrix.identity(2), 1, 1).to_data()
         payload["matrix"][0][0] = entry
         with pytest.raises(ParseError, match="exponent notation"):
@@ -178,13 +177,13 @@ class TestWitnessFormat:
     def test_exponent_free_entries_accepted(self, entry):
         text = ("unilie-witness v1 kind=general-linear q=1 p=1\n"
                 f"row {entry} 0\nrow 0 1\n")
-        assert parse_witness(text).to_matrix()[0, 0] == Fraction(entry)
+        assert parse_any(text).to_matrix()[0, 0] == Fraction(entry)
         payload = GeneralLinearWitness(IntMatrix.identity(2), 1, 1).to_data()
         payload["matrix"][0][0] = entry
         assert from_data(payload).to_matrix()[0, 0] == Fraction(entry)
 
     def test_non_square_witness_is_refused(self):
-        # a 2x3 matrix once wrote a file that parse_witness refused
+        # a 2x3 matrix once wrote a file that the text reader refused
         with pytest.raises(ValueError, match="square"):
             GeneralLinearWitness(IntMatrix.from_rows([[1, 0, 0], [0, 1, 0]]), 1, 1)
 
@@ -201,7 +200,7 @@ class TestWitnessFormat:
 
     def test_empty_witness_text_is_a_parse_error(self):
         with pytest.raises(ParseError, match="square and nonempty"):
-            parse_witness("unilie-witness v1 kind=general-linear q=0 p=0\n")
+            parse_any("unilie-witness v1 kind=general-linear q=0 p=0\n")
 
     def test_data_form_refuses_booleans(self):
         with pytest.raises(ParseError, match="expected a rational, got True"):
@@ -221,7 +220,7 @@ class TestWitnessFormat:
     def test_rejects_non_integer_image(self, line):
         text = f"unilie-witness v1 kind=signed-perm q=2 p=1\n{line}\n"
         with pytest.raises(ParseError, match="non-integer"):
-            parse_witness(text)
+            parse_any(text)
 
     @pytest.mark.parametrize("line,size", [
         ("vertex-images 1 2 3", "q=2"),
@@ -230,20 +229,24 @@ class TestWitnessFormat:
     ])
     def test_rejects_image_count_against_header(self, line, size):
         text = f"unilie-witness v1 kind=signed-perm q=2 p=1\n{line}\n"
-        with pytest.raises(ParseError, match=f"header says {size}"):
-            parse_witness(text)
+        count = len(line.split()) - 1
+        q, p = (count, 1) if size == "q=2" else (2, count)
+        with pytest.raises(ParseError) as info:
+            parse_any(text)
+        assert str(info.value) == (f"bad signed-perm data: images give q={q} p={p}, "
+                                   "not q=2 p=1")
 
     @pytest.mark.parametrize("q,p", [(-1, 3), (3, -1)])
     def test_rejects_negative_general_linear_split(self, q, p):
         text = f"unilie-witness v1 kind=general-linear q={q} p={p}\nrow 1 0\nrow 0 1\n"
         with pytest.raises(ParseError, match="q and p must be nonnegative"):
-            parse_witness(text)
+            parse_any(text)
 
     def test_parsed_witness_still_checks(self):
         t = from_graph(quaternionic())
         for a in automorphisms(quaternionic(), strict=True):
             w = lift_automorphism(t, a)
-            parsed = parse_witness(write_witness(w))
+            parsed = parse_any(write_text(w))
             assert check_witness(t, t, parsed).ok
 
 
@@ -259,7 +262,7 @@ class TestStrictFields:
     ])
     def test_graph_header(self, header, message):
         with pytest.raises(ParseError, match=message):
-            parse_graph(f"{header}\n1 2 1\n")
+            parse_any(f"{header}\n1 2 1\n")
 
     @pytest.mark.parametrize("header,message", [
         ("unilie-algebra v1 q=2 p=1 q=2", "repeated header field 'q'"),
@@ -267,7 +270,7 @@ class TestStrictFields:
     ])
     def test_tensor_header(self, header, message):
         with pytest.raises(ParseError, match=message):
-            parse_tensor(f"{header}\n1 2 1 +1\n")
+            parse_any(f"{header}\n1 2 1 +1\n")
 
     @pytest.mark.parametrize("header,message", [
         ("kind=signed-perm q=2 p=1 kind=general-linear", "repeated header field 'kind'"),
@@ -277,7 +280,7 @@ class TestStrictFields:
     ])
     def test_witness_header(self, header, message):
         with pytest.raises(ParseError, match=message):
-            parse_witness(f"unilie-witness v1 {header}\n")
+            parse_any(f"unilie-witness v1 {header}\n")
 
     @pytest.mark.parametrize("body,message", [
         ("vertex-image 2 1\n", "unknown witness line 'vertex-image'"),
@@ -297,14 +300,14 @@ class TestStrictFields:
              "color-images-and-cycles"])
     def test_signed_perm_body(self, body, message):
         with pytest.raises(ParseError, match=message):
-            parse_witness(f"unilie-witness v1 kind=signed-perm q=2 p=1\n{body}")
+            parse_any(f"unilie-witness v1 kind=signed-perm q=2 p=1\n{body}")
 
     def test_fields_in_any_order(self):
-        w = parse_witness("unilie-witness v1 p=1 q=2 kind=signed-perm\n"
+        w = parse_any("unilie-witness v1 p=1 q=2 kind=signed-perm\n"
                           "color-signs -1\nvertex-cycles (1 2)\n")
         assert (w.q, w.p) == (2, 1)
         assert w == SignedPermWitness((2, 1), (1,), (1, 1), (-1,))
-        assert parse_graph("unilie-graph v1 p=1 q=2\n1 2 1\n") == heisenberg(1)
+        assert parse_any("unilie-graph v1 p=1 q=2\n1 2 1\n") == heisenberg(1)
 
 
 class TestDot:
@@ -375,7 +378,7 @@ class TestDataAndJson:
     @pytest.mark.parametrize("field, value", [
         ("q", 2.5), ("p", 1.0), ("q", True), ("arc", 1.0), ("arc", True)])
     def test_from_data_graph_needs_plain_ints(self, field, value):
-        # a float q would build a graph whose text form `parse_graph` refuses
+        # a float q would build a graph whose text form `parse_any` refuses
         payload = {"kind": "graph", "q": 2, "p": 1, "arcs": [[1, 2, 1]]}
         assert from_data(payload) == ColoredDigraph.from_arcs(2, 1, [(1, 2, 1)])
         if field == "arc":
@@ -466,10 +469,10 @@ class TestParseAny:
     def test_dispatch(self):
         g = quaternionic()
         t = from_graph(g)
-        assert parse_any(write_graph(g)) == g
-        assert parse_any(write_tensor(t)) == t
+        assert parse_any(write_text(g)) == g
+        assert parse_any(write_text(t)) == t
         w = SignedPermWitness((1, 2), (1,), (1, 1), (1,))
-        assert parse_any(write_witness(w)) == w
+        assert parse_any(write_text(w)) == w
         gl = GeneralLinearWitness(IntMatrix.identity(3), 2, 1)
         for obj in (g, t, w, gl):
             assert parse_any(to_json(obj)) == obj
@@ -511,6 +514,65 @@ class TestParseAny:
         with pytest.raises(ParseError, match=message):
             parse_any(text)
 
+    @pytest.mark.parametrize("text,data,message", [
+        ("unilie-graph v1 q=2 p=1\n1 1 1\n",
+         {"kind": "graph", "q": 2, "p": 1, "arcs": [[1, 1, 1]]},
+         "bad graph data: loop at vertex 1"),
+        ("unilie-graph v1 q=2 p=1\n1 3 1\n",
+         {"kind": "graph", "q": 2, "p": 1, "arcs": [[1, 3, 1]]},
+         "bad graph data: vertex out of range in arc (1, 3, 1)"),
+        ("unilie-graph v1 q=2 p=1\n1 2 1\n2 1 1\n",
+         {"kind": "graph", "q": 2, "p": 1, "arcs": [[1, 2, 1], [2, 1, 1]]},
+         "bad graph data: more than one arc on vertex pair (1, 2)"),
+        ("unilie-witness v1 kind=signed-perm q=2 p=1\nvertex-images 1 1\n",
+         {"kind": "witness", "witness_kind": "signed-perm", "q": 2, "p": 1,
+          "vertex_images": [1, 1], "vertex_signs": [1, 1],
+          "color_images": [1], "color_signs": [1]},
+         "bad signed-perm data: vertex images are not a permutation"),
+        ("unilie-witness v1 kind=signed-perm q=2 p=1\nvertex-images 1 2 3\n",
+         {"kind": "witness", "witness_kind": "signed-perm", "q": 2, "p": 1,
+          "vertex_images": [1, 2, 3], "vertex_signs": [1, 1, 1],
+          "color_images": [1], "color_signs": [1]},
+         "bad signed-perm data: images give q=3 p=1, not q=2 p=1"),
+        ("unilie-witness v1 kind=signed-perm q=2 p=1\nvertex-signs +1 +1 -1\n",
+         {"kind": "witness", "witness_kind": "signed-perm", "q": 2, "p": 1,
+          "vertex_images": [1, 2], "vertex_signs": [1, 1, -1],
+          "color_images": [1], "color_signs": [1]},
+         "bad signed-perm data: bad vertex signs"),
+        ("unilie-witness v1 kind=general-linear q=1 p=1\nrow 1 0 0\nrow 0 1 0\n",
+         {"kind": "witness", "witness_kind": "general-linear", "q": 1, "p": 1,
+          "matrix": [["1", "0", "0"], ["0", "1", "0"]]},
+         "bad general-linear data: witness matrix must be square and nonempty"),
+        ("unilie-witness v1 kind=general-linear q=2 p=1\nrow 1 0 0\nrow 0 1\nrow 0 0 1\n",
+         {"kind": "witness", "witness_kind": "general-linear", "q": 2, "p": 1,
+          "matrix": [["1", "0", "0"], ["0", "1"], ["0", "0", "1"]]},
+         "bad general-linear data: ragged matrix"),
+        ("unilie-witness v1 kind=general-linear q=-1 p=3\nrow 1 0\nrow 0 1\n",
+         {"kind": "witness", "witness_kind": "general-linear", "q": -1, "p": 3,
+          "matrix": [["1", "0"], ["0", "1"]]},
+         "bad general-linear data: q and p must be nonnegative"),
+        ("unilie-witness v1 kind=general-linear q=1 p=1\nrow 1/0 0\nrow 0 1\n",
+         {"kind": "witness", "witness_kind": "general-linear", "q": 1, "p": 1,
+          "matrix": [["1/0", "0"], ["0", "1"]]},
+         "matrix entries must be rationals, got '1/0'"),
+        ("unilie-witness v1 kind=general-linear q=1 p=1\nrow 1e9 0\nrow 0 1\n",
+         {"kind": "witness", "witness_kind": "general-linear", "q": 1, "p": 1,
+          "matrix": [["1e9", "0"], ["0", "1"]]},
+         "exponent notation is not accepted: '1e9'"),
+        ("unilie-graph v1 q=2 p=100000000\n1 2 1\n",
+         {"kind": "graph", "q": 2, "p": 100000000, "arcs": [[1, 2, 1]]},
+         "q and p may be at most 20000, got q=2 p=100000000"),
+    ], ids=["loop", "vertex-out-of-range", "two-arcs-on-a-pair", "not-a-permutation",
+            "images-against-q", "sign-count", "non-square", "ragged", "negative-split",
+            "zero-denominator", "exponent", "above-max-size"])
+    def test_one_refusal_one_wording(self, text, data, message):
+        # each malformed object, written in both forms, is refused by the one
+        # check that from_data or a constructor makes, in one wording
+        for form in (text, json.dumps(data)):
+            with pytest.raises(ParseError) as info:
+                parse_any(form)
+            assert str(info.value) == message
+
     @pytest.mark.parametrize("text,message", [
         ("", "empty input"),
         ("# only a comment\n\n", "empty input"),
@@ -529,21 +591,18 @@ class TestParseAny:
         assert str(info.value) == message
 
 
-@given(
-    st.integers(min_value=2, max_value=6).flatmap(
-        lambda q: st.lists(
-            st.tuples(
-                st.integers(min_value=1, max_value=q),
-                st.integers(min_value=1, max_value=q),
-                st.integers(min_value=1, max_value=4),
-            ),
-            max_size=6,
-        ).map(lambda arcs: (q, arcs))
-    )
-)
+SIGNS = st.sampled_from((1, -1))
+
+
+@given(st.data())
 @settings(max_examples=120)
-def test_random_graph_round_trip(qa):
-    q, raw = qa
+def test_random_graph_round_trip(data):
+    # every kind reads back equal from its text form and from its data form
+    q = data.draw(st.integers(min_value=2, max_value=6))
+    raw = data.draw(st.lists(st.tuples(st.integers(min_value=1, max_value=q),
+                                       st.integers(min_value=1, max_value=q),
+                                       st.integers(min_value=1, max_value=4)),
+                             max_size=6))
     seen, arcs = set(), []
     for i, j, k in raw:
         if i == j:
@@ -553,8 +612,29 @@ def test_random_graph_round_trip(qa):
             continue
         seen.add(pair)
         arcs.append((i, j, k))
-    if not arcs:
-        return
-    g = ColoredDigraph.from_arcs(q, 4, arcs)
-    assert parse_graph(write_graph(g)) == g
-    assert from_data(g.to_data()) == g
+    objects = []
+    if arcs:
+        g = ColoredDigraph.from_arcs(q, 4, arcs)
+        signs = data.draw(st.lists(SIGNS, min_size=len(arcs), max_size=len(arcs)))
+        objects += [g, apply_signs(from_graph(g), signs)]
+    p = data.draw(st.integers(min_value=1, max_value=4))
+    objects.append(SignedPermWitness(
+        tuple(data.draw(st.permutations(range(1, q + 1)))),
+        tuple(data.draw(st.permutations(range(1, p + 1)))),
+        tuple(data.draw(st.lists(SIGNS, min_size=q, max_size=q))),
+        tuple(data.draw(st.lists(SIGNS, min_size=p, max_size=p)))))
+    entry = st.fractions(min_value=-9, max_value=9, max_denominator=7)
+    row = st.lists(entry, min_size=q + p, max_size=q + p)
+    objects.append(GeneralLinearWitness(IntMatrix.from_rows(
+        data.draw(st.lists(row, min_size=q + p, max_size=q + p))), q, p))
+    for x in objects:
+        assert parse_any(write_text(x)) == x == parse_any(to_json(x))
+
+
+def test_readme_examples_are_what_write_text_writes():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("\n## File formats\n", 1)[1].split("\n## ", 1)[0]
+    blocks = re.findall(r"^```\n(.*?)^```$", section, re.M | re.S)
+    assert [b.split()[0] for b in blocks] == ["unilie-graph", "unilie-witness"]
+    for block in blocks:
+        assert write_text(parse_any(block)) == block
