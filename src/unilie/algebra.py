@@ -111,14 +111,15 @@ def to_graph(t: StructureTensor) -> ColoredDigraph:
     return ColoredDigraph.from_arcs(t.q, t.p, arcs)
 
 
-def _radical_rows(t: StructureTensor) -> list[list[int]]:
-    """Matrix of x -> ([x, v_j])_j on generator coordinates: row (j, k) holds
-    in column i the z_k coordinate of [v_i, v_j].  Its kernel is the radical
-    {x in V : [x, V] = 0}."""
-    rows = [[0] * t.q for _ in range(t.q * t.p)]
+def _radical_rows(t: StructureTensor) -> list[dict[int, int]]:
+    """Matrix of x -> ([x, v_j])_j on generator coordinates, one sparse
+    {column: entry} row for each (j, k) that carries a bracket: row (j, k)
+    holds at column i - 1 the z_k coordinate of [v_i, v_j].  Its kernel is
+    the radical {x in V : [x, V] = 0}."""
+    rows = {}
     for (i, j), (k, s) in t.brackets.items():
-        rows[(j - 1) * t.p + k - 1][i - 1] = s   # [v_i, v_j] = s z_k
-    return rows
+        rows.setdefault((j, k), {})[i - 1] = s   # [v_i, v_j] = s z_k
+    return list(rows.values())
 
 
 # ---------------------------------------------------------------------------

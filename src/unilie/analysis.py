@@ -1,15 +1,15 @@
-"""The structure dossier of a two-step nilpotent algebra: vectors and
-brackets, the center, commutator and centralizers, the maps J_{z_k} and their
-Gram matrix, the square-norm identity test and totally geodesic subspaces.
+"""The structure dossier of a two-step nilpotent algebra: the dimensions of
+the center and the commutator, the ad ranks, the maps J_{z_k} and their Gram
+matrix, the square-norm identity test and totally geodesic subspaces.
 
 These are what `unilie analyze` reports; the sign classes, the isomorphism
 searches and the classification need none of them, so they live apart from
-`algebra` and load only when asked for.  Conventions are those of `algebra`.
+`algebra` and load only when asked for.  Each dimension is a count or is
+read off a rank by rank-nullity, so the dossier holds integers and loads no
+rational arithmetic.  Conventions are those of `algebra`.
 """
 
 from __future__ import annotations
-
-from fractions import Fraction
 
 from . import exact
 from .algebra import StructureTensor, _heisenberg_identity, _radical_rows, j_map, to_graph
@@ -17,71 +17,9 @@ from .exact import IntMatrix
 from .graphs import validate_uniform
 from .record import Record
 
-Scalar = int | Fraction
-
 
 # ---------------------------------------------------------------------------
-# vectors and brackets
-
-class NVector(Record):
-    """Element of the algebra in coordinates: v over generators, z over center."""
-
-    v: tuple[Scalar, ...]
-    z: tuple[Scalar, ...]
-
-    @staticmethod
-    def zero(q: int, p: int) -> "NVector":
-        return NVector((0,) * q, (0,) * p)
-
-    @staticmethod
-    def basis_v(q: int, p: int, i: int) -> "NVector":
-        return NVector(tuple(1 if a == i else 0 for a in range(1, q + 1)), (0,) * p)
-
-    @staticmethod
-    def basis_z(q: int, p: int, k: int) -> "NVector":
-        return NVector((0,) * q, tuple(1 if a == k else 0 for a in range(1, p + 1)))
-
-    @staticmethod
-    def from_coords(q: int, p: int, coords) -> "NVector":
-        coords = tuple(coords)
-        if len(coords) != q + p:
-            raise ValueError("coordinate length mismatch")
-        return NVector(coords[:q], coords[q:])
-
-    def coords(self) -> tuple[Scalar, ...]:
-        return self.v + self.z
-
-    def __add__(self, other: "NVector") -> "NVector":
-        return NVector(tuple(a + b for a, b in zip(self.v, other.v)),
-                       tuple(a + b for a, b in zip(self.z, other.z)))
-
-    def __sub__(self, other: "NVector") -> "NVector":
-        return self + (-other)
-
-    def __neg__(self) -> "NVector":
-        return NVector(tuple(-a for a in self.v), tuple(-a for a in self.z))
-
-    def scale(self, c: Scalar) -> "NVector":
-        return NVector(tuple(c * a for a in self.v), tuple(c * a for a in self.z))
-
-    def is_zero(self) -> bool:
-        return all(a == 0 for a in self.v) and all(a == 0 for a in self.z)
-
-
-def bracket(t: StructureTensor, x: NVector, y: NVector) -> NVector:
-    """[x, y]; bilinear, lands in the center, ignores the z parts of x and y."""
-    if len(x.v) != t.q or len(y.v) != t.q or len(x.z) != t.p or len(y.z) != t.p:
-        raise ValueError("vector shape mismatch")
-    z = [0] * t.p
-    for (i, j, k, s) in t.entries:
-        c = x.v[i - 1] * y.v[j - 1] - x.v[j - 1] * y.v[i - 1]
-        if c != 0:
-            z[k - 1] += s * c
-    return NVector((0,) * t.q, tuple(z))
-
-
-# ---------------------------------------------------------------------------
-# structural subspaces
+# ranks and dimensions
 
 def ad_matrix(t: StructureTensor, i: int) -> IntMatrix:
     """Matrix of ad_{v_i} restricted to generators: column j holds [v_i, v_j]."""
@@ -99,28 +37,16 @@ def ad_rank(t: StructureTensor, i: int) -> int:
     return ad_matrix(t, i).rank()
 
 
-def center(t: StructureTensor) -> list[NVector]:
-    """Basis of the center: all of the z-span plus any bracket-free generator
-    combinations.  For a uniform tensor this is exactly the z-span."""
-    basis = [NVector.basis_z(t.q, t.p, k) for k in range(1, t.p + 1)]
-    for vec in exact.nullspace(_radical_rows(t), ncols=t.q):
-        basis.append(NVector(vec, (Fraction(0),) * t.p))
-    return basis
+def center_dim(t: StructureTensor) -> int:
+    """Dimension of the center: all of the z-span plus the radical
+    {x in V : [x, V] = 0}.  For a uniform tensor this is exactly p."""
+    return t.p + t.q - exact.rank(_radical_rows(t))
 
 
-def commutator(t: StructureTensor) -> list[NVector]:
-    """Echelon basis of [n, n]: z_k for each color k in use, in increasing k,
-    since every nonzero bracket is +-z_k."""
-    return [NVector.basis_z(t.q, t.p, k) for k in sorted({k for _, _, k, _ in t.entries})]
-
-
-def centralizer(t: StructureTensor, i: int) -> list[NVector]:
-    """Basis of {x : [x, v_i] = 0}; dimension p + q - s for a uniform tensor."""
-    rows = ad_matrix(t, i).rows  # [v_i, x] = 0 iff [x, v_i] = 0
-    basis = [NVector.basis_z(t.q, t.p, k) for k in range(1, t.p + 1)]
-    for vec in exact.nullspace(rows, ncols=t.q):
-        basis.append(NVector(vec, (Fraction(0),) * t.p))
-    return basis
+def commutator_dim(t: StructureTensor) -> int:
+    """Dimension of [n, n]: every nonzero bracket is +-z_k, so it is the
+    number of colors in use."""
+    return len({k for _, _, k, _ in t.entries})
 
 
 # ---------------------------------------------------------------------------

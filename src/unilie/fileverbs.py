@@ -150,8 +150,8 @@ def _format_object(obj, fmt: str) -> str:
 def analyze(args) -> int:
     from . import serialize
     from .algebra import derivation_dim
-    from .analysis import (ad_rank, center, centralizer, commutator,
-                           is_heisenberg_type, j_basis, j_gram, totally_geodesic)
+    from .analysis import (ad_rank, center_dim, commutator_dim, is_heisenberg_type,
+                           j_basis, j_gram, totally_geodesic)
     from .graphs import connected_components, validate_uniform
     (obj,) = _read_inputs(args, 1)
     t, g = _as_tensor(obj), _as_graph(obj)
@@ -160,8 +160,8 @@ def analyze(args) -> int:
              f"({len(t.entries)} nonzero brackets)"]
     payload = {"uniform": _report_dict(rep)}
     lines.append(serialize.bracket_table(t).rstrip("\n") or "(abelian)")
-    cdim = len(center(t))
-    mdim = len(commutator(t))
+    cdim = center_dim(t)
+    mdim = commutator_dim(t)
     payload["center_dim"] = cdim
     payload["commutator_dim"] = mdim
     lines.append(f"center dimension {cdim}; commutator dimension {mdim}")
@@ -171,8 +171,8 @@ def analyze(args) -> int:
             lines.append(f"  {v}")
         _emit(args, "\n".join(lines), payload)
         return EXIT_PROPERTY
-    cents = [len(centralizer(t, i)) for i in range(1, t.q + 1)]
     ads = [ad_rank(t, i) for i in range(1, t.q + 1)]
+    cents = [t.p + t.q - a for a in ads]  # rank-nullity on ad_{v_i}
     jranks = [j_basis(t, k).rank() for k in range(1, t.p + 1)]
     gram = j_gram(t)
     htype = is_heisenberg_type(t)

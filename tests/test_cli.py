@@ -202,6 +202,17 @@ class TestAnalyze:
         assert payload["uniform"]["is_uniform"] is False
         assert "center_dim" in payload
 
+    def test_radical_counts_in_the_center(self, capsys, tmp_path):
+        # v3 brackets with nothing, so the center is z1, z2 and v3, while
+        # [n, n] is z1 alone
+        path = tmp_path / "radical.alg"
+        path.write_text("unilie-algebra v1 q=3 p=2\n1 2 1 +1\n")
+        code, out = run(capsys, "analyze", "--input", str(path))
+        assert code == 1
+        payload = machine_payload(out)
+        assert (payload["center_dim"], payload["commutator_dim"]) == (3, 1)
+        assert "center dimension 3; commutator dimension 1" in out
+
     @pytest.mark.parametrize("graph,dim", [(kneser(5, 2), 57), (free_two_step(6), 126)])
     def test_derivation_dim_of_larger_families(self, capsys, tmp_path, graph, dim):
         path = tmp_path / "family.graph"

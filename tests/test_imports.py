@@ -309,6 +309,35 @@ def test_census_compiles_only_what_it_calls():
     assert uncalled_functions(code, ["unilie.enumeration"]) == {"unilie.enumeration": []}
 
 
+def test_analyze_calls_every_dossier_function(tmp_path):
+    # a dossier function that `analyze` no longer reports fails here
+    path = tmp_path / "quat.graph"
+    path.write_text(serialize.write_text(quaternionic()))
+    code = ("import unilie.cli\n"
+            f"assert unilie.cli.main(['analyze', '--input', {str(path)!r}]) == 0")
+    assert uncalled_functions(code, ["unilie.analysis"]) == {"unilie.analysis": []}
+
+
+def test_dossier_loads_no_rational_arithmetic():
+    # every dimension is read off an integral rank
+    code = ("from unilie.algebra import derivation_dim, from_graph\n"
+            "from unilie.analysis import (ad_rank, center_dim, commutator_dim,\n"
+            "    is_heisenberg_type, j_basis, j_gram, totally_geodesic)\n"
+            "from unilie.families import kneser\n"
+            "t = from_graph(kneser(5, 2))\n"
+            "assert center_dim(t) == commutator_dim(t) == 5\n"
+            "assert {ad_rank(t, i) for i in range(1, 11)} == {3}\n"
+            "assert {j_basis(t, k).rank() for k in range(1, 6)} == {6}\n"
+            "assert j_gram(t).rows[0] == (6, 0, 0, 0, 0)\n"
+            "assert not is_heisenberg_type(t)\n"
+            "# [v1, v6] = z5, and no other pair of color 5 touches v1 or v6\n"
+            "assert totally_geodesic(t, [1, 6], [5]).is_totally_geodesic\n"
+            "assert derivation_dim(t) == 57")
+    loaded = set(fresh_modules(code))
+    assert "unilie.analysis" in loaded
+    assert not loaded & {"fractions", "decimal", "numbers"}
+
+
 def test_sign_classes_call_every_gf2_routine():
     # a GF(2) routine the sign path no longer needs fails here instead of
     # lingering
