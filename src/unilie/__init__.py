@@ -21,8 +21,8 @@ _EXPORTS = {
                 "diagonal_witness", "from_graph", "invert_witness", "j_map",
                 "lift_automorphism", "sign_class_report", "sign_vector",
                 "signed_perm_isomorphic", "to_graph"),
-    "analysis": ("ad_matrix", "ad_rank", "center_dim", "commutator_dim",
-                 "is_heisenberg_type", "j_basis", "j_gram", "totally_geodesic"),
+    "analysis": ("ad_rank", "center_dim", "commutator_dim", "is_heisenberg_type",
+                 "j_gram", "totally_geodesic"),
     "families": ("cyclic", "free_two_step", "heisenberg", "kneser",
                  "quaternionic", "ring_algebra"),
     "constructions": ("FiniteGroup", "cayley", "cyclic_group",

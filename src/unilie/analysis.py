@@ -1,18 +1,19 @@
 """The structure dossier of a two-step nilpotent algebra: the dimensions of
-the center and the commutator, the ad ranks, the maps J_{z_k} and their Gram
-matrix, the square-norm identity test and totally geodesic subspaces.
+the center and the commutator, the ad ranks, the Gram matrix of the maps
+J_{z_k}, the square-norm identity test and totally geodesic subspaces.
 
 These are what `unilie analyze` reports; the sign classes, the isomorphism
 searches and the classification need none of them, so they live apart from
-`algebra` and load only when asked for.  Each dimension is a count or is
-read off a rank by rank-nullity, so the dossier holds integers and loads no
-rational arithmetic.  Conventions are those of `algebra`.
+`algebra` and load only when asked for.  Each rank but the radical's in
+`center_dim` is a count on the colored support (ad ranks count colors, J
+ranks are the Gram diagonal), so the dossier builds no dense map and loads
+no rational arithmetic.  Conventions are those of `algebra`.
 """
 
 from __future__ import annotations
 
 from . import exact
-from .algebra import StructureTensor, _heisenberg_identity, _radical_rows, j_map, to_graph
+from .algebra import StructureTensor, _heisenberg_identity, _radical_rows, to_graph
 from .exact import IntMatrix
 from .graphs import validate_uniform
 from .record import Record
@@ -21,20 +22,14 @@ from .record import Record
 # ---------------------------------------------------------------------------
 # ranks and dimensions
 
-def ad_matrix(t: StructureTensor, i: int) -> IntMatrix:
-    """Matrix of ad_{v_i} restricted to generators: column j holds [v_i, v_j]."""
+def ad_rank(t: StructureTensor, i: int) -> int:
+    """Rank of ad_{v_i}; equals the degree s for a uniform tensor.
+
+    Each column [v_i, v_j] of ad_{v_i} is 0 or +-z_k, so the column space is
+    spanned by one z_k per color met at v_i, and the rank counts them."""
     if not (1 <= i <= t.q):
         raise ValueError(f"generator index {i} out of range")
-    m = [[0] * t.q for _ in range(t.p)]
-    for (a, b), (k, s) in t.brackets.items():
-        if a == i:
-            m[k - 1][b - 1] = s
-    return IntMatrix.from_rows(m)
-
-
-def ad_rank(t: StructureTensor, i: int) -> int:
-    """Rank of ad_{v_i}; equals the degree s for a uniform tensor."""
-    return ad_matrix(t, i).rank()
+    return len({k for (a, _), (k, _) in t.brackets.items() if a == i})
 
 
 def center_dim(t: StructureTensor) -> int:
@@ -51,14 +46,6 @@ def commutator_dim(t: StructureTensor) -> int:
 
 # ---------------------------------------------------------------------------
 # J maps
-
-def j_basis(t: StructureTensor, k: int) -> IntMatrix:
-    """Matrix of J_{z_k} on generators: J(v_i) = v_j when [v_i, v_j] = z_k,
-    -v_j when [v_i, v_j] = -z_k; equals minus the skew adjacency of color k."""
-    if not (1 <= k <= t.p):
-        raise ValueError(f"center index {k} out of range")
-    return j_map(t, [1 if c == k else 0 for c in range(1, t.p + 1)])
-
 
 def j_gram(t: StructureTensor) -> IntMatrix:
     """Gram matrix trace(J_{z_k} J_{z_l}^T); equals 2r * I for uniform tensors.

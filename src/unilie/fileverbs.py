@@ -151,7 +151,7 @@ def analyze(args) -> int:
     from . import serialize
     from .algebra import derivation_dim
     from .analysis import (ad_rank, center_dim, commutator_dim, is_heisenberg_type,
-                           j_basis, j_gram, totally_geodesic)
+                           j_gram, totally_geodesic)
     from .graphs import connected_components, validate_uniform
     (obj,) = _read_inputs(args, 1)
     t, g = _as_tensor(obj), _as_graph(obj)
@@ -173,8 +173,9 @@ def analyze(args) -> int:
         return EXIT_PROPERTY
     ads = [ad_rank(t, i) for i in range(1, t.q + 1)]
     cents = [t.p + t.q - a for a in ads]  # rank-nullity on ad_{v_i}
-    jranks = [j_basis(t, k).rank() for k in range(1, t.p + 1)]
     gram = j_gram(t)
+    # J_{z_k} is |E_k| disjoint signed 2 x 2 rotations: its rank is 2 |E_k|
+    jranks = [int(gram[(k, k)]) for k in range(t.p)]
     htype = is_heisenberg_type(t)
     payload.update({
         "centralizer_dims": cents, "ad_ranks": ads, "j_ranks": jranks,
@@ -184,8 +185,7 @@ def analyze(args) -> int:
     })
     lines.append(f"type ({rep.p},{rep.q},{rep.r}), degree s={rep.s}")
     lines.append(f"centralizer dims {cents}; ad ranks {ads}; J ranks {jranks}")
-    lines.append(f"J gram diagonal {[int(gram[(k, k)]) for k in range(t.p)]}"
-                 f" (expect all {2 * rep.r})")
+    lines.append(f"J gram diagonal {jranks} (expect all {2 * rep.r})")
     lines.append(f"square-norm J identity: {'holds' if htype else 'fails'}")
     lines.append(f"derivation algebra dimension {payload['derivation_dim']}")
     tg_rows = []

@@ -34,12 +34,10 @@ from unilie.algebra import (
     _flip_space,
 )
 from unilie.analysis import (
-    ad_matrix,
     ad_rank,
     center_dim,
     commutator_dim,
     is_heisenberg_type,
-    j_basis,
     j_gram,
     totally_geodesic,
 )
@@ -192,7 +190,7 @@ class TestStructuralInvariants:
     def test_centralizer_dimension(self, t, p, q, r, s):
         # the z-span plus the kernel of ad_{v_i} on the generators
         for i in range(1, q + 1):
-            kernel = nullspace(ad_matrix(t, i).rows, ncols=q)
+            kernel = nullspace(dense_ad(t, i), ncols=q)
             assert p + len(kernel) == p + q - ad_rank(t, i) == p + q - s
 
     @pytest.mark.parametrize("t,p,q,r,s", UNIFORM_SAMPLES)
@@ -202,8 +200,9 @@ class TestStructuralInvariants:
 
     @pytest.mark.parametrize("t,p,q,r,s", UNIFORM_SAMPLES)
     def test_j_rank(self, t, p, q, r, s):
+        gram = j_gram(t)
         for k in range(1, p + 1):
-            assert j_basis(t, k).rank() == 2 * r
+            assert exact_rank(j_map(t, unit(p, k - 1)).rows) == 2 * r == gram[k - 1, k - 1]
 
     @pytest.mark.parametrize("t,p,q,r,s", UNIFORM_SAMPLES)
     def test_j_gram_is_scaled_identity(self, t, p, q, r, s):
@@ -218,11 +217,10 @@ class TestStructuralInvariants:
         with pytest.raises(ValueError):
             j_gram(t)
 
-    def test_ad_matrix_maps_generators_to_center(self):
-        m = ad_matrix(QUAT, 1)
-        assert (m.nrows, m.ncols) == (3, 4)
-        # column of v2 is the coordinate vector of [v1, v2] = z1
-        assert tuple(m[k, 1] for k in range(3)) == (1, 0, 0)
+    @pytest.mark.parametrize("i", [0, QUAT.q + 1])
+    def test_ad_rank_refuses_generator_out_of_range(self, i):
+        with pytest.raises(ValueError, match=f"generator index {i} out of range"):
+            ad_rank(QUAT, i)
 
 
 def skew_adjacency(g, k):
@@ -239,18 +237,18 @@ def skew_adjacency(g, k):
 class TestJMaps:
     def test_single_edge_convention(self):
         # the rank-one building block acts as a quarter rotation
-        assert j_basis(H3, 1).rows == ((0, -1), (1, 0))
+        assert j_map(H3, (1,)).rows == ((0, -1), (1, 0))
 
     def test_j_basis_skew(self):
         for t, p, *_ in UNIFORM_SAMPLES:
             for k in range(1, p + 1):
-                m = j_basis(t, k)
+                m = j_map(t, unit(p, k - 1))
                 assert (m + m.transpose()).is_zero()
 
     def test_j_map_linear_combination(self):
         m = j_map(QUAT, (1, 1, 0))
-        assert m == j_basis(QUAT, 1) + j_basis(QUAT, 2)
-        assert j_map(QUAT, (Fraction(1, 2), 0, 0)) == j_basis(QUAT, 1).scale(
+        assert m == j_map(QUAT, (1, 0, 0)) + j_map(QUAT, (0, 1, 0))
+        assert j_map(QUAT, (Fraction(1, 2), 0, 0)) == j_map(QUAT, (1, 0, 0)).scale(
             Fraction(1, 2)
         )
 
@@ -258,7 +256,7 @@ class TestJMaps:
         for t in j_kernel_cases():
             g = to_graph(t)
             for k in range(1, t.p + 1):
-                assert j_basis(t, k) == -skew_adjacency(g, k)
+                assert j_map(t, unit(t.p, k - 1)) == -skew_adjacency(g, k)
 
     def test_j_map_matches_sum_of_scaled_j_basis(self):
         # the sum of the J_k scaled by the coefficients is what j_map
@@ -271,7 +269,7 @@ class TestJMaps:
                 want = IntMatrix.zero(t.q, t.q)
                 for k, c in enumerate(coeffs, start=1):
                     if c != 0:
-                        want = want + j_basis(t, k).scale(c)
+                        want = want + j_map(t, unit(t.p, k - 1)).scale(c)
                 assert j_map(t, coeffs) == want, (t, coeffs)
 
 
@@ -303,7 +301,7 @@ def oracle_j_gram(t):
     matrices J_k."""
     if not validate_uniform(to_graph(t)).is_uniform:
         raise ValueError("j_gram needs a uniform tensor")
-    js = [j_basis(t, k) for k in range(1, t.p + 1)]
+    js = [j_map(t, unit(t.p, k)) for k in range(t.p)]
     # trace(J_k J_l^T) is the entrywise inner product of J_k and J_l
     rows = [[sum(a * b for ra, rb in zip(jk.rows, jl.rows) for a, b in zip(ra, rb))
              for jl in js] for jk in js]
@@ -315,7 +313,7 @@ def oracle_is_heisenberg_type(t):
     products of the q x q matrices J_k."""
     if not validate_uniform(to_graph(t)).is_uniform:
         raise ValueError("is_heisenberg_type needs a uniform tensor")
-    js = [j_basis(t, k) for k in range(1, t.p + 1)]
+    js = [j_map(t, unit(t.p, k)) for k in range(t.p)]
     for k in range(t.p):
         for l in range(k, t.p):
             anti = js[k] @ js[l] + js[l] @ js[k]
@@ -414,6 +412,12 @@ class TestTotallyGeodesic:
     def test_full_algebra_is_geodesic(self):
         rep = totally_geodesic(H33, [1, 2, 3, 4], [1, 2])
         assert rep.is_subalgebra and rep.is_totally_geodesic
+
+    def test_refuses_indices_out_of_range(self):
+        with pytest.raises(ValueError, match="generator index 0 out of range"):
+            totally_geodesic(QUAT, [0], [])
+        with pytest.raises(ValueError, match="center index 4 out of range"):
+            totally_geodesic(QUAT, [1], [QUAT.p + 1])
 
     def test_brute_force_oracle(self):
         # compare against direct evaluation of both closure conditions
@@ -559,6 +563,13 @@ def dense_bracket(t, x, y):
 
 def unit(n, a):
     return tuple(1 if i == a else 0 for i in range(n))
+
+
+def dense_ad(t, i):
+    """Dense p x q matrix of ad_{v_i} on the generators, column j holding
+    [v_i, v_j]: its entry (k, j) is entry (j, i) of J_{z_k}."""
+    js = [j_map(t, unit(t.p, k)) for k in range(t.p)]
+    return [[js[k][j, i - 1] for j in range(t.q)] for k in range(t.p)]
 
 
 def oracle_check_witness(t1, t2, w):
@@ -928,8 +939,9 @@ def test_dimensions_match_dense_kernels(t):
                      for i in range(t.q)] for j in range(t.q) for k in range(t.p)]
     assert center_dim(t) == t.p + len(nullspace(radical_rows, ncols=t.q))
     for i in range(1, t.q + 1):
-        kernel = nullspace(ad_matrix(t, i).rows, ncols=t.q)
-        assert t.p + t.q - ad_rank(t, i) == t.p + len(kernel)
+        ad = dense_ad(t, i)
+        assert ad_rank(t, i) == exact_rank(ad)
+        assert t.p + t.q - ad_rank(t, i) == t.p + len(nullspace(ad, ncols=t.q))
 
 
 def old_from_graph(g):

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from unilie import cli, families
+from unilie import cli, exact, families
 from unilie.algebra import GeneralLinearWitness, from_graph
 from unilie.cli import main
 from unilie.exact import IntMatrix
@@ -212,6 +212,23 @@ class TestAnalyze:
         payload = machine_payload(out)
         assert (payload["center_dim"], payload["commutator_dim"]) == (3, 1)
         assert "center dimension 3; commutator dimension 1" in out
+
+    @pytest.mark.parametrize("graph", [quaternionic(), kneser(5, 2)])
+    def test_two_exact_ranks(self, capsys, tmp_path, monkeypatch, graph):
+        # center_dim and derivation_dim take one rank each; the ad and J
+        # ranks are counts, so no dense map is ranked
+        calls = []
+        rank = exact.rank
+
+        def counted(rows):
+            calls.append(len(rows))
+            return rank(rows)
+
+        monkeypatch.setattr(exact, "rank", counted)
+        path = tmp_path / "family.graph"
+        path.write_text(write_text(graph))
+        code, _ = run(capsys, "analyze", "--input", str(path))
+        assert code == 0 and len(calls) == 2
 
     @pytest.mark.parametrize("graph,dim", [(kneser(5, 2), 57), (free_two_step(6), 126)])
     def test_derivation_dim_of_larger_families(self, capsys, tmp_path, graph, dim):

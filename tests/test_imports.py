@@ -320,14 +320,15 @@ def test_analyze_calls_every_dossier_function(tmp_path):
 
 def test_dossier_loads_no_rational_arithmetic():
     # every dimension is read off an integral rank
-    code = ("from unilie.algebra import derivation_dim, from_graph\n"
+    code = ("from unilie.algebra import derivation_dim, from_graph, j_map\n"
             "from unilie.analysis import (ad_rank, center_dim, commutator_dim,\n"
-            "    is_heisenberg_type, j_basis, j_gram, totally_geodesic)\n"
+            "    is_heisenberg_type, j_gram, totally_geodesic)\n"
             "from unilie.families import kneser\n"
             "t = from_graph(kneser(5, 2))\n"
             "assert center_dim(t) == commutator_dim(t) == 5\n"
             "assert {ad_rank(t, i) for i in range(1, 11)} == {3}\n"
-            "assert {j_basis(t, k).rank() for k in range(1, 6)} == {6}\n"
+            "assert {j_map(t, [int(c == k) for c in range(5)]).rank()\n"
+            "        for k in range(5)} == {6}\n"
             "assert j_gram(t).rows[0] == (6, 0, 0, 0, 0)\n"
             "assert not is_heisenberg_type(t)\n"
             "# [v1, v6] = z5, and no other pair of color 5 touches v1 or v6\n"
