@@ -14,13 +14,14 @@ _EXPORTS = {
                "SimpleGraph", "UniformityReport", "automorphisms",
                "colorings_equivalent", "connected_components",
                "disjoint_union", "relabel", "validate_uniform"),
-    "algebra": ("GeneralLinearWitness", "SignClass", "SignClassReport",
-                "SignedPermWitness", "StructureTensor", "WitnessCheck",
-                "check_witness", "compose_witnesses", "concatenate",
-                "derivation_dim", "diagonal_orbit_representatives",
-                "diagonal_witness", "from_graph", "invert_witness", "j_map",
-                "lift_automorphism", "sign_class_report", "sign_vector",
-                "signed_perm_isomorphic", "to_graph"),
+    "algebra": ("SignClass", "SignClassReport", "SignedPermWitness",
+                "StructureTensor", "WitnessCheck", "check_witness",
+                "concatenate", "diagonal_orbit_representatives",
+                "diagonal_witness", "from_graph", "lift_automorphism",
+                "sign_class_report", "sign_vector", "signed_perm_isomorphic",
+                "to_graph"),
+    "linear": ("GeneralLinearWitness", "compose_witnesses", "derivation_dim",
+               "invert_witness", "j_map"),
     "analysis": ("ad_rank", "center_dim", "commutator_dim", "is_heisenberg_type",
                  "j_gram", "totally_geodesic"),
     "families": ("cyclic", "free_two_step", "heisenberg", "kneser",

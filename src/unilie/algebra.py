@@ -20,8 +20,8 @@ A sign pattern over the support is one GF(2) word: the sorted entries from
 the top bit down, each bit set for a sign -1.  Diagonal orbits are indexed
 by their reduced words, and a witness reads its signs off the least
 solution of its sign system.  The sign path works over GF(2) and on vertex
-and color maps alone, so `exact` is imported only inside the functions that
-build a matrix or a rational, and it never loads rational arithmetic.
+and color maps alone; what needs a matrix or a rational is in `linear`, and
+only SignedPermWitness.to_matrix imports `exact`, inside the call.
 """
 
 from __future__ import annotations
@@ -91,6 +91,11 @@ class StructureTensor(Record):
             view[j, i] = (k, -s)
         return view
 
+    @cached_property
+    def square_norm_identity(self) -> bool:
+        """_heisenberg_identity(self), worked out once and kept like `brackets`."""
+        return _heisenberg_identity(self)
+
     def dim(self) -> int:
         return self.q + self.p
 
@@ -111,36 +116,9 @@ def to_graph(t: StructureTensor) -> ColoredDigraph:
     return ColoredDigraph.from_arcs(t.q, t.p, arcs)
 
 
-def _radical_rows(t: StructureTensor) -> list[dict[int, int]]:
-    """Matrix of x -> ([x, v_j])_j on generator coordinates, one sparse
-    {column: entry} row for each (j, k) that carries a bracket: row (j, k)
-    holds at column i - 1 the z_k coordinate of [v_i, v_j].  Its kernel is
-    the radical {x in V : [x, V] = 0}."""
-    rows = {}
-    for (i, j), (k, s) in t.brackets.items():
-        rows.setdefault((j, k), {})[i - 1] = s   # [v_i, v_j] = s z_k
-    return list(rows.values())
-
-
-# ---------------------------------------------------------------------------
-# J maps
-
-def j_map(t: StructureTensor, coeffs) -> IntMatrix:
-    """J map of the center element sum(coeffs[k-1] * z_k): each bracket
-    [v_i, v_j] = s z_k, in either order, puts s c_k at (j, i)."""
-    from .exact import IntMatrix
-    coeffs = tuple(coeffs)
-    if len(coeffs) != t.p:
-        raise ValueError("need one coefficient per center direction")
-    m = [[0] * t.q for _ in range(t.q)]
-    for (i, j), (k, s) in t.brackets.items():
-        m[j - 1][i - 1] = s * coeffs[k - 1]     # coeff of v_j in J(v_i)
-    return IntMatrix.from_rows(m)
-
-
 def _heisenberg_identity(t: StructureTensor) -> bool:
     """The polarized identity of analysis.is_heisenberg_type on a uniform
-    tensor; the sign classes and the classification read it directly.
+    tensor, read through StructureTensor.square_norm_identity.
 
     Each color class is a matching, so J_k is a signed partial permutation
     of the generators: js[k][i] = (j, c) when J_k v_i = c v_j.  The identity
@@ -213,44 +191,9 @@ class SignedPermWitness(Record):
                 "color_signs": list(self.color_signs)}
 
 
-class GeneralLinearWitness(Record):
-    """Invertible rational map in the v1..vq, z1..zp coordinate order, whose
-    split q + p the matrix alone does not tell; column b is the image of e_b."""
-
-    matrix: IntMatrix
-    q: int
-    p: int
-
-    def __post_init__(self):
-        m, n = self.matrix, self.q + self.p
-        if not m.rows or m.nrows != m.ncols:
-            raise ValueError("witness matrix must be square and nonempty")
-        if self.q < 0 or self.p < 0:
-            raise ValueError("q and p must be nonnegative")
-        if m.nrows != n:
-            raise ValueError(f"matrix must be {n}x{n}")
-
-    def to_matrix(self) -> IntMatrix:
-        return self.matrix
-
-    def to_data(self) -> dict:
-        """JSON-ready form mirroring the text format; entries are rational strings."""
-        from .exact import format_scalar
-        return {"kind": "witness", "witness_kind": "general-linear",
-                "q": self.q, "p": self.p,
-                "matrix": [list(map(format_scalar, row)) for row in self.matrix.rows]}
-
-
-IsoWitness = SignedPermWitness | GeneralLinearWitness
-
-
 class WitnessCheck(Record):
     ok: bool
     failures: tuple[str, ...]
-
-
-def _basis_name(t: StructureTensor, idx: int) -> str:
-    return f"v{idx + 1}" if idx < t.q else f"z{idx - t.q + 1}"
 
 
 def check_witness(t1: StructureTensor, t2: StructureTensor, w: IsoWitness) -> WitnessCheck:
@@ -264,69 +207,31 @@ def check_witness(t1: StructureTensor, t2: StructureTensor, w: IsoWitness) -> Wi
     each z_k to +-z_l, and z_l brackets to zero with everything, so both
     [w e, w z_k] and w[e, z_k] vanish for every basis vector e: no pair that
     involves a center vector can fail.  A generator pair (v_i, v_j) then
-    needs one look-up in each tensor.  A general-linear witness is checked
-    pair by pair on sparse data: the left side w[e_a, e_b] is s times the
-    image column of z_k when [e_a, e_b] = s z_k in t1, the right side the
-    bracket in t2 of the generator parts of the two image columns.
+    needs one look-up in each tensor.  Any other witness is checked by
+    `linear`, which is imported only then.
     """
     if (t1.q, t1.p) != (t2.q, t2.p):
         raise ValueError("witness checking needs matching q and p")
-    q, p = t1.q, t1.p
-    if (w.q, w.p) != (q, p):
+    if (w.q, w.p) != (t1.q, t1.p):
         raise ValueError("witness matrix has the wrong shape")
+    if not isinstance(w, SignedPermWitness):
+        from .linear import _check_general_linear
+        return _check_general_linear(t1, t2, w)
     b1, b2 = t1.brackets, t2.brackets
+    vi, vs = w.vertex_images, w.vertex_signs
     failures = []
-    if isinstance(w, SignedPermWitness):
-        vi, vs = w.vertex_images, w.vertex_signs
-        for i, j in itertools.combinations(range(q), 2):
-            hit = b2.get((vi[i], vi[j]))
-            entry = b1.get((i + 1, j + 1))
-            if entry is None:  # [v_i, v_j] = 0 in t1
-                ok = hit is None
-            else:  # [w v_i, w v_j] = w [v_i, v_j] = s w z_k
-                k, s = entry
-                ok = (hit is not None and hit[0] == w.color_images[k - 1]
-                      and hit[1] * vs[i] * vs[j] == s * w.color_signs[k - 1])
-            if not ok:
-                failures.append(f"[v{i + 1}, v{j + 1}]")
-        return WitnessCheck(ok=not failures, failures=tuple(failures))
-    m = w.to_matrix()
-    n = t1.dim()
-    if m.rank() < n:
-        raise ValueError("witness matrix is singular")
-    cols = list(zip(*m.rows))  # column b = image of basis b
-    gens = [[(i, x) for i, x in enumerate(col[:q]) if x] for col in cols]
-    for a in range(n):
-        for b in range(a + 1, n):
-            rhs = [0] * p  # [w e_a, w e_b] in t2, a central vector
-            for i, x in gens[a]:
-                for j, y in gens[b]:
-                    hit = b2.get((i + 1, j + 1))
-                    if hit is not None:
-                        rhs[hit[0] - 1] += hit[1] * x * y
-            entry = b1.get((a + 1, b + 1)) if b < q else None
-            if entry is None:  # [e_a, e_b] = 0 in t1
-                ok = not any(rhs)
-            else:  # w [e_a, e_b] = s w z_k
-                k, s = entry
-                ok = (not gens[q + k - 1]
-                      and all(s * x == y for x, y in zip(cols[q + k - 1][q:], rhs)))
-            if not ok:
-                failures.append(f"[{_basis_name(t1, a)}, {_basis_name(t1, b)}]")
+    for i, j in itertools.combinations(range(t1.q), 2):
+        hit = b2.get((vi[i], vi[j]))
+        entry = b1.get((i + 1, j + 1))
+        if entry is None:  # [v_i, v_j] = 0 in t1
+            ok = hit is None
+        else:  # [w v_i, w v_j] = w [v_i, v_j] = s w z_k
+            k, s = entry
+            ok = (hit is not None and hit[0] == w.color_images[k - 1]
+                  and hit[1] * vs[i] * vs[j] == s * w.color_signs[k - 1])
+        if not ok:
+            failures.append(f"[v{i + 1}, v{j + 1}]")
     return WitnessCheck(ok=not failures, failures=tuple(failures))
-
-
-def compose_witnesses(second: IsoWitness, first: IsoWitness) -> GeneralLinearWitness:
-    """Witness for the composition second after first."""
-    return GeneralLinearWitness(second.to_matrix() @ first.to_matrix(), first.q, first.p)
-
-
-def invert_witness(w: IsoWitness) -> GeneralLinearWitness:
-    from .exact import inverse
-    inv = inverse(w.to_matrix())
-    if inv is None:
-        raise ValueError("witness matrix is singular")
-    return GeneralLinearWitness(inv, w.q, w.p)
 
 
 def lift_automorphism(t: StructureTensor, a: ColorPermAutomorphism) -> SignedPermWitness:
@@ -365,14 +270,14 @@ def apply_signs(t: StructureTensor, signs) -> StructureTensor:
         (i, j, k, s) for (i, j, k, _), s in zip(pairs, signs)])
 
 
-def _flip_space(t: StructureTensor) -> list[int]:
-    """GF(2) basis of the sign patterns reachable by the diagonal action.
+def _flip_space(t: StructureTensor, pairs) -> list[int]:
+    """GF(2) basis of the sign patterns reachable by the diagonal action,
+    pairs being t's sorted entries.
 
     Negating v_i or z_k flips the sign of every bracket touching it; the
     reachable flips form the column space of the pair/variable incidence,
     encoded over support_pairs positions.
     """
-    pairs = t.sorted_entries()
     # one vector per generator v_1..v_q, then per color z_1..z_p
     vectors = [0] * (t.q + t.p)
     for idx, (a, b, k, _) in enumerate(pairs):
@@ -385,9 +290,6 @@ def _flip_space(t: StructureTensor) -> list[int]:
 
 # the most diagonal orbits built at once; each one is a tensor in memory
 MAX_SIGN_ORBITS = 1 << 20
-# the most cells, rows times q^2 columns, that derivation_dim eliminates;
-# its rows are sparse, so this bounds the elimination's work, not memory
-MAX_DERIVATION_CELLS = 10**6
 
 
 def _orbit_words(width: int, flips: list[int], budget: int) -> list[int]:
@@ -425,7 +327,7 @@ def diagonal_orbit_representatives(t: StructureTensor,
     """One canonical representative per diagonal orbit, lexicographic order;
     the orbits count against budget, capped at MAX_SIGN_ORBITS."""
     pairs = t.sorted_entries()
-    return [_with_signs(t, pairs, w) for w in _orbit_words(len(pairs), _flip_space(t), budget)]
+    return [_with_signs(t, pairs, w) for w in _orbit_words(len(pairs), _flip_space(t, pairs), budget)]
 
 
 def diagonal_witness(t1: StructureTensor, t2: StructureTensor) -> SignedPermWitness | None:
@@ -478,8 +380,12 @@ def _signed_perm_witness(t1: StructureTensor, t2: StructureTensor,
 class SignClass(Record):
     members: tuple[int, ...]       # indices into orbit_representatives
     representative: StructureTensor
-    heisenberg: bool
     witnesses: tuple[tuple[int, int, SignedPermWitness], ...]
+
+    @property
+    def heisenberg(self) -> bool:
+        """The square-norm identity of the representative's uniform support."""
+        return self.representative.square_norm_identity
 
 
 class SignClassReport(Record):
@@ -515,7 +421,7 @@ def sign_class_report(g: ColoredDigraph | StructureTensor,
     if not validate_uniform(g).is_uniform:
         raise ValueError("sign class analysis needs a uniform tensor")
     pairs = t.sorted_entries()
-    flips = _flip_space(t)
+    flips = _flip_space(t, pairs)
     words = _orbit_words(len(pairs), flips, budget)
     reps = [_with_signs(t, pairs, w) for w in words]
     index = {w: n for n, w in enumerate(words)}
@@ -559,8 +465,6 @@ def sign_class_report(g: ColoredDigraph | StructureTensor,
         classes.append(SignClass(
             members=members,
             representative=ra,
-            # every representative shares the support validated above
-            heisenberg=_heisenberg_identity(ra),
             witnesses=tuple((a, b, found[b]) for b in members[1:])))
     return SignClassReport(tensor=t, orbit_representatives=tuple(reps),
                            classes=tuple(classes))
@@ -593,78 +497,3 @@ def concatenate(t1: StructureTensor, t2: StructureTensor,
     """Direct sum on generators; center summed ("disjoint") or identified
     index-wise ("shared").  Matches the disjoint union of the graphs."""
     return from_graph(disjoint_union(to_graph(t1), to_graph(t2), color_mode))
-
-
-# ---------------------------------------------------------------------------
-# derivations
-
-def derivation_dim(t: StructureTensor) -> int:
-    """Dimension of the derivation algebra {D : D[x,y] = [Dx,y] + [x,Dy]}.
-
-    A true isomorphism invariant, computed exactly from the block form of D
-    on n = V + Z, where V is spanned by the generators v_i and Z by the z_k:
-    D = [[A, E], [C, B]] with A: V -> V, E: Z -> V, C: V -> Z and B: Z -> Z.
-    Only [v_i, v_j] = beta(v_i ^ v_j) can be nonzero, so the derivation rule
-    on basis pairs says exactly this.  On (z_k, z_l) it is empty.  On
-    (v_i, z_k) it says [v_i, E z_k] = 0, so E maps Z into the radical
-    rad = {x in V : [x, V] = 0}.  On (v_i, v_j) its V part says E vanishes on
-    [V, V], and its Z part says B beta(w) = gamma_A(w) for every w in
-    Lambda^2 V, where gamma_A(x ^ y) = [Ax, y] + [x, Ay].  So C is free (p*q);
-    E is any map from Z / [V, V] into rad ((p - u) * dim rad, where u is the
-    number of colors used and [V, V] is spanned by their z_k); B is forced on
-    [V, V] and free on the other p - u directions ((p - u) * p); and A is any
-    map for which gamma_A vanishes on ker beta, which is what makes B well
-    defined.  None of this assumes uniformity: on a non-uniform tensor rad may
-    be nonzero, which E absorbs, and Z may exceed [V, V], where B is free.
-
-    Each generator pair carries at most one signed color, so ker beta has a
-    sparse basis: e_a ^ e_b for every bracket-free pair, and for each color
-    with pairs (a_t, b_t, s_t), t = 1, 2, ..., the differences
-    s_1 e_{a_1} ^ e_{b_1} - s_t e_{a_t} ^ e_{b_t}.  Each basis element gives
-    p rows in the q^2 unknowns of A, and
-
-        dim Der = p*q + (p - u) * (dim rad + p) + q^2 - rank(rows).
-
-    The radical costs a rank of its own only when u < p.  Each row is built
-    sparse, as the {column: coefficient} dict the elimination holds.  There
-    are at most p * (C(q, 2) - u) rows of q^2 columns; above
-    MAX_DERIVATION_CELLS cells the call raises BudgetExceededError before
-    building any.
-    """
-    from .exact import rank
-    q, p = t.q, t.p
-    cells = p * (q * (q - 1) // 2 - len({k for _, _, k, _ in t.entries})) * q * q
-    if cells > MAX_DERIVATION_CELLS:
-        raise BudgetExceededError(MAX_DERIVATION_CELLS, cells)
-    # touching[b]: (c, k, s) for each [v_c, v_b] = s z_k, 0-based c and k
-    touching = [[] for _ in range(q)]
-    for (c, b), (k, s) in t.brackets.items():
-        touching[b - 1].append((c - 1, k - 1, s))
-    by_color = {}  # used colors only
-    for (i, j, k, s) in t.sorted_entries():
-        by_color.setdefault(k, []).append((i - 1, j - 1, s))
-
-    def gamma_rows(terms) -> list[dict[int, int]]:
-        # z_k coordinate of gamma_A(sum coef e_a ^ e_b) in the unknowns
-        # A[c, a] at column c*q + a, as {column: coefficient}: A e_a
-        # contributes [v_c, e_b] and A e_b contributes [e_a, v_c] = -[v_c, e_a]
-        rows = [{} for _ in range(p)]
-        for coef, a, b in terms:
-            for c, k, s in touching[b]:
-                rows[k][c * q + a] = rows[k].get(c * q + a, 0) + coef * s
-            for c, k, s in touching[a]:
-                rows[k][c * q + b] = rows[k].get(c * q + b, 0) - coef * s
-        return [row for row in rows if any(row.values())]
-
-    rows = []
-    for a, b in itertools.combinations(range(q), 2):
-        if (a + 1, b + 1) not in t.brackets:
-            rows += gamma_rows([(1, a, b)])
-    for (a1, b1, s1), *rest in by_color.values():
-        for a, b, s in rest:
-            rows += gamma_rows([(s1, a1, b1), (-s, a, b)])
-    dim = p * q + q * q - rank(rows)
-    unused = p - len(by_color)
-    if unused:
-        dim += unused * (q - rank(_radical_rows(t)) + p)
-    return dim

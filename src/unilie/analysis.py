@@ -13,9 +13,10 @@ no rational arithmetic.  Conventions are those of `algebra`.
 from __future__ import annotations
 
 from . import exact
-from .algebra import StructureTensor, _heisenberg_identity, _radical_rows, to_graph
+from .algebra import StructureTensor, to_graph
 from .exact import IntMatrix
 from .graphs import validate_uniform
+from .linear import _radical_rows
 from .record import Record
 
 
@@ -67,7 +68,7 @@ def is_heisenberg_type(t: StructureTensor) -> bool:
     polarization: J_k J_l + J_l J_k = -2 delta_kl id on all basis pairs."""
     if not validate_uniform(to_graph(t)).is_uniform:
         raise ValueError("is_heisenberg_type needs a uniform tensor")
-    return _heisenberg_identity(t)
+    return t.square_norm_identity
 
 
 # ---------------------------------------------------------------------------

@@ -14,15 +14,16 @@ from __future__ import annotations
 from functools import cached_property
 
 from . import exact
-from .algebra import (GeneralLinearWitness, SignedPermWitness, StructureTensor,
-                      _heisenberg_identity, check_witness, compose_witnesses,
-                      derivation_dim, from_graph, invert_witness,
-                      sign_class_report, signed_perm_isomorphic, to_graph)
+from .algebra import (SignedPermWitness, StructureTensor, check_witness,
+                      from_graph, sign_class_report, signed_perm_isomorphic,
+                      to_graph)
 from .enumeration import regular_graphs, uniform_colorings
 from .families import (cyclic, free_two_step, heisenberg, quaternionic,
                        ring_algebra)
 from .graphs import (DEFAULT_SEARCH_BUDGET, UniformityReport, _find,
                      validate_uniform)
+from .linear import (GeneralLinearWitness, compose_witnesses, derivation_dim,
+                     invert_witness)
 from .record import Record
 
 
@@ -140,7 +141,7 @@ class Invariants(Record):
         None when a presentation is not uniform, where it is not defined."""
         if not all(rep.is_uniform for rep in self.reports):
             return None
-        return any(map(_heisenberg_identity, self.presentations))
+        return any(t.square_norm_identity for t in self.presentations)
 
     @property
     def dimensions(self) -> tuple[int, int]:
@@ -244,15 +245,11 @@ def classify_detailed(q_max: int = 5, budget: int = DEFAULT_SEARCH_BUDGET
     # square-norm identity J_z^2 = -|z|^2: a candidate that differs from the
     # presentation there is passed over without a search.
     located: dict[str, tuple[int, SignedPermWitness]] = {}
-    identity: dict[int, bool] = {}   # candidate index -> its identity, on first use
     for kp in known_presentations():
-        want = _heisenberg_identity(kp.tensor)
         for idx, cand in enumerate(cands):
             if (cand.p, cand.q) != (kp.tensor.p, kp.tensor.q):
                 continue
-            if idx not in identity:
-                identity[idx] = _heisenberg_identity(cand)
-            if identity[idx] != want:
+            if cand.square_norm_identity != kp.tensor.square_norm_identity:
                 continue
             w = signed_perm_isomorphic(kp.tensor, cand, budget=budget)
             if w is not None:

@@ -63,12 +63,13 @@ class IntMatrix(Record):
         return IntMatrix(tuple(zip(*self.rows)) if self.rows else ())
 
     def __add__(self, other: "IntMatrix") -> "IntMatrix":
+        if (self.nrows, self.ncols) != (other.nrows, other.ncols):
+            raise ValueError("shape mismatch")
         return IntMatrix(tuple(tuple(a + b for a, b in zip(ra, rb))
                                for ra, rb in zip(self.rows, other.rows)))
 
     def __sub__(self, other: "IntMatrix") -> "IntMatrix":
-        return IntMatrix(tuple(tuple(a - b for a, b in zip(ra, rb))
-                               for ra, rb in zip(self.rows, other.rows)))
+        return self + -other
 
     def __neg__(self) -> "IntMatrix":
         return IntMatrix(tuple(tuple(-a for a in r) for r in self.rows))

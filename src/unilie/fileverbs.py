@@ -149,10 +149,10 @@ def _format_object(obj, fmt: str) -> str:
 
 def analyze(args) -> int:
     from . import serialize
-    from .algebra import derivation_dim
     from .analysis import (ad_rank, center_dim, commutator_dim, is_heisenberg_type,
                            j_gram, totally_geodesic)
     from .graphs import connected_components, validate_uniform
+    from .linear import derivation_dim
     (obj,) = _read_inputs(args, 1)
     t, g = _as_tensor(obj), _as_graph(obj)
     rep = validate_uniform(g)
@@ -205,8 +205,9 @@ def analyze(args) -> int:
 
 def iso(args) -> int:
     from . import serialize
-    from .algebra import IsoWitness, check_witness, signed_perm_isomorphic
+    from .algebra import check_witness, signed_perm_isomorphic
     from .graphs import ColoredDigraph, colorings_equivalent
+    from .linear import IsoWitness
     objs = _read_inputs(args)
     if args.strict_equivalence and not (
             len(objs) == 2 and all(isinstance(o, ColoredDigraph) for o in objs)):

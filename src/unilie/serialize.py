@@ -17,9 +17,10 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 
-from .algebra import GeneralLinearWitness, SignedPermWitness, StructureTensor
+from .algebra import SignedPermWitness, StructureTensor
 from .exact import IntMatrix
 from .graphs import ColoredDigraph
+from .linear import GeneralLinearWitness
 
 _HEADERS = {"graph": "unilie-graph v1", "algebra": "unilie-algebra v1",
             "witness": "unilie-witness v1"}

@@ -11,14 +11,8 @@ from fractions import Fraction
 
 import pytest
 
-from unilie.algebra import (
-    GeneralLinearWitness,
-    SignedPermWitness,
-    check_witness,
-    from_graph,
-    j_map,
-    to_graph,
-)
+from unilie.algebra import SignedPermWitness, check_witness, from_graph, to_graph
+from unilie.linear import GeneralLinearWitness, j_map
 from unilie.analysis import (
     ad_rank,
     center_dim,

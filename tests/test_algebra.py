@@ -10,20 +10,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from unilie.algebra import (
-    MAX_DERIVATION_CELLS,
-    GeneralLinearWitness,
     SignedPermWitness,
     StructureTensor,
     apply_signs,
     check_witness,
-    compose_witnesses,
     concatenate,
-    derivation_dim,
     diagonal_orbit_representatives,
     diagonal_witness,
     from_graph,
-    invert_witness,
-    j_map,
     lift_automorphism,
     sign_class_report,
     sign_vector,
@@ -32,6 +26,14 @@ from unilie.algebra import (
     to_graph,
     WitnessCheck,
     _flip_space,
+)
+from unilie.linear import (
+    MAX_DERIVATION_CELLS,
+    GeneralLinearWitness,
+    compose_witnesses,
+    derivation_dim,
+    invert_witness,
+    j_map,
 )
 from unilie.analysis import (
     ad_rank,
@@ -522,6 +524,16 @@ class TestWitnesses:
         assert compose_witnesses(inv, w) == GeneralLinearWitness(
             w.matrix.identity(6), 4, 2)
 
+    def test_compose_refuses_mixed_splits(self):
+        # both 3x3, but split q = 1, p = 2 against q = 2, p = 1
+        from unilie.exact import IntMatrix
+
+        gl = GeneralLinearWitness(IntMatrix.identity(3), 1, 2)
+        sp = SignedPermWitness((1, 2), (1,), (1, 1), (1,))
+        for second, first in ((sp, gl), (gl, sp)):
+            with pytest.raises(ValueError, match="matching q and p"):
+                compose_witnesses(second, first)
+
     def test_compose_and_invert(self):
         auts = automorphisms(quaternionic(), strict=True)
         a, b = auts[1], auts[2]
@@ -702,13 +714,13 @@ def oracle_sign_canonical(t):
     enumerates the complement of."""
     width = len(support_pairs(t))
     word = sum(1 << (width - 1 - n) for n, s in enumerate(sign_vector(t)) if s < 0)
-    reduced = gf2_reduce(word, _flip_space(t))
+    reduced = gf2_reduce(word, _flip_space(t, t.sorted_entries()))
     return tuple(-1 if reduced >> (width - 1 - n) & 1 else 1 for n in range(width))
 
 
 def oracle_orbit_count(t):
     """Number of diagonal orbits on the sign vectors over the support of t."""
-    return 2 ** (len(support_pairs(t)) - len(_flip_space(t)))
+    return 2 ** (len(support_pairs(t)) - len(_flip_space(t, t.sorted_entries())))
 
 
 class TestSignOrbits:

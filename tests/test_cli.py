@@ -15,7 +15,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from unilie import cli, exact, families
-from unilie.algebra import GeneralLinearWitness, from_graph
+from unilie.algebra import from_graph
+from unilie.linear import GeneralLinearWitness
 from unilie.cli import main
 from unilie.exact import IntMatrix
 from unilie.fileverbs import FAMILY_MAX_VERTICES

@@ -9,22 +9,19 @@ from collections import Counter
 
 import pytest
 
-from unilie import classification, enumeration, exact, factorizations
+from unilie import algebra, classification, enumeration, exact, factorizations
 from unilie.algebra import (
     MAX_SIGN_ORBITS,
     StructureTensor,
     _heisenberg_identity,
     check_witness,
-    compose_witnesses,
-    derivation_dim,
     diagonal_orbit_representatives,
     from_graph,
-    invert_witness,
-    j_map,
     sign_class_report,
     signed_perm_isomorphic,
     to_graph,
 )
+from unilie.linear import compose_witnesses, derivation_dim, invert_witness, j_map
 from unilie.analysis import is_heisenberg_type
 from unilie.constructions import trivial_coloring
 from unilie.families import cyclic, heisenberg, kneser, quaternionic, ring_algebra
@@ -523,6 +520,20 @@ class TestSignClassReport:
         others = next(c for c in rep.classes if len(c.members) == 3)
         assert not others.heisenberg
 
+    def test_square_norm_flag_is_worked_out_once_when_read(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(algebra, "_heisenberg_identity",
+                            lambda t: calls.append(t) or _heisenberg_identity(t))
+        rep = sign_class_report(quaternionic())
+        assert calls == []
+        for sc in rep.classes:
+            assert sc.heisenberg == sc.heisenberg == _heisenberg_identity(sc.representative)
+        assert calls == [sc.representative for sc in rep.classes]
+        for g in regular_graphs(6):
+            for coloring in uniform_colorings(g):
+                for sc in sign_class_report(coloring).classes:
+                    assert sc.heisenberg == _heisenberg_identity(sc.representative)
+
     def test_five_vertex_near_support(self):
         n2, _, _ = near_factorization_sign_witness()
         rep = sign_class_report(n2)
@@ -1013,9 +1024,10 @@ class TestDistinguish:
 
     def test_invariants_are_computed_once(self, monkeypatch):
         calls = []
-        for name in ("derivation_dim", "_heisenberg_identity"):
-            real = getattr(classification, name)
-            monkeypatch.setattr(classification, name,
+        for module, name in ((classification, "derivation_dim"),
+                             (algebra, "_heisenberg_identity")):
+            real = getattr(module, name)
+            monkeypatch.setattr(module, name,
                                 lambda t, real=real: calls.append(t) or real(t))
         a, b = _invariants("quaternionic"), _invariants("quaternionic-associate")
         first = only_split(a, b)

@@ -9,7 +9,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from unilie import classification, exact
-from unilie.algebra import derivation_dim
+from unilie.linear import derivation_dim
 from unilie.exact import (
     IntMatrix,
     inverse,
@@ -197,6 +197,17 @@ class TestIntMatrix:
         b = IntMatrix.from_rows([[1, 2]])
         with pytest.raises(ValueError):
             a @ b
+
+    # one row short, then one column short
+    @pytest.mark.parametrize("rows", [[[1, 2]], [[1], [2]]])
+    def test_sum_and_difference_refuse_other_shapes(self, rows):
+        a = IntMatrix.from_rows([[1, 2], [3, 4]])
+        b = IntMatrix.from_rows(rows)
+        for x, y in ((a, b), (b, a)):
+            with pytest.raises(ValueError, match="shape mismatch"):
+                x + y
+            with pytest.raises(ValueError, match="shape mismatch"):
+                x - y
 
 
 class TestRankDet:

@@ -40,7 +40,8 @@ def test_no_unused_imports():
 
 
 # module -> the library modules it imports at its top level; the census
-# (enumeration) stays on the graph layer, only `factorize` reads
+# (enumeration) stays on the graph layer, the sign classes (algebra) stay
+# off the general-linear layer (linear), only `factorize` reads
 # factorizations, only `analyze` reads analysis, and only classification
 # reaches every layer at once.  cli imports what a verb uses when the verb
 # runs, fileverbs included.
@@ -52,12 +53,13 @@ LAYERS = {
     "exact": {"record"},
     "gf2": set(),
     "algebra": {"gf2", "graphs", "record"},
-    "analysis": {"algebra", "exact", "graphs", "record"},
+    "linear": {"algebra", "exact", "graphs", "record"},
+    "analysis": {"algebra", "exact", "graphs", "linear", "record"},
     "families": {"graphs"},
     "constructions": {"families", "graphs", "record"},
-    "serialize": {"algebra", "exact", "graphs"},
+    "serialize": {"algebra", "exact", "graphs", "linear"},
     "classification": {"algebra", "enumeration", "exact", "families", "graphs",
-                       "record"},
+                       "linear", "record"},
     "cli": set(),
     "fileverbs": {"cli"},
 }
@@ -202,7 +204,7 @@ def test_sign_classes_skip_the_census_and_classification():
     assert "unilie.algebra" in loaded
     assert not loaded & UNUSED_OUTSIDE_ANALYZE
     assert "unilie.fileverbs" not in loaded
-    assert not loaded & {"unilie.exact", "fractions"}
+    assert not loaded & {"unilie.exact", "unilie.linear", "fractions"}
 
 
 def test_orbit_skips_the_census_and_classification(tmp_path):
@@ -230,7 +232,7 @@ def test_classify_loads_classification():
     assert loaded == ["unilie", "unilie.algebra", "unilie.classification",
                       "unilie.cli", "unilie.enumeration", "unilie.exact",
                       "unilie.families", "unilie.gf2", "unilie.graphs",
-                      "unilie.record"]
+                      "unilie.linear", "unilie.record"]
 
 
 @pytest.mark.parametrize("qmax,code", [("5", 0), ("6", 4)])
@@ -320,7 +322,8 @@ def test_analyze_calls_every_dossier_function(tmp_path):
 
 def test_dossier_loads_no_rational_arithmetic():
     # every dimension is read off an integral rank
-    code = ("from unilie.algebra import derivation_dim, from_graph, j_map\n"
+    code = ("from unilie.algebra import from_graph\n"
+            "from unilie.linear import derivation_dim, j_map\n"
             "from unilie.analysis import (ad_rank, center_dim, commutator_dim,\n"
             "    is_heisenberg_type, j_gram, totally_geodesic)\n"
             "from unilie.families import kneser\n"

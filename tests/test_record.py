@@ -2,7 +2,8 @@
 
 import pytest
 
-from unilie.algebra import StructureTensor, derivation_dim
+from unilie.algebra import StructureTensor
+from unilie.linear import derivation_dim
 from unilie.analysis import is_heisenberg_type
 from unilie.classification import Invariants
 from unilie.constructions import FiniteGroup, cyclic_group

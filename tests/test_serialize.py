@@ -10,13 +10,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from unilie.algebra import (
-    GeneralLinearWitness,
     SignedPermWitness,
     apply_signs,
     check_witness,
     from_graph,
     lift_automorphism,
 )
+from unilie.linear import GeneralLinearWitness
 from unilie.classification import ring_sum_witness
 from unilie.exact import IntMatrix
 from unilie.families import heisenberg, quaternionic, ring_algebra
