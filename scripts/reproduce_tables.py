@@ -60,7 +60,7 @@ def table_b(qmax: int) -> None:
         cols = uniform_colorings(g)
         ps = sorted(c.p for c in cols)
         s = g.degrees()[0]
-        print(f"{g.q:>2} {s:>2} {len(g.edges):>5}  {len(cols):>5}  "
+        print(f"{g.q:>2} {s:>2} {len(g.arcs):>5}  {len(cols):>5}  "
               f"p in {ps}")
     print(f"  ({time.monotonic() - t0:.1f}s)")
 

@@ -11,9 +11,9 @@ __version__ = "0.1.0"
 # module -> the public names the package re-exports from it
 _EXPORTS = {
     "graphs": ("BudgetExceededError", "ColorPermAutomorphism", "ColoredDigraph",
-               "SimpleGraph", "UniformityReport", "automorphisms",
-               "colorings_equivalent", "connected_components",
-               "disjoint_union", "relabel", "validate_uniform"),
+               "UniformityReport", "automorphisms", "colorings_equivalent",
+               "connected_components", "disjoint_union", "relabel",
+               "validate_uniform"),
     "algebra": ("SignClass", "SignClassReport", "SignedPermWitness",
                 "StructureTensor", "WitnessCheck", "check_witness",
                 "concatenate", "diagonal_orbit_representatives",

@@ -301,8 +301,10 @@ def _orbit_words(width: int, flips: list[int], budget: int) -> list[int]:
     at MAX_SIGN_ORBITS since each one is built.
     """
     budget = min(budget, MAX_SIGN_ORBITS)
-    if 1 << (width - len(flips)) > budget:
-        raise BudgetExceededError(budget, 1 << (width - len(flips)))
+    orbits = 1 << (width - len(flips))
+    if orbits > budget:
+        raise BudgetExceededError(budget, orbits, f"{orbits} diagonal sign orbits "
+                                                  f"with budget {budget}")
     pivots = sum(1 << (b.bit_length() - 1) for b in flips)
     words = [0]
     for n in range(width):  # lowest bit first, so the words stay increasing

@@ -1,5 +1,5 @@
 """The structure dossier of a two-step nilpotent algebra: the dimensions of
-the center and the commutator, the ad ranks, the Gram matrix of the maps
+the center and the commutator, the ad ranks, the Gram diagonal of the maps
 J_{z_k}, the square-norm identity test and totally geodesic subspaces.
 
 These are what `unilie analyze` reports; the sign classes, the isomorphism
@@ -14,7 +14,6 @@ from __future__ import annotations
 
 from . import exact
 from .algebra import StructureTensor, to_graph
-from .exact import IntMatrix
 from .graphs import validate_uniform
 from .linear import _radical_rows
 from .record import Record
@@ -48,19 +47,19 @@ def commutator_dim(t: StructureTensor) -> int:
 # ---------------------------------------------------------------------------
 # J maps
 
-def j_gram(t: StructureTensor) -> IntMatrix:
-    """Gram matrix trace(J_{z_k} J_{z_l}^T); equals 2r * I for uniform tensors.
+def j_gram(t: StructureTensor) -> tuple[int, ...]:
+    """Diagonal of the Gram matrix trace(J_{z_k} J_{z_l}^T), all 2r for a
+    uniform tensor.
 
     trace(J_k J_l^T) sums J_k[a, b] J_l[a, b] over generator pairs, and each
     pair carries one color, so the matrix is diagonal with entry 2 |E_k|,
-    twice the number of pairs of color k."""
+    twice the number of pairs of color k; only that diagonal is returned."""
     if not validate_uniform(to_graph(t)).is_uniform:
         raise ValueError("j_gram needs a uniform tensor")
     twice = [0] * t.p
     for (_, _, k, _) in t.entries:
         twice[k - 1] += 2
-    return IntMatrix.from_rows([[twice[k] if k == l else 0 for l in range(t.p)]
-                                for k in range(t.p)])
+    return tuple(twice)
 
 
 def is_heisenberg_type(t: StructureTensor) -> bool:

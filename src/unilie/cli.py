@@ -191,8 +191,7 @@ def main(argv=None) -> int:
         sys.stderr.write(f"usage error: {exc}\n")
         return EXIT_USAGE
     except BudgetExceededError as exc:
-        sys.stderr.write(f"budget exceeded: visited {exc.visited} nodes "
-                         f"with budget {exc.budget}\n")
+        sys.stderr.write(f"budget exceeded: {exc}\n")
         return EXIT_BUDGET
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 
 from .families import check_parameters
-from .graphs import ColoredDigraph, SimpleGraph
+from .graphs import ColoredDigraph
 from .record import Record
 
 
@@ -148,8 +148,8 @@ def dihedral_bipartite(p: int) -> ColoredDigraph:
     return cayley(g, range(p, 2 * p))
 
 
-def from_factorization(graph: SimpleGraph, factors) -> ColoredDigraph:
-    """Color a simple graph by a partition of its edges into color classes.
+def from_factorization(graph: ColoredDigraph, factors) -> ColoredDigraph:
+    """Color graph's support by a partition of its edges into color classes.
 
     factors is an iterable of edge collections; class c becomes color c with
     arcs oriented small to large.  The classes must partition the edge set
@@ -159,7 +159,7 @@ def from_factorization(graph: SimpleGraph, factors) -> ColoredDigraph:
     classes = [list(cls) for cls in factors]
     if not classes:
         raise ValueError("need at least one color class")
-    remaining = set(graph.edges)
+    remaining = set(graph.undirected_edges())
     arcs = []
     for c, cls in enumerate(classes, start=1):
         for e in cls:
@@ -173,8 +173,9 @@ def from_factorization(graph: SimpleGraph, factors) -> ColoredDigraph:
     return ColoredDigraph.from_arcs(graph.q, len(classes), arcs)
 
 
-def trivial_coloring(graph: SimpleGraph) -> ColoredDigraph:
-    """Every edge its own color, arcs oriented small to large; type (|E|, q, 1)."""
+def trivial_coloring(graph: ColoredDigraph) -> ColoredDigraph:
+    """Every edge of graph's support its own color, arcs oriented small to
+    large; type (|E|, q, 1)."""
     edges = graph.sorted_edges()
     if not edges:
         raise ValueError("graph has no edges")

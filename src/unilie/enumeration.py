@@ -1,12 +1,14 @@
 """The census: regular graphs and their uniform colorings, exhaustively.
 
 Regular simple graphs up to isomorphism, and the uniform edge colorings of
-each up to equivalence.  One engine answers every relabeling question here:
-the graph layer's mapping search, run on one-color digraphs, both tells a
-new labeled graph from the classes already found and yields generators of
-Aut(g).  It imports only the graph layer, so a census loads no algebra
-code; the factorizations of complete graphs, which share its matching
-search and the graph layer's orbit walk, are in `factorizations`.
+each up to equivalence.  A simple graph is its one-color digraph, built
+once per labeled graph and returned as it is.  One engine answers every
+relabeling question here: the graph layer's mapping search, run on those
+digraphs, both tells a new labeled graph from the classes already found
+and yields generators of Aut(g).  It imports only the graph layer, so a
+census loads no algebra code; the factorizations of complete graphs, which
+share its matching search and the graph layer's orbit walk, are in
+`factorizations`.
 Everything is exact and deterministic; searches take explicit budgets and
 raise BudgetExceededError instead of degrading.
 """
@@ -17,44 +19,37 @@ import itertools
 from collections.abc import Sequence
 
 from .graphs import (BudgetExceededError, ColoredDigraph, DEFAULT_SEARCH_BUDGET,
-                     SimpleGraph, _mapping_search, _orbits, colorings_equivalent)
+                     _mapping_search, _orbits, colorings_equivalent)
 
 
 def _divisors(n: int) -> list[int]:
     return [d for d in range(1, n + 1) if n % d == 0]
 
 
-def _one_color(g: SimpleGraph) -> ColoredDigraph:
-    """g with every edge in color 1: its color-permuting automorphisms are
-    those of g, and two such digraphs are equivalent when the graphs are
-    isomorphic."""
-    return ColoredDigraph.from_arcs(g.q, 1, [(i, j, 1) for i, j in g.edges])
-
-
 # ---------------------------------------------------------------------------
 # regular graphs up to isomorphism
 
-def _regular_graphs_qs(q: int, s: int, budget: int) -> list[SimpleGraph]:
-    """All s-regular graphs on q labeled vertices, one per isomorphism class:
-    the first labeled graph met in each class, in the order met.  A labeled
-    graph is new when the mapping search finds no match for its one-color
-    digraph among the classes found so far.  The labeled search fixes vertex
-    0's neighborhood to {1..s}.
+def _regular_graphs_qs(q: int, s: int, budget: int) -> list[ColoredDigraph]:
+    """All s-regular graphs on q labeled vertices as one-color digraphs, one
+    per isomorphism class: the first labeled graph met in each class, in the
+    order met.  A labeled graph is new when the mapping search finds no
+    match for it among the classes found so far.  The labeled search fixes
+    vertex 0's neighborhood to {1..s}.
 
     Row i never takes a later vertex j while skipping an earlier twin u, a
     vertex u < j with the same neighbors among 0..i-1.  Swapping u and j
     keeps rows 0..i-1 and makes row i come earlier, so a skipped labeling is
     never the first member of its class the search meets."""
     visited = 0
-    found: list[ColoredDigraph] = []    # one-color digraph of each class
+    found: list[ColoredDigraph] = []
 
     def extend(i: int, edges: list[tuple[int, int]], residual: list[int]):
         nonlocal visited
         if i == q:
             if all(d == 0 for d in residual):
-                one = _one_color(SimpleGraph.from_edges(q, [(a + 1, b + 1) for a, b in edges]))
-                if not any(colorings_equivalent(one, known, budget=budget) for known in found):
-                    found.append(one)
+                g = ColoredDigraph.from_edges(q, [(a + 1, b + 1) for a, b in edges])
+                if not any(colorings_equivalent(g, known, budget=budget) for known in found):
+                    found.append(g)
             return
         need = residual[i]
         candidates = [j for j in range(i + 1, q) if residual[j] > 0]
@@ -91,12 +86,13 @@ def _regular_graphs_qs(q: int, s: int, budget: int) -> list[SimpleGraph]:
         residual[j] -= 1
     residual[0] = 0
     extend(1, [(0, j) for j in range(1, s + 1)], residual)
-    return [one.support() for one in found]
+    return found
 
 
-def regular_graphs(q_max: int, budget: int = DEFAULT_SEARCH_BUDGET) -> list[SimpleGraph]:
+def regular_graphs(q_max: int, budget: int = DEFAULT_SEARCH_BUDGET) -> list[ColoredDigraph]:
     """All regular simple graphs with degree >= 1 on 2..q_max vertices, up to
-    isomorphism, ordered by vertex count, then degree.
+    isomorphism, each as its one-color digraph, ordered by vertex count, then
+    degree.
 
     Each graph returned is the first labeled member of its class the labeled
     search meets, and within one (q, s) block the graphs come in the order
@@ -159,7 +155,7 @@ def _matching_partitions(edges: list[tuple[int, int]], p: int, r: int,
     yield from place(0)
 
 
-def _labels_to_coloring(g: SimpleGraph, labels) -> ColoredDigraph:
+def _labels_to_coloring(g: ColoredDigraph, labels) -> ColoredDigraph:
     edges = g.sorted_edges()
     arcs = [(i, j, labels[n] + 1) for n, (i, j) in enumerate(edges)]
     return ColoredDigraph.from_arcs(g.q, max(labels) + 1, arcs)
@@ -185,18 +181,20 @@ def _edge_moves(edges: list[tuple[int, int]],
     return moves
 
 
-def uniform_colorings(g: SimpleGraph,
+def uniform_colorings(g: ColoredDigraph,
                       budget: int = DEFAULT_SEARCH_BUDGET) -> list[ColoredDigraph]:
-    """All uniform edge colorings of a regular graph up to coloring
-    equivalence, ordered by (p, sorted arcs).  Non-regular input has none.
+    """All uniform edge colorings of g's underlying simple graph up to
+    coloring equivalence, ordered by (p, sorted arcs); g's own colors and
+    directions play no part.  A non-regular graph has none.
 
     An equivalence between two colorings of g maps g onto itself, and the
     matching search yields every labeled coloring once, colors numbered by
     first appearance, so the classes are the orbits of Aut(g) on the labeled
     colorings.  Each class keeps the first labeled coloring the matching
     search meets.  The group's generators come from the mapping search in
-    generator mode on g's one-color digraph; it counts its nodes, and the
-    orbit walk its members, against budget."""
+    generator mode on g's support; it counts its nodes, and the orbit walk
+    its members, against budget."""
+    g = g.support()
     degs = g.degrees()
     if not degs or len(set(degs)) != 1 or degs[0] == 0:
         return []
@@ -206,8 +204,7 @@ def uniform_colorings(g: SimpleGraph,
     # properness forces s distinct colors at each vertex
     labeled = itertools.chain.from_iterable(
         _matching_partitions(edges, p, m // p, budget) for p in _divisors(m) if p >= s)
-    one = _one_color(g)
-    generators = [vi for vi, _ in _mapping_search(one, one, False, budget, generators=True)]
+    generators = [vi for vi, _ in _mapping_search(g, g, False, budget, generators=True)]
     orbits = _orbits(labeled, _edge_moves(edges, generators), budget)
     return sorted((_labels_to_coloring(g, labels) for labels, _ in orbits),
                   key=lambda c: (c.p, c.sorted_arcs()))

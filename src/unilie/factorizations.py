@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 
 from .enumeration import _edge_moves, _labels_to_coloring, _matching_partitions
-from .graphs import ColoredDigraph, DEFAULT_SEARCH_BUDGET, SimpleGraph, _orbits
+from .graphs import ColoredDigraph, DEFAULT_SEARCH_BUDGET, _orbits
 from .record import Record
 
 
@@ -22,8 +22,8 @@ class FactorizationReport(Record):
     classes: tuple[ColoredDigraph, ...]
 
 
-def _complete_graph(n: int) -> SimpleGraph:
-    return SimpleGraph.from_edges(n, itertools.combinations(range(1, n + 1), 2))
+def _complete_graph(n: int) -> ColoredDigraph:
+    return ColoredDigraph.from_edges(n, itertools.combinations(range(1, n + 1), 2))
 
 
 def _factorization_report(n: int, kind: str, p: int, r: int,

@@ -173,13 +173,12 @@ def analyze(args) -> int:
         return EXIT_PROPERTY
     ads = [ad_rank(t, i) for i in range(1, t.q + 1)]
     cents = [t.p + t.q - a for a in ads]  # rank-nullity on ad_{v_i}
-    gram = j_gram(t)
     # J_{z_k} is |E_k| disjoint signed 2 x 2 rotations: its rank is 2 |E_k|
-    jranks = [int(gram[(k, k)]) for k in range(t.p)]
+    jranks = list(j_gram(t))
     htype = is_heisenberg_type(t)
     payload.update({
         "centralizer_dims": cents, "ad_ranks": ads, "j_ranks": jranks,
-        "j_gram": [[int(x) for x in row] for row in gram.rows],
+        "j_gram": jranks,
         "heisenberg_type": htype,
         "derivation_dim": derivation_dim(t),
     })

@@ -3,7 +3,9 @@
 Vertices are named v1..vq and colors z1..zp externally; all public data
 structures carry 1-based indices to match that naming, while search internals
 work 0-based.  An arc (i, j, k) means a directed edge from v_i to v_j carrying
-color z_k; at most one arc may join an unordered vertex pair.
+color z_k; at most one arc may join an unordered vertex pair.  There is one
+graph type: a simple graph is its one-color digraph, arcs running from the
+smaller end of each edge.
 
 A coloring is *uniform* when the graph is s-regular for some s >= 1, the
 coloring is proper (edges sharing a vertex get distinct colors), every color
@@ -22,45 +24,16 @@ from .record import Record
 
 
 class BudgetExceededError(RuntimeError):
-    """A bounded search exhausted its node budget before finishing."""
+    """A bounded search exhausted its budget; visited counts search nodes
+    unless message names what else it counts."""
 
-    def __init__(self, budget: int, visited: int):
-        super().__init__(f"search budget exceeded ({visited} node visits, budget {budget})")
+    def __init__(self, budget: int, visited: int, message: str | None = None):
+        super().__init__(message or f"visited {visited} nodes with budget {budget}")
         self.budget = budget
         self.visited = visited
 
 
 DEFAULT_SEARCH_BUDGET = 10**8
-
-
-class SimpleGraph(Record):
-    """Plain undirected simple graph; edges are 1-based pairs (i, j) with i < j."""
-
-    q: int
-    edges: frozenset[tuple[int, int]]
-
-    def __post_init__(self):
-        if self.q < 1:
-            raise ValueError("need at least one vertex")
-        for (i, j) in self.edges:
-            if not (1 <= i < j <= self.q):
-                raise ValueError(f"bad edge ({i}, {j})")
-
-    @staticmethod
-    def from_edges(q: int, edges) -> "SimpleGraph":
-        canon = frozenset((min(i, j), max(i, j)) for i, j in edges)
-        if any(i == j for i, j in edges):
-            raise ValueError("loops are not allowed")
-        return SimpleGraph(q, canon)
-
-    def degree(self, v: int) -> int:
-        return sum(1 for (i, j) in self.edges if v in (i, j))
-
-    def degrees(self) -> tuple[int, ...]:
-        return tuple(self.degree(v) for v in range(1, self.q + 1))
-
-    def sorted_edges(self) -> list[tuple[int, int]]:
-        return sorted(self.edges)
 
 
 class ColoredDigraph(Record):
@@ -99,6 +72,15 @@ class ColoredDigraph(Record):
         """Build from an iterable of (tail, head, color)."""
         return ColoredDigraph(q, p, frozenset(tuple(a) for a in arcs))
 
+    @staticmethod
+    def from_edges(q: int, edges) -> "ColoredDigraph":
+        """The simple graph on v1..vq with these edges as its one-color
+        digraph, arcs from the smaller end; a pair counts once, either way."""
+        canon = {(min(i, j), max(i, j)) for i, j in edges}
+        if any(i == j for i, j in canon):
+            raise ValueError("loops are not allowed")
+        return ColoredDigraph(q, 1, frozenset((i, j, 1) for i, j in canon))
+
     def sorted_arcs(self) -> list[tuple[int, int, int]]:
         return sorted(self.arcs)
 
@@ -110,11 +92,18 @@ class ColoredDigraph(Record):
     def undirected_edges(self) -> frozenset[tuple[int, int]]:
         return frozenset((min(i, j), max(i, j)) for i, j, _ in self.arcs)
 
-    def support(self) -> SimpleGraph:
-        return SimpleGraph(self.q, self.undirected_edges())
+    def sorted_edges(self) -> list[tuple[int, int]]:
+        return sorted(self.undirected_edges())
+
+    def support(self) -> "ColoredDigraph":
+        """The underlying simple graph, as its one-color digraph."""
+        return ColoredDigraph.from_edges(self.q, self.undirected_edges())
 
     def degree(self, v: int) -> int:
         return sum(1 for (i, j, _) in self.arcs if v in (i, j))
+
+    def degrees(self) -> tuple[int, ...]:
+        return tuple(self.degree(v) for v in range(1, self.q + 1))
 
 
 # ---------------------------------------------------------------------------

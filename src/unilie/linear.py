@@ -159,7 +159,8 @@ def derivation_dim(t: StructureTensor) -> int:
     q, p = t.q, t.p
     cells = p * (q * (q - 1) // 2 - len({k for _, _, k, _ in t.entries})) * q * q
     if cells > MAX_DERIVATION_CELLS:
-        raise BudgetExceededError(MAX_DERIVATION_CELLS, cells)
+        raise BudgetExceededError(MAX_DERIVATION_CELLS, cells, f"{cells} derivation-matrix "
+                                  f"cells above the fixed limit {MAX_DERIVATION_CELLS}")
     # touching[b]: (c, k, s) for each [v_c, v_b] = s z_k, 0-based c and k
     touching = [[] for _ in range(q)]
     for (c, b), (k, s) in t.brackets.items():

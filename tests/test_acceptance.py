@@ -146,9 +146,11 @@ def test_criterion_03_structural_invariants():
         )
         ok = ok and all(ad_rank(t, i) == s for i in range(1, q + 1))
         ok = ok and all(js[k].rank() == 2 * r for k in range(p))
-        gram = j_gram(t)
+        # j_gram is the Gram diagonal; the dense J maps give the rest, zero
+        ok = ok and j_gram(t) == (2 * r,) * p
         ok = ok and all(
-            gram[a, b] == (2 * r if a == b else 0)
+            sum(x * y for ra, rb in zip(js[a].rows, js[b].rows) for x, y in zip(ra, rb))
+            == (2 * r if a == b else 0)
             for a in range(p)
             for b in range(p)
         )

@@ -248,7 +248,8 @@ class TestAnalyze:
         assert main(["analyze", "--input", str(path)]) == 3
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == "budget exceeded: visited 795960000 nodes with budget 1000000\n"
+        assert captured.err == ("budget exceeded: 795960000 derivation-matrix cells "
+                                "above the fixed limit 1000000\n")
 
     def test_tensor_input_accepted(self, capsys, tmp_path):
         path = tmp_path / "quat.alg"
@@ -509,7 +510,7 @@ class TestOrbit:
         assert main(["orbit", "--input", str(path), "--budget", "50"]) == 3
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == "budget exceeded: visited 2097152 nodes with budget 50\n"
+        assert captured.err == "budget exceeded: 2097152 diagonal sign orbits with budget 50\n"
 
     def test_search_depth_exit(self, capsys, tmp_path):
         path = tmp_path / "r.graph"

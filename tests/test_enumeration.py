@@ -9,7 +9,7 @@ from collections import Counter
 
 import pytest
 
-from unilie import algebra, classification, enumeration, exact, factorizations
+from unilie import algebra, classification, enumeration, exact, factorizations, serialize
 from unilie.algebra import (
     MAX_SIGN_ORBITS,
     StructureTensor,
@@ -28,7 +28,7 @@ from unilie.families import cyclic, heisenberg, kneser, quaternionic, ring_algeb
 from unilie.graphs import (
     DEFAULT_SEARCH_BUDGET,
     BudgetExceededError,
-    SimpleGraph,
+    ColoredDigraph,
     _orbits,
     automorphisms,
     colorings_equivalent,
@@ -54,18 +54,20 @@ def oracle_canonical_graph(g, budget=None):
     adjacency word over all q! vertex permutations."""
     bit = {pr: n for n, pr in enumerate(itertools.combinations(range(1, g.q + 1), 2))}
     best = None
+    g_edges = g.undirected_edges()
     for perm in itertools.permutations(range(1, g.q + 1)):
-        edges = [tuple(sorted((perm[i - 1], perm[j - 1]))) for i, j in g.edges]
+        edges = [tuple(sorted((perm[i - 1], perm[j - 1]))) for i, j in g_edges]
         code = sum(1 << bit[e] for e in edges)
         if best is None or code < best[0]:
             best = (code, edges)
-    return SimpleGraph.from_edges(g.q, best[1])
+    return ColoredDigraph.from_edges(g.q, best[1])
 
 
 def oracle_isomorphic(g, h):
     """Plain backtracking isomorphism test: map v1, v2, ... in turn, each to
     a vertex that agrees on adjacency with every vertex already mapped."""
-    if g.q != h.q or len(g.edges) != len(h.edges):
+    g_edges, h_edges = g.undirected_edges(), h.undirected_edges()
+    if g.q != h.q or len(g_edges) != len(h_edges):
         return False
     img = []
 
@@ -74,7 +76,7 @@ def oracle_isomorphic(g, h):
             return True
         for w in range(1, h.q + 1):
             if w not in img and all(
-                    ((u, v) in g.edges) == ((min(x, w), max(x, w)) in h.edges)
+                    ((u, v) in g_edges) == ((min(x, w), max(x, w)) in h_edges)
                     for u, x in enumerate(img, start=1)):
                 img.append(w)
                 if extend(v + 1):
@@ -94,7 +96,7 @@ def oracle_labeled_regular_graphs(q, s):
     def extend(i, edges, residual):
         if i == q:
             if all(d == 0 for d in residual):
-                out.append(SimpleGraph.from_edges(q, [(a + 1, b + 1) for a, b in edges]))
+                out.append(ColoredDigraph.from_edges(q, [(a + 1, b + 1) for a, b in edges]))
             return
         need = residual[i]
         candidates = [j for j in range(i + 1, q) if residual[j] > 0]
@@ -258,18 +260,30 @@ class TestRegularGraphs:
         # the same labeled representatives in the same order
         assert regular_graphs(8) == want
 
+    def test_each_graph_is_a_single_color_digraph(self):
+        # a simple graph is its one-color digraph, arcs from the smaller end
+        for g in regular_graphs(8):
+            assert isinstance(g, ColoredDigraph) and g.p == 1
+            assert all(i < j and k == 1 for i, j, k in g.arcs)
+            assert g.support() == g
+
+    def test_census_graphs_round_trip_through_the_text_form(self):
+        for g in regular_graphs(6):
+            assert serialize.parse_any(serialize.write_text(g)) == g
+
     @pytest.mark.parametrize("q_max,labeled", [(7, 25), (8, 105)])
     def test_canonical_labelings_counted(self, monkeypatch, q_max, labeled):
-        # the labeled graphs that reach the dedup, each as one one-color
-        # digraph; the unpruned search labels 92 at q <= 7 and 1,563 at q <= 8
+        # the labeled graphs that reach the dedup, each built once as its
+        # one-color digraph; the unpruned search labels 92 at q <= 7 and
+        # 1,563 at q <= 8
         calls = []
 
-        def counting(g):
-            calls.append(g)
-            return one_color(g)
+        def counting(q, edges):
+            calls.append(edges)
+            return from_edges(q, edges)
 
-        one_color = enumeration._one_color
-        monkeypatch.setattr(enumeration, "_one_color", counting)
+        from_edges = ColoredDigraph.from_edges
+        monkeypatch.setattr(ColoredDigraph, "from_edges", staticmethod(counting))
         regular_graphs(q_max)
         assert len(calls) == labeled
 
@@ -281,7 +295,7 @@ class TestRegularGraphs:
 
     def test_census_through_five_vertices(self):
         gs = regular_graphs(5)
-        shapes = sorted((g.q, g.degrees()[0], len(g.edges)) for g in gs)
+        shapes = sorted((g.q, g.degrees()[0], len(g.undirected_edges())) for g in gs)
         assert shapes == [
             (2, 1, 1),
             (3, 2, 3),
@@ -306,7 +320,7 @@ class TestRegularGraphs:
         for a in gs:
             for b in gs:
                 if a is not b and a.q == b.q:
-                    assert a.edges != b.edges
+                    assert a.undirected_edges() != b.undirected_edges()
 
     def test_budget_enforced(self):
         with pytest.raises(BudgetExceededError):
@@ -333,6 +347,16 @@ class TestUniformColorings:
             count, ps = expected[(g.q, g.degrees()[0])]
             assert len(cols) == count
             assert sorted(validate_uniform(c).p for c in cols) == ps
+
+    @pytest.mark.parametrize("c", [
+        pytest.param(kneser(5, 2), id="kneser-5-2"),
+        pytest.param(quaternionic(), id="quaternionic"),
+        pytest.param(quaternionic(associate=True), id="quaternionic-associate"),
+        pytest.param(ring_algebra(3), id="ring-3"),
+    ])
+    def test_colored_input_reads_its_support(self, c):
+        # the colorings are those of the underlying simple graph
+        assert uniform_colorings(c) == uniform_colorings(c.support())
 
     def test_all_results_uniform(self):
         for g in regular_graphs(5):
@@ -373,8 +397,8 @@ class TestUniformColorings:
             for _ in range(4):
                 perm = list(range(1, g.q + 1))
                 rnd.shuffle(perm)
-                h = SimpleGraph.from_edges(
-                    g.q, [(perm[i - 1], perm[j - 1]) for i, j in g.edges])
+                h = ColoredDigraph.from_edges(
+                    g.q, [(perm[i - 1], perm[j - 1]) for i, j in g.undirected_edges()])
                 moved = uniform_colorings(h)
                 assert len(moved) == len(classes)
                 for c in moved:
@@ -389,7 +413,7 @@ class TestUniformColorings:
     def test_budget_bounds_the_orbit_walk(self, n):
         # the first 2-coloring of a perfect matching on n vertices has an
         # orbit of C(n/2, n/4)/2 labeled colorings
-        matching = SimpleGraph.from_edges(n, [(i, i + 1) for i in range(1, n, 2)])
+        matching = ColoredDigraph.from_edges(n, [(i, i + 1) for i in range(1, n, 2)])
         with pytest.raises(BudgetExceededError) as exc:
             uniform_colorings(matching, budget=1000)
         assert exc.value.budget == 1000
@@ -397,8 +421,8 @@ class TestUniformColorings:
     def test_orbit_walk_counts_each_member_it_adds(self):
         # 8 disjoint edges split 4 + 4: an orbit of C(8, 4)/2 = 35 members,
         # 34 of them added by the walk from the first
-        g = SimpleGraph.from_edges(16, [(i, i + 1) for i in range(1, 16, 2)])
-        one = enumeration._one_color(g)
+        g = ColoredDigraph.from_edges(16, [(i, i + 1) for i in range(1, 16, 2)])
+        one = g.support()
         gens = [vi for vi, _ in enumeration._mapping_search(
             one, one, False, DEFAULT_SEARCH_BUDGET, generators=True)]
         labels = (0, 0, 0, 0, 1, 1, 1, 1)

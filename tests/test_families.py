@@ -29,7 +29,7 @@ from unilie.families import (
     ring_algebra,
     vertex_count,
 )
-from unilie.graphs import ColoredDigraph, SimpleGraph, colorings_equivalent, validate_uniform
+from unilie.graphs import ColoredDigraph, colorings_equivalent, validate_uniform
 
 
 def uniform_type(g):
@@ -275,7 +275,7 @@ class TestSizing:
 
 class TestFactorizationInput:
     def test_round_trip_coloring(self):
-        k4 = SimpleGraph.from_edges(4, combinations(range(1, 5), 2))
+        k4 = ColoredDigraph.from_edges(4, combinations(range(1, 5), 2))
         factors = [
             [(1, 2), (3, 4)],
             [(1, 3), (2, 4)],
@@ -285,23 +285,23 @@ class TestFactorizationInput:
         assert uniform_type(g) == (3, 4, 2, 3)
 
     def test_rejects_non_partition(self):
-        k4 = SimpleGraph.from_edges(4, combinations(range(1, 5), 2))
+        k4 = ColoredDigraph.from_edges(4, combinations(range(1, 5), 2))
         with pytest.raises(ValueError):
             from_factorization(k4, [[(1, 2)], [(1, 2), (3, 4)]])
 
     def test_rejects_foreign_edge(self):
-        path = SimpleGraph.from_edges(3, [(1, 2), (2, 3)])
+        path = ColoredDigraph.from_edges(3, [(1, 2), (2, 3)])
         with pytest.raises(ValueError):
             from_factorization(path, [[(1, 3)], [(1, 2), (2, 3)]])
 
     def test_trivial_coloring_gives_each_edge_a_color(self):
-        path = SimpleGraph.from_edges(3, [(1, 2), (2, 3)])
+        path = ColoredDigraph.from_edges(3, [(1, 2), (2, 3)])
         g = trivial_coloring(path)
         assert g.p == 2
         assert g.sorted_arcs() == [(1, 2, 1), (2, 3, 2)]
         assert not validate_uniform(g).is_uniform
 
     def test_trivial_coloring_of_complete_graph_is_free(self):
-        k4 = SimpleGraph.from_edges(4, combinations(range(1, 5), 2))
+        k4 = ColoredDigraph.from_edges(4, combinations(range(1, 5), 2))
         g = trivial_coloring(k4)
         assert colorings_equivalent(g, free_two_step(4)) is not None

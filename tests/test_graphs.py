@@ -9,7 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from unilie.constructions import trivial_coloring
-from unilie.enumeration import _one_color, regular_graphs, uniform_colorings
+from unilie.enumeration import regular_graphs, uniform_colorings
 from unilie.families import (
     cyclic,
     heisenberg,
@@ -26,7 +26,6 @@ from unilie.graphs import (
     NonProper,
     NotRegular,
     NotSurjective,
-    SimpleGraph,
     _find,
     _mapping_search,
     _orbits,
@@ -90,19 +89,26 @@ def small_colorings():
     return [c for g in regular_graphs(6) for c in uniform_colorings(g)]
 
 
-class TestSimpleGraph:
+class TestFromEdges:
+    """A simple graph is its one-color digraph, built by `from_edges`."""
+
     def test_from_edges_normalizes(self):
-        g = SimpleGraph.from_edges(3, [(2, 1), (3, 1)])
+        # each pair is canonicalized, and a repeated edge counts once
+        g = ColoredDigraph.from_edges(3, [(2, 1), (3, 1), (1, 2)])
         assert g.sorted_edges() == [(1, 2), (1, 3)]
         assert g.degrees() == (2, 1, 1)
+        assert g.arcs == {(1, 2, 1), (1, 3, 1)}
 
     def test_rejects_loops(self):
-        with pytest.raises(ValueError):
-            SimpleGraph.from_edges(2, [(1, 1)])
+        with pytest.raises(ValueError, match="loops are not allowed"):
+            ColoredDigraph.from_edges(2, [(1, 1)])
+        # an iterator is read once; the loop is still seen
+        with pytest.raises(ValueError, match="loops are not allowed"):
+            ColoredDigraph.from_edges(3, iter([(1, 2), (3, 3)]))
 
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError):
-            SimpleGraph(2, frozenset({(1, 3)}))
+            ColoredDigraph.from_edges(2, [(1, 3)])
 
 
 class TestColoredDigraph:
@@ -289,7 +295,7 @@ def simple_graphs(draw, max_q=7):
     q = draw(st.integers(min_value=1, max_value=max_q))
     pairs = [(i, j) for i in range(1, q + 1) for j in range(i + 1, q + 1)]
     keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
-    return SimpleGraph.from_edges(q, [e for e, k in zip(pairs, keep) if k])
+    return ColoredDigraph.from_edges(q, [e for e, k in zip(pairs, keep) if k])
 
 
 @st.composite
@@ -505,22 +511,22 @@ class TestCanonicalForms:
 
 
 def union_of_graphs(*parts):
-    """Disjoint union of SimpleGraphs, vertices of later parts shifted up."""
+    """Disjoint union of simple graphs, vertices of later parts shifted up."""
     edges, q = [], 0
     for g in parts:
-        edges += [(i + q, j + q) for i, j in g.edges]
+        edges += [(i + q, j + q) for i, j in g.undirected_edges()]
         q += g.q
-    return SimpleGraph.from_edges(q, edges)
+    return ColoredDigraph.from_edges(q, edges)
 
 
 def complete_graph(n):
-    return SimpleGraph.from_edges(n, [(i, j) for i in range(1, n + 1)
-                                      for j in range(i + 1, n + 1)])
+    return ColoredDigraph.from_edges(n, [(i, j) for i in range(1, n + 1)
+                                         for j in range(i + 1, n + 1)])
 
 
 def complete_bipartite(a, b):
-    return SimpleGraph.from_edges(a + b, [(i, a + j) for i in range(1, a + 1)
-                                          for j in range(1, b + 1)])
+    return ColoredDigraph.from_edges(a + b, [(i, a + j) for i in range(1, a + 1)
+                                             for j in range(1, b + 1)])
 
 
 class TestAutomorphismGenerators:
@@ -532,7 +538,7 @@ class TestAutomorphismGenerators:
 
     @staticmethod
     def generators(g, budget=DEFAULT_SEARCH_BUDGET):
-        one = _one_color(g)
+        one = g.support()
         return list(_mapping_search(one, one, False, budget, generators=True))
 
     def check(self, g):
@@ -559,7 +565,7 @@ class TestAutomorphismGenerators:
     @given(g=simple_graphs())
     @settings(max_examples=60)
     def test_random_graphs(self, g):
-        assume(g.edges)
+        assume(g.undirected_edges())
         self.check(g)
 
     def test_triangle_has_the_full_symmetric_group(self):
